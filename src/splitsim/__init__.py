@@ -1,125 +1,14 @@
 """Deterministic simulator and verifier for finite-injury splitting runs.
 
-The package splits into layers that only point downward: model (pairing,
-cones, schedules, functionals), omegace (bounded approximations and their
-change-set coding), trace (the event grammar), engine (the stage loop),
-sacks/robinson (the two strategy families), scenario/harness (input
-documents and orchestration), verify (trace checking), fuzz/corrupt
-(random scenarios and forged defects), cli (the splitsim command).
+The package splits into layers that only point downward.  The trusted
+kernel is model (pairing, cones, schedules, functionals, the p policies,
+the priority order and assignment), omegace (bounded approximations and
+their change-set coding) and trace (the event grammar).  Above it sit
+engine (the stage loop), sacks/robinson (the two strategy families),
+scenario/harness (input documents and orchestration), fuzz/corrupt
+(random scenarios and forged defects) and cli (the splitsim command).
+verify (trace checking) imports only the kernel, so it never trusts the
+engine or the strategies.
 """
 
-from .corrupt import CorruptionError, corrupt
-from .engine import (
-    ConstructionInvariantError,
-    PriorityAssignment,
-    Run,
-    block_label,
-    order_block,
-    priority_order,
-    req_label,
-    threatens,
-)
-from .fuzz import generate, stream
-from .harness import build_policy, build_strategy, run
-from .model import (
-    Axiom,
-    ConflictError,
-    EnumerationSchedule,
-    FunctionalTable,
-    Outcome,
-    Snapshot,
-    cone_holds,
-    consistency_conflicts,
-    evaluate,
-    in_cone,
-    pair,
-    snapshot,
-    unpair,
-    validate_consistency,
-)
-from .omegace import ApproxTable, build_change_set, limit_eval, restrict
-from .robinson import (
-    RobinsonStrategy,
-    TablePolicy,
-    TruthfulDelayPolicy,
-    string_lifetime,
-)
-from .sacks import SacksStrategy, agreement_length, is_expansionary
-from .scenario import (
-    CONSTRUCTIONS,
-    Scenario,
-    ScenarioError,
-    load_scenario,
-    load_scenario_file,
-)
-from .trace import (
-    KINDS,
-    TraceEvent,
-    TraceParseError,
-    event,
-    parse,
-    parse_line,
-    render,
-)
-from .verify import CHECKS, passed, verify
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ApproxTable",
-    "Axiom",
-    "CHECKS",
-    "CONSTRUCTIONS",
-    "ConflictError",
-    "ConstructionInvariantError",
-    "CorruptionError",
-    "EnumerationSchedule",
-    "FunctionalTable",
-    "KINDS",
-    "Outcome",
-    "PriorityAssignment",
-    "RobinsonStrategy",
-    "Run",
-    "SacksStrategy",
-    "Scenario",
-    "ScenarioError",
-    "Snapshot",
-    "TablePolicy",
-    "TraceEvent",
-    "TraceParseError",
-    "TruthfulDelayPolicy",
-    "agreement_length",
-    "block_label",
-    "build_change_set",
-    "build_policy",
-    "build_strategy",
-    "cone_holds",
-    "consistency_conflicts",
-    "corrupt",
-    "evaluate",
-    "event",
-    "generate",
-    "in_cone",
-    "is_expansionary",
-    "limit_eval",
-    "load_scenario",
-    "load_scenario_file",
-    "order_block",
-    "pair",
-    "parse",
-    "parse_line",
-    "passed",
-    "priority_order",
-    "render",
-    "req_label",
-    "restrict",
-    "run",
-    "snapshot",
-    "stream",
-    "string_lifetime",
-    "threatens",
-    "unpair",
-    "validate_consistency",
-    "verify",
-    "__version__",
-]

@@ -12,8 +12,7 @@ beat, and so on), so callers can pick a different run.
 from __future__ import annotations
 
 from . import verify as _verify
-from .model import Snapshot, evaluate
-from .robinson import string_lifetime
+from .model import applicable_axiom, build_policy
 from .trace import TraceEvent, event
 
 
@@ -109,9 +108,8 @@ def _v5(scenario, events):
                 target = ev
         if target is None:
             continue
-        snap = Snapshot(ctx.a_members(side, target.stage), target.stage)
-        out = evaluate(table, target.stage, snap, None, diag["x"])
-        if not out.converges or out.use > target.stage + 1:
+        ax = applicable_axiom(table, target.stage, ctx.a_entry[side], None, diag["x"])
+        if ax is None or ax.use > target.stage + 1:
             # The verifier exempts definitions whose computation outruns
             # the recorded restraint, so this one is not forgeable.
             continue
@@ -153,26 +151,20 @@ def _v8(scenario, events):
     entry = scenario.c_schedule.entry_stage()
     if not entry:
         raise CorruptionError("an empty C schedule cannot move p at all")
-    delay = scenario.p_policy_params["d"]
     horizon = scenario.horizon
     width = max(entry) + 1
     stages = sorted(set(entry.values()))
-    sigmas = []
-    row = [0] * (horizon + 1)
-    for t in stages[::2]:
-        sigma = "".join("1" if entry.get(i, horizon + 1) <= t else "0" for i in range(width))
-        sigmas.append(sigma)
-        birth, death = string_lifetime(sigma, entry)
-        lo = birth + delay
-        hi = horizon if death is None else min(horizon, death - 1 + delay)
-        for u in range(lo, hi + 1):
-            row[u] = 1
-    flips = sum(1 for a, b in zip(row, row[1:]) if a != b)
+    sigmas = [
+        "".join("1" if entry.get(i, horizon + 1) <= t else "0" for i in range(width))
+        for t in stages[::2]
+    ]
     taken = set(scenario.q_overrides)
     for ev in events:
         if ev.kind == "enumerate" and ev.payload.get("set") == "W":
             taken.add(int(ev.payload["j"]))
     j = max(taken, default=-1) + 1
+    row = build_policy(scenario).row(j, [(0, sig) for sig in sigmas], horizon)
+    flips = sum(1 for a, b in zip(row, row[1:]) if a != b)
     if flips <= scenario.q_default:
         raise CorruptionError(
             "C churns %d p-changes out of a budget of %d" % (flips, scenario.q_default)

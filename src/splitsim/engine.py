@@ -28,37 +28,20 @@ owners; skipped blocks are observationally identical to visited ones.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .model import (
+    SIDE_LABEL,
+    PriorityAssignment,
+    block_label,
+    order_block,
+    priority_order,
+)
 from .trace import TraceEvent, event
 
 
 class ConstructionInvariantError(RuntimeError):
     """An internal invariant of the construction failed during a run."""
-
-
-SIDE_LABEL = ("P", "Q")
-
-
-def priority_order(side: int, i: int) -> int:
-    """Position of block (side, i) in the interleaved priority order."""
-    if side not in (0, 1) or i < 0:
-        raise ValueError("block address out of range")
-    return 2 * i + side
-
-
-def order_block(order: int) -> tuple[int, int]:
-    """Inverse of priority_order."""
-    return (order % 2, order // 2)
-
-
-def block_label(side: int, i: int) -> str:
-    return "%s:%d" % (SIDE_LABEL[side], i)
-
-
-def req_label(side: int, e: int) -> str:
-    return "%s:%d" % (SIDE_LABEL[side], e)
 
 
 def threatens(x: int, restraint: int) -> bool:
@@ -83,58 +66,6 @@ class BlockState:
     @property
     def label(self) -> str:
         return block_label(self.side, self.index)
-
-
-class PriorityAssignment:
-    """One side's dynamic requirement-to-block assignment.
-
-    The map is nondecreasing in the requirement index, starts at 0, and
-    never steps by more than one, so it is stored as an explicit prefix
-    plus a unit-slope extension: value(e) for e beyond the prefix is the
-    last prefix value plus the distance.  The initial assignment is the
-    identity; every update preserves the representation invariants.
-    """
-
-    def __init__(self):
-        self.prefix: list[int] = [0]
-
-    def value(self, e: int) -> int:
-        if e < 0:
-            raise ValueError("requirement index must be a natural")
-        last = len(self.prefix) - 1
-        if e <= last:
-            return self.prefix[e]
-        return self.prefix[last] + (e - last)
-
-    def tail(self, i: int) -> int:
-        """Largest requirement index currently assigned to block i."""
-        last = len(self.prefix) - 1
-        top = self.prefix[last]
-        if i >= top:
-            return last + (i - top)
-        e = bisect_right(self.prefix, i) - 1
-        if e < 0 or self.prefix[e] != i:
-            raise ConstructionInvariantError("block %d has an empty preimage" % i)
-        return e
-
-    def update(self, s: int, i: int, m: int) -> None:
-        """Pull indices m+1..s onto block i; keep unit spacing beyond s.
-
-        m must be the tail of block i.  Indices at or below m keep their
-        block; everything strictly above s lands on i + distance-from-s.
-        """
-        if m > s:
-            raise ConstructionInvariantError(
-                "tail %d beyond the current stage %d" % (m, s)
-            )
-        new = [self.value(e) for e in range(m + 1)]
-        new.extend(i for _ in range(s - m))
-        if new[m] != i:
-            raise ConstructionInvariantError("update tail is not on the target block")
-        self.prefix = new
-
-    def snapshot_values(self, upto: int) -> list[int]:
-        return [self.value(e) for e in range(upto + 1)]
 
 
 class Run:
@@ -301,10 +232,14 @@ class Run:
         self._init_target = None
         assign = self.assignments[side]
         m = assign.tail(i)
+        if m is None:
+            raise ConstructionInvariantError("block %d has an empty preimage" % i)
         if m > s:
             raise ConstructionInvariantError(
                 "tail %d of freshly initialized block exceeds stage %d" % (m, s)
             )
+        if assign.value(m) != i:
+            raise ConstructionInvariantError("update tail is not on the target block")
         assign.update(s, i, m)
         self.emit(event(s, "assignment-update", i=i, side=SIDE_LABEL[side], tail=m))
 

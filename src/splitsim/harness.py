@@ -8,18 +8,10 @@ of the scenario; two calls produce identical event lists.
 from __future__ import annotations
 
 from .engine import Run
-from .robinson import RobinsonStrategy, TablePolicy, TruthfulDelayPolicy
+from .model import build_policy
+from .robinson import RobinsonStrategy
 from .sacks import SacksStrategy
 from .scenario import Scenario
-
-
-def build_policy(scenario: Scenario):
-    """The external approximation p for a robinson scenario."""
-    if scenario.p_policy_kind == "table":
-        return TablePolicy(scenario.p_policy_params["values"])
-    return TruthfulDelayPolicy(
-        scenario.p_policy_params["d"], scenario.c_schedule.entry_stage()
-    )
 
 
 def build_strategy(scenario: Scenario):

@@ -1,12 +1,19 @@
 """Foundational data model for stage-indexed enumerations.
 
-Everything downstream (the construction engine, the strategies, the
-verifier) is phrased over four ingredients defined here:
+Together with omegace and trace this module is the trusted kernel:
+every decision that both the construction (engine and strategies) and
+the verifier take is defined here once, and the verifier imports
+nothing else from the package.  The ingredients are:
 
 * Cantor pairing on naturals,
 * finite oracle strings over {0, 1},
-* monotone enumeration schedules (stage-stamped element arrivals), and
-* Turing functionals given as finite axiom tables with explicit use.
+* monotone enumeration schedules (stage-stamped element arrivals) and
+  the one cone test over them, cone_holds,
+* Turing functionals given as finite axiom tables with explicit use,
+  and the axiom a table selects at a stage,
+* the semantics of the external approximation p (its policies and rows),
+* the interleaved priority order of blocks and the dynamic assignment
+  of requirements to blocks.
 
 A functional converges on an input exactly when some axiom whose oracle
 string(s) are initial segments of the current oracle set(s) has appeared
@@ -18,7 +25,8 @@ function of (table, stage, oracles, input).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 
 class ConflictError(ValueError):
@@ -58,20 +66,12 @@ def check_bits(s: str) -> str:
 
 
 @dataclass(frozen=True)
-class Snapshot:
-    """The finite set of elements enumerated by the end of a stage."""
-
-    members: frozenset[int]
-    stage: int
-
-
-@dataclass(frozen=True)
 class EnumerationSchedule:
     """A monotone enumeration: elements stamped with their entry stage.
 
     Entries are kept sorted by (stage, element).  An element appears at
-    most once; once enumerated it never leaves, so the snapshot at stage
-    s is simply every element whose stamp is <= s.
+    most once; once enumerated it never leaves, so the set at stage s is
+    every element whose stamp is <= s.
     """
 
     role: str
@@ -93,29 +93,15 @@ class EnumerationSchedule:
         """Element -> stage-of-entry map."""
         return {x: s for s, x in self.entries}
 
-    def members_at(self, s: int) -> frozenset[int]:
-        return frozenset(x for t, x in self.entries if t <= s)
-
-
-def snapshot(sched: EnumerationSchedule, s: int) -> Snapshot:
-    """The schedule's snapshot at stage s."""
-    if s < 0:
-        raise ValueError("snapshot stage must be a natural")
-    return Snapshot(sched.members_at(s), s)
-
-
-def in_cone(sigma: str, snap: Snapshot) -> bool:
-    """True iff sigma is an initial segment of the snapshot's set.
-
-    Position i of sigma must be 1 exactly when i is a member; a 0 bit
-    over a present element is as disqualifying as a missing 1 bit.
-    """
-    members = snap.members
-    return all((c == "1") == (i in members) for i, c in enumerate(sigma))
-
 
 def cone_holds(sigma: str, entry: dict[int, int], s: int) -> bool:
-    """in_cone against an element->entry-stage map, at stage s."""
+    """True iff sigma is an initial segment of the set at stage s.
+
+    The set is given by its element->entry-stage map; an element is a
+    member at stage s when its entry stage is <= s.  Position i of sigma
+    must be 1 exactly when i is a member; a 0 bit over a present element
+    is as disqualifying as a missing 1 bit.
+    """
     for i, c in enumerate(sigma):
         st = entry.get(i)
         present = st is not None and st <= s
@@ -155,23 +141,6 @@ class Axiom:
                 raise ValueError("binary axiom oracle strings must share one use")
         elif self.sigma is not None:
             raise ValueError("unary axiom carries an unexpected second oracle string")
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Result of evaluating a functional: convergent(k, use) or divergent."""
-
-    converges: bool
-    k: int | None = None
-    use: int | None = None
-
-    @staticmethod
-    def convergent(k: int, use: int) -> "Outcome":
-        return Outcome(True, k, use)
-
-    @staticmethod
-    def divergent() -> "Outcome":
-        return Outcome(False)
 
 
 class FunctionalTable:
@@ -237,43 +206,239 @@ def validate_consistency(table: FunctionalTable) -> None:
         raise ConflictError(bad)
 
 
-def evaluate(
+def applicable_axiom(
     table: FunctionalTable,
     s: int,
-    oracle_a: Snapshot,
-    oracle_c: Snapshot | None,
-    x: int,
-) -> Outcome:
-    """Stage-s evaluation of the functional on input x.
-
-    Applicable means: appeared by stage s, theta an initial segment of
-    oracle_a, and (for binary tables) sigma an initial segment of
-    oracle_c.  Among applicable axioms the (use, k)-least is selected.
-    """
-    if table.binary and oracle_c is None:
-        raise ValueError("binary functional evaluated without its second oracle")
-    if not table.binary and oracle_c is not None:
-        raise ValueError("unary functional evaluated with a second oracle")
-    got = _applicable_axiom(table, s, oracle_a, oracle_c, x)
-    if got is None:
-        return Outcome.divergent()
-    return Outcome.convergent(got.k, got.use)
-
-
-def _applicable_axiom(
-    table: FunctionalTable,
-    s: int,
-    oracle_a: Snapshot,
-    oracle_c: Snapshot | None,
+    a_entry: dict[int, int],
+    c_entry: dict[int, int] | None,
     x: int,
 ) -> Axiom | None:
-    """The selected axiom behind evaluate, or None; rows are presorted."""
+    """The axiom the functional selects on input x at stage s, or None.
+
+    Applicable means: appeared by stage s, theta an initial segment of
+    the first oracle, and (for binary tables) sigma an initial segment
+    of the second, each oracle read at stage s from its
+    element->entry-stage map.  Among applicable axioms the (use, k)-least
+    is selected; rows are presorted, so it is the first one found.
+    """
+    if table.binary and c_entry is None:
+        raise ValueError("binary functional evaluated without its second oracle")
+    if not table.binary and c_entry is not None:
+        raise ValueError("unary functional evaluated with a second oracle")
     for appear, ax in table.axioms_for(x):
         if appear > s:
             continue
-        if not in_cone(ax.theta, oracle_a):
+        if not cone_holds(ax.theta, a_entry, s):
             continue
-        if table.binary and not in_cone(ax.sigma, oracle_c):
+        if c_entry is not None and not cone_holds(ax.sigma, c_entry, s):
             continue
         return ax
     return None
+
+
+def agreement_length(
+    table: FunctionalTable, a_entry: dict[int, int], d_entry: dict[int, int], s: int
+) -> int:
+    """Largest y with the unary functional agreeing with D on every x <= y; -1 if none.
+
+    Convergence and agreement are both read at stage s.  The scan stops
+    at the first divergence or disagreement, and the table is finite, so
+    it always terminates.
+    """
+    y = -1
+    x = 0
+    while True:
+        got = applicable_axiom(table, s, a_entry, None, x)
+        if got is None:
+            return y
+        dst = d_entry.get(x)
+        if got.k != (1 if dst is not None and dst <= s else 0):
+            return y
+        y = x
+        x += 1
+
+
+# -- the external approximation p -------------------------------------------
+
+
+def string_lifetime(sigma: str, c_entry: dict[int, int]) -> tuple[int, int | None]:
+    """(birth, death) of C's membership in sigma's cone.
+
+    C enters the cone once every 1-position has arrived and leaves it for
+    good when the first 0-position arrives; death None means never.
+    """
+    birth = 0
+    death: int | None = None
+    for i, c in enumerate(sigma):
+        st = c_entry.get(i)
+        if c == "1":
+            if st is None:
+                return (1 << 62), None
+            birth = max(birth, st)
+        elif st is not None:
+            death = st if death is None else min(death, st)
+    return birth, death
+
+
+class TruthfulDelayPolicy:
+    """p answers the cone question about W_j truthfully, d stages late.
+
+    p(j, t) is 0 for t < d and otherwise 1 exactly when C at stage t - d
+    lay in the cone of some string enumerated into W_j by stage t - d.
+    """
+
+    def __init__(self, delay: int, c_entry: dict[int, int]):
+        if delay < 1:
+            raise ValueError("truthful delay must be at least 1")
+        self.delay = delay
+        self.c_entry = c_entry
+
+    def live_window(self, enum_stage: int, sigma: str) -> tuple[int, int | None]:
+        """Stages [lo, hi] at which one string of W_j makes p answer 1.
+
+        hi None means the window never closes.  The window is empty when
+        C leaves the cone before p could report it (lo > hi); when C never
+        enters the cone, lo lies beyond any horizon.
+        """
+        birth, death = string_lifetime(sigma, self.c_entry)
+        lo = max(enum_stage, birth) + self.delay
+        return lo, None if death is None else death - 1 + self.delay
+
+    def row(self, j: int, strings: list[tuple[int, str]], horizon: int) -> list[int]:
+        """p(j, t) for t in 0..horizon."""
+        row = [0] * (horizon + 1)
+        for enum_stage, sigma in strings:
+            lo, hi = self.live_window(enum_stage, sigma)
+            top = horizon if hi is None else min(horizon, hi)
+            for t in range(lo, top + 1):
+                row[t] = 1
+        return row
+
+    def first_hit(self, j: int, strings: list[tuple[int, str]], s: int, horizon: int) -> int | None:
+        """The first t in s..horizon with p(j, t) = 1, or None."""
+        best = None
+        for enum_stage, sigma in strings:
+            lo, hi = self.live_window(enum_stage, sigma)
+            t = max(s, lo)
+            if hi is not None and t > hi:
+                continue
+            if best is None or t < best:
+                best = t
+        if best is None or best > horizon:
+            return None
+        return best
+
+
+class TablePolicy:
+    """p read off an explicit per-index table; missing entries are 0."""
+
+    def __init__(self, values: dict[int, list[int]]):
+        self.values = {int(j): list(row) for j, row in values.items()}
+        for j, row in self.values.items():
+            if any(v not in (0, 1) for v in row):
+                raise ValueError("p table rows must consist of bits")
+            if row and row[0] != 0:
+                raise ValueError("p must answer 0 at stage 0 (index %d)" % j)
+
+    def row(self, j: int, strings, horizon: int) -> list[int]:
+        """p(j, t) for t in 0..horizon."""
+        given = self.values.get(j, [])[: horizon + 1]
+        return given + [0] * (horizon + 1 - len(given))
+
+    def first_hit(self, j: int, strings, s: int, horizon: int) -> int | None:
+        """The first t in s..horizon with p(j, t) = 1, or None."""
+        given = self.values.get(j, [])
+        for t in range(s, min(len(given), horizon + 1)):
+            if given[t] == 1:
+                return t
+        return None
+
+
+def build_policy(scenario):
+    """The external approximation p for a robinson scenario."""
+    if scenario.p_policy_kind == "table":
+        return TablePolicy(scenario.p_policy_params["values"])
+    return TruthfulDelayPolicy(
+        scenario.p_policy_params["d"], scenario.c_schedule.entry_stage()
+    )
+
+
+# -- priority blocks and the dynamic assignment --------------------------------
+
+SIDE_LABEL = ("P", "Q")
+
+
+def priority_order(side: int, i: int) -> int:
+    """Position of block (side, i) in the interleaved priority order."""
+    if side not in (0, 1) or i < 0:
+        raise ValueError("block address out of range")
+    return 2 * i + side
+
+
+def order_block(order: int) -> tuple[int, int]:
+    """Inverse of priority_order."""
+    return (order % 2, order // 2)
+
+
+def block_label(side: int, i: int) -> str:
+    return "%s:%d" % (SIDE_LABEL[side], i)
+
+
+def req_label(side: int, e: int) -> str:
+    return "%s:%d" % (SIDE_LABEL[side], e)
+
+
+class PriorityAssignment:
+    """One side's dynamic requirement-to-block assignment.
+
+    The map is nondecreasing in the requirement index, starts at 0, and
+    never steps by more than one, so it is stored as an explicit prefix
+    plus a unit-slope extension: value(e) for e beyond the prefix is the
+    last prefix value plus the distance.  The initial assignment is the
+    identity.  Neither tail nor update raises on a bad argument, so a
+    replay of untrusted update claims can apply them and report what is
+    wrong; the engine checks its own invariants before it updates.
+    """
+
+    def __init__(self):
+        self.prefix: list[int] = [0]
+
+    def value(self, e: int) -> int:
+        prefix = self.prefix
+        last = len(prefix) - 1
+        if e <= last:
+            if e < 0:
+                raise ValueError("requirement index must be a natural")
+            return prefix[e]
+        return prefix[last] + (e - last)
+
+    def tail(self, i: int) -> int | None:
+        """Largest requirement index currently assigned to block i; None if there is none."""
+        last = len(self.prefix) - 1
+        top = self.prefix[last]
+        if i >= top:
+            return last + (i - top)
+        e = bisect_right(self.prefix, i) - 1
+        if e < 0 or self.prefix[e] != i:
+            return None
+        return e
+
+    def update(self, s: int, i: int, m: int) -> None:
+        """Pull indices m+1..s onto block i; keep unit spacing beyond s.
+
+        m is meant to be the tail of block i, at most s.  Indices at or
+        below m keep their block; everything strictly above s lands on
+        i + distance-from-s.
+        """
+        new = self.snapshot_values(m)
+        new.extend([i] * (s - m))
+        self.prefix = new
+
+    def snapshot_values(self, upto: int) -> list[int]:
+        """[value(0), ..., value(upto)]."""
+        prefix = self.prefix
+        if upto < len(prefix):
+            return prefix[: max(upto + 1, 0)]
+        last = len(prefix) - 1
+        top = prefix[last]
+        return prefix + list(range(top + 1, top + 1 + upto - last))

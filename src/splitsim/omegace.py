@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import EnumerationSchedule, pair, snapshot
+from .model import EnumerationSchedule, pair
 
 
 @dataclass(frozen=True)
@@ -92,16 +92,17 @@ def build_change_set(tab: ApproxTable) -> EnumerationSchedule:
 def restrict(tab: ApproxTable, n: int) -> set[int]:
     """Decode the limit set below n from the change set alone.
 
-    Reads the change-set snapshot at the horizon, merges the change
-    bounds below n into d, and puts x in the result iff the number of
-    codes pair(x, i) with i < d present in the snapshot is odd.
+    Reads the elements of the change set (every code is enumerated
+    before the horizon), merges the change bounds below n into d, and
+    puts x in the result iff the number of codes pair(x, i) with i < d
+    among them is odd.
     """
     if n < 0 or n > tab.horizon:
         raise ValueError("restriction length must lie within the horizon")
     if n == 0:
         return set()
     d = max(tab.bound_for(x) for x in range(n))
-    members = snapshot(build_change_set(tab), tab.horizon).members
+    members = build_change_set(tab).entry_stage()
     out = set()
     for x in range(n):
         count = sum(1 for i in range(d) if pair(x, i) in members)

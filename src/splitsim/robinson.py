@@ -28,8 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import ConstructionInvariantError, req_label
-from .model import Axiom, FunctionalTable, cone_holds, in_cone
+from .engine import ConstructionInvariantError
+from .model import (
+    Axiom,
+    FunctionalTable,
+    applicable_axiom,
+    cone_holds,
+    req_label,
+    string_lifetime,
+)
 from .trace import event
 
 
@@ -90,89 +97,6 @@ class GuessingRegistry:
 
     def q(self, j: int) -> int:
         return self.q_overrides.get(j, self.q_default)
-
-
-def string_lifetime(sigma: str, c_entry: dict[int, int]) -> tuple[int, int | None]:
-    """(birth, death) of C's membership in sigma's cone.
-
-    C enters the cone once every 1-position has arrived and leaves it for
-    good when the first 0-position arrives; death None means never.
-    """
-    birth = 0
-    death: int | None = None
-    for i, c in enumerate(sigma):
-        st = c_entry.get(i)
-        if c == "1":
-            if st is None:
-                return (1 << 62), None
-            birth = max(birth, st)
-        elif st is not None:
-            death = st if death is None else min(death, st)
-    return birth, death
-
-
-class TruthfulDelayPolicy:
-    """p answers the cone question about W_j truthfully, d stages late.
-
-    p(j, t) is 0 for t < d and otherwise 1 exactly when C at stage t - d
-    lay in the cone of some string enumerated into W_j by stage t - d.
-    """
-
-    def __init__(self, delay: int, c_entry: dict[int, int]):
-        if delay < 1:
-            raise ValueError("truthful delay must be at least 1")
-        self.delay = delay
-        self.c_entry = c_entry
-
-    def value(self, j: int, strings: list[tuple[int, str]], t: int) -> int:
-        if t < self.delay:
-            return 0
-        u = t - self.delay
-        for enum_stage, sigma in strings:
-            if enum_stage > u:
-                continue
-            birth, death = string_lifetime(sigma, self.c_entry)
-            if birth <= u and (death is None or u < death):
-                return 1
-        return 0
-
-    def first_hit(self, j: int, strings: list[tuple[int, str]], s: int, horizon: int) -> int | None:
-        best = None
-        for enum_stage, sigma in strings:
-            birth, death = string_lifetime(sigma, self.c_entry)
-            lo = max(enum_stage, birth) + self.delay
-            t = max(s, lo)
-            if death is not None and t >= death + self.delay:
-                continue
-            if best is None or t < best:
-                best = t
-        if best is None or best > horizon:
-            return None
-        return best
-
-
-class TablePolicy:
-    """p read off an explicit per-index table; missing entries are 0."""
-
-    def __init__(self, values: dict[int, list[int]]):
-        self.values = {int(j): list(row) for j, row in values.items()}
-        for j, row in self.values.items():
-            if any(v not in (0, 1) for v in row):
-                raise ValueError("p table rows must consist of bits")
-            if row and row[0] != 0:
-                raise ValueError("p must answer 0 at stage 0 (index %d)" % j)
-
-    def value(self, j: int, strings, t: int) -> int:
-        row = self.values.get(j)
-        if row is None or t >= len(row):
-            return 0
-        return row[t]
-
-    def first_hit(self, j: int, strings, s: int, horizon: int) -> int | None:
-        for t in range(s, horizon + 1):
-            if self.value(j, strings, t) == 1:
-                return t
-        return None
 
 
 class RobinsonStrategy:
@@ -359,7 +283,7 @@ class RobinsonStrategy:
         """
         run = self.run
         table = self.tables[(side, e)]
-        got = self._applicable(table, side, x, s)
+        got = applicable_axiom(table, s, run.a_entry[side], run.c_entry, x)
         d_now = run.d_value(x, s)
         if got is None or got.k != d_now:
             return "nocomp"
@@ -395,19 +319,6 @@ class RobinsonStrategy:
         run.count_action(req_label(side, e))
         return "acted"
 
-    def _applicable(self, table: FunctionalTable, side: int, x: int, s: int) -> Axiom | None:
-        run = self.run
-        members = run.a_entry[side].keys()
-        for appear, ax in table.axioms_for(x):
-            if appear > s:
-                continue
-            if not all((c == "1") == (i in members) for i, c in enumerate(ax.theta)):
-                continue
-            if not cone_holds(ax.sigma, run.c_entry, s):
-                continue
-            return ax
-        return None
-
     # -- refresh ---------------------------------------------------------------
 
     def cancel_requirement(self, side: int, e: int, s: int) -> None:
@@ -425,11 +336,8 @@ class RobinsonStrategy:
                 else:
                     st.refresh()
                 continue
-            members = run.a_entry[side].keys()
-            broken = any(
-                not all((c == "1") == (i in members) for i, c in enumerate(r.axiom.theta))
-                for r in st.certified
-            )
+            a_entry = run.a_entry[side]
+            broken = any(not cone_holds(r.axiom.theta, a_entry, s) for r in st.certified)
             if broken:
                 hits.append((side, e, x, "a0-change" if side == 0 else "a1-change"))
         for side, e, x, cause in hits:
@@ -438,10 +346,6 @@ class RobinsonStrategy:
         self._refresh_flags.clear()
 
     # -- results -----------------------------------------------------------------
-
-    def canonical_p(self, j: int, horizon: int) -> list[int]:
-        strings = self.registry.sets[j]
-        return [self.policy.value(j, strings, t) for t in range(horizon + 1)]
 
     def cone_truth(self, j: int, at: int) -> int:
         """Whether C at the given stage lies in a cone of W_j's strings."""
@@ -457,7 +361,7 @@ class RobinsonStrategy:
         p_ok = True
         for j in range(self.registry.next_j):
             label, x, epoch = self.registry.owner[j]
-            p_row = self.canonical_p(j, horizon)
+            p_row = self.policy.row(j, self.registry.sets[j], horizon)
             changes = sum(1 for a, b in zip(p_row, p_row[1:]) if a != b)
             truth = self.cone_truth(j, horizon)
             if p_row[horizon] != truth:

@@ -1,4 +1,4 @@
-"""Plain splitting strategies: agreement lengths and diagonalizing triples.
+"""Plain splitting strategies: expansionary stages and diagonalizing triples.
 
 Each table-owning requirement watches its functional over one half of the
 split against the target enumeration D.  At an eligible even stage the
@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import req_label
-from .model import FunctionalTable, in_cone
+from .model import FunctionalTable, agreement_length, req_label
 from .trace import event
 
 
@@ -59,41 +58,6 @@ class SacksRequirement:
         self.diagonalized = None
         self.ell_history.clear()
         self.max_ell = -1
-
-
-def agreement_length(table: FunctionalTable, a_members, d_entry: dict[int, int], s: int) -> int:
-    """Largest y with the functional agreeing with D on every x <= y; -1 if none.
-
-    Convergence is checked against the current half a_members (whose
-    elements all entered by stage s); agreement against D's stage-s
-    snapshot.  The scan stops at the first divergence or disagreement,
-    and the table is finite, so it always terminates.
-    """
-    y = -1
-    x = 0
-    view = _SetView(a_members)
-    while True:
-        got = None
-        for appear, ax in table.axioms_for(x):
-            if appear <= s and in_cone(ax.theta, view):
-                got = ax
-                break
-        if got is None:
-            return y
-        dst = d_entry.get(x)
-        if got.k != (1 if dst is not None and dst <= s else 0):
-            return y
-        y = x
-        x += 1
-
-
-class _SetView:
-    """Adapter so in_cone can read a bare membership set as a snapshot."""
-
-    __slots__ = ("members",)
-
-    def __init__(self, members):
-        self.members = members
 
 
 def is_expansionary(ell: int, max_recorded: int) -> bool:
@@ -136,15 +100,15 @@ class SacksStrategy:
                 run.emit(event(s, "act", block=blk.label, req=req.label, via="diagonalize"))
                 run.count_action(req.label)
                 return True
-        members = run.a_entry[req.side].keys()
-        ell = agreement_length(self.tables[(req.side, req.e)], members, run.d_entry, s)
+        a_entry = run.a_entry[req.side]
+        ell = agreement_length(self.tables[(req.side, req.e)], a_entry, run.d_entry, s)
         if not is_expansionary(ell, req.max_ell):
             req.ell_history.append((s, ell))
             return False
         req.ell_history.append((s, ell))
         req.max_ell = ell
         run.emit(event(s, "expansionary", block=blk.label, ell=ell, req=req.label))
-        sigma = "".join("1" if i in members else "0" for i in range(s))
+        sigma = "".join("1" if i in a_entry else "0" for i in range(s))
         for x in range(ell + 1):
             if x in req.values:
                 continue

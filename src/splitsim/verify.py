@@ -4,7 +4,8 @@ The verifier consumes a scenario plus the event list of a finished run
 and replays everything it can recompute purely: routing decisions,
 restraint windows, assignment updates, certification scans, and the
 change-set coding of the p approximations.  Engine and strategy
-internals are never consulted, so a failure always indicts the trace,
+internals are never consulted: the module imports only the trusted
+kernel (model, omegace, trace), so a failure always indicts the trace,
 not the bookkeeping that produced it.
 
 Checks:
@@ -26,14 +27,20 @@ checks carry minimal witnesses (stage plus the offending trace lines).
 
 from __future__ import annotations
 
+import copy
 import re
-from bisect import bisect_right
 
-from .engine import block_label, priority_order
-from .harness import build_policy
-from .model import Snapshot, cone_holds, evaluate
+from .model import (
+    PriorityAssignment,
+    agreement_length,
+    applicable_axiom,
+    block_label,
+    build_policy,
+    cone_holds,
+    priority_order,
+    string_lifetime,
+)
 from .omegace import ApproxTable, limit_eval, restrict
-from .robinson import string_lifetime
 from .trace import TraceEvent
 
 CHECKS = (
@@ -73,38 +80,6 @@ def parse_req(label: str):
 def _label_order(label: str) -> int:
     side = 0 if label.startswith("P") else 1
     return priority_order(side, int(label[2:]))
-
-
-class _AssignReplica:
-    """Mechanical replay of one side's assignment, trusting trace claims.
-
-    Same prefix-plus-unit-slope shape as the engine's, but updates apply
-    exactly what the trace states, without sanity assertions; the checks
-    compare claims against recomputation instead of raising.
-    """
-
-    def __init__(self):
-        self.prefix = [0]
-
-    def value(self, e: int) -> int:
-        last = len(self.prefix) - 1
-        if e <= last:
-            return self.prefix[e]
-        return self.prefix[last] + (e - last)
-
-    def tail_scan(self, i: int):
-        """Largest index assigned to block i, or None if none is."""
-        last = len(self.prefix) - 1
-        top = self.prefix[last]
-        if i >= top:
-            return last + (i - top)
-        e = bisect_right(self.prefix, i) - 1
-        if e < 0 or self.prefix[e] != i:
-            return None
-        return e
-
-    def claimed_update(self, s: int, i: int, m: int) -> list[int]:
-        return [self.value(e) for e in range(m + 1)] + [i] * max(0, s - m)
 
 
 class _Problems:
@@ -152,7 +127,7 @@ class _Context:
         self.b_entry = dict(scenario.b_schedule.entry_stage())
         self.c_entry = dict(scenario.c_schedule.entry_stage())
         self.d_entry = dict(scenario.d_schedule.entry_stage())
-        self.a_entries = ([], [])  # ordered (stage, element) per half
+        self.a_entry = ({}, {})  # element -> entry stage, per half
         self.routed = {}
         self.restraint = {}
         self.block_side = {}
@@ -162,7 +137,7 @@ class _Context:
         self.initiators_by_stage = {}
         self.updates_per_stage = {}
         self.none_update_stages = []
-        self.assignments = (_AssignReplica(), _AssignReplica())
+        self.assignments = (PriorityAssignment(), PriorityAssignment())
         self.last_change = [-1, -1]
         self.w_sets = {}
         self.w_seen = set()
@@ -182,14 +157,6 @@ class _Context:
     def d_value(self, x: int, s: int) -> int:
         st = self.d_entry.get(x)
         return 1 if st is not None and st <= s else 0
-
-    def a_members(self, side: int, s: int) -> frozenset[int]:
-        rows = self.a_entries[side]
-        hi = bisect_right(rows, (s, 1 << 62))
-        return frozenset(x for _, x in rows[:hi])
-
-    def c_members(self, s: int) -> frozenset[int]:
-        return frozenset(x for x, u in self.c_entry.items() if u <= s)
 
     def cancelled_after(self, side: int, e: int, stage: int):
         """First cancellation of the requirement strictly after stage."""
@@ -323,7 +290,7 @@ def _replay_event(ctx, ev, s, pend):
         else:
             pend.routes.pop(matched)
         ctx.routed[x] = (side, s)
-        ctx.a_entries[side].append((s, x))
+        ctx.a_entry[side][x] = s
         for label, r in ctx.restraint.items():
             if ctx.block_side[label] == side and 0 <= x <= r:
                 pend.violations.append((label, ev))
@@ -462,8 +429,8 @@ def _replay_event(ctx, ev, s, pend):
                     % (block_label(side, i), ranked[0][1]),
                     ev,
                 )
-        replica = ctx.assignments[side]
-        want_m = replica.tail_scan(i)
+        assign = ctx.assignments[side]
+        want_m = assign.tail(i)
         if want_m is None:
             prob.add("V11", s, "update targets a block with an empty preimage", ev)
         elif want_m != m:
@@ -471,33 +438,20 @@ def _replay_event(ctx, ev, s, pend):
         if m > s:
             prob.add("V11", s, "update tail %d exceeds the stage" % m, ev)
             m = s
-        new_prefix = replica.claimed_update(s, i, m)
-        top = max(len(replica.prefix), len(new_prefix))
-        old_values = [replica.value(e) for e in range(top)]
-        replica.prefix = new_prefix
-        for e in range(top):
-            if replica.value(e) > old_values[e]:
+        old = copy.copy(assign)
+        assign.update(s, i, m)
+        # Past both prefixes both maps have unit slope, so a rise shows
+        # up within the longer prefix.
+        last = max(len(old.prefix), len(assign.prefix)) - 1
+        pairs = zip(old.snapshot_values(last), assign.snapshot_values(last))
+        for e, (was, now) in enumerate(pairs):
+            if now > was:
                 prob.add(
-                    "V3", s,
-                    "assignment of index %d rose from %d to %d"
-                    % (e, old_values[e], replica.value(e)),
-                    ev,
+                    "V3", s, "assignment of index %d rose from %d to %d" % (e, was, now), ev
                 )
                 break
         ctx.last_change[side] = s
         return
-
-
-def _recompute_agreement(table, members, ctx, s) -> int:
-    snap = Snapshot(members, s)
-    y = -1
-    x = 0
-    while True:
-        out = evaluate(table, s, snap, None, x)
-        if not out.converges or out.k != ctx.d_value(x, s):
-            return y
-        y = x
-        x += 1
 
 
 def _check_v5(ctx):
@@ -512,8 +466,8 @@ def _check_v5(ctx):
         if table is None:
             prob.add("V5", rec["stage"], "expansionary event for an unknown functional", rec["ev"])
             continue
-        members = ctx.a_members(rec["req"][0], rec["stage"])
-        ell = _recompute_agreement(table, members, ctx, rec["stage"])
+        a_entry = ctx.a_entry[rec["req"][0]]
+        ell = agreement_length(table, a_entry, ctx.d_entry, rec["stage"])
         if ell != rec["ell"]:
             prob.add(
                 "V5", rec["stage"],
@@ -532,38 +486,22 @@ def _check_v5(ctx):
         if table is None:
             prob.add("V5", d["stage"], "diagonalization by an unknown functional", d["ev"])
             continue
-        snap_def = Snapshot(ctx.a_members(side, defined_at), defined_at)
-        out_def = evaluate(table, defined_at, snap_def, None, d["x"])
-        if not out_def.converges:
+        ax_def = applicable_axiom(table, defined_at, ctx.a_entry[side], None, d["x"])
+        if ax_def is None:
             prob.add("V5", defined_at, "no computation behind the defined value", d["ev"])
             continue
-        if out_def.use > defined_at + 1:
+        if ax_def.use > defined_at + 1:
             # The recorded restraint cannot shield a use this long, so the
             # disagreement is not required to persist.
             continue
         h = ctx.horizon
-        out = evaluate(table, h, Snapshot(ctx.a_members(side, h), h), None, d["x"])
-        if not out.converges:
+        ax = applicable_axiom(table, h, ctx.a_entry[side], None, d["x"])
+        if ax is None:
             prob.add("V5", h, "diagonalized computation lost by the horizon", d["ev"])
-        elif out.k != k:
-            prob.add("V5", h, "computed value drifted from %d to %d" % (k, out.k), d["ev"])
-        elif out.k == ctx.d_value(d["x"], h):
+        elif ax.k != k:
+            prob.add("V5", h, "computed value drifted from %d to %d" % (k, ax.k), d["ev"])
+        elif ax.k == ctx.d_value(d["x"], h):
             prob.add("V5", h, "diagonalized value rejoined D at input %d" % d["x"], d["ev"])
-
-
-def _p_row(policy, j, strings, horizon: int, c_entry) -> list[int]:
-    """The canonical p row over stages 0..horizon for one guessing set."""
-    if hasattr(policy, "delay"):
-        row = [0] * (horizon + 1)
-        d = policy.delay
-        for enum_stage, sigma in strings:
-            birth, death = string_lifetime(sigma, c_entry)
-            lo = max(enum_stage, birth) + d
-            hi = horizon if death is None else min(horizon, death - 1 + d)
-            for t in range(max(0, lo), hi + 1):
-                row[t] = 1
-        return row
-    return [policy.value(j, strings, t) for t in range(horizon + 1)]
 
 
 def _check_v7(ctx, p_rows):
@@ -595,9 +533,14 @@ def _check_v7(ctx, p_rows):
     for ev in ctx.refuse_events:
         pay = ev.payload
         sigma = pay.get("sigma", "")
-        entry = int(pay.get("entry", ev.stage))
+        try:
+            entry = int(pay.get("entry", ev.stage))
+            j = int(pay.get("j", -1))
+        except ValueError:
+            prob.add("V7", ev.stage, "malformed refusal record", ev)
+            continue
         result = pay.get("result")
-        row = p_rows.get(int(pay.get("j", -1)))
+        row = p_rows.get(j)
         if result == "refused":
             try:
                 resolved = int(pay["resolved"])
@@ -674,29 +617,24 @@ def _check_v9(ctx, settled):
         end = ctx.cancelled_after(side, e, d["stage"])
         end = h + 1 if end is None else end
         marks = {d["stage"]}
-        marks.update(t for t, _ in ctx.a_entries[side] if d["stage"] < t < end)
+        marks.update(t for t in ctx.a_entry[side].values() if d["stage"] < t < end)
         marks.update(t for t in c_stages if d["stage"] < t < end)
         for t in sorted(marks):
             if not cone_holds(d["sigma"], ctx.c_entry, t):
                 continue
-            out = evaluate(
-                table, t,
-                Snapshot(ctx.a_members(side, t), t),
-                Snapshot(ctx.c_members(t), t),
-                d["x"],
-            )
-            if not out.converges:
+            ax = applicable_axiom(table, t, ctx.a_entry[side], ctx.c_entry, d["x"])
+            if ax is None:
                 prob.add(
                     "V9", t,
                     "live local value at input %d with no global computation" % d["x"],
                     d["ev"],
                 )
                 break
-            if out.k != d["k"]:
+            if ax.k != d["k"]:
                 prob.add(
                     "V9", t,
                     "local value %d against global value %d at input %d"
-                    % (d["k"], out.k, d["x"]),
+                    % (d["k"], ax.k, d["x"]),
                     d["ev"],
                 )
                 break
@@ -706,10 +644,7 @@ def verify(scenario, events, final=None) -> dict:
     """Check a finished run; returns {"checks", "flags", "diagnostics"}."""
     ctx = _replay(scenario, events)
     policy = build_policy(scenario) if scenario.construction == "robinson" else None
-    p_rows = {
-        j: _p_row(policy, j, strings, ctx.horizon, ctx.c_entry)
-        for j, strings in ctx.w_sets.items()
-    }
+    p_rows = {j: policy.row(j, strings, ctx.horizon) for j, strings in ctx.w_sets.items()}
     _check_v5(ctx)
     _check_v7(ctx, p_rows)
     settled = _check_v8_v10(ctx, p_rows)
@@ -755,8 +690,8 @@ def verify(scenario, events, final=None) -> dict:
         "last_initialized": dict(sorted(ctx.last_initialized.items())),
         "injuries_per_block": dict(sorted(ctx.injuries_per_block.items())),
         "action_counts": dict(sorted(ctx.action_counts.items())),
-        "assignment_p": [ctx.assignments[0].value(e) for e in range(ctx.horizon + 1)],
-        "assignment_q": [ctx.assignments[1].value(e) for e in range(ctx.horizon + 1)],
+        "assignment_p": ctx.assignments[0].snapshot_values(ctx.horizon),
+        "assignment_q": ctx.assignments[1].snapshot_values(ctx.horizon),
         "last_assignment_change": {"P": ctx.last_change[0], "Q": ctx.last_change[1]},
         "pending_scans": ctx.pending_count,
         "guessing_sets": len(ctx.w_sets),

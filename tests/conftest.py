@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from splitsim.fuzz import generate
 from splitsim.harness import run
 from splitsim.scenario import load_scenario
+from splitsim.trace import TraceEvent
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -89,3 +91,16 @@ def _material(name):
 @pytest.fixture(scope="session")
 def control_materials():
     return {name: _material(name) for name in ("deflection", "forced", "injury", "certify", "churn")}
+
+
+def malformed_refusals():
+    """A robinson run, and its trace with j or entry of the first refusal garbled."""
+    doc = generate(2026, 6, "robinson", 256)
+    events, _ = run(load_scenario(doc))
+    at = next(i for i, ev in enumerate(events) if ev.kind == "refuse-certify")
+    forged = {}
+    for key in ("j", "entry"):
+        payload = dict(events[at].payload, **{key: "x"})
+        line = TraceEvent(events[at].stage, events[at].kind, payload)
+        forged[key] = events[:at] + [line] + events[at + 1:]
+    return doc, forged

@@ -7,6 +7,7 @@ criterion over it consumes per-run summaries.  Each test records a
 pytest invocations.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -16,7 +17,7 @@ import pytest
 from splitsim.corrupt import corrupt
 from splitsim.fuzz import generate
 from splitsim.harness import run
-from splitsim.model import Snapshot, evaluate
+from splitsim.model import applicable_axiom
 from splitsim.omegace import ApproxTable, limit_eval, restrict
 from splitsim.scenario import load_scenario
 from splitsim.trace import render
@@ -28,6 +29,12 @@ CORPUS_SEED = 2026
 CORPUS_PER_CONSTRUCTION = 500
 CORPUS_MAX_HORIZON = 1024
 CORPUS_BUDGET_SECONDS = 60.0
+
+# sha256 over the corpus in order: every rendered trace, and every report
+# as sorted-key JSON.  Any change to what a run emits or to what the
+# verifier concludes moves one of them.
+CORPUS_TRACE_SHA256 = "b03738ea97bf52e59cafb0f59aa0200c4518130abec05773a449637e372a5440"
+CORPUS_REPORT_SHA256 = "27b5cdfd4df02d9e4f3ddaaca61614776cdc77bf5a43cffefd0a8773fa437afd"
 
 
 def _partition_ok(scenario, final) -> bool:
@@ -45,12 +52,16 @@ def _partition_ok(scenario, final) -> bool:
 def corpus():
     t0 = time.perf_counter()
     rows = []
+    trace_hash = hashlib.sha256()
+    report_hash = hashlib.sha256()
     for construction in ("sacks", "robinson"):
         for index in range(CORPUS_PER_CONSTRUCTION):
             doc = generate(CORPUS_SEED, index, construction, CORPUS_MAX_HORIZON)
             scenario = load_scenario(doc)
             events, final = run(scenario)
             report = verify(scenario, events, final)
+            trace_hash.update(render(events).encode())
+            report_hash.update(json.dumps(report, sort_keys=True).encode())
             kinds = {}
             for ev in events:
                 kinds[ev.kind] = kinds.get(ev.kind, 0) + 1
@@ -79,7 +90,12 @@ def corpus():
                 }
             )
     elapsed = time.perf_counter() - t0
-    return {"rows": rows, "elapsed": elapsed}
+    return {
+        "rows": rows,
+        "elapsed": elapsed,
+        "trace_sha256": trace_hash.hexdigest(),
+        "report_sha256": report_hash.hexdigest(),
+    }
 
 
 def _bad(rows, check):
@@ -146,14 +162,14 @@ def test_v5_diagonalization_persistence(record):
     diags = [ev for ev in events if ev.kind == "diagonalize"]
     table = scenario.functionals[(0, 0)]
     horizon = scenario.horizon
-    a0_final = Snapshot(frozenset(x for _, x in final["a0"]), horizon)
+    a0_final = {x: t for t, x in final["a0"]}
     d_final = {x for _, x in final["d"]}
     flips_hold = []
     for ev in diags:
         x = int(ev.payload["x"])
-        out = evaluate(table, horizon, a0_final, None, x)
+        ax = applicable_axiom(table, horizon, a0_final, None, x)
         flips_hold.append(
-            out.converges and out.k != (1 if x in d_final else 0)
+            ax is not None and ax.k != (1 if x in d_final else 0)
         )
     report = verify(scenario, events, final)
     check_ok = report["checks"]["V5"]["status"] == "pass"
@@ -306,6 +322,21 @@ def test_v11_assignment_update_rule(record):
     assert update_ok, stage5
     assert lambda_ok, final["assignment_p"]
     assert check_ok
+
+
+def test_behaviour_digests(corpus, record):
+    trace_ok = corpus["trace_sha256"] == CORPUS_TRACE_SHA256
+    report_ok = corpus["report_sha256"] == CORPUS_REPORT_SHA256
+    record(
+        "[%s] behaviour digests: corpus traces %s, verifier reports %s"
+        % (
+            "PASS" if trace_ok and report_ok else "FAIL",
+            "match" if trace_ok else "DIVERGE",
+            "match" if report_ok else "DIVERGE",
+        )
+    )
+    assert corpus["trace_sha256"] == CORPUS_TRACE_SHA256
+    assert corpus["report_sha256"] == CORPUS_REPORT_SHA256
 
 
 def test_determinism_replay(corpus, record):

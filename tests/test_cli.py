@@ -4,6 +4,9 @@ from pathlib import Path
 import pytest
 
 from splitsim.cli import main
+from splitsim.trace import render
+
+from conftest import malformed_refusals
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIO = str(GOLDEN / "deflection-update-scenario.json")
@@ -61,6 +64,18 @@ def test_verify_round_trip(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--scenario", SCENARIO, "--trace", str(trace)]) == 0
     assert "status: settled" in capsys.readouterr().out
+
+
+def test_verify_malformed_refusal_exits_1(tmp_path, capsys):
+    doc, forged = malformed_refusals()
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    for key, events in forged.items():
+        trace = tmp_path / ("refusal-%s.trace" % key)
+        trace.write_text(render(events))
+        code = main(["verify", "--scenario", str(scenario), "--trace", str(trace)])
+        assert code == 1, key
+        assert "V7" in capsys.readouterr().out
 
 
 def test_verify_rejects_garbage_trace(tmp_path, capsys):

@@ -1,15 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from splitsim.engine import (
-    ConstructionInvariantError,
-    PriorityAssignment,
-    block_label,
-    order_block,
-    priority_order,
-    threatens,
-)
-from splitsim.harness import run
+from splitsim.engine import ConstructionInvariantError, Run, threatens
+from splitsim.harness import build_strategy, run
+from splitsim.model import PriorityAssignment, block_label, order_block, priority_order
 from splitsim.scenario import load_scenario
 
 
@@ -41,6 +35,8 @@ def test_threatens():
 def test_assignment_starts_as_identity():
     assign = PriorityAssignment()
     assert [assign.value(e) for e in range(5)] == [0, 1, 2, 3, 4]
+    assert assign.snapshot_values(4) == [0, 1, 2, 3, 4]
+    assert assign.snapshot_values(-1) == []
     assert assign.tail(3) == 3
     with pytest.raises(ValueError):
         assign.value(-1)
@@ -61,19 +57,33 @@ def test_assignment_update_golden():
 
 
 def test_assignment_update_guards():
+    # The assignment itself applies any claim without raising, as the
+    # verifier's replay needs; a tail beyond the stage pulls nothing.
     assign = PriorityAssignment()
-    with pytest.raises(ConstructionInvariantError):
-        assign.update(2, 4, 4)  # tail beyond the stage
+    assign.update(2, 4, 4)
+    assert assign.snapshot_values(6) == [0, 1, 2, 3, 4, 5, 6]
     assign.update(5, 1, 1)
     assert assign.tail(0) == 0
     assert assign.tail(2) == 6  # unit-slope extension past the plateau
-    with pytest.raises(ConstructionInvariantError):
-        assign.update(7, 3, 6)  # update tail off the target block
-    # Legal updates never leave gaps; the empty-preimage guard only fires
-    # on a hand-corrupted representation.
+    # Legal updates never leave gaps; an empty preimage only shows on a
+    # hand-corrupted representation.
     assign.prefix = [0, 2]
-    with pytest.raises(ConstructionInvariantError):
-        assign.tail(1)
+    assert assign.tail(1) is None
+    # The engine guards its own updates at the end of each stage.
+    sc = load_scenario(_doc(8))
+    cases = (
+        ([0], None, 4, 2, "exceeds stage"),
+        ([0, 1, 1, 1, 1, 1], 6, 3, 7, "not on the target block"),
+        ([0, 2], None, 1, 4, "empty preimage"),
+    )
+    for prefix, forced_tail, i, s, message in cases:
+        r = Run(sc, build_strategy(sc))
+        r.assignments[0].prefix = prefix
+        if forced_tail is not None:
+            r.assignments[0].tail = lambda i, m=forced_tail: m
+        r._init_target = (priority_order(0, i), 0, i)
+        with pytest.raises(ConstructionInvariantError, match=message):
+            r._part_three(s)
 
 
 @given(st.lists(st.integers(0, 6), min_size=0, max_size=8))
@@ -83,15 +93,13 @@ def test_assignment_updates_never_increase(blocks):
     s = 0
     for i in blocks:
         s += 1
-        try:
-            m = assign.tail(i)
-        except ConstructionInvariantError:
-            continue
-        if m > s:
+        m = assign.tail(i)
+        if m is None or m > s:
             continue
         before = assign.snapshot_values(20)
         assign.update(s, i, m)
         after = assign.snapshot_values(20)
+        assert after == [assign.value(e) for e in range(21)]
         assert all(b <= a for b, a in zip(after, before))
         # Representation invariants: nondecreasing, unit steps, starts at 0.
         assert after[0] == 0

@@ -1,8 +1,9 @@
 import json
 from pathlib import Path
 
-from splitsim.harness import build_policy, build_strategy, run
-from splitsim.robinson import RobinsonStrategy, TablePolicy, TruthfulDelayPolicy
+from splitsim.harness import build_strategy, run
+from splitsim.model import TablePolicy, TruthfulDelayPolicy, build_policy
+from splitsim.robinson import RobinsonStrategy
 from splitsim.sacks import SacksStrategy
 from splitsim.scenario import load_scenario
 from splitsim.trace import render

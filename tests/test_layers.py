@@ -1,0 +1,66 @@
+"""The package's import graph keeps the verifier on the trusted kernel.
+
+The verifier re-derives every engine decision, so it may only depend on
+the kernel that defines those decisions once (model, omegace, trace),
+never on the engine, the strategies or the harness.  The check reads the
+sources, so it holds without importing anything.
+"""
+
+import ast
+from pathlib import Path
+
+import splitsim
+
+PACKAGE = Path(splitsim.__file__).parent
+KERNEL = {"model", "omegace", "trace"}
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules a source file imports, relatively or by package name."""
+    tree = ast.parse(path.read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.split(".")[0] == "splitsim":
+                parts = node.module.split(".")
+                if len(parts) > 1:
+                    found.add(parts[1])
+                else:
+                    found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "splitsim" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def imports_of(module: str) -> set[str]:
+    return package_imports(PACKAGE / (module + ".py"))
+
+
+def test_verifier_imports_only_the_kernel():
+    assert imports_of("verify") <= KERNEL, imports_of("verify")
+
+
+def test_kernel_layering():
+    assert imports_of("model") == set()
+    for module in KERNEL:
+        assert imports_of(module) <= KERNEL - {module}, module
+
+
+def test_import_scan_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import engine\n"
+        "from .harness import run\n"
+        "from splitsim.robinson import certify\n"
+        "from splitsim import sacks\n"
+        "import splitsim.cli\n"
+        "import json\n"
+    )
+    assert package_imports(probe) == {"engine", "harness", "robinson", "sacks", "cli"}

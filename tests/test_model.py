@@ -6,14 +6,11 @@ from splitsim.model import (
     ConflictError,
     EnumerationSchedule,
     FunctionalTable,
-    Snapshot,
+    applicable_axiom,
     check_bits,
     cone_holds,
     consistency_conflicts,
-    evaluate,
-    in_cone,
     pair,
-    snapshot,
     unpair,
     validate_consistency,
 )
@@ -77,11 +74,14 @@ def test_schedule_build_rejects_duplicates_and_negatives():
 def test_schedule_members_and_entry():
     sched = EnumerationSchedule.build("C", [(4, 2), (1, 0)])
     assert sched.entries == ((1, 0), (4, 2))
-    assert sched.entry_stage() == {0: 1, 2: 4}
-    assert sched.members_at(0) == frozenset()
-    assert sched.members_at(1) == {0}
-    assert sched.members_at(4) == {0, 2}
-    assert snapshot(sched, 3).members == {0}
+    entry = sched.entry_stage()
+    assert entry == {0: 1, 2: 4}
+    # The set at stage s, read through the cone test as its
+    # characteristic string up to the largest element.
+    assert cone_holds("000", entry, 0)
+    assert cone_holds("100", entry, 1)
+    assert cone_holds("101", entry, 4)
+    assert cone_holds("100", entry, 3)
 
 
 @given(
@@ -96,18 +96,24 @@ def test_schedule_snapshots_monotone(rows, s, t):
         if x not in seen:
             seen.add(x)
             entries.append((u, x))
-    sched = EnumerationSchedule.build("B", entries)
+    entry = EnumerationSchedule.build("B", entries).entry_stage()
     lo, hi = min(s, t), max(s, t)
-    assert sched.members_at(lo) <= sched.members_at(hi)
+
+    def chars(u):
+        return "".join("1" if entry.get(i, 99) <= u else "0" for i in range(31))
+
+    assert cone_holds(chars(lo), entry, lo)
+    assert cone_holds(chars(hi), entry, hi)
+    assert all(a <= b for a, b in zip(chars(lo), chars(hi)))
 
 
 def test_cone_membership():
-    snap = Snapshot(frozenset({0, 2}), 5)
-    assert in_cone("", snap)
-    assert in_cone("101", snap)
-    assert not in_cone("1", Snapshot(frozenset(), 0))
-    assert not in_cone("100", snap)  # bit 2 claims absence
-    assert not in_cone("11", snap)
+    present = {0: 5, 2: 5}
+    assert cone_holds("", present, 5)
+    assert cone_holds("101", present, 5)
+    assert not cone_holds("1", {}, 0)
+    assert not cone_holds("100", present, 5)  # bit 2 claims absence
+    assert not cone_holds("11", present, 5)
     entry = {0: 1, 2: 4}
     assert cone_holds("101", entry, 4)
     assert not cone_holds("101", entry, 3)
@@ -142,26 +148,32 @@ def test_evaluate_cone_and_appear_gating():
             (2, Axiom("", 1, 1)),
         ]
     )
-    empty = Snapshot(frozenset(), 0)
-    out = evaluate(table, 0, empty, None, 0)
-    assert (out.converges, out.k, out.use) == (True, 0, 1)
-    out = evaluate(table, 0, Snapshot(frozenset({0}), 0), None, 0)
-    assert (out.converges, out.k, out.use) == (True, 1, 1)
+    ax = applicable_axiom(table, 0, {}, None, 0)
+    assert (ax.k, ax.use) == (0, 1)
+    ax = applicable_axiom(table, 0, {0: 0}, None, 0)
+    assert (ax.k, ax.use) == (1, 1)
+    # An element entering after the stage is not yet in the oracle.
+    ax = applicable_axiom(table, 0, {0: 1}, None, 0)
+    assert (ax.k, ax.use) == (0, 1)
     # Appear stage gates the x=1 axiom.
-    assert not evaluate(table, 1, empty, None, 1).converges
-    assert evaluate(table, 2, empty, None, 1).k == 1
-    assert not evaluate(table, 2, empty, None, 5).converges
+    assert applicable_axiom(table, 1, {}, None, 1) is None
+    assert applicable_axiom(table, 2, {}, None, 1).k == 1
+    assert applicable_axiom(table, 2, {}, None, 5) is None
 
 
 def test_evaluate_arity_checks():
     unary = _table([(0, Axiom("", 0, 0))])
     binary = _table([(0, Axiom("", 0, 0, ""))], binary=True)
-    empty = Snapshot(frozenset(), 0)
     with pytest.raises(ValueError):
-        evaluate(unary, 0, empty, empty, 0)
+        applicable_axiom(unary, 0, {}, {}, 0)
     with pytest.raises(ValueError):
-        evaluate(binary, 0, empty, None, 0)
-    assert evaluate(binary, 0, empty, empty, 0).k == 0
+        applicable_axiom(binary, 0, {}, None, 0)
+    assert applicable_axiom(binary, 0, {}, {}, 0).k == 0
+    # The second oracle gates binary axioms through sigma.
+    gated = _table([(0, Axiom("1", 0, 1, "1"))], binary=True)
+    assert applicable_axiom(gated, 3, {0: 2}, {}, 0) is None
+    assert applicable_axiom(gated, 3, {}, {0: 3}, 0) is None
+    assert applicable_axiom(gated, 3, {0: 2}, {0: 3}, 0).k == 1
 
 
 def test_consistency_conflicts():
@@ -205,16 +217,16 @@ def test_consistent_tables_answer_uniquely(rows, members, s):
     table = _table(rows)
     if consistency_conflicts(table):
         return
-    snap = Snapshot(frozenset(members), s)
+    entry = dict.fromkeys(members, s)
     for x in range(3):
         answers = {
             ax.k
             for appear, ax in table.axioms_for(x)
-            if appear <= s and in_cone(ax.theta, snap)
+            if appear <= s and cone_holds(ax.theta, entry, s)
         }
         assert len(answers) <= 1
-        out = evaluate(table, s, snap, None, x)
+        got = applicable_axiom(table, s, entry, None, x)
         if answers:
-            assert out.converges and out.k in answers
+            assert got is not None and got.k in answers
         else:
-            assert not out.converges
+            assert got is None

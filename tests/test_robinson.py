@@ -1,7 +1,7 @@
 import pytest
 
 from splitsim.harness import run
-from splitsim.robinson import TablePolicy, TruthfulDelayPolicy, string_lifetime
+from splitsim.model import TablePolicy, TruthfulDelayPolicy, string_lifetime
 from splitsim.scenario import load_scenario
 
 
@@ -20,22 +20,35 @@ def test_truthful_delay_policy():
         TruthfulDelayPolicy(0, {})
     pol = TruthfulDelayPolicy(2, {0: 3})
     alive = [(1, "1")]  # joins the cone at stage 3, never leaves
-    assert [pol.value(0, alive, t) for t in range(7)] == [0, 0, 0, 0, 0, 1, 1]
+    assert pol.row(0, alive, 6) == [0, 0, 0, 0, 0, 1, 1]
     assert pol.first_hit(0, alive, 0, 8) == 5
     assert pol.first_hit(0, alive, 6, 8) == 6
     assert pol.first_hit(0, alive, 0, 4) is None
     dying = [(0, "0")]  # dies when 0 enters C at stage 3
-    assert [pol.value(0, dying, t) for t in range(7)] == [0, 0, 1, 1, 1, 0, 0]
+    assert pol.row(0, dying, 6) == [0, 0, 1, 1, 1, 0, 0]
     assert pol.first_hit(0, dying, 0, 8) == 2
     assert pol.first_hit(0, dying, 5, 8) is None
+    unborn = [(0, "01")]  # 1 never enters C, so C never enters the cone
+    assert pol.row(0, unborn, 6) == [0] * 7
+    assert pol.first_hit(0, unborn, 0, 8) is None
+    late = [(4, "")]  # enumerated after C entered the cone: the window opens at 4 + d
+    assert pol.row(0, late, 6) == [0, 0, 0, 0, 0, 0, 1]
+    # first_hit is the first 1 of the row at or after the scan start.
+    for strings in (alive, dying, unborn, late, alive + dying):
+        row = pol.row(0, strings, 8)
+        for s in range(9):
+            want = next((t for t in range(s, 9) if row[t]), None)
+            assert pol.first_hit(0, strings, s, 8) == want
 
 
 def test_table_policy():
     pol = TablePolicy({"0": [0, 1, 0]})
-    assert [pol.value(0, [], t) for t in range(4)] == [0, 1, 0, 0]
-    assert pol.value(7, [], 1) == 0
+    assert pol.row(0, [], 3) == [0, 1, 0, 0]
+    assert pol.row(0, [], 1) == [0, 1]
+    assert pol.row(7, [], 1) == [0, 0]
     assert pol.first_hit(0, [], 0, 8) == 1
     assert pol.first_hit(0, [], 2, 8) is None
+    assert pol.first_hit(0, [], 0, 0) is None
     with pytest.raises(ValueError):
         TablePolicy({0: [1, 0]})
     with pytest.raises(ValueError):

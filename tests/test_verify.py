@@ -6,7 +6,7 @@ from splitsim.harness import run
 from splitsim.scenario import load_scenario
 from splitsim.verify import CHECKS, parse_req, passed, verify
 
-from conftest import CERTIFY_DOC
+from conftest import CERTIFY_DOC, malformed_refusals
 
 def test_check_catalogue():
     assert [name for name, _ in CHECKS] == ["V%d" % i for i in range(1, 12)]
@@ -118,3 +118,13 @@ def test_honest_fuzz_sweep_passes():
             events, final = run(sc)
             report = verify(sc, events, final)
             assert passed(report), (construction, index, report["checks"])
+
+
+def test_malformed_refusal_fails_v7():
+    doc, forged = malformed_refusals()
+    sc = load_scenario(doc)
+    for key, events in forged.items():
+        report = verify(sc, events)
+        v7 = report["checks"]["V7"]
+        assert v7["status"] == "fail", key
+        assert v7["witnesses"][0]["note"] == "malformed refusal record", key
