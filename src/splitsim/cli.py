@@ -13,18 +13,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .corrupt import CorruptionError, corrupt
 from .engine import ConstructionInvariantError
 from .fuzz import generate
 from .harness import run
+from .model import parse_label
 from .scenario import CONSTRUCTIONS, ScenarioError, load_scenario, load_scenario_file
 from .trace import TraceParseError, parse, render
 from .verify import CHECKS, passed, verify
-
-_LABEL_RE = re.compile(r"^[PQ]:\d+$")
 
 
 def _fail_usage(message: str) -> int:
@@ -234,7 +232,7 @@ def _matches(ev, args) -> bool:
 
 def cmd_explain(args) -> int:
     for label in (args.block, args.requirement):
-        if label is not None and not _LABEL_RE.match(label):
+        if label is not None and parse_label(label) is None:
             return _fail_usage("labels look like P:0 or Q:3, not %r" % label)
     try:
         with open(args.trace) as handle:

@@ -12,7 +12,7 @@ beat, and so on), so callers can pick a different run.
 from __future__ import annotations
 
 from . import verify as _verify
-from .model import applicable_axiom, build_policy
+from .model import applicable_axiom, build_policy, changes, parse_label
 from .trace import TraceEvent, event
 
 
@@ -102,7 +102,7 @@ def _v5(scenario, events):
             if (
                 ev.kind == "define-local"
                 and "theta" not in ev.payload
-                and _verify.parse_req(ev.payload.get("req", "")) == diag["req"]
+                and parse_label(ev.payload.get("req", "")) == diag["req"]
                 and int(ev.payload["x"]) == diag["x"]
             ):
                 target = ev
@@ -164,7 +164,7 @@ def _v8(scenario, events):
             taken.add(int(ev.payload["j"]))
     j = max(taken, default=-1) + 1
     row = build_policy(scenario).row(j, [(0, sig) for sig in sigmas], horizon)
-    flips = sum(1 for a, b in zip(row, row[1:]) if a != b)
+    flips = changes(row)
     if flips <= scenario.q_default:
         raise CorruptionError(
             "C churns %d p-changes out of a budget of %d" % (flips, scenario.q_default)

@@ -36,17 +36,13 @@ from .model import (
     block_label,
     order_block,
     priority_order,
+    route,
 )
 from .trace import TraceEvent, event
 
 
 class ConstructionInvariantError(RuntimeError):
     """An internal invariant of the construction failed during a run."""
-
-
-def threatens(x: int, restraint: int) -> bool:
-    """An arrival threatens a block iff it is at or below the restraint."""
-    return restraint >= 0 and x <= restraint
 
 
 @dataclass
@@ -82,6 +78,9 @@ class Run:
         self.a_entry: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.blocks: dict[tuple[int, int], BlockState] = {}
         self.assignments = (PriorityAssignment(), PriorityAssignment())
+        self.owner_indices = tuple(
+            [e for owner_side, e in strategy.owners if owner_side == side] for side in (0, 1)
+        )
         self.events: list[TraceEvent] = []
         self.action_counts: dict[str, int] = {}
         self.pending_scans = 0
@@ -154,22 +153,13 @@ class Run:
         x = self.b_by_stage.get(s)
         if x is None:
             return
-        threatened = sorted(
-            (blk.order, blk) for blk in self.blocks.values() if threatens(x, blk.restraint)
-        )
-        if not threatened:
-            self.emit(event(s, "route", threatened="-", to="A0", x=x))
-            self._enumerate_half(0, x, s)
-            return
-        _, blk = threatened[0]
-        if blk.side == 0:
-            self.emit(event(s, "route", threatened=blk.label, to="A1", x=x))
-            self._enumerate_half(1, x, s)
-            self.initialize_block(1, blk.index, s, cause="route")
-        else:
-            self.emit(event(s, "route", threatened=blk.label, to="A0", x=x))
-            self._enumerate_half(0, x, s)
-            self.initialize_block(0, blk.index + 1, s, cause="route")
+        restraints = {key: blk.restraint for key, blk in self.blocks.items()}
+        threatened, half, init = route(x, restraints)
+        label = "-" if threatened is None else block_label(*threatened)
+        self.emit(event(s, "route", threatened=label, to="A%d" % half, x=x))
+        self._enumerate_half(half, x, s)
+        if init is not None:
+            self.initialize_block(*init, s, cause="route")
 
     def _enumerate_half(self, side: int, x: int, s: int) -> None:
         if x in self.a_entry[0] or x in self.a_entry[1]:
@@ -199,12 +189,7 @@ class Run:
 
     def block_members(self, blk: BlockState) -> list[int]:
         """Table-owning requirement indices currently assigned to blk."""
-        assign = self.assignments[blk.side]
-        return sorted(
-            e
-            for side, e in self.strategy.owners
-            if side == blk.side and assign.value(e) == blk.index
-        )
+        return self.assignments[blk.side].members(blk.index, self.owner_indices[blk.side])
 
     def initialize_block(self, side: int, i: int, s: int, cause: str) -> None:
         """Initialize block (side, i) and everything of lower priority."""

@@ -11,9 +11,12 @@ nothing else from the package.  The ingredients are:
   the one cone test over them, cone_holds,
 * Turing functionals given as finite axiom tables with explicit use,
   and the axiom a table selects at a stage,
-* the semantics of the external approximation p (its policies and rows),
-* the interleaved priority order of blocks and the dynamic assignment
-  of requirements to blocks.
+* the semantics of the external approximation p (its policies and rows,
+  the mind-change count of a row, and the cone truth p approximates),
+* block and requirement labels and their one parser,
+* the interleaved priority order of blocks, the routing of an arrival
+  away from the strongest threatened block, and the dynamic assignment
+  of requirements to blocks together with block membership.
 
 A functional converges on an input exactly when some axiom whose oracle
 string(s) are initial segments of the current oracle set(s) has appeared
@@ -25,6 +28,7 @@ function of (table, stage, oracles, input).
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -174,9 +178,6 @@ class FunctionalTable:
     def axioms_for(self, x: int) -> list[tuple[int, Axiom]]:
         return self._by_x.get(x, [])
 
-    def max_input(self) -> int:
-        return max(self._by_x) if self._by_x else -1
-
 
 def _segments(a: str, b: str) -> bool:
     return a == b[: len(a)] or b == a[: len(b)]
@@ -259,6 +260,20 @@ def agreement_length(
 
 
 # -- the external approximation p -------------------------------------------
+
+
+def changes(row) -> int:
+    """How often a stage-indexed bit row changes its mind."""
+    return sum(1 for a, b in zip(row, row[1:]) if a != b)
+
+
+def cone_truth(strings: list[tuple[int, str]], c_entry: dict[int, int], at: int) -> int:
+    """1 iff C at stage at lies in the cone of a string enumerated by then.
+
+    strings are the (enumeration stage, sigma) pairs of one guessing set;
+    this is the limit the truthful p answers for that set.
+    """
+    return int(any(u <= at and cone_holds(sigma, c_entry, at) for u, sigma in strings))
 
 
 def string_lifetime(sigma: str, c_entry: dict[int, int]) -> tuple[int, int | None]:
@@ -381,11 +396,43 @@ def order_block(order: int) -> tuple[int, int]:
 
 
 def block_label(side: int, i: int) -> str:
+    """The label of block (side, i), which is also that of requirement (side, i)."""
     return "%s:%d" % (SIDE_LABEL[side], i)
 
 
-def req_label(side: int, e: int) -> str:
-    return "%s:%d" % (SIDE_LABEL[side], e)
+_LABEL_RE = re.compile(r"([PQ]):(0|[1-9][0-9]*)")
+
+
+def parse_label(text: str) -> tuple[int, int] | None:
+    """The (side, n) a block_label string names; None for any other string."""
+    m = _LABEL_RE.fullmatch(text)
+    if m is None:
+        return None
+    return SIDE_LABEL.index(m.group(1)), int(m.group(2))
+
+
+def threatens(x: int, restraint: int) -> bool:
+    """An arrival threatens a block iff it is at or below the restraint.
+
+    restraint -1 means the block holds none.
+    """
+    return 0 <= x <= restraint
+
+
+def route(x: int, restraints: dict[tuple[int, int], int]):
+    """Where an arrival goes: (threatened block, half, block to initialize).
+
+    restraints maps blocks (side, i) to their restraints.  The arrival is
+    deflected away from the strongest block it threatens, into the other
+    half, and the next-weaker block in priority order is initialized;
+    with no threatened block it goes to A0 and nothing is initialized
+    (both blocks are then None).
+    """
+    threatened = [blk for blk, r in restraints.items() if threatens(x, r)]
+    if not threatened:
+        return None, 0, None
+    side, i = min(threatened, key=lambda blk: priority_order(*blk))
+    return (side, i), 1 - side, order_block(priority_order(side, i) + 1)
 
 
 class PriorityAssignment:
@@ -411,6 +458,10 @@ class PriorityAssignment:
                 raise ValueError("requirement index must be a natural")
             return prefix[e]
         return prefix[last] + (e - last)
+
+    def members(self, i: int, indices) -> list[int]:
+        """The requirement indices among indices currently assigned to block i."""
+        return [e for e in indices if self.value(e) == i]
 
     def tail(self, i: int) -> int | None:
         """Largest requirement index currently assigned to block i; None if there is none."""

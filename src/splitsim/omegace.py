@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import EnumerationSchedule, pair
+from .model import EnumerationSchedule, changes, pair
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,10 @@ class ApproxTable:
                 raise ValueError("row at %d must consist of bits" % x)
             if row[0] != 0:
                 raise ValueError("approximations must start at 0 (argument %d)" % x)
-            if _changes(row) >= self.bound_for(x):
+            if changes(row) >= self.bound_for(x):
                 raise ValueError(
                     "argument %d changes its mind %d times, bound is %d"
-                    % (x, _changes(row), self.bound_for(x))
+                    % (x, changes(row), self.bound_for(x))
                 )
 
     def bound_for(self, x: int) -> int:
@@ -61,10 +61,6 @@ class ApproxTable:
     def value(self, x: int, s: int) -> int:
         row = self.rows.get(x)
         return 0 if row is None else row[s]
-
-
-def _changes(row) -> int:
-    return sum(1 for a, b in zip(row, row[1:]) if a != b)
 
 
 def limit_eval(tab: ApproxTable, x: int) -> int:

@@ -33,8 +33,10 @@ from .model import (
     Axiom,
     FunctionalTable,
     applicable_axiom,
+    block_label,
+    changes,
     cone_holds,
-    req_label,
+    cone_truth,
     string_lifetime,
 )
 from .trace import event
@@ -140,7 +142,7 @@ class RobinsonStrategy:
                 continue
             if found is not None:
                 raise ConstructionInvariantError(
-                    "two live definitions at input %d of %s" % (x, req_label(side, e))
+                    "two live definitions at input %d of %s" % (x, block_label(side, e))
                 )
             found = ax
         return found
@@ -161,7 +163,7 @@ class RobinsonStrategy:
         a pending scan flags the whole run as unsettled.
         """
         run = self.run
-        label = req_label(side, e)
+        label = block_label(side, e)
         st = self.input_state(side, e, x)
         if st.j is None:
             st.j = self.registry.issue(label, x, st.epoch)
@@ -172,27 +174,21 @@ class RobinsonStrategy:
             )
         j = st.j
         strings = self.registry.sets[j]
-        if not any(cone_holds(sig, run.c_entry, s) for _, sig in strings):
+        if not cone_truth(strings, run.c_entry, s):
             strings.append((s, axiom.sigma))
             run.emit(event(s, "enumerate", j=j, set="W", sigma=axiom.sigma))
-        memo = st.refusal_memo.get(axiom.sigma)
-        if memo is not None and s <= memo:
+
+        def emit_scan(kind, **extra):
             run.emit(
                 event(
-                    s,
-                    "refuse-certify",
-                    entry=s,
-                    j=j,
-                    k=axiom.k,
-                    memo=1,
-                    req=label,
-                    resolved=memo,
-                    result="refused",
-                    sigma=axiom.sigma,
-                    theta=axiom.theta,
-                    x=x,
+                    s, kind, entry=s, j=j, k=axiom.k, req=label,
+                    sigma=axiom.sigma, theta=axiom.theta, x=x, **extra,
                 )
             )
+
+        memo = st.refusal_memo.get(axiom.sigma)
+        if memo is not None and s <= memo:
+            emit_scan("refuse-certify", memo=1, resolved=memo, result="refused")
             return None
         _, death = string_lifetime(axiom.sigma, run.c_entry)
         t_exit = death if death is not None and death <= run.horizon else None
@@ -200,55 +196,15 @@ class RobinsonStrategy:
         if t_exit is None and t_hit is None:
             run.pending_scans += 1
             run.unsettled = True
-            run.emit(
-                event(
-                    s,
-                    "refuse-certify",
-                    entry=s,
-                    j=j,
-                    k=axiom.k,
-                    req=label,
-                    result="pending",
-                    sigma=axiom.sigma,
-                    theta=axiom.theta,
-                    x=x,
-                )
-            )
+            emit_scan("refuse-certify", result="pending")
             return None
         if t_exit is not None and (t_hit is None or t_exit <= t_hit):
             st.refusal_memo[axiom.sigma] = t_exit
-            run.emit(
-                event(
-                    s,
-                    "refuse-certify",
-                    entry=s,
-                    j=j,
-                    k=axiom.k,
-                    req=label,
-                    resolved=t_exit,
-                    result="refused",
-                    sigma=axiom.sigma,
-                    theta=axiom.theta,
-                    x=x,
-                )
-            )
+            emit_scan("refuse-certify", resolved=t_exit, result="refused")
             return None
         rec = CertRecord(axiom, s, t_hit, j)
         st.certified.append(rec)
-        run.emit(
-            event(
-                s,
-                "certify",
-                entry=s,
-                j=j,
-                k=axiom.k,
-                req=label,
-                resolved=t_hit,
-                sigma=axiom.sigma,
-                theta=axiom.theta,
-                x=x,
-            )
-        )
+        emit_scan("certify", resolved=t_hit)
         return rec
 
     # -- requirement strategies ------------------------------------------------
@@ -292,7 +248,7 @@ class RobinsonStrategy:
             if live.k != d_now:
                 raise ConstructionInvariantError(
                     "live definition at %s input %d contradicts D"
-                    % (req_label(side, e), x)
+                    % (block_label(side, e), x)
                 )
             return "defined"
         if s <= got.use:
@@ -308,15 +264,15 @@ class RobinsonStrategy:
                 s,
                 "define-local",
                 k=got.k,
-                req=req_label(side, e),
+                req=block_label(side, e),
                 sigma=got.sigma,
                 theta=got.theta,
                 x=x,
             )
         )
         run.set_restraint(blk, s)
-        run.emit(event(s, "act", block=blk.label, req=req_label(side, e), via="certified"))
-        run.count_action(req_label(side, e))
+        run.emit(event(s, "act", block=blk.label, req=block_label(side, e), via="certified"))
+        run.count_action(block_label(side, e))
         return "acted"
 
     # -- refresh ---------------------------------------------------------------
@@ -342,17 +298,10 @@ class RobinsonStrategy:
                 hits.append((side, e, x, "a0-change" if side == 0 else "a1-change"))
         for side, e, x, cause in hits:
             self.inputs[(side, e, x)].refresh()
-            run.emit(event(s, "injury", cause=cause, req=req_label(side, e), x=x))
+            run.emit(event(s, "injury", cause=cause, req=block_label(side, e), x=x))
         self._refresh_flags.clear()
 
     # -- results -----------------------------------------------------------------
-
-    def cone_truth(self, j: int, at: int) -> int:
-        """Whether C at the given stage lies in a cone of W_j's strings."""
-        for enum_stage, sigma in self.registry.sets[j]:
-            if enum_stage <= at and cone_holds(sigma, self.run.c_entry, at):
-                return 1
-        return 0
 
     def final_state(self) -> dict:
         run = self.run
@@ -361,25 +310,26 @@ class RobinsonStrategy:
         p_ok = True
         for j in range(self.registry.next_j):
             label, x, epoch = self.registry.owner[j]
-            p_row = self.policy.row(j, self.registry.sets[j], horizon)
-            changes = sum(1 for a, b in zip(p_row, p_row[1:]) if a != b)
-            truth = self.cone_truth(j, horizon)
+            strings = self.registry.sets[j]
+            p_row = self.policy.row(j, strings, horizon)
+            flips = changes(p_row)
+            truth = cone_truth(strings, run.c_entry, horizon)
             if p_row[horizon] != truth:
                 run.unsettled = True
-            if p_row[0] != 0 or changes > self.registry.q(j):
+            if p_row[0] != 0 or flips > self.registry.q(j):
                 p_ok = False
             registry_out[str(j)] = {
                 "owner": [label, x, epoch],
-                "strings": [[u, sig] for u, sig in self.registry.sets[j]],
+                "strings": [[u, sig] for u, sig in strings],
                 "q": self.registry.q(j),
-                "p_changes": changes,
+                "p_changes": flips,
                 "p_final": p_row[horizon],
                 "cone_truth": truth,
             }
         locals_out = {}
         for side, e in self.owners:
             axioms = self.local_axioms[(side, e)]
-            locals_out[req_label(side, e)] = {
+            locals_out[block_label(side, e)] = {
                 "definitions": [
                     {
                         "x": ax.x,

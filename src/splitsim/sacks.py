@@ -1,4 +1,4 @@
-"""Plain splitting strategies: expansionary stages and diagonalizing triples.
+"""Plain splitting strategies: expansionary stages and diagonalization.
 
 Each table-owning requirement watches its functional over one half of the
 split against the target enumeration D.  At an eligible even stage the
@@ -10,32 +10,22 @@ requirement stops on the first of four exits:
   3. the stage is expansionary (the agreement length strictly exceeds
      every length recorded since the last initialization), in which case
      it copies D onto all not-yet-defined inputs up to the agreement
-     length, records one diagonalizing triple per new value, raises the
-     block restraint to the current stage, and acts;
+     length, raises the block restraint to the current stage, and acts;
   4. otherwise it does nothing.
 
 Local values are one-shot: a defined input is never redefined without an
-intervening initialization.  The recorded triple keeps the half-snapshot
-the definition saw, so a later disagreement certifies that the watched
-functional computes a value D has since abandoned.
+intervening initialization.  Each define-local line carries the
+half-snapshot sigma the definition saw, so a later disagreement
+certifies that the watched functional computes a value D has since
+abandoned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import FunctionalTable, agreement_length, req_label
+from .model import FunctionalTable, agreement_length, block_label
 from .trace import event
-
-
-@dataclass(frozen=True)
-class DiagTriple:
-    """One diagonalization witness: half-snapshot, input, copied bit."""
-
-    sigma: str
-    x: int
-    k: int
-    defined_at: int
 
 
 @dataclass
@@ -43,20 +33,16 @@ class SacksRequirement:
     side: int
     e: int
     values: dict[int, int] = field(default_factory=dict)
-    triples: dict[int, DiagTriple] = field(default_factory=dict)
     diagonalized: tuple[int, int] | None = None
-    ell_history: list[tuple[int, int]] = field(default_factory=list)
     max_ell: int = -1
 
     @property
     def label(self) -> str:
-        return req_label(self.side, self.e)
+        return block_label(self.side, self.e)
 
     def reset(self) -> None:
         self.values.clear()
-        self.triples.clear()
         self.diagonalized = None
-        self.ell_history.clear()
         self.max_ell = -1
 
 
@@ -103,9 +89,7 @@ class SacksStrategy:
         a_entry = run.a_entry[req.side]
         ell = agreement_length(self.tables[(req.side, req.e)], a_entry, run.d_entry, s)
         if not is_expansionary(ell, req.max_ell):
-            req.ell_history.append((s, ell))
             return False
-        req.ell_history.append((s, ell))
         req.max_ell = ell
         run.emit(event(s, "expansionary", block=blk.label, ell=ell, req=req.label))
         sigma = "".join("1" if i in a_entry else "0" for i in range(s))
@@ -114,7 +98,6 @@ class SacksStrategy:
                 continue
             k = run.d_value(x, s)
             req.values[x] = k
-            req.triples[x] = DiagTriple(sigma, x, k, s)
             run.emit(event(s, "define-local", k=k, req=req.label, sigma=sigma, x=x))
         run.set_restraint(blk, s)
         run.emit(event(s, "act", block=blk.label, req=req.label, via="expansionary"))

@@ -6,7 +6,12 @@ restraint windows, assignment updates, certification scans, and the
 change-set coding of the p approximations.  Engine and strategy
 internals are never consulted: the module imports only the trusted
 kernel (model, omegace, trace), so a failure always indicts the trace,
-not the bookkeeping that produced it.
+not the bookkeeping that produced it.  The rules the engine follows
+come from that kernel too: the label grammar (parse_label), routing
+(route), block membership (PriorityAssignment.members), the cone truth
+and the mind-change count of a p row.  Block state is keyed by
+(side, index), as in the engine; a restraint-set or initialize line
+whose block label does not parse fails V2 on that line.
 
 Checks:
   V1  partition                     A0 and A1 split B exactly, stage by stage.
@@ -28,17 +33,22 @@ checks carry minimal witnesses (stage plus the offending trace lines).
 from __future__ import annotations
 
 import copy
-import re
 
 from .model import (
+    SIDE_LABEL,
     PriorityAssignment,
     agreement_length,
     applicable_axiom,
     block_label,
     build_policy,
+    changes,
     cone_holds,
+    cone_truth,
+    parse_label,
     priority_order,
+    route,
     string_lifetime,
+    threatens,
 )
 from .omegace import ApproxTable, limit_eval, restrict
 from .trace import TraceEvent
@@ -59,8 +69,6 @@ CHECKS = (
 
 WITNESS_CAP = 5
 
-_REQ_RE = re.compile(r"^([PQ]):(\d+)$")
-
 # Stage-parity discipline: arrivals are routed at odd stages, strategies
 # run at even stages; the remaining kinds are legitimate at either.
 _ODD_KINDS = frozenset({"route"})
@@ -68,18 +76,6 @@ _EVEN_KINDS = frozenset(
     {"restraint-set", "expansionary", "diagonalize", "certify",
      "refuse-certify", "define-local", "act"}
 )
-
-
-def parse_req(label: str):
-    m = _REQ_RE.match(label)
-    if m is None:
-        return None
-    return (0 if m.group(1) == "P" else 1, int(m.group(2)))
-
-
-def _label_order(label: str) -> int:
-    side = 0 if label.startswith("P") else 1
-    return priority_order(side, int(label[2:]))
 
 
 class _Problems:
@@ -106,9 +102,9 @@ class _StageState:
 
     def __init__(self):
         self.routes = []          # (event, x, destination) awaiting enumeration
-        self.expected_inits = []  # (target label, route event) from deflections
-        self.violations = []      # (block label, arrival event) to be forgiven
-        self.injuries = []        # (event, containing label or None)
+        self.expected_inits = []  # (target block, route event) from deflections
+        self.violations = []      # (block, arrival event) to be forgiven
+        self.injuries = []        # (event, containing block or None)
 
     def clear(self):
         self.routes.clear()
@@ -129,8 +125,7 @@ class _Context:
         self.d_entry = dict(scenario.d_schedule.entry_stage())
         self.a_entry = ({}, {})  # element -> entry stage, per half
         self.routed = {}
-        self.restraint = {}
-        self.block_side = {}
+        self.restraint = {}       # (side, i) -> live restraint, -1 for none
         self.max_restraint = {}
         self.last_initialized = {}
         self.inits_by_stage = {}
@@ -152,7 +147,10 @@ class _Context:
         self.injuries = []
         self.injuries_per_block = {}
         self.action_counts = {}
-        self.owners = sorted(scenario.functionals)
+        self.owner_indices = tuple(
+            [e for owner_side, e in sorted(scenario.functionals) if owner_side == side]
+            for side in (0, 1)
+        )
 
     def d_value(self, x: int, s: int) -> int:
         st = self.d_entry.get(x)
@@ -165,8 +163,8 @@ class _Context:
                 return t
         return None
 
-    def containing_label(self, side: int, e: int) -> str:
-        return block_label(side, self.assignments[side].value(e))
+    def containing_block(self, side: int, e: int) -> tuple[int, int]:
+        return side, self.assignments[side].value(e)
 
 
 def _replay(scenario, events) -> _Context:
@@ -181,22 +179,26 @@ def _replay(scenario, events) -> _Context:
             prob.add("V4", s, "route of %d to %s without its enumeration" % (x, to), ev)
         for target, ev in pend.expected_inits:
             if target not in inits:
-                prob.add("V4", s, "deflection without initializing %s" % target, ev)
-        for label, ev in pend.violations:
-            if label not in inits:
+                prob.add(
+                    "V4", s, "deflection without initializing %s" % block_label(*target), ev
+                )
+        for blk, ev in pend.violations:
+            if blk not in inits:
                 prob.add(
                     "V4", s,
-                    "arrival under the restraint of %s without initializing it" % label,
+                    "arrival under the restraint of %s without initializing it"
+                    % block_label(*blk),
                     ev,
                 )
-        for ev, label in pend.injuries:
+        for ev, blk in pend.injuries:
             if ev.payload.get("cause") != "initialized":
                 prob.add("V6", s, "injury without initialization cause", ev)
-            elif label is None:
+            elif blk is None:
                 prob.add("V6", s, "injury names no requirement", ev)
-            elif label not in inits:
+            elif blk not in inits:
                 prob.add(
-                    "V6", s, "injury with no same-stage initialization of %s" % label, ev
+                    "V6", s,
+                    "injury with no same-stage initialization of %s" % block_label(*blk), ev,
                 )
         pend.clear()
 
@@ -251,13 +253,8 @@ def _replay_event(ctx, ev, s, pend):
                 prob.add("V2", s, "string enumerated twice into W_%d" % j, ev)
             ctx.w_seen.add((j, sigma))
             prior = ctx.w_sets.setdefault(j, [])
-            for _, old in prior:
-                if cone_holds(old, ctx.c_entry, s):
-                    prob.add(
-                        "V7", s,
-                        "enumeration into W_%d while C already lies in a cone" % j, ev,
-                    )
-                    break
+            if cone_truth(prior, ctx.c_entry, s):
+                prob.add("V7", s, "enumeration into W_%d while C already lies in a cone" % j, ev)
             prior.append((s, sigma))
             return
         x = int(pay["element"])
@@ -291,57 +288,48 @@ def _replay_event(ctx, ev, s, pend):
             pend.routes.pop(matched)
         ctx.routed[x] = (side, s)
         ctx.a_entry[side][x] = s
-        for label, r in ctx.restraint.items():
-            if ctx.block_side[label] == side and 0 <= x <= r:
-                pend.violations.append((label, ev))
+        for blk, r in ctx.restraint.items():
+            if blk[0] == side and threatens(x, r):
+                pend.violations.append((blk, ev))
         return
 
     if kind == "route":
         x = int(pay["x"])
         to = pay["to"]
-        threatened = sorted(
-            (_label_order(label), label)
-            for label, r in ctx.restraint.items()
-            if 0 <= x <= r
-        )
-        want_label = threatened[0][1] if threatened else "-"
+        threatened, half, init = route(x, ctx.restraint)
+        want_label = "-" if threatened is None else block_label(*threatened)
         if pay.get("threatened", "-") != want_label:
             prob.add("V4", s, "route names the wrong threatened block (%s)" % want_label, ev)
-        if threatened:
-            side = ctx.block_side[want_label]
-            want_to = "A1" if side == 0 else "A0"
-            index = int(want_label[2:])
-            target = block_label(1, index) if side == 0 else block_label(0, index + 1)
-            pend.expected_inits.append((target, ev))
-        else:
-            want_to = "A0"
+        if init is not None:
+            pend.expected_inits.append((init, ev))
+        want_to = "A%d" % half
         if to != want_to:
             prob.add("V4", s, "route sends the arrival to %s instead of %s" % (to, want_to), ev)
         pend.routes.append((ev, x, to))
         return
 
     if kind == "restraint-set":
-        label = pay["block"]
+        blk = parse_label(pay["block"])
         value = int(pay["value"])
-        ctx.block_side[label] = 0 if label.startswith("P") else 1
-        ctx.restraint[label] = value
-        ctx.max_restraint[label] = max(ctx.max_restraint.get(label, -1), value)
+        if blk is None:
+            prob.add("V2", s, "restraint names no block", ev)
+            return
+        ctx.restraint[blk] = value
+        ctx.max_restraint[blk] = max(ctx.max_restraint.get(blk, -1), value)
         return
 
     if kind == "initialize":
-        label = pay["block"]
-        side = 0 if label.startswith("P") else 1
-        ctx.block_side.setdefault(label, side)
-        ctx.restraint[label] = -1
-        ctx.last_initialized[label] = s
-        ctx.inits_by_stage.setdefault(s, set()).add(label)
-        ctx.initiators_by_stage.setdefault(s, set()).add(pay.get("initiator", label))
-        index = int(label[2:])
-        gone = {
-            (oside, e)
-            for oside, e in ctx.owners
-            if oside == side and ctx.assignments[side].value(e) == index
-        }
+        blk = parse_label(pay["block"])
+        initiator = parse_label(pay.get("initiator", pay["block"]))
+        if blk is None or initiator is None:
+            prob.add("V2", s, "initialization names no block", ev)
+            return
+        side, i = blk
+        ctx.restraint[blk] = -1
+        ctx.last_initialized[blk] = s
+        ctx.inits_by_stage.setdefault(s, set()).add(blk)
+        ctx.initiators_by_stage.setdefault(s, set()).add(initiator)
+        gone = {(side, e) for e in ctx.assignments[side].members(i, ctx.owner_indices[side])}
         for key in gone:
             ctx.cancels.setdefault(key, []).append(s)
         if gone:
@@ -351,7 +339,7 @@ def _replay_event(ctx, ev, s, pend):
         return
 
     if kind == "define-local":
-        req = parse_req(pay["req"])
+        req = parse_label(pay["req"])
         if req is None:
             prob.add("V2", s, "definition names no requirement", ev)
             return
@@ -367,7 +355,7 @@ def _replay_event(ctx, ev, s, pend):
         return
 
     if kind == "diagonalize":
-        req = parse_req(pay["req"])
+        req = parse_label(pay["req"])
         if req is None:
             prob.add("V2", s, "diagonalization names no requirement", ev)
             return
@@ -375,7 +363,7 @@ def _replay_event(ctx, ev, s, pend):
         return
 
     if kind == "expansionary":
-        req = parse_req(pay["req"])
+        req = parse_label(pay["req"])
         if req is None:
             prob.add("V2", s, "expansionary event names no requirement", ev)
             return
@@ -398,12 +386,12 @@ def _replay_event(ctx, ev, s, pend):
         return
 
     if kind == "injury":
-        req = parse_req(pay.get("req", ""))
-        label = None
+        req = parse_label(pay.get("req", ""))
+        blk = None
         if req is not None:
-            label = ctx.containing_label(*req)
-            ctx.injuries_per_block[label] = ctx.injuries_per_block.get(label, 0) + 1
-        pend.injuries.append((ev, label))
+            blk = ctx.containing_block(*req)
+            ctx.injuries_per_block[blk] = ctx.injuries_per_block.get(blk, 0) + 1
+        pend.injuries.append((ev, blk))
         ctx.injuries.append(ev)
         return
 
@@ -413,20 +401,18 @@ def _replay_event(ctx, ev, s, pend):
         if side_label == "none":
             ctx.none_update_stages.append(s)
             return
-        side = 0 if side_label == "P" else 1
+        side = SIDE_LABEL.index(side_label)
         i = int(pay["i"])
         m = int(pay["tail"])
         if not ctx.inits_by_stage.get(s):
             prob.add("V11", s, "update without any initialization this stage", ev)
         else:
-            ranked = sorted(
-                (_label_order(lab), lab) for lab in ctx.initiators_by_stage.get(s, set())
-            )
-            if ranked and ranked[0][1] != block_label(side, i):
+            strongest = min(ctx.initiators_by_stage[s], key=lambda b: priority_order(*b))
+            if strongest != (side, i):
                 prob.add(
                     "V11", s,
                     "update target %s is not the strongest initiator %s"
-                    % (block_label(side, i), ranked[0][1]),
+                    % (block_label(side, i), block_label(*strongest)),
                     ev,
                 )
         assign = ctx.assignments[side]
@@ -438,6 +424,9 @@ def _replay_event(ctx, ev, s, pend):
         if m > s:
             prob.add("V11", s, "update tail %d exceeds the stage" % m, ev)
             m = s
+        elif m < 0:
+            prob.add("V11", s, "update tail %d is negative" % m, ev)
+            m = 0
         old = copy.copy(assign)
         assign.update(s, i, m)
         # Past both prefixes both maps have unit slope, so a rise shows
@@ -569,18 +558,16 @@ def _check_v8_v10(ctx, p_rows):
     if sc.construction != "robinson":
         return True
     h = ctx.horizon
-    truth = {}
+    settled = ctx.pending_count == 0
     for j, row in sorted(p_rows.items()):
         q = sc.q_overrides.get(j, sc.q_default)
-        changes = sum(1 for a, b in zip(row, row[1:]) if a != b)
-        truth[j] = int(any(cone_holds(sig, ctx.c_entry, h) for _, sig in ctx.w_sets[j]))
+        flips = changes(row)
         if row[0] != 0:
             prob.add("V8", 0, "p(%d, 0) is %d, not 0" % (j, row[0]))
-        if changes > q:
-            prob.add(
-                "V8", h, "p row %d changes its mind %d times, budget %d" % (j, changes, q)
-            )
-    settled = ctx.pending_count == 0 and all(p_rows[j][h] == truth[j] for j in p_rows)
+        if flips > q:
+            prob.add("V8", h, "p row %d changes its mind %d times, budget %d" % (j, flips, q))
+        if row[h] != cone_truth(ctx.w_sets[j], ctx.c_entry, h):
+            settled = False
     rows = {j: tuple(row) for j, row in p_rows.items()}
     bounds = {j: sc.q_overrides.get(j, sc.q_default) + 1 for j in p_rows}
     try:
@@ -686,9 +673,9 @@ def verify(scenario, events, final=None) -> dict:
         "p_contract_violated": ctx.problems.failed("V8"),
     }
     diagnostics = {
-        "max_restraint": dict(sorted(ctx.max_restraint.items())),
-        "last_initialized": dict(sorted(ctx.last_initialized.items())),
-        "injuries_per_block": dict(sorted(ctx.injuries_per_block.items())),
+        "max_restraint": _by_label(ctx.max_restraint),
+        "last_initialized": _by_label(ctx.last_initialized),
+        "injuries_per_block": _by_label(ctx.injuries_per_block),
         "action_counts": dict(sorted(ctx.action_counts.items())),
         "assignment_p": ctx.assignments[0].snapshot_values(ctx.horizon),
         "assignment_q": ctx.assignments[1].snapshot_values(ctx.horizon),
@@ -703,6 +690,11 @@ def verify(scenario, events, final=None) -> dict:
             "pending_scans": final.get("pending_scans"),
         }
     return {"checks": checks, "flags": flags, "diagnostics": diagnostics}
+
+
+def _by_label(per_block: dict) -> dict:
+    """A per-block map keyed by label strings, in label order."""
+    return dict(sorted((block_label(*blk), v) for blk, v in per_block.items()))
 
 
 def passed(report: dict) -> bool:

@@ -1,9 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from splitsim.engine import ConstructionInvariantError, Run, threatens
+from splitsim.engine import ConstructionInvariantError, Run
 from splitsim.harness import build_strategy, run
-from splitsim.model import PriorityAssignment, block_label, order_block, priority_order
+from splitsim.model import (
+    PriorityAssignment,
+    block_label,
+    order_block,
+    priority_order,
+    threatens,
+)
 from splitsim.scenario import load_scenario
 
 

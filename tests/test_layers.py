@@ -7,12 +7,15 @@ sources, so it holds without importing anything.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import splitsim
 
 PACKAGE = Path(splitsim.__file__).parent
 KERNEL = {"model", "omegace", "trace"}
+BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 def package_imports(path: Path) -> set[str]:
@@ -64,3 +67,17 @@ def test_import_scan_sees_every_form(tmp_path):
         "import json\n"
     )
     assert package_imports(probe) == {"engine", "harness", "robinson", "sacks", "cli"}
+
+
+def test_bench_patch_targets_exist():
+    """Every name the benchmark's tracer wraps or counts resolves in the package."""
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = spans.PATCHES + spans.COUNTED
+    assert targets
+    for module, cls, attr, _ in targets:
+        owner = importlib.import_module("splitsim." + module)
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        assert callable(getattr(owner, attr, None)), (module, cls, attr)

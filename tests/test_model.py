@@ -6,11 +6,17 @@ from splitsim.model import (
     ConflictError,
     EnumerationSchedule,
     FunctionalTable,
+    PriorityAssignment,
     applicable_axiom,
+    block_label,
+    changes,
     check_bits,
     cone_holds,
+    cone_truth,
     consistency_conflicts,
     pair,
+    parse_label,
+    route,
     unpair,
     validate_consistency,
 )
@@ -230,3 +236,47 @@ def test_consistent_tables_answer_uniquely(rows, members, s):
             assert got is not None and got.k in answers
         else:
             assert got is None
+
+
+def test_parse_label():
+    assert parse_label("P:3") == (0, 3)
+    assert parse_label("Q:0") == (1, 0)
+    assert parse_label("R:1") is None
+    assert parse_label("P:") is None
+    for side in (0, 1):
+        for n in (0, 1, 9, 10, 12345):
+            assert parse_label(block_label(side, n)) == (side, n)
+    for text in ("Z:0", "P:x", "P:03", "P:-1", "P:\u0663", "P:+1", "P: 1", "P:1\n", "", "garbage"):
+        assert parse_label(text) is None, text
+
+
+def test_route():
+    # No restraint is threatened: A0, nothing initialized.
+    assert route(4, {}) == (None, 0, None)
+    assert route(4, {(0, 0): 3, (1, 0): -1}) == (None, 0, None)
+    # The strongest threatened block decides; the next-weaker block is initialized.
+    assert route(2, {(0, 1): 5, (1, 0): 2}) == ((1, 0), 0, (0, 1))
+    assert route(2, {(0, 1): 5, (1, 1): 2}) == ((0, 1), 1, (1, 1))
+    assert route(0, {(0, 0): 0}) == ((0, 0), 1, (1, 0))
+
+
+def test_members():
+    assign = PriorityAssignment()
+    assert assign.members(2, [0, 2, 5]) == [2]
+    assign.update(3, 1, 1)  # indices 2..3 join block 1, 4 moves to block 2
+    assert [assign.value(e) for e in range(6)] == [0, 1, 1, 1, 2, 3]
+    assert assign.members(1, [0, 1, 3, 4]) == [1, 3]
+    assert assign.members(2, [0, 1, 3, 5]) == []
+
+
+def test_changes_and_cone_truth():
+    assert changes([]) == 0
+    assert changes([0, 0, 1, 1, 0, 1]) == 3
+    c_entry = {0: 2, 1: 5}
+    strings = [(1, "1"), (4, "10")]
+    assert cone_truth(strings, c_entry, 1) == 0  # C has not entered "1" yet
+    assert cone_truth(strings, c_entry, 3) == 1
+    assert cone_truth(strings, c_entry, 5) == 1  # "10" died at 5, "1" still holds
+    assert cone_truth([(4, "10")], c_entry, 3) == 0  # not enumerated by stage 3
+    assert cone_truth([(4, "10")], c_entry, 4) == 1
+    assert cone_truth([(4, "10")], c_entry, 5) == 0

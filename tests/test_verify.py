@@ -3,21 +3,16 @@ import pytest
 from splitsim.corrupt import CorruptionError, corrupt
 from splitsim.fuzz import generate
 from splitsim.harness import run
+from splitsim.model import PriorityAssignment
 from splitsim.scenario import load_scenario
-from splitsim.verify import CHECKS, parse_req, passed, verify
+from splitsim.trace import TraceEvent
+from splitsim.verify import CHECKS, passed, verify
 
 from conftest import CERTIFY_DOC, malformed_refusals
 
 def test_check_catalogue():
     assert [name for name, _ in CHECKS] == ["V%d" % i for i in range(1, 12)]
     assert len({title for _, title in CHECKS}) == 11
-
-
-def test_parse_req():
-    assert parse_req("P:3") == (0, 3)
-    assert parse_req("Q:0") == (1, 0)
-    assert parse_req("R:1") is None
-    assert parse_req("P:") is None
 
 
 def test_honest_materials_pass(control_materials):
@@ -128,3 +123,41 @@ def test_malformed_refusal_fails_v7():
         v7 = report["checks"]["V7"]
         assert v7["status"] == "fail", key
         assert v7["witnesses"][0]["note"] == "malformed refusal record", key
+
+
+def _forge(events, kind, stage, **changes):
+    """events with the first kind line of the stage given new payload values."""
+    at = next(i for i, ev in enumerate(events) if ev.kind == kind and ev.stage == stage)
+    line = TraceEvent(stage, kind, dict(events[at].payload, **changes))
+    return events[:at] + [line] + events[at + 1:], line
+
+
+@pytest.mark.parametrize(
+    "material, kind, stage, block",
+    [("deflection", "initialize", 2, "Z:0"), ("forced", "restraint-set", 0, "garbage")],
+)
+def test_forged_block_label_fails_v2(control_materials, material, kind, stage, block):
+    sc, events, _ = control_materials[material]
+    forged, line = _forge(events, kind, stage, block=block)
+    v2 = verify(sc, forged)["checks"]["V2"]
+    assert v2["status"] == "fail"
+    assert line.to_line() in [w.get("line") for w in v2["witnesses"]]
+
+
+def test_negative_tail_fails_v11_and_is_clamped(control_materials, monkeypatch):
+    sc, events, _ = control_materials["deflection"]
+    forged, line = _forge(events, "assignment-update", 2, tail="-1000000")
+    lengths = []
+    update = PriorityAssignment.update
+
+    def recording_update(self, s, i, m):
+        update(self, s, i, m)
+        lengths.append(len(self.prefix))
+
+    monkeypatch.setattr(PriorityAssignment, "update", recording_update)
+    v11 = verify(sc, forged)["checks"]["V11"]
+    assert v11["status"] == "fail"
+    assert any(
+        "negative" in w["note"] and w.get("line") == line.to_line() for w in v11["witnesses"]
+    )
+    assert lengths and max(lengths) <= sc.horizon + 1
