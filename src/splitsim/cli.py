@@ -30,6 +30,28 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
+def _scenario(path: str):
+    """The scenario at path, or None after printing each of its problems."""
+    try:
+        return load_scenario_file(path)
+    except ScenarioError as err:
+        for problem in err.problems:
+            print("error: %s" % problem, file=sys.stderr)
+        return None
+
+
+def _trace(path: str):
+    """The parsed trace at path, or None after printing why it is unusable."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return parse(handle.read())
+    except (OSError, UnicodeDecodeError) as err:
+        _fail_usage(str(err))
+    except TraceParseError as err:
+        _fail_usage("unparseable trace: %s" % err)
+    return None
+
+
 def _print_report(report: dict) -> None:
     for name, _ in CHECKS:
         entry = report["checks"][name]
@@ -58,11 +80,8 @@ def _write_report(path: str, report: dict) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = load_scenario_file(args.scenario)
-    except ScenarioError as err:
-        for problem in err.problems:
-            print("error: %s" % problem, file=sys.stderr)
+    scenario = _scenario(args.scenario)
+    if scenario is None:
         return 2
     try:
         events, final = run(scenario)
@@ -76,7 +95,7 @@ def cmd_run(args) -> int:
             return _fail_usage(str(err))
         final = None
     if args.trace:
-        with open(args.trace, "w") as handle:
+        with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write(render(events))
     report = verify(scenario, events, final)
     if args.report:
@@ -86,19 +105,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        scenario = load_scenario_file(args.scenario)
-    except ScenarioError as err:
-        for problem in err.problems:
-            print("error: %s" % problem, file=sys.stderr)
+    scenario = _scenario(args.scenario)
+    if scenario is None:
         return 2
-    try:
-        with open(args.trace) as handle:
-            events = parse(handle.read())
-    except OSError as err:
-        return _fail_usage(str(err))
-    except TraceParseError as err:
-        return _fail_usage("unparseable trace: %s" % err)
+    events = _trace(args.trace)
+    if events is None:
+        return 2
     report = verify(scenario, events)
     if args.report:
         _write_report(args.report, report)
@@ -234,13 +246,9 @@ def cmd_explain(args) -> int:
     for label in (args.block, args.requirement):
         if label is not None and parse_label(label) is None:
             return _fail_usage("labels look like P:0 or Q:3, not %r" % label)
-    try:
-        with open(args.trace) as handle:
-            events = parse(handle.read())
-    except OSError as err:
-        return _fail_usage(str(err))
-    except TraceParseError as err:
-        return _fail_usage("unparseable trace: %s" % err)
+    events = _trace(args.trace)
+    if events is None:
+        return 2
     shown = 0
     for ev in events:
         if _matches(ev, args):

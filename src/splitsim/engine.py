@@ -52,8 +52,6 @@ class BlockState:
     side: int
     index: int
     restraint: int = -1
-    last_initialized: int = -1
-    max_restraint: int = -1
 
     @property
     def order(self) -> int:
@@ -71,7 +69,6 @@ class Run:
         self.scenario = scenario
         self.horizon = scenario.horizon
         self.strategy = strategy
-        self.b_entry = dict(scenario.b_schedule.entry_stage())
         self.b_by_stage = {s: x for s, x in scenario.b_schedule.entries}
         self.c_entry = dict(scenario.c_schedule.entry_stage())
         self.d_entry = dict(scenario.d_schedule.entry_stage())
@@ -82,7 +79,6 @@ class Run:
             [e for owner_side, e in strategy.owners if owner_side == side] for side in (0, 1)
         )
         self.events: list[TraceEvent] = []
-        self.action_counts: dict[str, int] = {}
         self.pending_scans = 0
         self.unsettled = False
         self._init_target: tuple[int, int, int] | None = None
@@ -120,11 +116,7 @@ class Run:
         if blk.restraint == s:
             return
         blk.restraint = s
-        blk.max_restraint = max(blk.max_restraint, s)
         self.emit(event(s, "restraint-set", block=blk.label, value=s))
-
-    def count_action(self, label: str) -> None:
-        self.action_counts[label] = self.action_counts.get(label, 0) + 1
 
     # -- stage parts ------------------------------------------------------
 
@@ -202,7 +194,6 @@ class Run:
         )
         for _, blk in victims:
             blk.restraint = -1
-            blk.last_initialized = s
             for e in self.block_members(blk):
                 self.strategy.cancel_requirement(blk.side, e, s)
             self.emit(
@@ -231,29 +222,15 @@ class Run:
     # -- results ----------------------------------------------------------
 
     def final_state(self) -> dict:
-        blocks = {
-            blk.label: {
-                "restraint": blk.restraint,
-                "last_initialized": blk.last_initialized,
-                "max_restraint": blk.max_restraint,
-            }
-            for _, blk in sorted(self.blocks.items())
-        }
-        # The strategy snapshot may discover late disagreement between p and
-        # the cone truth and flip unsettled, so take it first.
-        extra = self.strategy.final_state()
-        state = {
-            "construction": self.scenario.construction,
-            "horizon": self.horizon,
+        # The strategy may discover late disagreement between p and the
+        # cone truth and flip unsettled, so let it look first.
+        self.strategy.final_state()
+        return {
             "a0": sorted((s, x) for x, s in self.a_entry[0].items()),
             "a1": sorted((s, x) for x, s in self.a_entry[1].items()),
             "d": sorted((s, x) for x, s in self.d_entry.items()),
             "assignment_p": self.assignments[0].snapshot_values(self.horizon),
             "assignment_q": self.assignments[1].snapshot_values(self.horizon),
-            "blocks": blocks,
-            "action_counts": dict(sorted(self.action_counts.items())),
             "pending_scans": self.pending_scans,
             "unsettled": self.unsettled,
         }
-        state.update(extra)
-        return state

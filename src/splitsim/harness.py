@@ -17,19 +17,24 @@ from .scenario import Scenario
 def build_strategy(scenario: Scenario):
     if scenario.construction == "sacks":
         return SacksStrategy(scenario.functionals)
-    return RobinsonStrategy(
-        scenario.functionals,
-        build_policy(scenario),
-        scenario.q_default,
-        scenario.q_overrides,
-    )
+    return RobinsonStrategy(scenario.functionals, build_policy(scenario))
 
 
 def run(scenario: Scenario):
     """Execute the scenario over its horizon.
 
-    Returns (events, final_state).  Internal invariant violations raise
-    ConstructionInvariantError; a valid scenario never triggers one.
+    Returns (events, final).  The trace is the run's record; final holds
+    only what the verifier and the tests read back:
+
+      a0, a1, d       the halves and D as sorted (stage, element) pairs;
+      assignment_p,   the two priority assignments at indices
+      assignment_q    0..horizon;
+      pending_scans   certification scans still open at the horizon;
+      unsettled       a scan is pending or some p disagrees with the
+                      cone truth at the horizon.
+
+    Internal invariant violations raise ConstructionInvariantError; a
+    valid scenario never triggers one.
     """
     r = Run(scenario, build_strategy(scenario))
     events = r.execute()

@@ -34,7 +34,6 @@ from .model import (
     FunctionalTable,
     applicable_axiom,
     block_label,
-    changes,
     cone_holds,
     cone_truth,
     string_lifetime,
@@ -46,22 +45,10 @@ from .trace import event
 class OracleAxiom:
     """One live-or-dead local definition relative to C."""
 
-    theta: str
     sigma: str
     x: int
     k: int
-    defined_at: int
     live: bool = True
-
-
-@dataclass(frozen=True)
-class CertRecord:
-    """A certified computation: scan entry, resolution stage, and index."""
-
-    axiom: Axiom
-    entry: int
-    resolved: int
-    j: int
 
 
 @dataclass
@@ -70,7 +57,7 @@ class InputState:
 
     epoch: int = 0
     j: int | None = None
-    certified: list[CertRecord] = field(default_factory=list)
+    certified: list[Axiom] = field(default_factory=list)
     refusal_memo: dict[str, int] = field(default_factory=dict)
 
     def refresh(self) -> None:
@@ -83,43 +70,27 @@ class InputState:
 class GuessingRegistry:
     """Issues fresh guessing-set indices and stores their enumerations."""
 
-    def __init__(self, q_default: int, q_overrides: dict[int, int]):
-        self.next_j = 0
+    def __init__(self):
         self.sets: dict[int, list[tuple[int, str]]] = {}
-        self.owner: dict[int, tuple[str, int, int]] = {}
-        self.q_default = q_default
-        self.q_overrides = dict(q_overrides)
+        self.owner_epoch: dict[int, int] = {}
 
-    def issue(self, label: str, x: int, epoch: int) -> int:
-        j = self.next_j
-        self.next_j += 1
+    def issue(self, epoch: int) -> int:
+        j = len(self.sets)
         self.sets[j] = []
-        self.owner[j] = (label, x, epoch)
+        self.owner_epoch[j] = epoch
         return j
-
-    def q(self, j: int) -> int:
-        return self.q_overrides.get(j, self.q_default)
 
 
 class RobinsonStrategy:
     """Per-run state and block dispatch for the oracle construction."""
 
-    def __init__(
-        self,
-        tables: dict[tuple[int, int], FunctionalTable],
-        policy,
-        q_default: int,
-        q_overrides: dict[int, int],
-    ):
+    def __init__(self, tables: dict[tuple[int, int], FunctionalTable], policy):
         self.tables = tables
         self.owners: list[tuple[int, int]] = sorted(tables)
         self.policy = policy
-        self.registry = GuessingRegistry(q_default, q_overrides)
+        self.registry = GuessingRegistry()
         self.inputs: dict[tuple[int, int, int], InputState] = {}
         self.local_axioms: dict[tuple[int, int], list[OracleAxiom]] = {
-            key: [] for key in self.owners
-        }
-        self.stop_marks: dict[tuple[int, int], list[tuple[int, int]]] = {
             key: [] for key in self.owners
         }
         self._refresh_flags: set[tuple[int, int]] = set()
@@ -156,19 +127,18 @@ class RobinsonStrategy:
 
     # -- certification --------------------------------------------------------
 
-    def certify(self, side: int, e: int, x: int, axiom: Axiom, s: int):
-        """Run the certification procedure; returns a CertRecord or None.
+    def certify(self, side: int, e: int, x: int, axiom: Axiom, s: int) -> bool:
+        """Run the certification procedure; True iff the axiom is certified.
 
-        None covers both refusal and a scan still pending at the horizon;
+        False covers both refusal and a scan still pending at the horizon;
         a pending scan flags the whole run as unsettled.
         """
         run = self.run
         label = block_label(side, e)
         st = self.input_state(side, e, x)
         if st.j is None:
-            st.j = self.registry.issue(label, x, st.epoch)
-        owner = self.registry.owner[st.j]
-        if owner[2] != st.epoch:
+            st.j = self.registry.issue(st.epoch)
+        if self.registry.owner_epoch[st.j] != st.epoch:
             raise ConstructionInvariantError(
                 "stale guessing set for %s input %d" % (label, x)
             )
@@ -189,7 +159,7 @@ class RobinsonStrategy:
         memo = st.refusal_memo.get(axiom.sigma)
         if memo is not None and s <= memo:
             emit_scan("refuse-certify", memo=1, resolved=memo, result="refused")
-            return None
+            return False
         _, death = string_lifetime(axiom.sigma, run.c_entry)
         t_exit = death if death is not None and death <= run.horizon else None
         t_hit = self.policy.first_hit(j, strings, s, run.horizon)
@@ -197,15 +167,14 @@ class RobinsonStrategy:
             run.pending_scans += 1
             run.unsettled = True
             emit_scan("refuse-certify", result="pending")
-            return None
+            return False
         if t_exit is not None and (t_hit is None or t_exit <= t_hit):
             st.refusal_memo[axiom.sigma] = t_exit
             emit_scan("refuse-certify", resolved=t_exit, result="refused")
-            return None
-        rec = CertRecord(axiom, s, t_hit, j)
-        st.certified.append(rec)
+            return False
+        st.certified.append(axiom)
         emit_scan("certify", resolved=t_hit)
-        return rec
+        return True
 
     # -- requirement strategies ------------------------------------------------
 
@@ -220,12 +189,10 @@ class RobinsonStrategy:
         x = 0
         while x < s:
             result = self.run_input_strategy(side, e, x, blk, s)
-            if result in ("defined", "acted"):
-                acted |= result == "acted"
-                x += 1
-                continue
-            self.stop_marks[(side, e)].append((s, x))
-            break
+            if result not in ("defined", "acted"):
+                break
+            acted |= result == "acted"
+            x += 1
         return acted
 
     def run_input_strategy(self, side: int, e: int, x: int, blk, s: int) -> str:
@@ -253,12 +220,9 @@ class RobinsonStrategy:
             return "defined"
         if s <= got.use:
             return "nocomp"
-        rec = self.certify(side, e, x, got, s)
-        if rec is None:
+        if not self.certify(side, e, x, got, s):
             return "refused"
-        self.local_axioms[(side, e)].append(
-            OracleAxiom(got.theta, got.sigma, x, got.k, s)
-        )
+        self.local_axioms[(side, e)].append(OracleAxiom(got.sigma, x, got.k))
         run.emit(
             event(
                 s,
@@ -272,7 +236,6 @@ class RobinsonStrategy:
         )
         run.set_restraint(blk, s)
         run.emit(event(s, "act", block=blk.label, req=block_label(side, e), via="certified"))
-        run.count_action(block_label(side, e))
         return "acted"
 
     # -- refresh ---------------------------------------------------------------
@@ -293,7 +256,7 @@ class RobinsonStrategy:
                     st.refresh()
                 continue
             a_entry = run.a_entry[side]
-            broken = any(not cone_holds(r.axiom.theta, a_entry, s) for r in st.certified)
+            broken = any(not cone_holds(ax.theta, a_entry, s) for ax in st.certified)
             if broken:
                 hits.append((side, e, x, "a0-change" if side == 0 else "a1-change"))
         for side, e, x, cause in hits:
@@ -303,48 +266,10 @@ class RobinsonStrategy:
 
     # -- results -----------------------------------------------------------------
 
-    def final_state(self) -> dict:
+    def final_state(self) -> None:
+        """Flag the run unsettled if some p still disagrees with the cone truth."""
         run = self.run
-        horizon = run.horizon
-        registry_out = {}
-        p_ok = True
-        for j in range(self.registry.next_j):
-            label, x, epoch = self.registry.owner[j]
-            strings = self.registry.sets[j]
-            p_row = self.policy.row(j, strings, horizon)
-            flips = changes(p_row)
-            truth = cone_truth(strings, run.c_entry, horizon)
-            if p_row[horizon] != truth:
+        h = run.horizon
+        for j, strings in self.registry.sets.items():
+            if self.policy.row(j, strings, h)[h] != cone_truth(strings, run.c_entry, h):
                 run.unsettled = True
-            if p_row[0] != 0 or flips > self.registry.q(j):
-                p_ok = False
-            registry_out[str(j)] = {
-                "owner": [label, x, epoch],
-                "strings": [[u, sig] for u, sig in strings],
-                "q": self.registry.q(j),
-                "p_changes": flips,
-                "p_final": p_row[horizon],
-                "cone_truth": truth,
-            }
-        locals_out = {}
-        for side, e in self.owners:
-            axioms = self.local_axioms[(side, e)]
-            locals_out[block_label(side, e)] = {
-                "definitions": [
-                    {
-                        "x": ax.x,
-                        "k": ax.k,
-                        "theta": ax.theta,
-                        "sigma": ax.sigma,
-                        "defined_at": ax.defined_at,
-                        "live": ax.live and cone_holds(ax.sigma, run.c_entry, horizon),
-                    }
-                    for ax in axioms
-                ],
-                "stop_marks": [list(m) for m in self.stop_marks[(side, e)]],
-            }
-        return {
-            "requirements": locals_out,
-            "guessing_sets": registry_out,
-            "p_contract_ok": p_ok,
-        }

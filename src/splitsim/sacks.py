@@ -33,7 +33,7 @@ class SacksRequirement:
     side: int
     e: int
     values: dict[int, int] = field(default_factory=dict)
-    diagonalized: tuple[int, int] | None = None
+    diagonalized: bool = False
     max_ell: int = -1
 
     @property
@@ -42,7 +42,7 @@ class SacksRequirement:
 
     def reset(self) -> None:
         self.values.clear()
-        self.diagonalized = None
+        self.diagonalized = False
         self.max_ell = -1
 
 
@@ -76,15 +76,14 @@ class SacksStrategy:
         return acted
 
     def run_requirement(self, req: SacksRequirement, blk, s: int) -> bool:
-        if req.diagonalized is not None:
+        if req.diagonalized:
             return False
         run = self.run
         for x in sorted(req.values):
             if req.values[x] != run.d_value(x, s):
-                req.diagonalized = (x, s)
+                req.diagonalized = True
                 run.emit(event(s, "diagonalize", req=req.label, x=x))
                 run.emit(event(s, "act", block=blk.label, req=req.label, via="diagonalize"))
-                run.count_action(req.label)
                 return True
         a_entry = run.a_entry[req.side]
         ell = agreement_length(self.tables[(req.side, req.e)], a_entry, run.d_entry, s)
@@ -101,7 +100,6 @@ class SacksStrategy:
             run.emit(event(s, "define-local", k=k, req=req.label, sigma=sigma, x=x))
         run.set_restraint(blk, s)
         run.emit(event(s, "act", block=blk.label, req=req.label, via="expansionary"))
-        run.count_action(req.label)
         return True
 
     def cancel_requirement(self, side: int, e: int, s: int) -> None:
@@ -110,13 +108,5 @@ class SacksStrategy:
     def refresh_pass(self, s: int) -> None:
         pass
 
-    def final_state(self) -> dict:
-        locals_out = {}
-        for key in self.owners:
-            req = self.requirements[key]
-            locals_out[req.label] = {
-                "values": {str(x): req.values[x] for x in sorted(req.values)},
-                "diagonalized": list(req.diagonalized) if req.diagonalized else None,
-                "max_ell": req.max_ell,
-            }
-        return {"requirements": locals_out}
+    def final_state(self) -> None:
+        pass

@@ -16,7 +16,8 @@ must be plain schedules so runs stay oblivious.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 from .model import ConflictError, EnumerationSchedule, FunctionalTable, Axiom, validate_consistency
 
@@ -58,11 +59,24 @@ class Scenario:
     q_default: int
     q_overrides: dict[int, int]
     seed: int
-    document: dict = field(hash=False)
 
-    @property
-    def binary(self) -> bool:
-        return self.construction == "robinson"
+
+_INDEX_RE = re.compile(r"0|[1-9][0-9]*")
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: booleans and floats are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_index(key) -> int | None:
+    """The index a canonical ASCII decimal key names; None for any other key."""
+    return int(key) if isinstance(key, str) and _INDEX_RE.fullmatch(key) else None
+
+
+def _unknown_keys(obj: dict, known, path: str, problems: list[str]) -> None:
+    for key in sorted(set(obj) - set(known)):
+        problems.append("%s: unknown key" % ("%s.%s" % (path, key) if path else key))
 
 
 def load_scenario(doc: dict) -> Scenario:
@@ -70,11 +84,10 @@ def load_scenario(doc: dict) -> Scenario:
     problems: list[str] = []
     if not isinstance(doc, dict):
         raise ScenarioError(["document must be a JSON object"])
-    for key in sorted(set(doc) - TOP_KEYS):
-        problems.append("%s: unknown key" % key)
+    _unknown_keys(doc, TOP_KEYS, "", problems)
 
     horizon = doc.get("horizon")
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 2:
+    if not _is_int(horizon) or horizon < 2:
         problems.append("horizon: must be an integer >= 2")
         horizon = 2
 
@@ -102,12 +115,11 @@ def load_scenario(doc: dict) -> Scenario:
             problems.append("d.params: only the key 'limit' is understood")
         else:
             limit = params.get("limit", -1)
-            if not isinstance(limit, int) or isinstance(limit, bool) or limit < -1:
+            if not _is_int(limit) or limit < -1:
                 problems.append("d.params.limit: must be an integer >= -1")
             else:
                 d_limit = limit
-        for key in sorted(set(d_raw) - {"policy", "params"}):
-            problems.append("d.%s: unknown key" % key)
+        _unknown_keys(d_raw, ("policy", "params"), "d", problems)
     else:
         d_sched = _load_schedule(d_raw, "d", "D", horizon, problems)
 
@@ -117,7 +129,7 @@ def load_scenario(doc: dict) -> Scenario:
     p_kind, p_params = _load_p_policy(p_raw, horizon, problems)
 
     q_default = doc.get("q_default", 2 * horizon + 4)
-    if not isinstance(q_default, int) or isinstance(q_default, bool) or q_default < 1:
+    if not _is_int(q_default) or q_default < 1:
         problems.append("q_default: must be a positive integer")
         q_default = 1
 
@@ -127,13 +139,14 @@ def load_scenario(doc: dict) -> Scenario:
         problems.append("q_overrides: must be an object keyed by index")
     else:
         for key, value in sorted(q_raw.items()):
-            if not str(key).isdigit() or not isinstance(value, int) or value < 1:
+            j = _parse_index(key)
+            if j is None or not _is_int(value) or value < 1:
                 problems.append("q_overrides.%s: must map an index to a positive integer" % key)
             else:
-                q_overrides[int(key)] = value
+                q_overrides[j] = value
 
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         problems.append("seed: must be a natural")
         seed = 0
 
@@ -153,15 +166,14 @@ def load_scenario(doc: dict) -> Scenario:
         q_default=q_default,
         q_overrides=q_overrides,
         seed=seed,
-        document=doc,
     )
 
 
 def load_scenario_file(path: str) -> Scenario:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ScenarioError(["%s: %s" % (path, err)]) from err
     return load_scenario(doc)
 
@@ -177,7 +189,7 @@ def _load_schedule(raw, key, role, horizon, problems, b_convention=False):
         if (
             not isinstance(row, (list, tuple))
             or len(row) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in row)
+            or not all(_is_int(v) for v in row)
         ):
             problems.append("%s: must be a [stage, element] pair of integers" % path)
             continue
@@ -214,14 +226,13 @@ def _load_functionals(raw, binary, horizon, problems):
         if not isinstance(entry, dict):
             problems.append("%s: must be an object" % path)
             continue
-        for key in sorted(set(entry) - {"side", "e", "axioms"}):
-            problems.append("%s.%s: unknown key" % (path, key))
+        _unknown_keys(entry, ("side", "e", "axioms"), path, problems)
         side = entry.get("side")
         e = entry.get("e")
-        if side not in (0, 1) or isinstance(side, bool):
+        if not _is_int(side) or side not in (0, 1):
             problems.append("%s.side: must be 0 or 1" % path)
             continue
-        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+        if not _is_int(e) or e < 0:
             problems.append("%s.e: must be a natural" % path)
             continue
         if (side, e) in tables:
@@ -239,20 +250,21 @@ def _load_functionals(raw, binary, horizon, problems):
                 problems.append("%s: must be an object" % a_path)
                 ok = False
                 continue
-            for key in sorted(set(ax_raw) - {"theta", "sigma", "x", "k", "stage"}):
-                problems.append("%s.%s: unknown key" % (a_path, key))
+            _unknown_keys(ax_raw, ("theta", "sigma", "x", "k", "stage"), a_path, problems)
             stage = ax_raw.get("stage", 0)
-            if not isinstance(stage, int) or isinstance(stage, bool) or not 0 <= stage <= horizon:
+            if not _is_int(stage) or not 0 <= stage <= horizon:
                 problems.append("%s.stage: must lie in 0..%d" % (a_path, horizon))
                 ok = False
                 continue
+            x, k = ax_raw.get("x", 0), ax_raw.get("k", 0)
+            bad = [name for name, v in (("x", x), ("k", k)) if not _is_int(v)]
+            for name in bad:
+                problems.append("%s.%s: must be an integer" % (a_path, name))
+            if bad:
+                ok = False
+                continue
             try:
-                ax = Axiom(
-                    theta=ax_raw.get("theta", ""),
-                    x=ax_raw.get("x", 0),
-                    k=ax_raw.get("k", 0),
-                    sigma=ax_raw.get("sigma"),
-                )
+                ax = Axiom(theta=ax_raw.get("theta", ""), x=x, k=k, sigma=ax_raw.get("sigma"))
                 ax.validate(binary)
             except (TypeError, ValueError) as err:
                 problems.append("%s: %s" % (a_path, err))
@@ -277,16 +289,14 @@ def _load_p_policy(raw, horizon, problems):
         return "truthful_delay", {"d": 1}
     kind = raw.get("type")
     if kind == "truthful_delay":
-        for key in sorted(set(raw) - {"type", "d"}):
-            problems.append("p_policy.%s: unknown key" % key)
+        _unknown_keys(raw, ("type", "d"), "p_policy", problems)
         delay = raw.get("d", 1)
-        if not isinstance(delay, int) or isinstance(delay, bool) or delay < 1:
+        if not _is_int(delay) or delay < 1:
             problems.append("p_policy.d: must be a positive integer")
             delay = 1
         return "truthful_delay", {"d": delay}
     if kind == "table":
-        for key in sorted(set(raw) - {"type", "values"}):
-            problems.append("p_policy.%s: unknown key" % key)
+        _unknown_keys(raw, ("type", "values"), "p_policy", problems)
         values = raw.get("values", {})
         out: dict[int, list[int]] = {}
         if not isinstance(values, dict):
@@ -294,16 +304,17 @@ def _load_p_policy(raw, horizon, problems):
         else:
             for key, row in sorted(values.items()):
                 path = "p_policy.values.%s" % key
-                if not str(key).isdigit():
-                    problems.append("%s: keys must be indices" % path)
+                j = _parse_index(key)
+                if j is None:
+                    problems.append("%s: keys must be indices in canonical decimal" % path)
                     continue
-                if not isinstance(row, list) or any(v not in (0, 1) for v in row):
+                if not isinstance(row, list) or not all(_is_int(v) and v in (0, 1) for v in row):
                     problems.append("%s: must be an array of bits" % path)
                     continue
                 if row and row[0] != 0:
                     problems.append("%s: p must answer 0 at stage 0" % path)
                     continue
-                out[int(key)] = list(row)
+                out[j] = list(row)
         return "table", {"values": out}
     problems.append("p_policy.type: must be truthful_delay or table")
     return "truthful_delay", {"d": 1}

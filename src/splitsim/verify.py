@@ -470,16 +470,16 @@ def _check_v5(ctx):
         if got is None:
             prob.add("V5", d["stage"], "diagonalization without a surviving definition", d["ev"])
             continue
-        k, defined_at = got
+        k, def_stage = got
         table = sc.functionals.get(d["req"])
         if table is None:
             prob.add("V5", d["stage"], "diagonalization by an unknown functional", d["ev"])
             continue
-        ax_def = applicable_axiom(table, defined_at, ctx.a_entry[side], None, d["x"])
+        ax_def = applicable_axiom(table, def_stage, ctx.a_entry[side], None, d["x"])
         if ax_def is None:
-            prob.add("V5", defined_at, "no computation behind the defined value", d["ev"])
+            prob.add("V5", def_stage, "no computation behind the defined value", d["ev"])
             continue
-        if ax_def.use > defined_at + 1:
+        if ax_def.use > def_stage + 1:
             # The recorded restraint cannot shield a use this long, so the
             # disagreement is not required to persist.
             continue

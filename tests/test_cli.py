@@ -131,3 +131,57 @@ def test_explain_rejects_bad_label(tmp_path, capsys):
 def test_explain_missing_trace(tmp_path, capsys):
     assert main(["explain", "--trace", str(tmp_path / "none.trace")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _robinson_doc(axiom=None, **top):
+    """A small valid robinson scenario whose one axiom applies from stage 2."""
+    doc = {
+        "construction": "robinson",
+        "horizon": 8,
+        "c": [[4, 0]],
+        "d": [[1, 0]],
+        "functionals": [
+            {
+                "side": 0,
+                "e": 0,
+                "axioms": [dict({"theta": "0", "sigma": "0", "x": 0, "k": 1}, **(axiom or {}))],
+            }
+        ],
+    }
+    doc.update(top)
+    return json.dumps(doc).encode()
+
+
+_BAD_UTF8_TRACE = b"\xffstage=0\tkind=act\n"
+
+
+@pytest.mark.parametrize(
+    "scenario_bytes,trace_bytes,command",
+    [
+        pytest.param(_robinson_doc({"k": True}), None, "run", id="bool-k"),
+        pytest.param(_robinson_doc({"k": 1.0}), None, "run", id="float-k"),
+        pytest.param(_robinson_doc(q_overrides={"²": 3}), None, "run", id="superscript-q-key"),
+        pytest.param(_robinson_doc(q_overrides={"03": 3}), None, "run", id="zero-padded-q-key"),
+        pytest.param(
+            _robinson_doc(p_policy={"type": "table", "values": {"²": [0, 1]}}),
+            None,
+            "run",
+            id="superscript-p-key",
+        ),
+        pytest.param(b"\xff" + _robinson_doc(), None, "run", id="non-utf8-scenario"),
+        pytest.param(_robinson_doc(), _BAD_UTF8_TRACE, "verify", id="non-utf8-trace-verify"),
+        pytest.param(_robinson_doc(), _BAD_UTF8_TRACE, "explain", id="non-utf8-trace-explain"),
+    ],
+)
+def test_hostile_input_is_usage_error(tmp_path, capsys, scenario_bytes, trace_bytes, command):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(scenario_bytes)
+    argv = [command]
+    if command != "explain":
+        argv += ["--scenario", str(scenario)]
+    if trace_bytes is not None:
+        trace = tmp_path / "run.trace"
+        trace.write_bytes(trace_bytes)
+        argv += ["--trace", str(trace)]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err

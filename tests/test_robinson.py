@@ -1,8 +1,17 @@
 import pytest
 
-from splitsim.harness import run
-from splitsim.model import TablePolicy, TruthfulDelayPolicy, string_lifetime
+from splitsim.engine import Run
+from splitsim.harness import build_strategy, run
+from splitsim.model import (
+    TablePolicy,
+    TruthfulDelayPolicy,
+    build_policy,
+    changes,
+    cone_truth,
+    string_lifetime,
+)
 from splitsim.scenario import load_scenario
+from splitsim.verify import verify
 
 
 def test_string_lifetime_frozen_cases():
@@ -74,7 +83,11 @@ def test_certification_race_won_by_policy_hit():
     # sigma=0 dies when C enumerates 0 at stage 4; with delay 1 the policy
     # answers 1 at stage 3 first, so the scan certifies.
     doc = _doc(8, [[4, 0]], 1, [{"side": 0, "e": 0, "axioms": [_BASE_AXIOM]}])
-    events, state = run(load_scenario(doc))
+    sc = load_scenario(doc)
+    strategy = build_strategy(sc)
+    r = Run(sc, strategy)
+    events = r.execute()
+    state = r.final_state()
     certs = [ev for ev in events if ev.kind == "certify"]
     assert len(certs) == 1
     assert certs[0].stage == 2
@@ -90,17 +103,19 @@ def test_certification_race_won_by_policy_hit():
     }
     enums = [ev for ev in events if ev.kind == "enumerate" and ev.payload["set"] == "W"]
     assert [(ev.stage, ev.payload["j"], ev.payload["sigma"]) for ev in enums] == [(2, "0", "0")]
-    reg = state["guessing_sets"]["0"]
     # p holds only while C stays out of the cone, one stage late.
-    assert reg["p_changes"] == 2
-    assert reg["p_final"] == 0 == reg["cone_truth"]
+    strings = [(2, "0")]
+    p_row = build_policy(sc).row(0, strings, 8)
+    assert changes(p_row) == 2
+    assert p_row[8] == 0 == cone_truth(strings, r.c_entry, 8)
     assert not state["unsettled"]
-    assert state["p_contract_ok"]
+    assert verify(sc, events)["checks"]["V8"]["status"] == "pass"
     # The local definition died with its sigma cone.
-    defs = state["requirements"]["P:0"]["definitions"]
-    assert defs == [
-        {"x": 0, "k": 0, "theta": "0", "sigma": "0", "defined_at": 2, "live": False}
-    ]
+    defines = [ev.payload for ev in events if ev.kind == "define-local"]
+    assert defines == [{"k": "0", "req": "P:0", "sigma": "0", "theta": "0", "x": "0"}]
+    assert [ev.stage for ev in events if ev.kind == "define-local"] == [2]
+    assert strategy.live_axiom(0, 0, 0, 3) is not None
+    assert strategy.live_axiom(0, 0, 0, 8) is None
 
 
 def test_refusal_and_memo():
@@ -162,13 +177,11 @@ def test_initialization_injury_is_attributed():
     ]
     assert {ev.payload["block"] for ev in same_stage_inits} == {"P:1", "Q:1"}
     # The requirement recovers with a fresh index afterwards.
-    owners = {j: row["owner"] for j, row in state["guessing_sets"].items()}
-    assert owners == {
-        "0": ["Q:0", 0, 0],
-        "1": ["P:1", 0, 0],
-        "2": ["P:1", 0, 1],
-    }
     certs = [ev for ev in events if ev.kind == "certify"]
-    assert [(ev.stage, ev.payload["j"]) for ev in certs] == [(2, "0"), (4, "1"), (6, "2")]
+    assert [(ev.stage, ev.payload["req"], ev.payload["x"], ev.payload["j"]) for ev in certs] == [
+        (2, "Q:0", "0", "0"),
+        (4, "P:1", "0", "1"),
+        (6, "P:1", "0", "2"),
+    ]
     assert not state["unsettled"]
-    assert state["p_contract_ok"]
+    assert verify(load_scenario(doc), events)["checks"]["V8"]["status"] == "pass"

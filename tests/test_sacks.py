@@ -50,9 +50,12 @@ def test_forced_diagonalization_run():
     assert len(diag) == 1
     assert diag[0].stage == 2
     assert diag[0].payload == {"req": "P:0", "x": "0"}
-    assert state["requirements"]["P:0"]["diagonalized"] == [0, 2]
-    # The local value 0 survives to the end while D enumerated 0 at stage 1.
-    assert state["requirements"]["P:0"]["values"] == {"0": 0}
+    # The local value 0 survives to the end while D enumerated 0 at stage 1:
+    # it is defined once and P:0 is never initialized.
+    defines = [ev for ev in events if ev.kind == "define-local"]
+    assert [(ev.stage, ev.payload["x"], ev.payload["k"]) for ev in defines] == [(0, "0", "0")]
+    inits = [ev.payload["block"] for ev in events if ev.kind == "initialize"]
+    assert "P:0" not in inits
     assert state["d"] == [(1, 0)]
 
 
@@ -81,4 +84,8 @@ def test_one_shot_definitions_and_reset():
     assert {ev.payload["block"] for ev in wiped} == {"Q:0", "P:1"}
     assert all(ev.payload["cause"] == "route" for ev in wiped)
     assert state["a1"] == [(3, 0)]
-    assert state["requirements"]["Q:0"]["values"] == {"0": 0}
+    # The stage-4 value 0 at x=0 stands: Q:0 is not initialized after it.
+    last = [ev for ev in events if ev.kind == "define-local"][-1]
+    assert (last.stage, last.payload["x"], last.payload["k"]) == (4, "0", "0")
+    inits = [ev.stage for ev in events if ev.kind == "initialize" and ev.payload["block"] == "Q:0"]
+    assert max(inits) == 3

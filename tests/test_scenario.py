@@ -30,14 +30,12 @@ def test_valid_document_round_trip():
     sc = load_scenario(_valid())
     assert sc.horizon == 8
     assert sc.construction == "sacks"
-    assert not sc.binary
     assert sc.b_schedule.entries == ((1, 3), (5, 0))
     assert sc.d_schedule.entries == ((2, 1),)
     assert sc.d_policy is None
     assert (0, 0) in sc.functionals
     assert sc.seed == 7
     assert sc.q_default == 2 * 8 + 4
-    assert sc.document == _valid()
 
 
 def test_document_must_be_object():
@@ -213,6 +211,47 @@ def test_q_and_seed_validation():
     assert sc.q_default == 5
 
 
+def _axiom(**fields):
+    return [{"side": 0, "e": 0, "axioms": [dict({"theta": "", "x": 0, "k": 0}, **fields)]}]
+
+
+@pytest.mark.parametrize(
+    "extra,path",
+    [
+        # Integer fields take JSON integers only: no booleans, no floats.
+        ({"horizon": True}, "horizon:"),
+        ({"horizon": 8.0}, "horizon:"),
+        ({"seed": 1.0}, "seed:"),
+        ({"functionals": _axiom(k=True)}, "functionals[0].axioms[0].k:"),
+        ({"functionals": _axiom(k=1.0)}, "functionals[0].axioms[0].k:"),
+        ({"functionals": _axiom(x=False)}, "functionals[0].axioms[0].x:"),
+        ({"functionals": _axiom(x=0.0)}, "functionals[0].axioms[0].x:"),
+        ({"functionals": [{"side": 1.0, "e": 0, "axioms": []}]}, "functionals[0].side:"),
+        ({"q_overrides": {"0": True}}, "q_overrides.0:"),
+        ({"q_overrides": {"0": 2.0}}, "q_overrides.0:"),
+        ({"p_policy": {"type": "table", "values": {"0": [0, True]}}}, "p_policy.values.0:"),
+        # Index keys are canonical ASCII decimals.
+        ({"q_overrides": {"²": 2}}, "q_overrides.²:"),
+        ({"q_overrides": {"٣": 2}}, "q_overrides.٣:"),
+        ({"q_overrides": {"03": 2, "3": 5}}, "q_overrides.03:"),
+        ({"q_overrides": {"-1": 2}}, "q_overrides.-1:"),
+        ({"q_overrides": {"3\n": 2}}, "q_overrides.3\n:"),
+        ({"p_policy": {"type": "table", "values": {"²": [0]}}}, "p_policy.values.²:"),
+        ({"p_policy": {"type": "table", "values": {"01": [0]}}}, "p_policy.values.01:"),
+    ],
+)
+def test_problem_paths(extra, path):
+    problems = _problems(_valid(**extra))
+    assert [p for p in problems if p.startswith(path)], problems
+
+
+def test_canonical_index_keys_load():
+    sc = load_scenario(_valid(q_overrides={"0": 2, "10": 3}))
+    assert sc.q_overrides == {0: 2, 10: 3}
+    sc = load_scenario(_valid(p_policy={"type": "table", "values": {"0": [0], "12": [0, 1]}}))
+    assert sc.p_policy_params == {"values": {0: [0], 12: [0, 1]}}
+
+
 def test_load_scenario_file(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(_valid()))
@@ -224,3 +263,8 @@ def test_load_scenario_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ScenarioError):
         load_scenario_file(str(bad))
+    undecodable = tmp_path / "latin.json"
+    undecodable.write_bytes(b"\xff" + json.dumps(_valid()).encode())
+    with pytest.raises(ScenarioError) as info:
+        load_scenario_file(str(undecodable))
+    assert info.value.problems[0].startswith(str(undecodable))
