@@ -22,8 +22,10 @@ block are pulled down onto it, and the indices beyond the current stage
 keep unit spacing, so assignments only ever decrease pointwise.
 
 Requirements that own no functional table can never act, define nothing
-and hold no state, so the engine visits only blocks containing table
-owners; skipped blocks are observationally identical to visited ones.
+and hold no state, so the engine visits only blocks holding table owners;
+skipped blocks are observationally identical to visited ones.  Those
+blocks, and the owners in each, are read off each assignment's
+membership index (PriorityAssignment.blocks), never found by scanning.
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ class Run:
         self.d_entry = dict(scenario.d_schedule.entry_stage())
         self.a_entry: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.blocks: dict[tuple[int, int], BlockState] = {}
-        self.assignments = (PriorityAssignment(), PriorityAssignment())
-        self.owner_indices = tuple(
-            [e for owner_side, e in strategy.owners if owner_side == side] for side in (0, 1)
+        self.assignments = tuple(
+            PriorityAssignment(e for owner_side, e in strategy.owners if owner_side == side)
+            for side in (0, 1)
         )
         self.events: list[TraceEvent] = []
         self.pending_scans = 0
@@ -164,13 +166,8 @@ class Run:
             2 * self.assignments[0].value(s),
             2 * self.assignments[1].value(s) + 1,
         )
-        orders = set()
-        for side, e in self.strategy.owners:
-            i = self.assignments[side].value(e)
-            order = priority_order(side, i)
-            if order <= stop_order:
-                orders.add(order)
-        for order in sorted(orders):
+        orders = (priority_order(side, i) for side in (0, 1) for i in self.assignments[side].blocks)
+        for order in sorted(o for o in orders if o <= stop_order):
             side, i = order_block(order)
             blk = self.block(side, i)
             acted = self.strategy.run_block(blk, s)
@@ -179,9 +176,9 @@ class Run:
                 self.initialize_block(nxt_side, nxt_i, s, cause="act")
                 return
 
-    def block_members(self, blk: BlockState) -> list[int]:
+    def block_members(self, blk: BlockState) -> tuple[int, ...]:
         """Table-owning requirement indices currently assigned to blk."""
-        return self.assignments[blk.side].members(blk.index, self.owner_indices[blk.side])
+        return self.assignments[blk.side].members(blk.index)
 
     def initialize_block(self, side: int, i: int, s: int, cause: str) -> None:
         """Initialize block (side, i) and everything of lower priority."""

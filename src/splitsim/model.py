@@ -445,10 +445,15 @@ class PriorityAssignment:
     identity.  Neither tail nor update raises on a bad argument, so a
     replay of untrusted update claims can apply them and report what is
     wrong; the engine checks its own invariants before it updates.
+    blocks indexes membership: it maps each block holding some of the
+    side's owners (the indices that own a table) to those owners, in
+    order, and update rebuilds it from value, so the two always agree.
     """
 
-    def __init__(self):
+    def __init__(self, owners):
+        self.owners = sorted(owners)
         self.prefix: list[int] = [0]
+        self._index()
 
     def value(self, e: int) -> int:
         prefix = self.prefix
@@ -459,9 +464,14 @@ class PriorityAssignment:
             return prefix[e]
         return prefix[last] + (e - last)
 
-    def members(self, i: int, indices) -> list[int]:
-        """The requirement indices among indices currently assigned to block i."""
-        return [e for e in indices if self.value(e) == i]
+    def _index(self) -> None:
+        self.blocks: dict[int, list[int]] = {}
+        for e in self.owners:
+            self.blocks.setdefault(self.value(e), []).append(e)
+
+    def members(self, i: int) -> tuple[int, ...]:
+        """The owners currently assigned to block i, in ascending order."""
+        return tuple(self.blocks.get(i, ()))
 
     def tail(self, i: int) -> int | None:
         """Largest requirement index currently assigned to block i; None if there is none."""
@@ -484,6 +494,7 @@ class PriorityAssignment:
         new = self.snapshot_values(m)
         new.extend([i] * (s - m))
         self.prefix = new
+        self._index()
 
     def snapshot_values(self, upto: int) -> list[int]:
         """[value(0), ..., value(upto)]."""

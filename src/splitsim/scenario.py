@@ -173,7 +173,7 @@ def load_scenario_file(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise ScenarioError(["%s: %s" % (path, err)]) from err
     return load_scenario(doc)
 

@@ -56,6 +56,19 @@ class TraceEvent:
         return "\t".join(parts)
 
 
+def parse_int(text: str) -> int:
+    """The integer text spells in canonical decimal, exactly as %d renders it.
+
+    That is -?(0|[1-9][0-9]*) over ASCII digits, without "-0": no plus
+    sign, no leading zero, no blank, no other script's digits.  Any other
+    text raises ValueError.
+    """
+    n = int(text)
+    if str(n) != text:
+        raise ValueError("non-canonical integer %r" % (text,))
+    return n
+
+
 def event(stage: int, kind: str, **payload) -> TraceEvent:
     """Build an event, stringifying payload values."""
     return TraceEvent(stage, kind, {k: str(v) for k, v in payload.items()})
@@ -75,7 +88,7 @@ def parse_line(line: str) -> TraceEvent:
             if key != "stage":
                 raise TraceParseError("trace line must start with its stage")
             try:
-                stage = int(value)
+                stage = parse_int(value)
             except ValueError as err:
                 raise TraceParseError("bad stage %r" % (value,)) from err
         elif i == 1:

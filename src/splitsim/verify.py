@@ -8,10 +8,13 @@ internals are never consulted: the module imports only the trusted
 kernel (model, omegace, trace), so a failure always indicts the trace,
 not the bookkeeping that produced it.  The rules the engine follows
 come from that kernel too: the label grammar (parse_label), routing
-(route), block membership (PriorityAssignment.members), the cone truth
-and the mind-change count of a p row.  Block state is keyed by
-(side, index), as in the engine; a restraint-set or initialize line
-whose block label does not parse fails V2 on that line.
+(route), block membership (PriorityAssignment.members, which reads the
+index the replayed updates keep over the scenario's table owners), the
+cone truth and the mind-change count of a p row.  Payload integers are
+read with the trace grammar's parse_int, so a non-canonical one is a
+malformed payload.  Block state is keyed by (side, index), as in the
+engine; a restraint-set or initialize line whose block label does not
+parse fails V2 on that line.
 
 Checks:
   V1  partition                     A0 and A1 split B exactly, stage by stage.
@@ -32,8 +35,6 @@ checks carry minimal witnesses (stage plus the offending trace lines).
 
 from __future__ import annotations
 
-import copy
-
 from .model import (
     SIDE_LABEL,
     PriorityAssignment,
@@ -51,7 +52,7 @@ from .model import (
     threatens,
 )
 from .omegace import ApproxTable, limit_eval, restrict
-from .trace import TraceEvent
+from .trace import TraceEvent, parse_int
 
 CHECKS = (
     ("V1", "partition"),
@@ -132,7 +133,10 @@ class _Context:
         self.initiators_by_stage = {}
         self.updates_per_stage = {}
         self.none_update_stages = []
-        self.assignments = (PriorityAssignment(), PriorityAssignment())
+        self.assignments = tuple(
+            PriorityAssignment(e for owner_side, e in scenario.functionals if owner_side == side)
+            for side in (0, 1)
+        )
         self.last_change = [-1, -1]
         self.w_sets = {}
         self.w_seen = set()
@@ -147,10 +151,6 @@ class _Context:
         self.injuries = []
         self.injuries_per_block = {}
         self.action_counts = {}
-        self.owner_indices = tuple(
-            [e for owner_side, e in sorted(scenario.functionals) if owner_side == side]
-            for side in (0, 1)
-        )
 
     def d_value(self, x: int, s: int) -> int:
         st = self.d_entry.get(x)
@@ -162,9 +162,6 @@ class _Context:
             if t > stage:
                 return t
         return None
-
-    def containing_block(self, side: int, e: int) -> tuple[int, int]:
-        return side, self.assignments[side].value(e)
 
 
 def _replay(scenario, events) -> _Context:
@@ -243,7 +240,7 @@ def _replay_event(ctx, ev, s, pend):
     if kind == "enumerate":
         target = pay["set"]
         if target == "W":
-            j = int(pay["j"])
+            j = parse_int(pay["j"])
             sigma = pay["sigma"]
             if s % 2 == 1:
                 prob.add("V2", s, "guessing-set enumeration at an odd stage", ev)
@@ -257,7 +254,7 @@ def _replay_event(ctx, ev, s, pend):
                 prob.add("V7", s, "enumeration into W_%d while C already lies in a cone" % j, ev)
             prior.append((s, sigma))
             return
-        x = int(pay["element"])
+        x = parse_int(pay["element"])
         if target == "D":
             if s % 2 == 0:
                 prob.add("V2", s, "policy enumeration into D at an even stage", ev)
@@ -294,7 +291,7 @@ def _replay_event(ctx, ev, s, pend):
         return
 
     if kind == "route":
-        x = int(pay["x"])
+        x = parse_int(pay["x"])
         to = pay["to"]
         threatened, half, init = route(x, ctx.restraint)
         want_label = "-" if threatened is None else block_label(*threatened)
@@ -310,7 +307,7 @@ def _replay_event(ctx, ev, s, pend):
 
     if kind == "restraint-set":
         blk = parse_label(pay["block"])
-        value = int(pay["value"])
+        value = parse_int(pay["value"])
         if blk is None:
             prob.add("V2", s, "restraint names no block", ev)
             return
@@ -329,7 +326,7 @@ def _replay_event(ctx, ev, s, pend):
         ctx.last_initialized[blk] = s
         ctx.inits_by_stage.setdefault(s, set()).add(blk)
         ctx.initiators_by_stage.setdefault(s, set()).add(initiator)
-        gone = {(side, e) for e in ctx.assignments[side].members(i, ctx.owner_indices[side])}
+        gone = {(side, e) for e in ctx.assignments[side].members(i)}
         for key in gone:
             ctx.cancels.setdefault(key, []).append(s)
         if gone:
@@ -343,8 +340,8 @@ def _replay_event(ctx, ev, s, pend):
         if req is None:
             prob.add("V2", s, "definition names no requirement", ev)
             return
-        x = int(pay["x"])
-        k = int(pay["k"])
+        x = parse_int(pay["x"])
+        k = parse_int(pay["k"])
         if "theta" in pay:
             ctx.definitions.append(
                 {"req": req, "x": x, "k": k, "theta": pay["theta"],
@@ -359,7 +356,7 @@ def _replay_event(ctx, ev, s, pend):
         if req is None:
             prob.add("V2", s, "diagonalization names no requirement", ev)
             return
-        ctx.diags.append({"req": req, "x": int(pay["x"]), "stage": s, "ev": ev})
+        ctx.diags.append({"req": req, "x": parse_int(pay["x"]), "stage": s, "ev": ev})
         return
 
     if kind == "expansionary":
@@ -367,7 +364,7 @@ def _replay_event(ctx, ev, s, pend):
         if req is None:
             prob.add("V2", s, "expansionary event names no requirement", ev)
             return
-        ctx.expansionary.append({"req": req, "ell": int(pay["ell"]), "stage": s, "ev": ev})
+        ctx.expansionary.append({"req": req, "ell": parse_int(pay["ell"]), "stage": s, "ev": ev})
         return
 
     if kind == "act":
@@ -389,7 +386,7 @@ def _replay_event(ctx, ev, s, pend):
         req = parse_label(pay.get("req", ""))
         blk = None
         if req is not None:
-            blk = ctx.containing_block(*req)
+            blk = req[0], ctx.assignments[req[0]].value(req[1])
             ctx.injuries_per_block[blk] = ctx.injuries_per_block.get(blk, 0) + 1
         pend.injuries.append((ev, blk))
         ctx.injuries.append(ev)
@@ -402,8 +399,8 @@ def _replay_event(ctx, ev, s, pend):
             ctx.none_update_stages.append(s)
             return
         side = SIDE_LABEL.index(side_label)
-        i = int(pay["i"])
-        m = int(pay["tail"])
+        i = parse_int(pay["i"])
+        m = parse_int(pay["tail"])
         if not ctx.inits_by_stage.get(s):
             prob.add("V11", s, "update without any initialization this stage", ev)
         else:
@@ -427,13 +424,11 @@ def _replay_event(ctx, ev, s, pend):
         elif m < 0:
             prob.add("V11", s, "update tail %d is negative" % m, ev)
             m = 0
-        old = copy.copy(assign)
-        assign.update(s, i, m)
         # Past both prefixes both maps have unit slope, so a rise shows
-        # up within the longer prefix.
-        last = max(len(old.prefix), len(assign.prefix)) - 1
-        pairs = zip(old.snapshot_values(last), assign.snapshot_values(last))
-        for e, (was, now) in enumerate(pairs):
+        # up within the longer prefix; the new one ends at s.
+        before = assign.snapshot_values(max(len(assign.prefix) - 1, s))
+        assign.update(s, i, m)
+        for e, (was, now) in enumerate(zip(before, assign.snapshot_values(len(before) - 1))):
             if now > was:
                 prob.add(
                     "V3", s, "assignment of index %d rose from %d to %d" % (e, was, now), ev
@@ -503,8 +498,8 @@ def _check_v7(ctx, p_rows):
     for ev in ctx.cert_events:
         pay = ev.payload
         try:
-            j, sigma = int(pay["j"]), pay["sigma"]
-            entry, resolved = int(pay["entry"]), int(pay["resolved"])
+            j, sigma = parse_int(pay["j"]), pay["sigma"]
+            entry, resolved = parse_int(pay["entry"]), parse_int(pay["resolved"])
         except (KeyError, ValueError):
             prob.add("V7", ev.stage, "malformed certification record", ev)
             continue
@@ -523,8 +518,8 @@ def _check_v7(ctx, p_rows):
         pay = ev.payload
         sigma = pay.get("sigma", "")
         try:
-            entry = int(pay.get("entry", ev.stage))
-            j = int(pay.get("j", -1))
+            entry = parse_int(pay.get("entry", str(ev.stage)))
+            j = parse_int(pay.get("j", "-1"))
         except ValueError:
             prob.add("V7", ev.stage, "malformed refusal record", ev)
             continue
@@ -532,7 +527,7 @@ def _check_v7(ctx, p_rows):
         row = p_rows.get(j)
         if result == "refused":
             try:
-                resolved = int(pay["resolved"])
+                resolved = parse_int(pay["resolved"])
             except (KeyError, ValueError):
                 prob.add("V7", ev.stage, "refusal without a resolution stage", ev)
                 continue

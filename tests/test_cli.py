@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,7 @@ _BAD_UTF8_TRACE = b"\xffstage=0\tkind=act\n"
         pytest.param(b"\xff" + _robinson_doc(), None, "run", id="non-utf8-scenario"),
         pytest.param(_robinson_doc(), _BAD_UTF8_TRACE, "verify", id="non-utf8-trace-verify"),
         pytest.param(_robinson_doc(), _BAD_UTF8_TRACE, "explain", id="non-utf8-trace-explain"),
+        pytest.param(b"[" * 200_000 + b"]" * 200_000, None, "run", id="deeply-nested-scenario"),
     ],
 )
 def test_hostile_input_is_usage_error(tmp_path, capsys, scenario_bytes, trace_bytes, command):
@@ -185,3 +187,16 @@ def test_hostile_input_is_usage_error(tmp_path, capsys, scenario_bytes, trace_by
         argv += ["--trace", str(trace)]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("golden", ["deflection-update", "forced-diagonalization"])
+def test_verify_non_canonical_trace_integers(tmp_path, capsys, golden):
+    text = (GOLDEN / ("%s-expected.trace" % golden)).read_text()
+    argv = ["verify", "--scenario", str(GOLDEN / ("%s-scenario.json" % golden))]
+    trace = tmp_path / "run.trace"
+    trace.write_text(text.replace("stage=3\t", "stage=\u0663\t", 1), encoding="utf-8")
+    assert main(argv + ["--trace", str(trace)]) == 2
+    assert "error:" in capsys.readouterr().err
+    trace.write_text(text.replace("\tx=0\n", "\tx=+0\n", 1), encoding="utf-8")
+    assert main(argv + ["--trace", str(trace)]) == 1
+    assert re.search(r"^V2 +monotone-enumerations +FAIL", capsys.readouterr().out, re.M)

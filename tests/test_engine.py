@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,7 +41,7 @@ def test_threatens():
 
 
 def test_assignment_starts_as_identity():
-    assign = PriorityAssignment()
+    assign = PriorityAssignment([])
     assert [assign.value(e) for e in range(5)] == [0, 1, 2, 3, 4]
     assert assign.snapshot_values(4) == [0, 1, 2, 3, 4]
     assert assign.snapshot_values(-1) == []
@@ -51,7 +53,7 @@ def test_assignment_starts_as_identity():
 def test_assignment_update_golden():
     # At stage 5, block 1 is initialized with tail 1: indices 2..5 are
     # pulled onto block 1 and everything past the stage keeps unit slope.
-    assign = PriorityAssignment()
+    assign = PriorityAssignment([])
     m = assign.tail(1)
     assert m == 1
     assign.update(5, 1, m)
@@ -65,7 +67,7 @@ def test_assignment_update_golden():
 def test_assignment_update_guards():
     # The assignment itself applies any claim without raising, as the
     # verifier's replay needs; a tail beyond the stage pulls nothing.
-    assign = PriorityAssignment()
+    assign = PriorityAssignment([])
     assign.update(2, 4, 4)
     assert assign.snapshot_values(6) == [0, 1, 2, 3, 4, 5, 6]
     assign.update(5, 1, 1)
@@ -95,7 +97,7 @@ def test_assignment_update_guards():
 @given(st.lists(st.integers(0, 6), min_size=0, max_size=8))
 def test_assignment_updates_never_increase(blocks):
     """Pointwise monotonicity: every legal update only pulls values down."""
-    assign = PriorityAssignment()
+    assign = PriorityAssignment([])
     s = 0
     for i in blocks:
         s += 1
@@ -139,3 +141,46 @@ def test_single_arrival_routes_to_a0():
     assert len(routes) == 1
     assert routes[0].payload == {"threatened": "-", "to": "A0", "x": "5"}
     assert state["a0"] == [(1, 5)]
+
+
+def _dense_sacks_doc(horizon):
+    """The dense-stress shape: horizon/4 table owners with four theta=""
+    axioms each, a B arrival at every odd stage, and anti-delta with an
+    unlimited budget.  Most owners diverge at input 0 and never act, so
+    part two visits every owning block on every even stage; one owner
+    diagonalizes, so later arrivals are deflected and blocks reassigned."""
+    rng = random.Random(horizon)
+    odd = range(1, horizon + 1, 2)
+    b = [[s, x] for s, x in zip(odd, rng.sample(range(horizon), len(odd)))]
+    functionals = []
+    for n in range(horizon // 4):
+        axioms = [
+            {"theta": "", "x": x, "k": 1, "stage": rng.randint(0, horizon)}
+            for x in rng.sample(range(1, 9), 4)
+        ]
+        functionals.append({"side": n % 2, "e": n // 2, "axioms": axioms})
+    functionals[-2]["axioms"][0] = {"theta": "", "x": 0, "k": 0, "stage": horizon // 3}
+    return _doc(
+        horizon, b=b, d={"policy": "anti-delta", "params": {"limit": -1}}, functionals=functionals
+    )
+
+
+def test_block_dispatch_reads_the_membership_index(monkeypatch):
+    """Block dispatch must not scan the owners: a deterministic count of
+    PriorityAssignment.value calls per trace event, not a timing gate.
+    A scan per visited block costs hundreds of calls per event here."""
+    sc = load_scenario(_dense_sacks_doc(208))
+    calls = 0
+    value = PriorityAssignment.value
+
+    def counting_value(self, e):
+        nonlocal calls
+        calls += 1
+        return value(self, e)
+
+    monkeypatch.setattr(PriorityAssignment, "value", counting_value)
+    events, _ = run(sc)
+    kinds = {ev.kind for ev in events}
+    assert {"diagonalize", "initialize", "assignment-update"} <= kinds
+    assert any(ev.kind == "assignment-update" and ev.payload["side"] != "none" for ev in events)
+    assert calls <= 10 * len(events), (calls, len(events))

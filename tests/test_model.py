@@ -261,12 +261,36 @@ def test_route():
 
 
 def test_members():
-    assign = PriorityAssignment()
-    assert assign.members(2, [0, 2, 5]) == [2]
-    assign.update(3, 1, 1)  # indices 2..3 join block 1, 4 moves to block 2
-    assert [assign.value(e) for e in range(6)] == [0, 1, 1, 1, 2, 3]
-    assert assign.members(1, [0, 1, 3, 4]) == [1, 3]
-    assert assign.members(2, [0, 1, 3, 5]) == []
+    assert PriorityAssignment([5, 0, 2]).members(2) == (2,)
+    first, second = PriorityAssignment([0, 1, 3, 4]), PriorityAssignment([0, 1, 3, 5])
+    for assign in (first, second):
+        assign.update(3, 1, 1)  # indices 2..3 join block 1, 4 moves to block 2
+        assert [assign.value(e) for e in range(6)] == [0, 1, 1, 1, 2, 3]
+    assert first.members(1) == (1, 3)
+    assert second.members(2) == ()
+
+
+@given(
+    st.sets(st.integers(0, 30), max_size=12),
+    st.lists(
+        st.tuples(st.integers(0, 20), st.integers(-3, 10), st.integers(0, 25)), max_size=8
+    ),
+)
+def test_members_index_matches_scan(owners, steps):
+    """The membership index equals a scan of value over the owners after
+    every update, forged ones included: negative blocks, tails off the
+    target block, tails past the prefix or past the stage."""
+    assign = PriorityAssignment(owners)
+
+    def index_matches_scan():
+        image = {assign.value(e) for e in owners}
+        for j in image | set(range(-4, 12)):
+            assert assign.members(j) == tuple(e for e in sorted(owners) if assign.value(e) == j)
+
+    index_matches_scan()
+    for s, i, m in steps:
+        assign.update(s, i, m)
+        index_matches_scan()
 
 
 def test_changes_and_cone_truth():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,9 +9,20 @@ from splitsim.trace import (
     TraceParseError,
     event,
     parse,
+    parse_int,
     parse_line,
     render,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_parse_int_reads_canonical_decimals_only():
+    for text, value in (("0", 0), ("7", 7), ("1024", 1024), ("-1", -1), ("-30", -30)):
+        assert parse_int(text) == value
+    for text in ("", "-", "+0", "+3", "-0", "03", "00", " 3", "3 ", "1_0", "\u0663", "\u00b2", "3.0"):
+        with pytest.raises(ValueError):
+            parse_int(text)
 
 
 def test_line_format_is_canonical():
@@ -90,3 +103,14 @@ _PAYLOAD_VALS = st.text(
 def test_round_trip_property(stage, kind, payload):
     ev = TraceEvent(stage, kind, payload)
     assert parse_line(ev.to_line()) == ev
+
+
+@pytest.mark.parametrize("golden", ["deflection-update", "forced-diagonalization"])
+@pytest.mark.parametrize("stage", ["\u0663", "+3", "03", " 3"])
+def test_non_canonical_stage_is_a_parse_error(golden, stage):
+    text = (GOLDEN / ("%s-expected.trace" % golden)).read_text()
+    assert render(parse(text)) == text
+    forged = text.replace("stage=3\t", "stage=%s\t" % stage, 1)
+    assert forged != text
+    with pytest.raises(TraceParseError, match="bad stage"):
+        parse(forged)

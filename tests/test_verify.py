@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from splitsim.corrupt import CorruptionError, corrupt
@@ -5,10 +7,10 @@ from splitsim.fuzz import generate
 from splitsim.harness import run
 from splitsim.model import PriorityAssignment
 from splitsim.scenario import load_scenario
-from splitsim.trace import TraceEvent
+from splitsim.trace import TraceEvent, parse
 from splitsim.verify import CHECKS, passed, verify
 
-from conftest import CERTIFY_DOC, malformed_refusals
+from conftest import CERTIFY_DOC, GOLDEN_DIR, malformed_refusals
 
 def test_check_catalogue():
     assert [name for name, _ in CHECKS] == ["V%d" % i for i in range(1, 12)]
@@ -161,3 +163,30 @@ def test_negative_tail_fails_v11_and_is_clamped(control_materials, monkeypatch):
         "negative" in w["note"] and w.get("line") == line.to_line() for w in v11["witnesses"]
     )
     assert lengths and max(lengths) <= sc.horizon + 1
+
+
+@pytest.mark.parametrize("golden", ["deflection-update", "forced-diagonalization"])
+def test_non_canonical_payload_integer_fails_v2(golden):
+    sc = load_scenario(json.loads((GOLDEN_DIR / ("%s-scenario.json" % golden)).read_text()))
+    text = (GOLDEN_DIR / ("%s-expected.trace" % golden)).read_text()
+    assert passed(verify(sc, parse(text)))
+    forged = parse(text.replace("\tx=0\n", "\tx=+0\n", 1))
+    line = next(ev.to_line() for ev in forged if ev.payload.get("x") == "+0")
+    v2 = verify(sc, forged)["checks"]["V2"]
+    assert v2["status"] == "fail"
+    assert line in [w.get("line") for w in v2["witnesses"]]
+
+
+def test_non_canonical_record_integer_fails_v7(control_materials):
+    sc, events, _ = control_materials["certify"]
+    forged, _ = _forge(events, "certify", 2, entry="02")
+    v7 = verify(sc, forged)["checks"]["V7"]
+    assert v7["status"] == "fail"
+    assert v7["witnesses"][0]["note"] == "malformed certification record"
+    doc, _ = malformed_refusals()
+    honest, _ = run(load_scenario(doc))
+    refusal = next(ev for ev in honest if ev.kind == "refuse-certify")
+    forged, _ = _forge(honest, "refuse-certify", refusal.stage, j="+" + refusal.payload["j"])
+    v7 = verify(load_scenario(doc), forged)["checks"]["V7"]
+    assert v7["status"] == "fail"
+    assert v7["witnesses"][0]["note"] == "malformed refusal record"
