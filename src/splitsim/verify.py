@@ -26,7 +26,9 @@ Checks:
   V7  certification-soundness       scans match the C schedule and the p policy.
   V8  p-contract                    p starts at 0, stays within its change budget.
   V9  local-global-coherence        live local values track the watched functional.
-  V10 change-coding-equivalence     coded p rows decode back to their limits.
+  V10 change-coding-equivalence     coded p rows decode back to their limits;
+                                    fails only where a row breaks V8's start
+                                    or budget rule (a negative index fails V2).
   V11 assignment-update-rule        every update names the true tail and initiator.
 
 A report is a plain dict: {"checks", "flags", "diagnostics"}.  Failing
@@ -242,6 +244,9 @@ def _replay_event(ctx, ev, s, pend):
         if target == "W":
             j = parse_int(pay["j"])
             sigma = pay["sigma"]
+            if j < 0:
+                prob.add("V2", s, "guessing-set index %d is not a natural" % j, ev)
+                return
             if s % 2 == 1:
                 prob.add("V2", s, "guessing-set enumeration at an odd stage", ev)
             if ctx.scenario.construction != "robinson":
@@ -547,7 +552,17 @@ def _check_v7(ctx, p_rows):
 
 
 def _check_v8_v10(ctx, p_rows):
-    """The p contract and the change-set coding of the p rows."""
+    """The p contract and the change-set coding of the p rows.
+
+    V10 fails exactly when ApproxTable rejects the rows: a row breaks
+    V8's start or budget rule, or a guessing-set index is not a natural
+    (the enumerate handler already fails V2 on such a line and keeps it
+    out of the rows).  Once the table is accepted, every row starts at 0
+    and changes at most q < bound <= d times, restrict counts the codes
+    pair(x, i) with i < d, and pair is injective, so the decode below
+    any n equals the limit; one decode at n = top suffices, and the
+    equivalence itself is omegace's property test.
+    """
     prob = ctx.problems
     sc = ctx.scenario
     if sc.construction != "robinson":
@@ -571,15 +586,13 @@ def _check_v8_v10(ctx, p_rows):
         prob.add("V10", h, "p rows are no bounded approximation: %s" % err)
         return settled
     top = min(h, (max(p_rows) + 2) if p_rows else 1)
-    for n in range(top + 1):
-        want = {x for x in range(n) if limit_eval(tab, x) == 1}
-        got = restrict(tab, n)
-        if got != want:
-            prob.add(
-                "V10", h, "restriction below %d decodes to %s, limit is %s"
-                % (n, sorted(got), sorted(want))
-            )
-            break
+    want = {x for x in range(top) if limit_eval(tab, x) == 1}
+    got = restrict(tab, top)
+    if got != want:
+        prob.add(
+            "V10", h, "restriction below %d decodes to %s, limit is %s"
+            % (top, sorted(got), sorted(want))
+        )
     return settled
 
 

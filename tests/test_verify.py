@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from splitsim import omegace
 from splitsim.corrupt import CorruptionError, corrupt
 from splitsim.fuzz import generate
 from splitsim.harness import run
@@ -190,3 +191,41 @@ def test_non_canonical_record_integer_fails_v7(control_materials):
     v7 = verify(load_scenario(doc), forged)["checks"]["V7"]
     assert v7["status"] == "fail"
     assert v7["witnesses"][0]["note"] == "malformed refusal record"
+
+
+def test_negative_w_index_fails_v2():
+    doc = generate(2026, 6, "robinson", 256)
+    sc = load_scenario(doc)
+    events, _ = run(sc)
+    first_w = next(ev for ev in events if ev.kind == "enumerate" and ev.payload["set"] == "W")
+    forged, line = _forge(events, "enumerate", first_w.stage, j="-1")
+    assert line.payload["set"] == "W"
+    report = verify(sc, forged)
+    v2 = report["checks"]["V2"]
+    assert v2["status"] == "fail"
+    assert line.to_line() in [w.get("line") for w in v2["witnesses"]]
+    assert report["checks"]["V10"]["status"] == "pass"
+
+
+def test_v10_builds_the_change_set_once(control_materials, monkeypatch):
+    """V10 decodes once, at the top of the p rows, not once per prefix:
+    a deterministic count of build_change_set calls, not a timing gate."""
+    sc, events, final = control_materials["injury"]
+    calls = 0
+    build = omegace.build_change_set
+
+    def counting_build(tab):
+        nonlocal calls
+        calls += 1
+        return build(tab)
+
+    monkeypatch.setattr(omegace, "build_change_set", counting_build)
+    report = verify(sc, events, final)
+    assert passed(report)
+    assert report["diagnostics"]["guessing_sets"] == 3
+    assert calls == 1
+
+    sc, events, _ = control_materials["churn"]
+    v10 = verify(sc, corrupt("V8", sc, events))["checks"]["V10"]
+    assert v10["status"] == "fail"
+    assert "no bounded approximation" in v10["witnesses"][0]["note"]
