@@ -26,11 +26,14 @@ and hold no state, so the engine visits only blocks holding table owners;
 skipped blocks are observationally identical to visited ones.  Those
 blocks, and the owners in each, are read off each assignment's
 membership index (PriorityAssignment.blocks), never found by scanning.
+
+Block state is the one map model.route reads: Run.restraint sends each
+block that exists, keyed by its address (side, i), to its restraint, -1
+for none.  A block comes into existence when part two first visits it or
+when it is first initialized, and it never leaves the map.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .model import (
     SIDE_LABEL,
@@ -47,23 +50,6 @@ class ConstructionInvariantError(RuntimeError):
     """An internal invariant of the construction failed during a run."""
 
 
-@dataclass
-class BlockState:
-    """Mutable per-block bookkeeping.  restraint -1 means none is held."""
-
-    side: int
-    index: int
-    restraint: int = -1
-
-    @property
-    def order(self) -> int:
-        return priority_order(self.side, self.index)
-
-    @property
-    def label(self) -> str:
-        return block_label(self.side, self.index)
-
-
 class Run:
     """One deterministic execution of a scenario over its horizon."""
 
@@ -75,7 +61,7 @@ class Run:
         self.c_entry = dict(scenario.c_schedule.entry_stage())
         self.d_entry = dict(scenario.d_schedule.entry_stage())
         self.a_entry: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        self.blocks: dict[tuple[int, int], BlockState] = {}
+        self.restraint: dict[tuple[int, int], int] = {}
         self.assignments = tuple(
             PriorityAssignment(e for owner_side, e in strategy.owners if owner_side == side)
             for side in (0, 1)
@@ -103,22 +89,11 @@ class Run:
             if x < self.horizon and x not in self.d_entry and x not in self._pending_d:
                 self._pending_d.append(x)
 
-    def d_value(self, x: int, s: int) -> int:
-        st = self.d_entry.get(x)
-        return 1 if st is not None and st <= s else 0
-
-    def block(self, side: int, i: int) -> BlockState:
-        key = (side, i)
-        found = self.blocks.get(key)
-        if found is None:
-            found = self.blocks[key] = BlockState(side, i)
-        return found
-
-    def set_restraint(self, blk: BlockState, s: int) -> None:
-        if blk.restraint == s:
+    def set_restraint(self, side: int, i: int, s: int) -> None:
+        if self.restraint[(side, i)] == s:
             return
-        blk.restraint = s
-        self.emit(event(s, "restraint-set", block=blk.label, value=s))
+        self.restraint[(side, i)] = s
+        self.emit(event(s, "restraint-set", block=block_label(side, i), value=s))
 
     # -- stage parts ------------------------------------------------------
 
@@ -147,8 +122,7 @@ class Run:
         x = self.b_by_stage.get(s)
         if x is None:
             return
-        restraints = {key: blk.restraint for key, blk in self.blocks.items()}
-        threatened, half, init = route(x, restraints)
+        threatened, half, init = route(x, self.restraint)
         label = "-" if threatened is None else block_label(*threatened)
         self.emit(event(s, "route", threatened=label, to="A%d" % half, x=x))
         self._enumerate_half(half, x, s)
@@ -169,32 +143,30 @@ class Run:
         orders = (priority_order(side, i) for side in (0, 1) for i in self.assignments[side].blocks)
         for order in sorted(o for o in orders if o <= stop_order):
             side, i = order_block(order)
-            blk = self.block(side, i)
-            acted = self.strategy.run_block(blk, s)
-            if acted:
-                nxt_side, nxt_i = order_block(order + 1)
-                self.initialize_block(nxt_side, nxt_i, s, cause="act")
+            self.restraint.setdefault((side, i), -1)
+            if self.strategy.run_block(side, i, s):
+                self.initialize_block(*order_block(order + 1), s, cause="act")
                 return
 
-    def block_members(self, blk: BlockState) -> tuple[int, ...]:
-        """Table-owning requirement indices currently assigned to blk."""
-        return self.assignments[blk.side].members(blk.index)
+    def block_members(self, side: int, i: int) -> tuple[int, ...]:
+        """Table-owning requirement indices currently assigned to block (side, i)."""
+        return self.assignments[side].members(i)
 
     def initialize_block(self, side: int, i: int, s: int, cause: str) -> None:
         """Initialize block (side, i) and everything of lower priority."""
-        target = self.block(side, i)
-        floor = target.order
+        self.restraint.setdefault((side, i), -1)
+        floor = priority_order(side, i)
         if self._init_target is None or floor < self._init_target[0]:
             self._init_target = (floor, side, i)
-        victims = sorted(
-            (blk.order, blk) for blk in self.blocks.values() if blk.order >= floor
-        )
-        for _, blk in victims:
-            blk.restraint = -1
-            for e in self.block_members(blk):
-                self.strategy.cancel_requirement(blk.side, e, s)
+        initiator = block_label(side, i)
+        orders = (priority_order(*blk) for blk in self.restraint)
+        for order in sorted(o for o in orders if o >= floor):
+            blk = order_block(order)
+            self.restraint[blk] = -1
+            for e in self.block_members(*blk):
+                self.strategy.cancel_requirement(blk[0], e, s)
             self.emit(
-                event(s, "initialize", block=blk.label, cause=cause, initiator=target.label)
+                event(s, "initialize", block=block_label(*blk), cause=cause, initiator=initiator)
             )
 
     def _part_three(self, s: int) -> None:

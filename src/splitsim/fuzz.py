@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from .model import _segments
+from .model import Axiom, conflicting
 from .scenario import CONSTRUCTIONS
 
 _H_BUCKETS = ((8, 32, 0.55), (33, 96, 0.30), (97, 256, 0.12), (257, 1024, 0.03))
@@ -56,14 +56,10 @@ def _gen_axioms(rng, horizon, binary, c_support, k_pref):
                 "1" if rng.random() < 0.05 else "0"
                 for i in range(use)
             )
-        clash = any(
-            ox == x and ok != k and _segments(otheta, theta)
-            and (not binary or _segments(osigma, sigma))
-            for otheta, osigma, ox, ok in accepted
-        )
-        if clash:
+        candidate = Axiom(theta, x, k, sigma)
+        if any(conflicting(other, candidate) for other in accepted):
             continue
-        accepted.append((theta, sigma, x, k))
+        accepted.append(candidate)
         row = {"theta": theta, "x": x, "k": k, "stage": rng.randint(use, horizon)}
         if binary:
             row["sigma"] = sigma

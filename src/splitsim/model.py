@@ -7,10 +7,12 @@ nothing else from the package.  The ingredients are:
 
 * Cantor pairing on naturals,
 * finite oracle strings over {0, 1},
-* monotone enumeration schedules (stage-stamped element arrivals) and
-  the one cone test over them, cone_holds,
+* monotone enumeration schedules (stage-stamped element arrivals), the
+  one membership test (member) and the one cone test (cone_holds) over
+  them,
 * Turing functionals given as finite axiom tables with explicit use,
-  and the axiom a table selects at a stage,
+  the one rule for when two axioms conflict (conflicting), and the
+  axiom a table selects at a stage,
 * the semantics of the external approximation p (its policies and rows,
   the mind-change count of a row, and the cone truth p approximates),
 * block and requirement labels and their one parser,
@@ -98,6 +100,16 @@ class EnumerationSchedule:
         return {x: s for s, x in self.entries}
 
 
+def member(entry: dict[int, int], x: int, s: int) -> int:
+    """1 iff x is in the set at stage s, else 0.
+
+    The set is given by its element->entry-stage map; x is a member at
+    stage s when its entry stage is <= s.
+    """
+    st = entry.get(x)
+    return 1 if st is not None and st <= s else 0
+
+
 def cone_holds(sigma: str, entry: dict[int, int], s: int) -> bool:
     """True iff sigma is an initial segment of the set at stage s.
 
@@ -183,20 +195,28 @@ def _segments(a: str, b: str) -> bool:
     return a == b[: len(a)] or b == a[: len(b)]
 
 
+def conflicting(a: Axiom, b: Axiom) -> bool:
+    """True iff a and b answer one input with different bits over compatible oracles.
+
+    Both axioms are unary, or both binary; see ConflictError.
+    """
+    return (
+        a.x == b.x
+        and a.k != b.k
+        and _segments(a.theta, b.theta)
+        and (a.sigma is None or _segments(a.sigma, b.sigma))
+    )
+
+
 def consistency_conflicts(table: FunctionalTable) -> list[tuple[Axiom, Axiom]]:
     """All pairs of axioms that answer one input incompatibly."""
     bad = []
-    for x, rows in table._by_x.items():
+    for rows in table._by_x.values():
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
                 a, b = rows[i][1], rows[j][1]
-                if a.k == b.k:
-                    continue
-                if not _segments(a.theta, b.theta):
-                    continue
-                if table.binary and not _segments(a.sigma, b.sigma):
-                    continue
-                bad.append((a, b))
+                if conflicting(a, b):
+                    bad.append((a, b))
     return bad
 
 
@@ -252,8 +272,7 @@ def agreement_length(
         got = applicable_axiom(table, s, a_entry, None, x)
         if got is None:
             return y
-        dst = d_entry.get(x)
-        if got.k != (1 if dst is not None and dst <= s else 0):
+        if got.k != member(d_entry, x, s):
             return y
         y = x
         x += 1

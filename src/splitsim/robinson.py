@@ -36,6 +36,7 @@ from .model import (
     block_label,
     cone_holds,
     cone_truth,
+    member,
     string_lifetime,
 )
 from .trace import event
@@ -178,24 +179,25 @@ class RobinsonStrategy:
 
     # -- requirement strategies ------------------------------------------------
 
-    def run_block(self, blk, s: int) -> bool:
+    def run_block(self, side: int, i: int, s: int) -> bool:
         acted = False
-        for e in self.run.block_members(blk):
-            acted |= self.run_requirement(blk.side, e, blk, s)
+        for e in self.run.block_members(side, i):
+            acted |= self.run_requirement(side, e, i, s)
         return acted
 
-    def run_requirement(self, side: int, e: int, blk, s: int) -> bool:
+    def run_requirement(self, side: int, e: int, i: int, s: int) -> bool:
+        """One pass of requirement (side, e) inside its block (side, i)."""
         acted = False
         x = 0
         while x < s:
-            result = self.run_input_strategy(side, e, x, blk, s)
+            result = self.run_input_strategy(side, e, x, i, s)
             if result not in ("defined", "acted"):
                 break
             acted |= result == "acted"
             x += 1
         return acted
 
-    def run_input_strategy(self, side: int, e: int, x: int, blk, s: int) -> str:
+    def run_input_strategy(self, side: int, e: int, x: int, i: int, s: int) -> str:
         """One pass of the per-input strategy; returns its exit.
 
         "nocomp": the watched functional diverges or disagrees with D
@@ -207,7 +209,7 @@ class RobinsonStrategy:
         run = self.run
         table = self.tables[(side, e)]
         got = applicable_axiom(table, s, run.a_entry[side], run.c_entry, x)
-        d_now = run.d_value(x, s)
+        d_now = member(run.d_entry, x, s)
         if got is None or got.k != d_now:
             return "nocomp"
         live = self.live_axiom(side, e, x, s)
@@ -234,8 +236,10 @@ class RobinsonStrategy:
                 x=x,
             )
         )
-        run.set_restraint(blk, s)
-        run.emit(event(s, "act", block=blk.label, req=block_label(side, e), via="certified"))
+        run.set_restraint(side, i, s)
+        run.emit(
+            event(s, "act", block=block_label(side, i), req=block_label(side, e), via="certified")
+        )
         return "acted"
 
     # -- refresh ---------------------------------------------------------------

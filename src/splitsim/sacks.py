@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import FunctionalTable, agreement_length, block_label
+from .model import FunctionalTable, agreement_length, block_label, member
 from .trace import event
 
 
@@ -69,37 +69,41 @@ class SacksStrategy:
     def bind(self, run) -> None:
         self.run = run
 
-    def run_block(self, blk, s: int) -> bool:
+    def run_block(self, side: int, i: int, s: int) -> bool:
         acted = False
-        for e in self.run.block_members(blk):
-            acted |= self.run_requirement(self.requirements[(blk.side, e)], blk, s)
+        for e in self.run.block_members(side, i):
+            acted |= self.run_requirement(self.requirements[(side, e)], i, s)
         return acted
 
-    def run_requirement(self, req: SacksRequirement, blk, s: int) -> bool:
+    def run_requirement(self, req: SacksRequirement, i: int, s: int) -> bool:
+        """One pass of req's strategy inside its block i (on req's side)."""
         if req.diagonalized:
             return False
         run = self.run
         for x in sorted(req.values):
-            if req.values[x] != run.d_value(x, s):
+            if req.values[x] != member(run.d_entry, x, s):
                 req.diagonalized = True
                 run.emit(event(s, "diagonalize", req=req.label, x=x))
-                run.emit(event(s, "act", block=blk.label, req=req.label, via="diagonalize"))
+                run.emit(
+                    event(s, "act", block=block_label(req.side, i), req=req.label, via="diagonalize")
+                )
                 return True
         a_entry = run.a_entry[req.side]
         ell = agreement_length(self.tables[(req.side, req.e)], a_entry, run.d_entry, s)
         if not is_expansionary(ell, req.max_ell):
             return False
         req.max_ell = ell
-        run.emit(event(s, "expansionary", block=blk.label, ell=ell, req=req.label))
-        sigma = "".join("1" if i in a_entry else "0" for i in range(s))
+        label = block_label(req.side, i)
+        run.emit(event(s, "expansionary", block=label, ell=ell, req=req.label))
+        sigma = "".join("1" if n in a_entry else "0" for n in range(s))
         for x in range(ell + 1):
             if x in req.values:
                 continue
-            k = run.d_value(x, s)
+            k = member(run.d_entry, x, s)
             req.values[x] = k
             run.emit(event(s, "define-local", k=k, req=req.label, sigma=sigma, x=x))
-        run.set_restraint(blk, s)
-        run.emit(event(s, "act", block=blk.label, req=req.label, via="expansionary"))
+        run.set_restraint(req.side, i, s)
+        run.emit(event(s, "act", block=label, req=req.label, via="expansionary"))
         return True
 
     def cancel_requirement(self, side: int, e: int, s: int) -> None:

@@ -6,6 +6,14 @@ internals.  Serialization is therefore deliberately rigid; stage first,
 kind second, remaining payload keys in lexicographic order, tab-separated
 key=value pairs.  Two runs of the same scenario must produce byte-equal
 trace text.
+
+The grammar is checked where text enters: parse_line is the one place
+outside text becomes events, and it rejects every line that breaks the
+grammar with TraceParseError.  Events the engine builds are not
+re-checked; their payloads are integers, fixed words, block labels and
+bit strings the scenario loader has already validated, and the
+acceptance corpus asserts that every run's trace parses back to its
+events.
 """
 
 from __future__ import annotations
@@ -37,18 +45,6 @@ class TraceEvent:
     stage: int
     kind: str
     payload: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError("unknown trace event kind %r" % (self.kind,))
-        for key, value in self.payload.items():
-            for text, what in ((key, "key"), (value, "value")):
-                if not isinstance(text, str):
-                    raise ValueError("payload %s must be a string" % what)
-                if "\t" in text or "\n" in text:
-                    raise ValueError("payload %s %r breaks the line grammar" % (what, text))
-            if not key or "=" in key:
-                raise ValueError("payload key %r breaks the line grammar" % (key,))
 
     def to_line(self) -> str:
         parts = ["stage=%d" % self.stage, "kind=%s" % self.kind]
@@ -96,6 +92,8 @@ def parse_line(line: str) -> TraceEvent:
                 raise TraceParseError("second field must be the event kind")
             kind = value
         else:
+            if not key:
+                raise TraceParseError("empty payload key in %r" % (line,))
             if key in payload:
                 raise TraceParseError("duplicate payload key %r" % (key,))
             payload[key] = value

@@ -47,6 +47,7 @@ from .model import (
     changes,
     cone_holds,
     cone_truth,
+    member,
     parse_label,
     priority_order,
     route,
@@ -153,10 +154,6 @@ class _Context:
         self.injuries = []
         self.injuries_per_block = {}
         self.action_counts = {}
-
-    def d_value(self, x: int, s: int) -> int:
-        st = self.d_entry.get(x)
-        return 1 if st is not None and st <= s else 0
 
     def cancelled_after(self, side: int, e: int, stage: int):
         """First cancellation of the requirement strictly after stage."""
@@ -489,7 +486,7 @@ def _check_v5(ctx):
             prob.add("V5", h, "diagonalized computation lost by the horizon", d["ev"])
         elif ax.k != k:
             prob.add("V5", h, "computed value drifted from %d to %d" % (k, ax.k), d["ev"])
-        elif ax.k == ctx.d_value(d["x"], h):
+        elif ax.k == member(ctx.d_entry, d["x"], h):
             prob.add("V5", h, "diagonalized value rejoined D at input %d" % d["x"], d["ev"])
 
 

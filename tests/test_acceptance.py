@@ -20,7 +20,7 @@ from splitsim.harness import run
 from splitsim.model import applicable_axiom
 from splitsim.omegace import ApproxTable, limit_eval, restrict
 from splitsim.scenario import load_scenario
-from splitsim.trace import render
+from splitsim.trace import parse, render
 from splitsim.verify import CHECKS, passed, verify
 
 from conftest import GOLDEN_DIR
@@ -60,7 +60,11 @@ def corpus():
             scenario = load_scenario(doc)
             events, final = run(scenario)
             report = verify(scenario, events, final)
-            trace_hash.update(render(events).encode())
+            text = render(events)
+            # The grammar is checked only where text enters, so every
+            # engine-written event must survive the trip through text.
+            assert parse(text) == events, (construction, index)
+            trace_hash.update(text.encode())
             report_hash.update(json.dumps(report, sort_keys=True).encode())
             kinds = {}
             for ev in events:

@@ -154,6 +154,14 @@ def _robinson_doc(axiom=None, **top):
 
 
 _BAD_UTF8_TRACE = b"\xffstage=0\tkind=act\n"
+_DEFLECTION_SCENARIO = (GOLDEN / "deflection-update-scenario.json").read_bytes()
+# The deflection golden trace with one payload key emptied.
+_EMPTY_KEY_TRACE = (
+    (GOLDEN / "deflection-update-expected.trace")
+    .read_bytes()
+    .replace(b"stage=0\tkind=assignment-update\tside=none\n",
+             b"stage=0\tkind=assignment-update\t=x\tside=none\n", 1)
+)
 
 
 @pytest.mark.parametrize(
@@ -172,6 +180,8 @@ _BAD_UTF8_TRACE = b"\xffstage=0\tkind=act\n"
         pytest.param(b"\xff" + _robinson_doc(), None, "run", id="non-utf8-scenario"),
         pytest.param(_robinson_doc(), _BAD_UTF8_TRACE, "verify", id="non-utf8-trace-verify"),
         pytest.param(_robinson_doc(), _BAD_UTF8_TRACE, "explain", id="non-utf8-trace-explain"),
+        pytest.param(_DEFLECTION_SCENARIO, _EMPTY_KEY_TRACE, "verify", id="empty-key-verify"),
+        pytest.param(_DEFLECTION_SCENARIO, _EMPTY_KEY_TRACE, "explain", id="empty-key-explain"),
         pytest.param(b"[" * 200_000 + b"]" * 200_000, None, "run", id="deeply-nested-scenario"),
     ],
 )

@@ -56,6 +56,37 @@ def test_kernel_layering():
         assert imports_of(module) <= KERNEL - {module}, module
 
 
+def private_imports(path: Path) -> list[str]:
+    """Underscore names a source file imports from another package module."""
+    tree = ast.parse(path.read_text())
+    return [
+        "%s.%s" % (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module
+        and (node.level == 1 or node.module.split(".")[0] == "splitsim")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_module_imports_a_private_name():
+    """A rule two modules share lives under a public kernel name, not a borrowed private one."""
+    found = {p.stem: private_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert not {m: names for m, names in found.items() if names}, found
+
+
+def test_private_import_scan(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .model import _segments, cone_holds\n"
+        "from splitsim.trace import _hidden\n"
+        "from . import verify as _verify\n"
+        "from __future__ import annotations\n"
+    )
+    assert private_imports(probe) == ["model._segments", "splitsim.trace._hidden"]
+
+
 def test_import_scan_sees_every_form(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(

@@ -35,19 +35,6 @@ def test_event_stringifies_payload():
     assert ev.payload == {"element": "4", "set": "B"}
 
 
-def test_event_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        TraceEvent(0, "teleport")
-    with pytest.raises(ValueError):
-        TraceEvent(0, "act", {"a=b": "1"})
-    with pytest.raises(ValueError):
-        TraceEvent(0, "act", {"": "1"})
-    with pytest.raises(ValueError):
-        TraceEvent(0, "act", {"a": "x\ty"})
-    with pytest.raises(ValueError):
-        TraceEvent(0, "act", {"a": 3})
-
-
 def test_parse_line_round_trip():
     line = "stage=12\tkind=certify\tj=0\tk=1\treq=Q:2"
     ev = parse_line(line)
@@ -68,6 +55,7 @@ def test_parse_line_round_trip():
         "stage=1\tkind=act\tb=1\ta=2",  # keys out of order
         "stage=1\tkind=act\ta=1\ta=2",  # duplicate key
         "stage=1\tnotkind=act",
+        "stage=0\tkind=assignment-update\t=x\tside=none",  # empty key
     ],
 )
 def test_parse_line_rejections(line):
