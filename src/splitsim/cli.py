@@ -73,10 +73,19 @@ def _print_report(report: dict) -> None:
     )
 
 
-def _write_report(path: str, report: dict) -> None:
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def _write(path: str, text: str) -> bool:
+    """Write text to path as UTF-8; False after printing why it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as err:
+        _fail_usage("cannot write %s: %s" % (path, err.strerror or err))
+        return False
+    return True
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def cmd_run(args) -> int:
@@ -94,12 +103,11 @@ def cmd_run(args) -> int:
         except CorruptionError as err:
             return _fail_usage(str(err))
         final = None
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(render(events))
+    if args.trace and not _write(args.trace, render(events)):
+        return 2
     report = verify(scenario, events, final)
-    if args.report:
-        _write_report(args.report, report)
+    if args.report and not _write(args.report, _json(report)):
+        return 2
     _print_report(report)
     return 0 if passed(report) else 1
 
@@ -112,13 +120,15 @@ def cmd_verify(args) -> int:
     if events is None:
         return 2
     report = verify(scenario, events)
-    if args.report:
-        _write_report(args.report, report)
+    if args.report and not _write(args.report, _json(report)):
+        return 2
     _print_report(report)
     return 0 if passed(report) else 1
 
 
 def cmd_fuzz(args) -> int:
+    if args.max_horizon < 2:
+        return _fail_usage("--max-horizon must be at least 2, not %d" % args.max_horizon)
     constructions = [args.construction] if args.construction else list(CONSTRUCTIONS)
     totals = {"pass": 0, "fail": 0, "unsettled": 0}
     peak_restraint = (-1, "-", "-")
@@ -169,9 +179,8 @@ def cmd_fuzz(args) -> int:
     print("max restraint: %d (block %s, %s)" % peak_restraint)
     print("max injuries per block: %d (block %s, %s)" % peak_injuries)
     if totals["fail"]:
-        with open(args.emit_failing, "w") as handle:
-            json.dump(first_failing, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        if not _write(args.emit_failing, _json(first_failing)):
+            return 2
         print("first failing scenario written to %s" % args.emit_failing)
         return 1
     return 0

@@ -21,19 +21,29 @@ initialized during the stage; requirement indices above the tail of that
 block are pulled down onto it, and the indices beyond the current stage
 keep unit spacing, so assignments only ever decrease pointwise.
 
+Block dispatch (part two) runs only the blocks the strategy reports as
+due, in priority order, up to the stop order or the first block that
+acts.  A block that is not due would do nothing if it ran: the Sacks
+strategy reports the blocks of the owners that have not run since their
+inputs last changed (its wake rules), the Robinson strategy every owner
+block.
 Requirements that own no functional table can never act, define nothing
-and hold no state, so the engine visits only blocks holding table owners;
-skipped blocks are observationally identical to visited ones.  Those
-blocks, and the owners in each, are read off each assignment's
-membership index (PriorityAssignment.blocks), never found by scanning.
+and hold no state, so only blocks holding table owners are ever due.
+Run.owner_orders lists those blocks in priority order; it is read off
+each assignment's membership index (PriorityAssignment.blocks) and
+rebuilt only when part three updates an assignment.
 
 Block state is the one map model.route reads: Run.restraint sends each
 block that exists, keyed by its address (side, i), to its restraint, -1
-for none.  A block comes into existence when part two first visits it or
-when it is first initialized, and it never leaves the map.
+for none.  A block comes into existence when it is first initialized, or
+when part two first passes it: every owner block up to the stop order,
+or up to the acting block, exists after part two, due or not.  It never
+leaves the map.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from .model import (
     SIDE_LABEL,
@@ -66,6 +76,7 @@ class Run:
             PriorityAssignment(e for owner_side, e in strategy.owners if owner_side == side)
             for side in (0, 1)
         )
+        self._index_owner_blocks()
         self.events: list[TraceEvent] = []
         self.pending_scans = 0
         self.unsettled = False
@@ -135,18 +146,33 @@ class Run:
         self.a_entry[side][x] = s
         self.emit(event(s, "enumerate", element=x, set="A%d" % side))
 
+    def _index_owner_blocks(self) -> None:
+        self.owner_orders = sorted(
+            priority_order(side, i) for side in (0, 1) for i in self.assignments[side].blocks
+        )
+        # owner_orders[:_passed] are known to exist in restraint.
+        self._passed = 0
+
+    def _pass_blocks(self, upto: int) -> None:
+        """Bring every owner block of priority order at most upto into existence."""
+        end = bisect_right(self.owner_orders, upto)
+        for order in self.owner_orders[self._passed:end]:
+            self.restraint.setdefault(order_block(order), -1)
+        self._passed = max(self._passed, end)
+
     def _part_two(self, s: int) -> None:
         stop_order = min(
             2 * self.assignments[0].value(s),
             2 * self.assignments[1].value(s) + 1,
         )
-        orders = (priority_order(side, i) for side in (0, 1) for i in self.assignments[side].blocks)
-        for order in sorted(o for o in orders if o <= stop_order):
-            side, i = order_block(order)
-            self.restraint.setdefault((side, i), -1)
-            if self.strategy.run_block(side, i, s):
+        for order in self.strategy.due_orders(s):
+            if order > stop_order:
+                break
+            self._pass_blocks(order)
+            if self.strategy.run_block(*order_block(order), s):
                 self.initialize_block(*order_block(order + 1), s, cause="act")
                 return
+        self._pass_blocks(stop_order)
 
     def block_members(self, side: int, i: int) -> tuple[int, ...]:
         """Table-owning requirement indices currently assigned to block (side, i)."""
@@ -186,6 +212,7 @@ class Run:
         if assign.value(m) != i:
             raise ConstructionInvariantError("update tail is not on the target block")
         assign.update(s, i, m)
+        self._index_owner_blocks()
         self.emit(event(s, "assignment-update", i=i, side=SIDE_LABEL[side], tail=m))
 
     # -- results ----------------------------------------------------------

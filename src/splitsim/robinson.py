@@ -179,6 +179,10 @@ class RobinsonStrategy:
 
     # -- requirement strategies ------------------------------------------------
 
+    def due_orders(self, s: int) -> list[int]:
+        """Every owner block is due: Robinson has no wake rules yet."""
+        return self.run.owner_orders
+
     def run_block(self, side: int, i: int, s: int) -> bool:
         acted = False
         for e in self.run.block_members(side, i):

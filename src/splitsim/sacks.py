@@ -18,13 +18,30 @@ intervening initialization.  Each define-local line carries the
 half-snapshot sigma the definition saw, so a later disagreement
 certifies that the watched functional computes a value D has since
 abandoned.
+
+Dispatch is event-driven.  A requirement reads only its local values,
+its record max_ell, D, its own half below its table's largest use, and
+the axioms of its table that have appeared.  So an owner that ran at
+stage t (and did nothing, or acted) does nothing at a later stage s
+unless one of these happens in (t, s]; the owner then wakes:
+
+  (a) an axiom of its table appears;
+  (b) any D entry lands, scheduled or by the policy;
+  (c) an arrival on its side lands below its table's largest use;
+  (d) it is cancelled by an initialization of its block.
+
+Every owner starts awake, and running an owner puts it to sleep.  A
+diagonalized owner stays asleep until it is reset, which is (d).  Part
+two runs only the blocks that hold awake owners, and in them only the
+awake owners.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .model import FunctionalTable, agreement_length, block_label, member
+from .model import FunctionalTable, agreement_length, block_label, member, priority_order
 from .trace import event
 
 
@@ -64,15 +81,65 @@ class SacksStrategy:
         self.requirements: dict[tuple[int, int], SacksRequirement] = {
             key: SacksRequirement(*key) for key in self.owners
         }
+        # Wake rule (a): the owners whose table gains an axiom, by stage.
+        self._appear: dict[int, set[tuple[int, int]]] = {}
+        for key, table in tables.items():
+            for appear, _ in table.axioms:
+                self._appear.setdefault(appear, set()).add(key)
+        # Wake rule (c): per side, the owners in ascending order of their
+        # table's largest use, beside those uses for bisection.
+        self._uses = ([], [])
+        self._by_use = ([], [])
+        tops = (
+            (max((ax.use for _, ax in table.axioms), default=0), key)
+            for key, table in tables.items()
+        )
+        for use, key in sorted(tops):
+            self._uses[key[0]].append(use)
+            self._by_use[key[0]].append(key)
+        self.awake: set[tuple[int, int]] = set(self.owners)
         self.run = None
 
     def bind(self, run) -> None:
         self.run = run
+        # Wake rule (b): scheduled D entries land at known stages; policy
+        # entries are the only ones added later, so d_entry grows by them.
+        self._d_stages = set(run.d_entry.values())
+        self._d_seen = len(run.d_entry)
+        self._woken = 0
+
+    def _wake(self, s: int) -> None:
+        """Wake the owners whose inputs changed at a stage in (_woken, s]."""
+        run = self.run
+        awake = self.awake
+        d_landed = len(run.d_entry) != self._d_seen
+        self._d_seen = len(run.d_entry)
+        for t in range(self._woken + 1, s + 1):
+            awake.update(self._appear.get(t, ()))
+            d_landed |= t in self._d_stages
+            x = run.b_by_stage.get(t)
+            if x is not None:
+                # The stage's B arrival went into one half: wake the
+                # owners on that side whose largest use exceeds x.
+                side = 0 if x in run.a_entry[0] else 1
+                awake.update(self._by_use[side][bisect_right(self._uses[side], x):])
+        self._woken = s
+        if d_landed:
+            awake.update(self.owners)
+
+    def due_orders(self, s: int) -> list[int]:
+        """Priority orders of the blocks that hold awake owners, ascending."""
+        self._wake(s)
+        value = [assign.value for assign in self.run.assignments]
+        return sorted({priority_order(side, value[side](e)) for side, e in self.awake})
 
     def run_block(self, side: int, i: int, s: int) -> bool:
         acted = False
         for e in self.run.block_members(side, i):
-            acted |= self.run_requirement(self.requirements[(side, e)], i, s)
+            key = (side, e)
+            if key in self.awake:
+                self.awake.discard(key)
+                acted |= self.run_requirement(self.requirements[key], i, s)
         return acted
 
     def run_requirement(self, req: SacksRequirement, i: int, s: int) -> bool:
@@ -108,6 +175,7 @@ class SacksStrategy:
 
     def cancel_requirement(self, side: int, e: int, s: int) -> None:
         self.requirements[(side, e)].reset()
+        self.awake.add((side, e))
 
     def refresh_pass(self, s: int) -> None:
         pass

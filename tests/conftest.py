@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,33 @@ ACCEPTANCE_LINES = []
 
 def record_line(line: str) -> None:
     ACCEPTANCE_LINES.append(line)
+
+
+def dense_sacks_doc(horizon):
+    """The dense-stress shape: horizon/4 table owners with four theta=""
+    axioms each, a B arrival at every odd stage, and anti-delta with an
+    unlimited budget.  Most owners diverge at input 0 and never act, so
+    a dispatch that visits every owning block on every even stage does
+    almost nothing but visit; one owner diagonalizes, so later arrivals
+    are deflected and blocks reassigned."""
+    rng = random.Random(horizon)
+    odd = range(1, horizon + 1, 2)
+    b = [[s, x] for s, x in zip(odd, rng.sample(range(horizon), len(odd)))]
+    functionals = []
+    for n in range(horizon // 4):
+        axioms = [
+            {"theta": "", "x": x, "k": 1, "stage": rng.randint(0, horizon)}
+            for x in rng.sample(range(1, 9), 4)
+        ]
+        functionals.append({"side": n % 2, "e": n // 2, "axioms": axioms})
+    functionals[-2]["axioms"][0] = {"theta": "", "x": 0, "k": 0, "stage": horizon // 3}
+    return {
+        "construction": "sacks",
+        "horizon": horizon,
+        "b": b,
+        "d": {"policy": "anti-delta", "params": {"limit": -1}},
+        "functionals": functionals,
+    }
 
 
 @pytest.fixture

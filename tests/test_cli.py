@@ -183,13 +183,15 @@ _EMPTY_KEY_TRACE = (
         pytest.param(_DEFLECTION_SCENARIO, _EMPTY_KEY_TRACE, "verify", id="empty-key-verify"),
         pytest.param(_DEFLECTION_SCENARIO, _EMPTY_KEY_TRACE, "explain", id="empty-key-explain"),
         pytest.param(b"[" * 200_000 + b"]" * 200_000, None, "run", id="deeply-nested-scenario"),
+        pytest.param(None, None, "fuzz --count 1 --max-horizon 1", id="fuzz-max-horizon-1"),
+        pytest.param(None, None, "fuzz --count 1 --max-horizon -3", id="fuzz-max-horizon-negative"),
     ],
 )
 def test_hostile_input_is_usage_error(tmp_path, capsys, scenario_bytes, trace_bytes, command):
-    scenario = tmp_path / "scenario.json"
-    scenario.write_bytes(scenario_bytes)
-    argv = [command]
-    if command != "explain":
+    argv = command.split()
+    if argv[0] in ("run", "verify"):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_bytes(scenario_bytes)
         argv += ["--scenario", str(scenario)]
     if trace_bytes is not None:
         trace = tmp_path / "run.trace"
@@ -197,6 +199,33 @@ def test_hostile_input_is_usage_error(tmp_path, capsys, scenario_bytes, trace_by
         argv += ["--trace", str(trace)]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["run", "--scenario", SCENARIO, "--trace"], id="run-trace"),
+        pytest.param(["run", "--scenario", SCENARIO, "--report"], id="run-report"),
+        pytest.param(
+            ["verify", "--scenario", SCENARIO, "--trace",
+             str(GOLDEN / "deflection-update-expected.trace"), "--report"],
+            id="verify-report",
+        ),
+        pytest.param(
+            ["fuzz", "--count", "1", "--max-horizon", "16", "--emit-failing"],
+            id="fuzz-emit-failing",
+        ),
+    ],
+)
+def test_unwritable_output_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    if argv[0] == "fuzz":
+        # Every generated scenario passes; fail them so the sweep writes one.
+        monkeypatch.setattr("splitsim.cli.passed", lambda report: False)
+    missing = tmp_path / "no-such-directory" / "out"
+    assert main(argv + [str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write %s" % missing)
+    assert not missing.parent.exists()
 
 
 @pytest.mark.parametrize("golden", ["deflection-update", "forced-diagonalization"])

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +10,10 @@ from splitsim.model import (
     priority_order,
     threatens,
 )
+from splitsim.sacks import SacksStrategy
 from splitsim.scenario import load_scenario
+
+from conftest import dense_sacks_doc
 
 
 def test_priority_order_interleaving():
@@ -143,33 +144,11 @@ def test_single_arrival_routes_to_a0():
     assert state["a0"] == [(1, 5)]
 
 
-def _dense_sacks_doc(horizon):
-    """The dense-stress shape: horizon/4 table owners with four theta=""
-    axioms each, a B arrival at every odd stage, and anti-delta with an
-    unlimited budget.  Most owners diverge at input 0 and never act, so
-    part two visits every owning block on every even stage; one owner
-    diagonalizes, so later arrivals are deflected and blocks reassigned."""
-    rng = random.Random(horizon)
-    odd = range(1, horizon + 1, 2)
-    b = [[s, x] for s, x in zip(odd, rng.sample(range(horizon), len(odd)))]
-    functionals = []
-    for n in range(horizon // 4):
-        axioms = [
-            {"theta": "", "x": x, "k": 1, "stage": rng.randint(0, horizon)}
-            for x in rng.sample(range(1, 9), 4)
-        ]
-        functionals.append({"side": n % 2, "e": n // 2, "axioms": axioms})
-    functionals[-2]["axioms"][0] = {"theta": "", "x": 0, "k": 0, "stage": horizon // 3}
-    return _doc(
-        horizon, b=b, d={"policy": "anti-delta", "params": {"limit": -1}}, functionals=functionals
-    )
-
-
 def test_block_dispatch_reads_the_membership_index(monkeypatch):
     """Block dispatch must not scan the owners: a deterministic count of
     PriorityAssignment.value calls per trace event, not a timing gate.
     A scan per visited block costs hundreds of calls per event here."""
-    sc = load_scenario(_dense_sacks_doc(208))
+    sc = load_scenario(dense_sacks_doc(208))
     calls = 0
     value = PriorityAssignment.value
 
@@ -184,3 +163,23 @@ def test_block_dispatch_reads_the_membership_index(monkeypatch):
     assert {"diagonalize", "initialize", "assignment-update"} <= kinds
     assert any(ev.kind == "assignment-update" and ev.payload["side"] != "none" for ev in events)
     assert calls <= 10 * len(events), (calls, len(events))
+
+
+def test_sacks_dispatch_visits_only_awake_owners(monkeypatch):
+    """Part two runs a Sacks owner only after one of its inputs changed:
+    a deterministic count of requirement visits per trace event, not a
+    timing gate.  Visiting every owner up to the stop order on every even
+    stage costs about 11 visits per event here."""
+    sc = load_scenario(dense_sacks_doc(208))
+    visits = 0
+    run_requirement = SacksStrategy.run_requirement
+
+    def counting_run_requirement(self, req, i, s):
+        nonlocal visits
+        visits += 1
+        return run_requirement(self, req, i, s)
+
+    monkeypatch.setattr(SacksStrategy, "run_requirement", counting_run_requirement)
+    events, _ = run(sc)
+    assert any(ev.kind == "diagonalize" for ev in events)
+    assert visits <= 2 * len(events), (visits, len(events))

@@ -1,11 +1,15 @@
 import json
 from pathlib import Path
 
+from splitsim.engine import Run
+from splitsim.fuzz import generate
 from splitsim.harness import run
 from splitsim.model import Axiom, FunctionalTable, agreement_length
-from splitsim.sacks import is_expansionary
+from splitsim.sacks import SacksStrategy, is_expansionary
 from splitsim.scenario import load_scenario
 from splitsim.trace import render
+
+from conftest import dense_sacks_doc
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -89,3 +93,46 @@ def test_one_shot_definitions_and_reset():
     assert (last.stage, last.payload["x"], last.payload["k"]) == (4, "0", "0")
     inits = [ev.stage for ev in events if ev.kind == "initialize" and ev.payload["block"] == "Q:0"]
     assert max(inits) == 3
+
+
+class WakeEveryOwner(SacksStrategy):
+    """Reference dispatch without wake rules: every owner is due at every stage."""
+
+    def due_orders(self, s):
+        self.awake.update(self.owners)
+        return super().due_orders(s)
+
+
+def test_wake_rules_match_visiting_every_owner():
+    """Skipping the owners whose inputs did not change must not change a byte."""
+    docs = [generate(11, i, "sacks", 512) for i in range(200)]
+    # Both kinds of D entry occur: scheduled lists and anti-delta policies.
+    assert {type(doc["d"]) for doc in docs if doc["d"]} == {list, dict}
+    for doc in docs + [dense_sacks_doc(208)]:
+        sc = load_scenario(doc)
+        reference = Run(sc, WakeEveryOwner(sc.functionals)).execute()
+        assert render(run(sc)[0]) == render(reference), doc
+
+
+def test_arrival_at_the_last_use_position_wakes():
+    # Q:0 reads A1 at position 0 (use 1) and does nothing at stage 2.  P:1
+    # acts at stage 2, so the stage-3 arrival of 0 is deflected into A1;
+    # only blocks from Q:1 on are initialized, so Q:0 stays uncancelled
+    # and must wake for the arrival at the last position of its use.
+    doc = {
+        "construction": "sacks",
+        "horizon": 4,
+        "b": [[3, 0]],
+        "d": [],
+        "functionals": [
+            {"side": 0, "e": 1, "axioms": [{"theta": "", "x": 0, "k": 0, "stage": 0}]},
+            {"side": 1, "e": 0, "axioms": [{"theta": "1", "x": 0, "k": 0, "stage": 0}]},
+        ],
+    }
+    sc = load_scenario(doc)
+    events, _ = run(sc)
+    assert render(events) == render(Run(sc, WakeEveryOwner(sc.functionals)).execute())
+    acts = [(ev.stage, ev.payload["req"]) for ev in events if ev.kind == "act"]
+    assert acts == [(2, "P:1"), (4, "Q:0")]
+    inits = {ev.payload["block"] for ev in events if ev.kind == "initialize"}
+    assert "Q:0" not in inits
