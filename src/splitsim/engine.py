@@ -29,9 +29,11 @@ inputs last changed (its wake rules), the Robinson strategy every owner
 block.
 Requirements that own no functional table can never act, define nothing
 and hold no state, so only blocks holding table owners are ever due.
-Run.owner_orders lists those blocks in priority order; it is read off
-each assignment's membership index (PriorityAssignment.blocks) and
-rebuilt only when part three updates an assignment.
+Run.owner_orders lists those blocks in priority order, and
+Run.order_of_owner sends each owner (side, e) to its block's priority
+order; both are read off each assignment's membership index
+(PriorityAssignment.blocks) and rebuilt only when part three updates an
+assignment.
 
 Block state is the one map model.route reads: Run.restraint sends each
 block that exists, keyed by its address (side, i), to its restraint, -1
@@ -147,9 +149,13 @@ class Run:
         self.emit(event(s, "enumerate", element=x, set="A%d" % side))
 
     def _index_owner_blocks(self) -> None:
-        self.owner_orders = sorted(
-            priority_order(side, i) for side in (0, 1) for i in self.assignments[side].blocks
-        )
+        self.order_of_owner = {
+            (side, e): priority_order(side, i)
+            for side in (0, 1)
+            for i, members in self.assignments[side].blocks.items()
+            for e in members
+        }
+        self.owner_orders = sorted(set(self.order_of_owner.values()))
         # owner_orders[:_passed] are known to exist in restraint.
         self._passed = 0
 

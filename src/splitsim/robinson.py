@@ -254,6 +254,16 @@ class RobinsonStrategy:
             ax.live = False
 
     def refresh_pass(self, s: int) -> None:
+        """Injure the inputs whose certification no longer stands at stage s.
+
+        A stage with no cancellation and no B arrival is quiet: a
+        certified theta held when it was certified, and the A halves
+        change only at arrival stages, so no theta can first break at s.
+        """
+        if self._refresh_flags or s in self.run.b_by_stage:
+            self._rescan(s)
+
+    def _rescan(self, s: int) -> None:
         run = self.run
         hits: list[tuple[int, int, int, str]] = []
         for (side, e, x), st in sorted(self.inputs.items()):

@@ -41,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .model import FunctionalTable, agreement_length, block_label, member, priority_order
+from .model import FunctionalTable, agreement_length, block_label, member
 from .trace import event
 
 
@@ -130,8 +130,8 @@ class SacksStrategy:
     def due_orders(self, s: int) -> list[int]:
         """Priority orders of the blocks that hold awake owners, ascending."""
         self._wake(s)
-        value = [assign.value for assign in self.run.assignments]
-        return sorted({priority_order(side, value[side](e)) for side, e in self.awake})
+        order = self.run.order_of_owner
+        return sorted({order[key] for key in self.awake})
 
     def run_block(self, side: int, i: int, s: int) -> bool:
         acted = False

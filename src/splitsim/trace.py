@@ -9,16 +9,21 @@ trace text.
 
 The grammar is checked where text enters: parse_line is the one place
 outside text becomes events, and it rejects every line that breaks the
-grammar with TraceParseError.  Events the engine builds are not
-re-checked; their payloads are integers, fixed words, block labels and
-bit strings the scenario loader has already validated, and the
-acceptance corpus asserts that every run's trace parses back to its
-events.
+grammar with TraceParseError.  parse runs it once per distinct line tail
+(the text after the first tab) within one call, and on every line it
+rejects; a line that repeats an accepted tail only needs its stage field
+read with parse_int, since nothing else in the grammar depends on it.
+So the stage field is checked on every line and everything else once per
+tail, and parse accepts, rejects and explains exactly as parse_line
+would line by line.  Events the engine builds are not re-checked; their
+payloads are integers, fixed words, block labels and bit strings the
+scenario loader has already validated, and the acceptance corpus asserts
+that every run's trace parses back to its events.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 KINDS = (
     "enumerate",
@@ -40,11 +45,10 @@ class TraceParseError(ValueError):
     """A trace line does not follow the serialized event grammar."""
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     stage: int
     kind: str
-    payload: dict[str, str] = field(default_factory=dict)
+    payload: dict[str, str]
 
     def to_line(self) -> str:
         parts = ["stage=%d" % self.stage, "kind=%s" % self.kind]
@@ -111,4 +115,24 @@ def render(events) -> str:
 
 
 def parse(text: str) -> list[TraceEvent]:
-    return [parse_line(line) for line in text.splitlines() if line]
+    """The events of a trace text; raises TraceParseError at the first bad line."""
+    events = []
+    # Accepted tail -> (kind, payload) of its first line, for this call only.
+    accepted: dict[str, tuple[str, dict[str, str]]] = {}
+    for line in text.splitlines():
+        if not line:
+            continue
+        head, _, tail = line.partition("\t")
+        known = accepted.get(tail)
+        if known is not None and head.startswith("stage="):
+            try:
+                stage = parse_int(head[6:])
+            except ValueError:
+                pass  # parse_line below rejects the stage with its own message
+            else:
+                events.append(TraceEvent(stage, known[0], dict(known[1])))
+                continue
+        ev = parse_line(line)
+        accepted[tail] = ev.kind, ev.payload
+        events.append(ev)
+    return events

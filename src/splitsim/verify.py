@@ -73,15 +73,6 @@ CHECKS = (
 
 WITNESS_CAP = 5
 
-# Stage-parity discipline: arrivals are routed at odd stages, strategies
-# run at even stages; the remaining kinds are legitimate at either.
-_ODD_KINDS = frozenset({"route"})
-_EVEN_KINDS = frozenset(
-    {"restraint-set", "expansionary", "diagonalize", "certify",
-     "refuse-certify", "define-local", "act"}
-)
-
-
 class _Problems:
     """Per-check witness accumulator with a cap and a total count."""
 
@@ -109,6 +100,9 @@ class _StageState:
         self.expected_inits = []  # (target block, route event) from deflections
         self.violations = []      # (block, arrival event) to be forgiven
         self.injuries = []        # (event, containing block or None)
+
+    def busy(self) -> bool:
+        return bool(self.routes or self.expected_inits or self.violations or self.injuries)
 
     def clear(self):
         self.routes.clear()
@@ -169,35 +163,6 @@ def _replay(scenario, events) -> _Context:
     pend = _StageState()
     last_stage = 0
 
-    def close_stage(s: int):
-        inits = ctx.inits_by_stage.get(s, set())
-        for ev, x, to in pend.routes:
-            prob.add("V4", s, "route of %d to %s without its enumeration" % (x, to), ev)
-        for target, ev in pend.expected_inits:
-            if target not in inits:
-                prob.add(
-                    "V4", s, "deflection without initializing %s" % block_label(*target), ev
-                )
-        for blk, ev in pend.violations:
-            if blk not in inits:
-                prob.add(
-                    "V4", s,
-                    "arrival under the restraint of %s without initializing it"
-                    % block_label(*blk),
-                    ev,
-                )
-        for ev, blk in pend.injuries:
-            if ev.payload.get("cause") != "initialized":
-                prob.add("V6", s, "injury without initialization cause", ev)
-            elif blk is None:
-                prob.add("V6", s, "injury names no requirement", ev)
-            elif blk not in inits:
-                prob.add(
-                    "V6", s,
-                    "injury with no same-stage initialization of %s" % block_label(*blk), ev,
-                )
-        pend.clear()
-
     for ev in events:
         s = ev.stage
         if s < last_stage:
@@ -206,17 +171,20 @@ def _replay(scenario, events) -> _Context:
             prob.add("V2", s, "stage outside 0..%d" % ctx.horizon, ev)
             continue
         if s > last_stage:
-            close_stage(last_stage)
+            if pend.busy():
+                _close_stage(ctx, pend, last_stage)
             last_stage = s
-        if ev.kind in _ODD_KINDS and s % 2 == 0:
-            prob.add("V2", s, "%s event at an even stage" % ev.kind, ev)
-        if ev.kind in _EVEN_KINDS and s % 2 == 1:
-            prob.add("V2", s, "%s event at an odd stage" % ev.kind, ev)
+        parity, handler = _HANDLERS.get(ev.kind, (None, None))
+        if parity is not None and s % 2 != parity:
+            prob.add("V2", s, "%s event at an %s stage" % (ev.kind, _PARITY_WORD[s % 2]), ev)
+        if handler is None:
+            continue
         try:
-            _replay_event(ctx, ev, s, pend)
+            handler(ctx, ev, s, pend)
         except (KeyError, ValueError):
             prob.add("V2", s, "malformed %s payload" % ev.kind, ev)
-    close_stage(last_stage)
+    if pend.busy():
+        _close_stage(ctx, pend, last_stage)
 
     for x, t in sorted(ctx.b_entry.items()):
         if x not in ctx.routed:
@@ -231,213 +199,274 @@ def _replay(scenario, events) -> _Context:
     return ctx
 
 
-def _replay_event(ctx, ev, s, pend):
+def _close_stage(ctx, pend, s):
+    """Settle what stage s left pending; the replay calls it only when pend is busy."""
+    prob = ctx.problems
+    inits = ctx.inits_by_stage.get(s, set())
+    for ev, x, to in pend.routes:
+        prob.add("V4", s, "route of %d to %s without its enumeration" % (x, to), ev)
+    for target, ev in pend.expected_inits:
+        if target not in inits:
+            prob.add(
+                "V4", s, "deflection without initializing %s" % block_label(*target), ev
+            )
+    for blk, ev in pend.violations:
+        if blk not in inits:
+            prob.add(
+                "V4", s,
+                "arrival under the restraint of %s without initializing it"
+                % block_label(*blk),
+                ev,
+            )
+    for ev, blk in pend.injuries:
+        if ev.payload.get("cause") != "initialized":
+            prob.add("V6", s, "injury without initialization cause", ev)
+        elif blk is None:
+            prob.add("V6", s, "injury names no requirement", ev)
+        elif blk not in inits:
+            prob.add(
+                "V6", s,
+                "injury with no same-stage initialization of %s" % block_label(*blk), ev,
+            )
+    pend.clear()
+
+
+# Replay handlers, one per event kind; _HANDLERS dispatches to them.  A
+# handler may raise KeyError or ValueError on a malformed payload, which
+# the replay reports as V2.
+
+
+def _on_enumerate(ctx, ev, s, pend):
     prob = ctx.problems
     pay = ev.payload
-    kind = ev.kind
-
-    if kind == "enumerate":
-        target = pay["set"]
-        if target == "W":
-            j = parse_int(pay["j"])
-            sigma = pay["sigma"]
-            if j < 0:
-                prob.add("V2", s, "guessing-set index %d is not a natural" % j, ev)
-                return
-            if s % 2 == 1:
-                prob.add("V2", s, "guessing-set enumeration at an odd stage", ev)
-            if ctx.scenario.construction != "robinson":
-                prob.add("V2", s, "guessing-set enumeration in a plain-construction trace", ev)
-            if (j, sigma) in ctx.w_seen:
-                prob.add("V2", s, "string enumerated twice into W_%d" % j, ev)
-            ctx.w_seen.add((j, sigma))
-            prior = ctx.w_sets.setdefault(j, [])
-            if cone_truth(prior, ctx.c_entry, s):
-                prob.add("V7", s, "enumeration into W_%d while C already lies in a cone" % j, ev)
-            prior.append((s, sigma))
+    target = pay["set"]
+    if target == "W":
+        j = parse_int(pay["j"])
+        sigma = pay["sigma"]
+        if j < 0:
+            prob.add("V2", s, "guessing-set index %d is not a natural" % j, ev)
             return
-        x = parse_int(pay["element"])
-        if target == "D":
-            if s % 2 == 0:
-                prob.add("V2", s, "policy enumeration into D at an even stage", ev)
-            if x in ctx.d_entry:
-                prob.add("V2", s, "element %d enumerated into D twice" % x, ev)
-            else:
-                ctx.d_entry[x] = s
-            return
-        if target not in ("A0", "A1"):
-            prob.add("V2", s, "unknown enumeration target %r" % (target,), ev)
-            return
-        side = int(target[1])
+        if s % 2 == 1:
+            prob.add("V2", s, "guessing-set enumeration at an odd stage", ev)
+        if ctx.scenario.construction != "robinson":
+            prob.add("V2", s, "guessing-set enumeration in a plain-construction trace", ev)
+        if (j, sigma) in ctx.w_seen:
+            prob.add("V2", s, "string enumerated twice into W_%d" % j, ev)
+        ctx.w_seen.add((j, sigma))
+        prior = ctx.w_sets.setdefault(j, [])
+        if cone_truth(prior, ctx.c_entry, s):
+            prob.add("V7", s, "enumeration into W_%d while C already lies in a cone" % j, ev)
+        prior.append((s, sigma))
+        return
+    x = parse_int(pay["element"])
+    if target == "D":
         if s % 2 == 0:
-            prob.add("V2", s, "arrival routed at an even stage", ev)
-        if x in ctx.routed:
-            prob.add("V1", s, "element %d enters a half twice" % x, ev)
-            return
-        if ctx.b_entry.get(x) != s:
-            prob.add("V1", s, "element %d is no stage-%d arrival of B" % (x, s), ev)
-        matched = None
-        for idx, (_, rx, rto) in enumerate(pend.routes):
-            if rx == x and rto == target:
-                matched = idx
-                break
-        if matched is None:
-            prob.add("V4", s, "arrival enumerated without a matching route", ev)
+            prob.add("V2", s, "policy enumeration into D at an even stage", ev)
+        if x in ctx.d_entry:
+            prob.add("V2", s, "element %d enumerated into D twice" % x, ev)
         else:
-            pend.routes.pop(matched)
-        ctx.routed[x] = (side, s)
-        ctx.a_entry[side][x] = s
-        for blk, r in ctx.restraint.items():
-            if blk[0] == side and threatens(x, r):
-                pend.violations.append((blk, ev))
+            ctx.d_entry[x] = s
         return
-
-    if kind == "route":
-        x = parse_int(pay["x"])
-        to = pay["to"]
-        threatened, half, init = route(x, ctx.restraint)
-        want_label = "-" if threatened is None else block_label(*threatened)
-        if pay.get("threatened", "-") != want_label:
-            prob.add("V4", s, "route names the wrong threatened block (%s)" % want_label, ev)
-        if init is not None:
-            pend.expected_inits.append((init, ev))
-        want_to = "A%d" % half
-        if to != want_to:
-            prob.add("V4", s, "route sends the arrival to %s instead of %s" % (to, want_to), ev)
-        pend.routes.append((ev, x, to))
+    if target not in ("A0", "A1"):
+        prob.add("V2", s, "unknown enumeration target %r" % (target,), ev)
         return
-
-    if kind == "restraint-set":
-        blk = parse_label(pay["block"])
-        value = parse_int(pay["value"])
-        if blk is None:
-            prob.add("V2", s, "restraint names no block", ev)
-            return
-        ctx.restraint[blk] = value
-        ctx.max_restraint[blk] = max(ctx.max_restraint.get(blk, -1), value)
+    side = int(target[1])
+    if s % 2 == 0:
+        prob.add("V2", s, "arrival routed at an even stage", ev)
+    if x in ctx.routed:
+        prob.add("V1", s, "element %d enters a half twice" % x, ev)
         return
+    if ctx.b_entry.get(x) != s:
+        prob.add("V1", s, "element %d is no stage-%d arrival of B" % (x, s), ev)
+    matched = None
+    for idx, (_, rx, rto) in enumerate(pend.routes):
+        if rx == x and rto == target:
+            matched = idx
+            break
+    if matched is None:
+        prob.add("V4", s, "arrival enumerated without a matching route", ev)
+    else:
+        pend.routes.pop(matched)
+    ctx.routed[x] = (side, s)
+    ctx.a_entry[side][x] = s
+    for blk, r in ctx.restraint.items():
+        if blk[0] == side and threatens(x, r):
+            pend.violations.append((blk, ev))
 
-    if kind == "initialize":
-        blk = parse_label(pay["block"])
-        initiator = parse_label(pay.get("initiator", pay["block"]))
-        if blk is None or initiator is None:
-            prob.add("V2", s, "initialization names no block", ev)
-            return
-        side, i = blk
-        ctx.restraint[blk] = -1
-        ctx.last_initialized[blk] = s
-        ctx.inits_by_stage.setdefault(s, set()).add(blk)
-        ctx.initiators_by_stage.setdefault(s, set()).add(initiator)
-        gone = {(side, e) for e in ctx.assignments[side].members(i)}
-        for key in gone:
-            ctx.cancels.setdefault(key, []).append(s)
-        if gone:
-            ctx.defined_k = {
-                key: v for key, v in ctx.defined_k.items() if key[0] not in gone
-            }
+
+def _on_route(ctx, ev, s, pend):
+    prob = ctx.problems
+    pay = ev.payload
+    x = parse_int(pay["x"])
+    to = pay["to"]
+    threatened, half, init = route(x, ctx.restraint)
+    want_label = "-" if threatened is None else block_label(*threatened)
+    if pay.get("threatened", "-") != want_label:
+        prob.add("V4", s, "route names the wrong threatened block (%s)" % want_label, ev)
+    if init is not None:
+        pend.expected_inits.append((init, ev))
+    want_to = "A%d" % half
+    if to != want_to:
+        prob.add("V4", s, "route sends the arrival to %s instead of %s" % (to, want_to), ev)
+    pend.routes.append((ev, x, to))
+
+
+def _on_restraint_set(ctx, ev, s, pend):
+    pay = ev.payload
+    blk = parse_label(pay["block"])
+    value = parse_int(pay["value"])
+    if blk is None:
+        ctx.problems.add("V2", s, "restraint names no block", ev)
         return
+    ctx.restraint[blk] = value
+    ctx.max_restraint[blk] = max(ctx.max_restraint.get(blk, -1), value)
 
-    if kind == "define-local":
-        req = parse_label(pay["req"])
-        if req is None:
-            prob.add("V2", s, "definition names no requirement", ev)
-            return
-        x = parse_int(pay["x"])
-        k = parse_int(pay["k"])
-        if "theta" in pay:
-            ctx.definitions.append(
-                {"req": req, "x": x, "k": k, "theta": pay["theta"],
-                 "sigma": pay["sigma"], "stage": s, "ev": ev}
+
+def _on_initialize(ctx, ev, s, pend):
+    pay = ev.payload
+    blk = parse_label(pay["block"])
+    initiator = parse_label(pay.get("initiator", pay["block"]))
+    if blk is None or initiator is None:
+        ctx.problems.add("V2", s, "initialization names no block", ev)
+        return
+    side, i = blk
+    ctx.restraint[blk] = -1
+    ctx.last_initialized[blk] = s
+    ctx.inits_by_stage.setdefault(s, set()).add(blk)
+    ctx.initiators_by_stage.setdefault(s, set()).add(initiator)
+    gone = {(side, e) for e in ctx.assignments[side].members(i)}
+    for key in gone:
+        ctx.cancels.setdefault(key, []).append(s)
+    if gone:
+        ctx.defined_k = {
+            key: v for key, v in ctx.defined_k.items() if key[0] not in gone
+        }
+
+
+def _on_define_local(ctx, ev, s, pend):
+    pay = ev.payload
+    req = parse_label(pay["req"])
+    if req is None:
+        ctx.problems.add("V2", s, "definition names no requirement", ev)
+        return
+    x = parse_int(pay["x"])
+    k = parse_int(pay["k"])
+    if "theta" in pay:
+        ctx.definitions.append(
+            {"req": req, "x": x, "k": k, "theta": pay["theta"],
+             "sigma": pay["sigma"], "stage": s, "ev": ev}
+        )
+    else:
+        ctx.defined_k[(req, x)] = (k, s)
+
+
+def _on_diagonalize(ctx, ev, s, pend):
+    req = parse_label(ev.payload["req"])
+    if req is None:
+        ctx.problems.add("V2", s, "diagonalization names no requirement", ev)
+        return
+    ctx.diags.append({"req": req, "x": parse_int(ev.payload["x"]), "stage": s, "ev": ev})
+
+
+def _on_expansionary(ctx, ev, s, pend):
+    req = parse_label(ev.payload["req"])
+    if req is None:
+        ctx.problems.add("V2", s, "expansionary event names no requirement", ev)
+        return
+    ctx.expansionary.append(
+        {"req": req, "ell": parse_int(ev.payload["ell"]), "stage": s, "ev": ev}
+    )
+
+
+def _on_act(ctx, ev, s, pend):
+    label = ev.payload.get("req", "?")
+    ctx.action_counts[label] = ctx.action_counts.get(label, 0) + 1
+
+
+def _on_certify(ctx, ev, s, pend):
+    ctx.cert_events.append(ev)
+
+
+def _on_refuse_certify(ctx, ev, s, pend):
+    ctx.refuse_events.append(ev)
+    if ev.payload.get("result") == "pending":
+        ctx.pending_count += 1
+
+
+def _on_injury(ctx, ev, s, pend):
+    req = parse_label(ev.payload.get("req", ""))
+    blk = None
+    if req is not None:
+        blk = req[0], ctx.assignments[req[0]].value(req[1])
+        ctx.injuries_per_block[blk] = ctx.injuries_per_block.get(blk, 0) + 1
+    pend.injuries.append((ev, blk))
+    ctx.injuries.append(ev)
+
+
+def _on_assignment_update(ctx, ev, s, pend):
+    ctx.updates_per_stage[s] = ctx.updates_per_stage.get(s, 0) + 1
+    pay = ev.payload
+    side_label = pay["side"]
+    if side_label == "none":
+        ctx.none_update_stages.append(s)
+        return
+    prob = ctx.problems
+    side = SIDE_LABEL.index(side_label)
+    i = parse_int(pay["i"])
+    m = parse_int(pay["tail"])
+    if not ctx.inits_by_stage.get(s):
+        prob.add("V11", s, "update without any initialization this stage", ev)
+    else:
+        strongest = min(ctx.initiators_by_stage[s], key=lambda b: priority_order(*b))
+        if strongest != (side, i):
+            prob.add(
+                "V11", s,
+                "update target %s is not the strongest initiator %s"
+                % (block_label(side, i), block_label(*strongest)),
+                ev,
             )
-        else:
-            ctx.defined_k[(req, x)] = (k, s)
-        return
+    assign = ctx.assignments[side]
+    want_m = assign.tail(i)
+    if want_m is None:
+        prob.add("V11", s, "update targets a block with an empty preimage", ev)
+    elif want_m != m:
+        prob.add("V11", s, "update tail %d differs from the true tail %d" % (m, want_m), ev)
+    if m > s:
+        prob.add("V11", s, "update tail %d exceeds the stage" % m, ev)
+        m = s
+    elif m < 0:
+        prob.add("V11", s, "update tail %d is negative" % m, ev)
+        m = 0
+    # Past both prefixes both maps have unit slope, so a rise shows
+    # up within the longer prefix; the new one ends at s.
+    before = assign.snapshot_values(max(len(assign.prefix) - 1, s))
+    assign.update(s, i, m)
+    for e, (was, now) in enumerate(zip(before, assign.snapshot_values(len(before) - 1))):
+        if now > was:
+            prob.add(
+                "V3", s, "assignment of index %d rose from %d to %d" % (e, was, now), ev
+            )
+            break
+    ctx.last_change[side] = s
 
-    if kind == "diagonalize":
-        req = parse_label(pay["req"])
-        if req is None:
-            prob.add("V2", s, "diagonalization names no requirement", ev)
-            return
-        ctx.diags.append({"req": req, "x": parse_int(pay["x"]), "stage": s, "ev": ev})
-        return
 
-    if kind == "expansionary":
-        req = parse_label(pay["req"])
-        if req is None:
-            prob.add("V2", s, "expansionary event names no requirement", ev)
-            return
-        ctx.expansionary.append({"req": req, "ell": parse_int(pay["ell"]), "stage": s, "ev": ev})
-        return
-
-    if kind == "act":
-        label = pay.get("req", "?")
-        ctx.action_counts[label] = ctx.action_counts.get(label, 0) + 1
-        return
-
-    if kind == "certify":
-        ctx.cert_events.append(ev)
-        return
-
-    if kind == "refuse-certify":
-        ctx.refuse_events.append(ev)
-        if pay.get("result") == "pending":
-            ctx.pending_count += 1
-        return
-
-    if kind == "injury":
-        req = parse_label(pay.get("req", ""))
-        blk = None
-        if req is not None:
-            blk = req[0], ctx.assignments[req[0]].value(req[1])
-            ctx.injuries_per_block[blk] = ctx.injuries_per_block.get(blk, 0) + 1
-        pend.injuries.append((ev, blk))
-        ctx.injuries.append(ev)
-        return
-
-    if kind == "assignment-update":
-        ctx.updates_per_stage[s] = ctx.updates_per_stage.get(s, 0) + 1
-        side_label = pay["side"]
-        if side_label == "none":
-            ctx.none_update_stages.append(s)
-            return
-        side = SIDE_LABEL.index(side_label)
-        i = parse_int(pay["i"])
-        m = parse_int(pay["tail"])
-        if not ctx.inits_by_stage.get(s):
-            prob.add("V11", s, "update without any initialization this stage", ev)
-        else:
-            strongest = min(ctx.initiators_by_stage[s], key=lambda b: priority_order(*b))
-            if strongest != (side, i):
-                prob.add(
-                    "V11", s,
-                    "update target %s is not the strongest initiator %s"
-                    % (block_label(side, i), block_label(*strongest)),
-                    ev,
-                )
-        assign = ctx.assignments[side]
-        want_m = assign.tail(i)
-        if want_m is None:
-            prob.add("V11", s, "update targets a block with an empty preimage", ev)
-        elif want_m != m:
-            prob.add("V11", s, "update tail %d differs from the true tail %d" % (m, want_m), ev)
-        if m > s:
-            prob.add("V11", s, "update tail %d exceeds the stage" % m, ev)
-            m = s
-        elif m < 0:
-            prob.add("V11", s, "update tail %d is negative" % m, ev)
-            m = 0
-        # Past both prefixes both maps have unit slope, so a rise shows
-        # up within the longer prefix; the new one ends at s.
-        before = assign.snapshot_values(max(len(assign.prefix) - 1, s))
-        assign.update(s, i, m)
-        for e, (was, now) in enumerate(zip(before, assign.snapshot_values(len(before) - 1))):
-            if now > was:
-                prob.add(
-                    "V3", s, "assignment of index %d rose from %d to %d" % (e, was, now), ev
-                )
-                break
-        ctx.last_change[side] = s
-        return
+# Kind -> (stage parity it is legitimate at, or None for either; handler).
+# Arrivals are routed at odd stages and strategies run at even stages.
+_HANDLERS = {
+    "enumerate": (None, _on_enumerate),
+    "route": (1, _on_route),
+    "initialize": (None, _on_initialize),
+    "act": (0, _on_act),
+    "expansionary": (0, _on_expansionary),
+    "diagonalize": (0, _on_diagonalize),
+    "certify": (0, _on_certify),
+    "refuse-certify": (0, _on_refuse_certify),
+    "define-local": (0, _on_define_local),
+    "restraint-set": (0, _on_restraint_set),
+    "assignment-update": (None, _on_assignment_update),
+    "injury": (None, _on_injury),
+}
+_PARITY_WORD = ("even", "odd")
 
 
 def _check_v5(ctx):

@@ -1,6 +1,7 @@
 import pytest
 
 from splitsim.engine import Run
+from splitsim.fuzz import generate
 from splitsim.harness import build_strategy, run
 from splitsim.model import (
     TablePolicy,
@@ -10,7 +11,9 @@ from splitsim.model import (
     cone_truth,
     string_lifetime,
 )
+from splitsim.robinson import RobinsonStrategy
 from splitsim.scenario import load_scenario
+from splitsim.trace import render
 from splitsim.verify import verify
 
 
@@ -185,3 +188,29 @@ def test_initialization_injury_is_attributed():
     ]
     assert not state["unsettled"]
     assert verify(load_scenario(doc), events)["checks"]["V8"]["status"] == "pass"
+
+
+class RescanEveryStage(RobinsonStrategy):
+    """Reference refresh pass: every certified theta is re-tested at every stage."""
+
+    def refresh_pass(self, s):
+        self._rescan(s)
+
+
+def test_quiet_stages_skip_the_refresh_scan():
+    """Skipping stages with no cancellation and no B arrival must not change a byte.
+
+    Every injury in these runs comes from a cancellation: none loses a
+    certified theta to an arrival, so the comparison holds the
+    cancellation half of the gate, and refresh_pass's argument the other.
+    """
+    docs = [generate(11, i, "robinson", 512) for i in range(200)]
+    assert sum(doc["b"] != [] for doc in docs) > 100
+    injured = 0
+    for doc in docs:
+        sc = load_scenario(doc)
+        events, _ = run(sc)
+        reference = Run(sc, RescanEveryStage(sc.functionals, build_policy(sc))).execute()
+        assert render(events) == render(reference), doc
+        injured += any(ev.kind == "injury" for ev in events)
+    assert injured > 0

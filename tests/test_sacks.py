@@ -4,7 +4,7 @@ from pathlib import Path
 from splitsim.engine import Run
 from splitsim.fuzz import generate
 from splitsim.harness import run
-from splitsim.model import Axiom, FunctionalTable, agreement_length
+from splitsim.model import Axiom, FunctionalTable, PriorityAssignment, agreement_length
 from splitsim.sacks import SacksStrategy, is_expansionary
 from splitsim.scenario import load_scenario
 from splitsim.trace import render
@@ -136,3 +136,25 @@ def test_arrival_at_the_last_use_position_wakes():
     assert acts == [(2, "P:1"), (4, "Q:0")]
     inits = {ev.payload["block"] for ev in events if ev.kind == "initialize"}
     assert "Q:0" not in inits
+
+
+def test_due_orders_read_the_owner_index(monkeypatch):
+    """Due blocks come from Run.order_of_owner, rebuilt only when an
+    assignment updates, not from PriorityAssignment.value per awake owner
+    per even stage: a deterministic count of value calls, not a timing
+    gate.  Mapping every awake owner made 1,628 calls on this run; what
+    is left (964) is the stop order, two per even stage, and one per owner
+    of the updated side at each membership index rebuild."""
+    sc = load_scenario(dense_sacks_doc(208))
+    calls = 0
+    value = PriorityAssignment.value
+
+    def counting_value(self, e):
+        nonlocal calls
+        calls += 1
+        return value(self, e)
+
+    monkeypatch.setattr(PriorityAssignment, "value", counting_value)
+    events, _ = run(sc)
+    assert len(events) == 450
+    assert calls <= 1000, calls

@@ -3,6 +3,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from splitsim import trace
+from splitsim.fuzz import generate
+from splitsim.harness import run
+from splitsim.scenario import load_scenario
 from splitsim.trace import (
     KINDS,
     TraceEvent,
@@ -102,3 +106,124 @@ def test_non_canonical_stage_is_a_parse_error(golden, stage):
     assert forged != text
     with pytest.raises(TraceParseError, match="bad stage"):
         parse(forged)
+
+
+def _parse_line_by_line(lines):
+    """What parse must return for these lines, or the error it must raise."""
+    events = []
+    for line in lines:
+        try:
+            events.append(parse_line(line))
+        except TraceParseError as err:
+            return str(err)
+    return events
+
+
+def _assert_parse_agrees(lines):
+    want = _parse_line_by_line(lines)
+    text = "".join(line + "\n" for line in lines)
+    if isinstance(want, str):
+        with pytest.raises(TraceParseError) as caught:
+            parse(text)
+        assert str(caught.value) == want
+    else:
+        got = parse(text)
+        assert got == want
+        # Every event owns its payload, repeated tail or not.
+        assert len({id(ev.payload) for ev in got}) == len(got)
+
+
+_HEADS = st.sampled_from(
+    ["stage=0", "stage=3", "stage=12", "stage=-1", "stage=+3", "stage=03", "stage=٣",
+     "stage=", "stage", "stag=3", "stage:3", "stagX=3", "kind=act"]
+)
+_TAILS = st.sampled_from(
+    [
+        "kind=assignment-update\tside=none",
+        "kind=act\treq=P:0\tvia=certified",
+        "kind=route\tthreatened=-\tto=A0\tx=5",
+        "kind=enumerate\telement=4\tset=A1",
+        "kind=act\tvia=certified\treq=P:0",  # keys out of order
+        "kind=act\treq=P:0\treq=P:1",  # duplicate key
+        "kind=assignment-update\t=x\tside=none",  # empty key
+        "kind=teleport\tx=1",  # unknown kind
+        "kind=act\tnoequals",
+        "notkind=act",
+        "kind=act",
+        "",
+    ]
+)
+
+
+@given(st.lists(st.tuples(_HEADS, _TAILS), max_size=12))
+def test_memoized_parse_agrees_with_parse_line(pairs):
+    """Lines drawn from a small pool of tails repeat them, so parse's
+    per-tail memo is exercised against the line-by-line grammar."""
+    _assert_parse_agrees([head + ("\t" + tail if tail else "") for head, tail in pairs])
+
+
+def _corpus_robinson_lines():
+    sc = load_scenario(generate(2026, 478, "robinson", 1024))
+    return render(run(sc)[0]).splitlines()
+
+
+def _later_repeat(lines, kind):
+    """Index of a line of the kind whose tail already occurred earlier."""
+    seen = set()
+    for n, line in enumerate(lines):
+        tail = line.partition("\t")[2]
+        if tail in seen and "\tkind=%s" % kind in "\t" + tail:
+            return n
+        seen.add(tail)
+    raise AssertionError("no repeated %s tail" % kind)
+
+
+def _mutations(lines):
+    beat = _later_repeat(lines, "assignment-update")
+    init = _later_repeat(lines, "initialize")
+    head, tail = lines[beat].split("\t", 1)
+    stage = head[len("stage="):]
+    for bad in ("٣" * len(stage), "+" + stage, "0" + stage, " " + stage, stage + "x"):
+        yield beat, "stage=%s\t%s" % (bad, tail)
+    fields = lines[init].split("\t")
+    yield init, "\t".join(fields[:2] + ["=x"] + fields[2:])
+    yield init, "\t".join(fields[:2] + fields[2:][::-1])
+    yield init, "\t".join(fields + [fields[-1]])
+    yield init, "\t".join(fields[:1] + ["kind=teleport"] + fields[2:])
+    yield beat, head
+    yield beat, "stage:%s\t%s" % (stage, tail)
+    yield beat, "Stage=%s\t%s" % (stage, tail)
+
+
+def _rejection(line):
+    with pytest.raises(TraceParseError) as caught:
+        parse_line(line)
+    return caught.value
+
+
+def test_memoized_parse_agrees_on_mutated_corpus_traces():
+    lines = _corpus_robinson_lines()
+    _assert_parse_agrees(lines)
+    for at, forged in _mutations(lines):
+        mutated = lines[:at] + [forged] + lines[at + 1:]
+        assert _parse_line_by_line(mutated) == str(_rejection(forged))
+        _assert_parse_agrees(mutated)
+
+
+def test_parse_checks_each_distinct_tail_once(monkeypatch):
+    """A count, not a timing: the full grammar walk runs once per distinct
+    line tail, while every line still has its stage read."""
+    lines = _corpus_robinson_lines()
+    tails = {line.partition("\t")[2] for line in lines}
+    calls = 0
+    full = trace.parse_line
+
+    def counting_parse_line(line):
+        nonlocal calls
+        calls += 1
+        return full(line)
+
+    monkeypatch.setattr(trace, "parse_line", counting_parse_line)
+    events = parse("".join(line + "\n" for line in lines))
+    assert [ev.to_line() for ev in events] == lines
+    assert calls <= len(tails) < len(lines) / 4, (calls, len(tails), len(lines))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from splitsim import omegace
+from splitsim import verify as verify_mod
 from splitsim.corrupt import CorruptionError, corrupt
 from splitsim.fuzz import generate
 from splitsim.harness import run
@@ -229,3 +230,24 @@ def test_v10_builds_the_change_set_once(control_materials, monkeypatch):
     v10 = verify(sc, corrupt("V8", sc, events))["checks"]["V10"]
     assert v10["status"] == "fail"
     assert "no bounded approximation" in v10["witnesses"][0]["note"]
+
+
+def test_replay_settles_only_busy_stages(monkeypatch):
+    """The end-of-stage checks run only where a stage left work pending:
+    a deterministic count of _close_stage calls, not a timing gate.
+    Only a route (a deflection or an arrival under restraint) or an
+    injury leaves work pending, so quiet heartbeat stages cost nothing."""
+    sc = load_scenario(generate(2026, 478, "robinson", 1024))
+    events, final = run(sc)
+    closed = []
+    close = verify_mod._close_stage
+
+    def counting_close(ctx, pend, s):
+        closed.append(s)
+        return close(ctx, pend, s)
+
+    monkeypatch.setattr(verify_mod, "_close_stage", counting_close)
+    assert passed(verify(sc, events, final))
+    busy = {ev.stage for ev in events if ev.kind in ("route", "injury")}
+    assert closed and set(closed) <= busy, (closed, busy)
+    assert len(closed) == len(set(closed)) < (sc.horizon + 1) / 10
