@@ -46,6 +46,7 @@ leaves the map.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import OrderedDict
 
 from .model import (
     SIDE_LABEL,
@@ -83,7 +84,8 @@ class Run:
         self.pending_scans = 0
         self.unsettled = False
         self._init_target: tuple[int, int, int] | None = None
-        self._pending_d: list[int] = []
+        # Anti-delta's queue of D enumerations, oldest first.
+        self._pending_d: OrderedDict[int, None] = OrderedDict()
         self._d_budget = scenario.d_policy_limit if scenario.d_policy else 0
         strategy.bind(self)
 
@@ -91,16 +93,22 @@ class Run:
 
     def emit(self, ev: TraceEvent) -> None:
         self.events.append(ev)
+
+    def define_local(self, s: int, x: int, k: int, **payload) -> None:
+        """Record a strategy's local value k at input x.
+
+        The anti-delta policy queues x for D whenever the value is 0.
+        Arrivals beyond the horizon could never be scheduled, so the
+        policy leaves such definitions alone.
+        """
+        self.emit(event(s, "define-local", k=k, x=x, **payload))
         if (
-            self.scenario.d_policy == "anti-delta"
-            and ev.kind == "define-local"
-            and ev.payload.get("k") == "0"
+            k == 0
+            and self.scenario.d_policy == "anti-delta"
+            and x < self.horizon
+            and x not in self.d_entry
         ):
-            x = int(ev.payload["x"])
-            # Arrivals beyond the horizon could never be scheduled, so the
-            # policy leaves such definitions alone.
-            if x < self.horizon and x not in self.d_entry and x not in self._pending_d:
-                self._pending_d.append(x)
+            self._pending_d[x] = None
 
     def set_restraint(self, side: int, i: int, s: int) -> None:
         if self.restraint[(side, i)] == s:
@@ -123,9 +131,7 @@ class Run:
 
     def _policy_enumerations(self, s: int) -> None:
         while self._pending_d and self._d_budget != 0:
-            x = self._pending_d.pop(0)
-            if x in self.d_entry:
-                continue
+            x, _ = self._pending_d.popitem(last=False)
             self.d_entry[x] = s
             if self._d_budget > 0:
                 self._d_budget -= 1

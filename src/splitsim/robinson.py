@@ -11,17 +11,35 @@ cone of sigma (refusal) or the external approximation p answers 1 for j
 pre-specified C schedule and p policy, both oblivious to the run, so a
 run remains a pure function of its scenario.
 
-Indices are never reused.  Whenever a certified computation loses its
-half-side oracle string, or the owning requirement is initialized, the
-input's certified set is cleared, its refusal memos are dropped, and a
-fresh index is issued on next use; the old guessing set stays behind for
-the verifier.  A refusal memo suppresses re-certification of a string
-whose future cone exit is already known.
+Each input keeps one record (InputState): its guessing index, its
+refusal memos and its local definition (k, death).  death is the stage
+at which C leaves sigma's cone (None: never), so the definition is live
+at stage s iff death is None or s < death, and it dies with its
+requirement on initialization.  A refusal memo suppresses
+re-certification of a string whose future cone exit is already known.
 
-Certified definitions carry the axiom (theta, sigma, x, k): theta keeps
-the half-side string protected by the block restraint, sigma makes the
-local value C-relative, so the definition dies by itself once C leaves
-sigma's cone, and dies with its requirement on initialization.
+Injury has one cause, initialization.  When a requirement is cancelled,
+every input of it that holds a guessing index is injured: its index,
+memos and definition are dropped and a fresh index is issued on next
+use; the old guessing set stays behind for the verifier.  A certified
+theta never has to be re-tested against its half:
+
+  * certify succeeds for input x of owner (side, e) in block (side, i)
+    only at a stage s > use, and the same pass sets restraint(side, i)
+    to s;
+  * that restraint is cleared only by an initialization of (side, i),
+    which cancels e (e cannot leave block i without one: part three
+    pulls indices down only onto a freshly initialized block of the
+    same side, and that initialization reached (side, i) too);
+  * while the restraint stands, a B arrival x' < use threatens
+    (side, i).  If the strongest threatened block is on side, x' is
+    deflected into the other half.  Otherwise a stronger block on the
+    other side is threatened; x' lands in this half and initializes a
+    block whose order is at most order(side, i), which cancels e at the
+    same stage, and refresh_pass sees the cancellation first.
+
+So a certified theta leaves its half only at a stage where its owner is
+cancelled, and refresh_pass injures exactly the cancelled owners' inputs.
 """
 
 from __future__ import annotations
@@ -34,7 +52,6 @@ from .model import (
     FunctionalTable,
     applicable_axiom,
     block_label,
-    cone_holds,
     cone_truth,
     member,
     string_lifetime,
@@ -43,28 +60,25 @@ from .trace import event
 
 
 @dataclass
-class OracleAxiom:
-    """One live-or-dead local definition relative to C."""
-
-    sigma: str
-    x: int
-    k: int
-    live: bool = True
-
-
-@dataclass
 class InputState:
-    """Certification bookkeeping for one (requirement, input) pair."""
+    """Certification and local definition of one (requirement, input) pair."""
 
     epoch: int = 0
     j: int | None = None
-    certified: list[Axiom] = field(default_factory=list)
     refusal_memo: dict[str, int] = field(default_factory=dict)
+    local: tuple[int, int | None] | None = None  # (k, death)
+
+    def live_value(self, s: int) -> int | None:
+        """The local value defined at this input if it is live at stage s."""
+        if self.local is None:
+            return None
+        k, death = self.local
+        return k if death is None or s < death else None
 
     def refresh(self) -> None:
         self.epoch += 1
         self.j = None
-        self.certified.clear()
+        self.local = None
         self.refusal_memo.clear()
 
 
@@ -91,33 +105,11 @@ class RobinsonStrategy:
         self.policy = policy
         self.registry = GuessingRegistry()
         self.inputs: dict[tuple[int, int, int], InputState] = {}
-        self.local_axioms: dict[tuple[int, int], list[OracleAxiom]] = {
-            key: [] for key in self.owners
-        }
         self._refresh_flags: set[tuple[int, int]] = set()
         self.run = None
 
     def bind(self, run) -> None:
         self.run = run
-
-    # -- local functionals --------------------------------------------------
-
-    def live_axiom(self, side: int, e: int, x: int, s: int) -> OracleAxiom | None:
-        """The current C-valid definition at x, expiring dead ones lazily."""
-        c_entry = self.run.c_entry
-        found = None
-        for ax in self.local_axioms[(side, e)]:
-            if ax.x != x or not ax.live:
-                continue
-            if not cone_holds(ax.sigma, c_entry, s):
-                ax.live = False
-                continue
-            if found is not None:
-                raise ConstructionInvariantError(
-                    "two live definitions at input %d of %s" % (x, block_label(side, e))
-                )
-            found = ax
-        return found
 
     def input_state(self, side: int, e: int, x: int) -> InputState:
         key = (side, e, x)
@@ -131,6 +123,7 @@ class RobinsonStrategy:
     def certify(self, side: int, e: int, x: int, axiom: Axiom, s: int) -> bool:
         """Run the certification procedure; True iff the axiom is certified.
 
+        A certified axiom becomes the input's local definition (k, death).
         False covers both refusal and a scan still pending at the horizon;
         a pending scan flags the whole run as unsettled.
         """
@@ -173,7 +166,7 @@ class RobinsonStrategy:
             st.refusal_memo[axiom.sigma] = t_exit
             emit_scan("refuse-certify", resolved=t_exit, result="refused")
             return False
-        st.certified.append(axiom)
+        st.local = (axiom.k, death)
         emit_scan("certify", resolved=t_hit)
         return True
 
@@ -216,9 +209,10 @@ class RobinsonStrategy:
         d_now = member(run.d_entry, x, s)
         if got is None or got.k != d_now:
             return "nocomp"
-        live = self.live_axiom(side, e, x, s)
+        st = self.inputs.get((side, e, x))
+        live = None if st is None else st.live_value(s)
         if live is not None:
-            if live.k != d_now:
+            if live != d_now:
                 raise ConstructionInvariantError(
                     "live definition at %s input %d contradicts D"
                     % (block_label(side, e), x)
@@ -228,18 +222,7 @@ class RobinsonStrategy:
             return "nocomp"
         if not self.certify(side, e, x, got, s):
             return "refused"
-        self.local_axioms[(side, e)].append(OracleAxiom(got.sigma, x, got.k))
-        run.emit(
-            event(
-                s,
-                "define-local",
-                k=got.k,
-                req=block_label(side, e),
-                sigma=got.sigma,
-                theta=got.theta,
-                x=x,
-            )
-        )
+        run.define_local(s, x, got.k, req=block_label(side, e), sigma=got.sigma, theta=got.theta)
         run.set_restraint(side, i, s)
         run.emit(
             event(s, "act", block=block_label(side, i), req=block_label(side, e), via="certified")
@@ -250,37 +233,29 @@ class RobinsonStrategy:
 
     def cancel_requirement(self, side: int, e: int, s: int) -> None:
         self._refresh_flags.add((side, e))
-        for ax in self.local_axioms[(side, e)]:
-            ax.live = False
 
     def refresh_pass(self, s: int) -> None:
-        """Injure the inputs whose certification no longer stands at stage s.
+        """Settle the inputs of the requirements cancelled at stage s.
 
-        A stage with no cancellation and no B arrival is quiet: a
-        certified theta held when it was certified, and the A halves
-        change only at arrival stages, so no theta can first break at s.
+        An input holding a guessing index is injured, the others are
+        refreshed.  Cancellation is the only cause of injury (see the
+        module docstring), so a stage without one does nothing.  Local
+        definitions of a cancelled requirement die here rather than at
+        the cancellation, safely: no requirement runs between a
+        cancellation and the end of its stage.
         """
-        if self._refresh_flags or s in self.run.b_by_stage:
-            self._rescan(s)
-
-    def _rescan(self, s: int) -> None:
-        run = self.run
-        hits: list[tuple[int, int, int, str]] = []
+        flags = self._refresh_flags
+        if not flags:
+            return
         for (side, e, x), st in sorted(self.inputs.items()):
-            if (side, e) in self._refresh_flags:
-                if st.j is not None or st.certified:
-                    hits.append((side, e, x, "initialized"))
-                else:
-                    st.refresh()
+            if (side, e) not in flags:
                 continue
-            a_entry = run.a_entry[side]
-            broken = any(not cone_holds(ax.theta, a_entry, s) for ax in st.certified)
-            if broken:
-                hits.append((side, e, x, "a0-change" if side == 0 else "a1-change"))
-        for side, e, x, cause in hits:
-            self.inputs[(side, e, x)].refresh()
-            run.emit(event(s, "injury", cause=cause, req=block_label(side, e), x=x))
-        self._refresh_flags.clear()
+            if st.j is not None:
+                self.run.emit(
+                    event(s, "injury", cause="initialized", req=block_label(side, e), x=x)
+                )
+            st.refresh()
+        flags.clear()
 
     # -- results -----------------------------------------------------------------
 

@@ -168,7 +168,7 @@ class SacksStrategy:
                 continue
             k = member(run.d_entry, x, s)
             req.values[x] = k
-            run.emit(event(s, "define-local", k=k, req=req.label, sigma=sigma, x=x))
+            run.define_local(s, x, k, req=req.label, sigma=sigma)
         run.set_restraint(req.side, i, s)
         run.emit(event(s, "act", block=label, req=req.label, via="expansionary"))
         return True

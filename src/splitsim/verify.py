@@ -379,8 +379,11 @@ def _on_expansionary(ctx, ev, s, pend):
 
 
 def _on_act(ctx, ev, s, pend):
-    label = ev.payload.get("req", "?")
-    ctx.action_counts[label] = ctx.action_counts.get(label, 0) + 1
+    req = parse_label(ev.payload["req"])
+    if req is None:
+        ctx.problems.add("V2", s, "act names no requirement", ev)
+        return
+    ctx.action_counts[req] = ctx.action_counts.get(req, 0) + 1
 
 
 def _on_certify(ctx, ev, s, pend):
@@ -710,7 +713,7 @@ def verify(scenario, events, final=None) -> dict:
         "max_restraint": _by_label(ctx.max_restraint),
         "last_initialized": _by_label(ctx.last_initialized),
         "injuries_per_block": _by_label(ctx.injuries_per_block),
-        "action_counts": dict(sorted(ctx.action_counts.items())),
+        "action_counts": _by_label(ctx.action_counts),
         "assignment_p": ctx.assignments[0].snapshot_values(ctx.horizon),
         "assignment_q": ctx.assignments[1].snapshot_values(ctx.horizon),
         "last_assignment_change": {"P": ctx.last_change[0], "Q": ctx.last_change[1]},

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,16 @@ from splitsim.scenario import load_scenario
 from splitsim.trace import TraceEvent
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name):
+    """A module of the benchmark (bench/ is no package), loaded from its file."""
+    spec = importlib.util.spec_from_file_location("bench_" + name, BENCH_DIR / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 ACCEPTANCE_LINES = []
 

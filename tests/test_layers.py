@@ -2,20 +2,22 @@
 
 The verifier re-derives every engine decision, so it may only depend on
 the kernel that defines those decisions once (model, omegace, trace),
-never on the engine, the strategies or the harness.  The check reads the
-sources, so it holds without importing anything.
+never on the engine, the strategies or the harness.  The build layer sits
+on the same kernel: the engine and the strategies import nothing else,
+except that robinson takes ConstructionInvariantError from the engine.
+The checks read the sources, so they hold without importing anything.
 """
 
 import ast
 import importlib
-import importlib.util
 from pathlib import Path
 
 import splitsim
 
+from conftest import bench_module
+
 PACKAGE = Path(splitsim.__file__).parent
 KERNEL = {"model", "omegace", "trace"}
-BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 def package_imports(path: Path) -> set[str]:
@@ -54,6 +56,15 @@ def test_kernel_layering():
     assert imports_of("model") == set()
     for module in KERNEL:
         assert imports_of(module) <= KERNEL - {module}, module
+
+
+def test_build_layer_imports():
+    """The engine and the strategies build on the kernel; robinson also takes
+    ConstructionInvariantError from the engine, and no strategy imports the other."""
+    assert imports_of("engine") <= KERNEL, imports_of("engine")
+    assert imports_of("sacks") <= KERNEL, imports_of("sacks")
+    assert imports_of("robinson") <= KERNEL | {"engine"}, imports_of("robinson")
+    assert "robinson" not in imports_of("sacks") and "sacks" not in imports_of("robinson")
 
 
 def private_imports(path: Path) -> list[str]:
@@ -102,9 +113,7 @@ def test_import_scan_sees_every_form(tmp_path):
 
 def test_bench_patch_targets_exist():
     """Every name the benchmark's tracer wraps or counts resolves in the package."""
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = bench_module("spans")
     targets = spans.PATCHES + spans.COUNTED
     assert targets
     for module, cls, attr, _ in targets:

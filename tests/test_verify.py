@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitsim import omegace
 from splitsim import verify as verify_mod
@@ -9,7 +10,7 @@ from splitsim.fuzz import generate
 from splitsim.harness import run
 from splitsim.model import PriorityAssignment
 from splitsim.scenario import load_scenario
-from splitsim.trace import TraceEvent, parse
+from splitsim.trace import KINDS, TraceEvent, TraceParseError, parse, render
 from splitsim.verify import CHECKS, passed, verify
 
 from conftest import CERTIFY_DOC, GOLDEN_DIR, malformed_refusals
@@ -148,6 +149,17 @@ def test_forged_block_label_fails_v2(control_materials, material, kind, stage, b
     assert line.to_line() in [w.get("line") for w in v2["witnesses"]]
 
 
+def test_act_naming_no_requirement_fails_v2():
+    sc = load_scenario(json.loads((GOLDEN_DIR / "deflection-update-scenario.json").read_text()))
+    events = parse((GOLDEN_DIR / "deflection-update-expected.trace").read_text())
+    forged, line = _forge(events, "act", 2, req="garbage")
+    v2 = verify(sc, forged)["checks"]["V2"]
+    assert v2["status"] == "fail"
+    assert {"note": "act names no requirement", "line": line.to_line()} in [
+        {k: w.get(k) for k in ("note", "line")} for w in v2["witnesses"]
+    ]
+
+
 def test_negative_tail_fails_v11_and_is_clamped(control_materials, monkeypatch):
     sc, events, _ = control_materials["deflection"]
     forged, line = _forge(events, "assignment-update", 2, tail="-1000000")
@@ -251,3 +263,41 @@ def test_replay_settles_only_busy_stages(monkeypatch):
     busy = {ev.stage for ev in events if ev.kind in ("route", "injury")}
     assert closed and set(closed) <= busy, (closed, busy)
     assert len(closed) == len(set(closed)) < (sc.horizon + 1) / 10
+
+
+_TOTALITY_RUNS = [
+    (load_scenario(doc), render(run(load_scenario(doc))[0]).splitlines())
+    for doc in (generate(2026, i, c, 64) for i in range(4) for c in ("sacks", "robinson"))
+]
+_PAYLOAD_KEYS = (
+    "block cause element ell entry i initiator j k memo req resolved result set side"
+    " sigma tail theta threatened to value via x"
+).split()
+_payload_values = st.one_of(
+    st.integers(-3, 70).map(str),
+    st.sampled_from(["P:0", "Q:1", "P:", "Z:0", "-", "A0", "A1", "D", "W", "none", "0101", ""]),
+    st.text(max_size=6),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, len(_TOTALITY_RUNS) - 1),
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.integers(-2, 70),
+    st.sampled_from(KINDS),
+    st.dictionaries(st.one_of(st.sampled_from(_PAYLOAD_KEYS), st.text(max_size=4)), _payload_values),
+)
+def test_verify_is_total(which, at, insert, stage, kind, payload):
+    """Every trace parse accepts gets a report: one line of a fuzz trace
+    replaced, or one inserted, with any kind and any payload."""
+    sc, lines = _TOTALITY_RUNS[which]
+    at %= len(lines) + 1
+    line = TraceEvent(stage, kind, payload).to_line()
+    mutated = lines[:at] + [line] + lines[at + (0 if insert else 1):]
+    try:
+        events = parse("\n".join(mutated) + "\n")
+    except TraceParseError:
+        return
+    assert set(verify(sc, events)["checks"]) == {name for name, _ in CHECKS}
