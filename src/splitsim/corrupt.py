@@ -12,7 +12,7 @@ beat, and so on), so callers can pick a different run.
 from __future__ import annotations
 
 from . import verify as _verify
-from .model import applicable_axiom, build_policy, changes, parse_label
+from .model import Cones, applicable_axiom, build_policy, changes, parse_label
 from .trace import TraceEvent, event
 
 
@@ -108,7 +108,7 @@ def _v5(scenario, events):
                 target = ev
         if target is None:
             continue
-        ax = applicable_axiom(table, target.stage, ctx.a_entry[side], None, diag["x"])
+        ax = applicable_axiom(table, target.stage, ctx.a_cones[side], None, diag["x"])
         if ax is None or ax.use > target.stage + 1:
             # The verifier exempts definitions whose computation outruns
             # the recorded restraint, so this one is not forgeable.
@@ -163,7 +163,7 @@ def _v8(scenario, events):
         if ev.kind == "enumerate" and ev.payload.get("set") == "W":
             taken.add(int(ev.payload["j"]))
     j = max(taken, default=-1) + 1
-    row = build_policy(scenario).row(j, [(0, sig) for sig in sigmas], horizon)
+    row = build_policy(scenario, Cones(entry)).row(j, [(0, sig) for sig in sigmas], horizon)
     flips = changes(row)
     if flips <= scenario.q_default:
         raise CorruptionError(

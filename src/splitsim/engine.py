@@ -50,6 +50,7 @@ from collections import OrderedDict
 
 from .model import (
     SIDE_LABEL,
+    Cones,
     PriorityAssignment,
     block_label,
     order_block,
@@ -71,9 +72,9 @@ class Run:
         self.horizon = scenario.horizon
         self.strategy = strategy
         self.b_by_stage = {s: x for s, x in scenario.b_schedule.entries}
-        self.c_entry = dict(scenario.c_schedule.entry_stage())
+        self.c_cones = Cones(scenario.c_schedule.entry_stage())
         self.d_entry = dict(scenario.d_schedule.entry_stage())
-        self.a_entry: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self.a_cones = (Cones(), Cones())
         self.restraint: dict[tuple[int, int], int] = {}
         self.assignments = tuple(
             PriorityAssignment(e for owner_side, e in strategy.owners if owner_side == side)
@@ -149,9 +150,9 @@ class Run:
             self.initialize_block(*init, s, cause="route")
 
     def _enumerate_half(self, side: int, x: int, s: int) -> None:
-        if x in self.a_entry[0] or x in self.a_entry[1]:
+        if x in self.a_cones[0].entry or x in self.a_cones[1].entry:
             raise ConstructionInvariantError("element %d routed twice" % x)
-        self.a_entry[side][x] = s
+        self.a_cones[side].arrive(x, s)
         self.emit(event(s, "enumerate", element=x, set="A%d" % side))
 
     def _index_owner_blocks(self) -> None:
@@ -234,8 +235,8 @@ class Run:
         # cone truth and flip unsettled, so let it look first.
         self.strategy.final_state()
         return {
-            "a0": sorted((s, x) for x, s in self.a_entry[0].items()),
-            "a1": sorted((s, x) for x, s in self.a_entry[1].items()),
+            "a0": sorted((s, x) for x, s in self.a_cones[0].entry.items()),
+            "a1": sorted((s, x) for x, s in self.a_cones[1].entry.items()),
             "d": sorted((s, x) for x, s in self.d_entry.items()),
             "assignment_p": self.assignments[0].snapshot_values(self.horizon),
             "assignment_q": self.assignments[1].snapshot_values(self.horizon),

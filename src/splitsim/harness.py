@@ -8,7 +8,6 @@ of the scenario; two calls produce identical event lists.
 from __future__ import annotations
 
 from .engine import Run
-from .model import build_policy
 from .robinson import RobinsonStrategy
 from .sacks import SacksStrategy
 from .scenario import Scenario
@@ -17,7 +16,7 @@ from .scenario import Scenario
 def build_strategy(scenario: Scenario):
     if scenario.construction == "sacks":
         return SacksStrategy(scenario.functionals)
-    return RobinsonStrategy(scenario.functionals, build_policy(scenario))
+    return RobinsonStrategy(scenario.functionals)
 
 
 def run(scenario: Scenario):

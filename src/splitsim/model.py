@@ -8,8 +8,10 @@ nothing else from the package.  The ingredients are:
 * Cantor pairing on naturals,
 * finite oracle strings over {0, 1},
 * monotone enumeration schedules (stage-stamped element arrivals), the
-  one membership test (member) and the one cone test (cone_holds) over
-  them,
+  one membership test (member) over them, and the one cone oracle
+  (Cones): over a c.e. set the cone of a string holds on exactly one
+  stage interval [birth, death), its lifetime, which Cones walks once
+  per string and keeps current as arrivals come in,
 * Turing functionals given as finite axiom tables with explicit use,
   the one rule for when two axioms conflict (conflicting), and the
   axiom a table selects at a stage,
@@ -110,20 +112,71 @@ def member(entry: dict[int, int], x: int, s: int) -> int:
     return 1 if st is not None and st <= s else 0
 
 
-def cone_holds(sigma: str, entry: dict[int, int], s: int) -> bool:
-    """True iff sigma is an initial segment of the set at stage s.
+class Cones:
+    """Cone truth over one c.e. set whose arrivals come in stage order.
 
-    The set is given by its element->entry-stage map; an element is a
-    member at stage s when its entry stage is <= s.  Position i of sigma
-    must be 1 exactly when i is a member; a 0 bit over a present element
-    is as disqualifying as a missing 1 bit.
+    entry maps each element seen so far to its entry stage.  The first
+    question about a string walks it once over entry and keeps its state
+    [missing 1-positions, birth, death, sigma].  A live cone registers
+    its absent positions, and arrive(x, s) updates only the states
+    registered at x; a present 0-position kills a cone for good, so a
+    dead one registers nothing.  holds is exact at the current stage
+    while arrivals are fed, and over a final map at every past stage.
     """
-    for i, c in enumerate(sigma):
-        st = entry.get(i)
-        present = st is not None and st <= s
-        if (c == "1") != present:
-            return False
-    return True
+
+    def __init__(self, entry: dict[int, int] | None = None):
+        self.entry = {} if entry is None else entry
+        self._state: dict[str, list] = {}
+        self._watch: dict[int, list[list]] = {}
+
+    def _walk(self, sigma: str) -> list:
+        entry = self.entry
+        missing = birth = 0
+        death = None
+        absent = []
+        for i, c in enumerate(sigma):
+            t = entry.get(i)
+            if t is None:
+                absent.append(i)
+                missing += c == "1"
+            elif c == "1":
+                birth = max(birth, t)
+            elif death is None or t < death:
+                death = t
+        state = self._state[sigma] = [missing, birth, death, sigma]
+        if death is None:
+            for i in absent:
+                self._watch.setdefault(i, []).append(state)
+        return state
+
+    def arrive(self, x: int, s: int) -> None:
+        """Enumerate x at stage s, no earlier than any arrival before it."""
+        self.entry[x] = s
+        for state in self._watch.pop(x, ()):
+            if state[3][x] == "1":
+                state[0] -= 1
+                state[1] = max(state[1], s)
+            elif state[2] is None:
+                state[2] = s
+
+    def lifetime(self, sigma: str) -> tuple[int, int, int | None]:
+        """(missing, birth, death): the set is in sigma's cone at stage t iff
+        missing is 0 and birth <= t < death (death None: it never leaves)."""
+        state = self._state.get(sigma)
+        if state is None:
+            state = self._walk(sigma)
+        return state[0], state[1], state[2]
+
+    def holds(self, sigma: str, t: int) -> bool:
+        """True iff sigma is an initial segment of the set at stage t.
+
+        Position i of sigma must be 1 exactly when i is a member; a 0 bit
+        over a present element is as disqualifying as a missing 1 bit.
+        """
+        state = self._state.get(sigma)
+        if state is None:
+            state = self._walk(sigma)
+        return state[0] == 0 and state[1] <= t and (state[2] is None or t < state[2])
 
 
 @dataclass(frozen=True)
@@ -228,37 +281,32 @@ def validate_consistency(table: FunctionalTable) -> None:
 
 
 def applicable_axiom(
-    table: FunctionalTable,
-    s: int,
-    a_entry: dict[int, int],
-    c_entry: dict[int, int] | None,
-    x: int,
+    table: FunctionalTable, s: int, a_cones: Cones, c_cones: Cones | None, x: int
 ) -> Axiom | None:
     """The axiom the functional selects on input x at stage s, or None.
 
     Applicable means: appeared by stage s, theta an initial segment of
     the first oracle, and (for binary tables) sigma an initial segment
-    of the second, each oracle read at stage s from its
-    element->entry-stage map.  Among applicable axioms the (use, k)-least
-    is selected; rows are presorted, so it is the first one found.
+    of the second, each oracle's cone read at stage s.  Among applicable
+    axioms the (use, k)-least is selected; rows are presorted, so it is
+    the first one found.
     """
-    if table.binary and c_entry is None:
+    if table.binary and c_cones is None:
         raise ValueError("binary functional evaluated without its second oracle")
-    if not table.binary and c_entry is not None:
+    if not table.binary and c_cones is not None:
         raise ValueError("unary functional evaluated with a second oracle")
+    a_holds = a_cones.holds
     for appear, ax in table.axioms_for(x):
-        if appear > s:
+        if appear > s or not a_holds(ax.theta, s):
             continue
-        if not cone_holds(ax.theta, a_entry, s):
-            continue
-        if c_entry is not None and not cone_holds(ax.sigma, c_entry, s):
+        if c_cones is not None and not c_cones.holds(ax.sigma, s):
             continue
         return ax
     return None
 
 
 def agreement_length(
-    table: FunctionalTable, a_entry: dict[int, int], d_entry: dict[int, int], s: int
+    table: FunctionalTable, a_cones: Cones, d_entry: dict[int, int], s: int
 ) -> int:
     """Largest y with the unary functional agreeing with D on every x <= y; -1 if none.
 
@@ -269,7 +317,7 @@ def agreement_length(
     y = -1
     x = 0
     while True:
-        got = applicable_axiom(table, s, a_entry, None, x)
+        got = applicable_axiom(table, s, a_cones, None, x)
         if got is None:
             return y
         if got.k != member(d_entry, x, s):
@@ -286,32 +334,13 @@ def changes(row) -> int:
     return sum(1 for a, b in zip(row, row[1:]) if a != b)
 
 
-def cone_truth(strings: list[tuple[int, str]], c_entry: dict[int, int], at: int) -> int:
+def cone_truth(strings: list[tuple[int, str]], c_cones: Cones, at: int) -> int:
     """1 iff C at stage at lies in the cone of a string enumerated by then.
 
     strings are the (enumeration stage, sigma) pairs of one guessing set;
     this is the limit the truthful p answers for that set.
     """
-    return int(any(u <= at and cone_holds(sigma, c_entry, at) for u, sigma in strings))
-
-
-def string_lifetime(sigma: str, c_entry: dict[int, int]) -> tuple[int, int | None]:
-    """(birth, death) of C's membership in sigma's cone.
-
-    C enters the cone once every 1-position has arrived and leaves it for
-    good when the first 0-position arrives; death None means never.
-    """
-    birth = 0
-    death: int | None = None
-    for i, c in enumerate(sigma):
-        st = c_entry.get(i)
-        if c == "1":
-            if st is None:
-                return (1 << 62), None
-            birth = max(birth, st)
-        elif st is not None:
-            death = st if death is None else min(death, st)
-    return birth, death
+    return int(any(u <= at and c_cones.holds(sigma, at) for u, sigma in strings))
 
 
 class TruthfulDelayPolicy:
@@ -321,11 +350,11 @@ class TruthfulDelayPolicy:
     lay in the cone of some string enumerated into W_j by stage t - d.
     """
 
-    def __init__(self, delay: int, c_entry: dict[int, int]):
+    def __init__(self, delay: int, c_cones: Cones):
         if delay < 1:
             raise ValueError("truthful delay must be at least 1")
         self.delay = delay
-        self.c_entry = c_entry
+        self.c_cones = c_cones
 
     def live_window(self, enum_stage: int, sigma: str) -> tuple[int, int | None]:
         """Stages [lo, hi] at which one string of W_j makes p answer 1.
@@ -334,7 +363,9 @@ class TruthfulDelayPolicy:
         C leaves the cone before p could report it (lo > hi); when C never
         enters the cone, lo lies beyond any horizon.
         """
-        birth, death = string_lifetime(sigma, self.c_entry)
+        missing, birth, death = self.c_cones.lifetime(sigma)
+        if missing:
+            return 1 << 62, None
         lo = max(enum_stage, birth) + self.delay
         return lo, None if death is None else death - 1 + self.delay
 
@@ -388,13 +419,11 @@ class TablePolicy:
         return None
 
 
-def build_policy(scenario):
-    """The external approximation p for a robinson scenario."""
+def build_policy(scenario, c_cones: Cones):
+    """The external approximation p for a robinson scenario; c_cones is over its C."""
     if scenario.p_policy_kind == "table":
         return TablePolicy(scenario.p_policy_params["values"])
-    return TruthfulDelayPolicy(
-        scenario.p_policy_params["d"], scenario.c_schedule.entry_stage()
-    )
+    return TruthfulDelayPolicy(scenario.p_policy_params["d"], c_cones)
 
 
 # -- priority blocks and the dynamic assignment --------------------------------

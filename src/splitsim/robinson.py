@@ -13,10 +13,11 @@ run remains a pure function of its scenario.
 
 Each input keeps one record (InputState): its guessing index, its
 refusal memos and its local definition (k, death).  death is the stage
-at which C leaves sigma's cone (None: never), so the definition is live
-at stage s iff death is None or s < death, and it dies with its
-requirement on initialization.  A refusal memo suppresses
-re-certification of a string whose future cone exit is already known.
+at which C leaves sigma's cone (None: never), read off its lifetime in
+Run.c_cones, so the definition is live at stage s iff death is None or
+s < death, and it dies with its requirement on initialization.  A
+refusal memo suppresses re-certification of a string whose future cone
+exit is already known.
 
 Injury has one cause, initialization.  When a requirement is cancelled,
 every input of it that holds a guessing index is injured: its index,
@@ -52,9 +53,9 @@ from .model import (
     FunctionalTable,
     applicable_axiom,
     block_label,
+    build_policy,
     cone_truth,
     member,
-    string_lifetime,
 )
 from .trace import event
 
@@ -99,10 +100,10 @@ class GuessingRegistry:
 class RobinsonStrategy:
     """Per-run state and block dispatch for the oracle construction."""
 
-    def __init__(self, tables: dict[tuple[int, int], FunctionalTable], policy):
+    def __init__(self, tables: dict[tuple[int, int], FunctionalTable]):
         self.tables = tables
         self.owners: list[tuple[int, int]] = sorted(tables)
-        self.policy = policy
+        self.policy = None
         self.registry = GuessingRegistry()
         self.inputs: dict[tuple[int, int, int], InputState] = {}
         self._refresh_flags: set[tuple[int, int]] = set()
@@ -110,6 +111,7 @@ class RobinsonStrategy:
 
     def bind(self, run) -> None:
         self.run = run
+        self.policy = build_policy(run.scenario, run.c_cones)
 
     def input_state(self, side: int, e: int, x: int) -> InputState:
         key = (side, e, x)
@@ -138,7 +140,7 @@ class RobinsonStrategy:
             )
         j = st.j
         strings = self.registry.sets[j]
-        if not cone_truth(strings, run.c_entry, s):
+        if not cone_truth(strings, run.c_cones, s):
             strings.append((s, axiom.sigma))
             run.emit(event(s, "enumerate", j=j, set="W", sigma=axiom.sigma))
 
@@ -154,7 +156,7 @@ class RobinsonStrategy:
         if memo is not None and s <= memo:
             emit_scan("refuse-certify", memo=1, resolved=memo, result="refused")
             return False
-        _, death = string_lifetime(axiom.sigma, run.c_entry)
+        _, _, death = run.c_cones.lifetime(axiom.sigma)
         t_exit = death if death is not None and death <= run.horizon else None
         t_hit = self.policy.first_hit(j, strings, s, run.horizon)
         if t_exit is None and t_hit is None:
@@ -205,7 +207,7 @@ class RobinsonStrategy:
         """
         run = self.run
         table = self.tables[(side, e)]
-        got = applicable_axiom(table, s, run.a_entry[side], run.c_entry, x)
+        got = applicable_axiom(table, s, run.a_cones[side], run.c_cones, x)
         d_now = member(run.d_entry, x, s)
         if got is None or got.k != d_now:
             return "nocomp"
@@ -264,5 +266,6 @@ class RobinsonStrategy:
         run = self.run
         h = run.horizon
         for j, strings in self.registry.sets.items():
-            if self.policy.row(j, strings, h)[h] != cone_truth(strings, run.c_entry, h):
+            p_h = self.policy.first_hit(j, strings, h, h) is not None
+            if p_h != cone_truth(strings, run.c_cones, h):
                 run.unsettled = True

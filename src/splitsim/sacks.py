@@ -121,7 +121,7 @@ class SacksStrategy:
             if x is not None:
                 # The stage's B arrival went into one half: wake the
                 # owners on that side whose largest use exceeds x.
-                side = 0 if x in run.a_entry[0] else 1
+                side = 0 if x in run.a_cones[0].entry else 1
                 awake.update(self._by_use[side][bisect_right(self._uses[side], x):])
         self._woken = s
         if d_landed:
@@ -155,14 +155,14 @@ class SacksStrategy:
                     event(s, "act", block=block_label(req.side, i), req=req.label, via="diagonalize")
                 )
                 return True
-        a_entry = run.a_entry[req.side]
-        ell = agreement_length(self.tables[(req.side, req.e)], a_entry, run.d_entry, s)
+        a_cones = run.a_cones[req.side]
+        ell = agreement_length(self.tables[(req.side, req.e)], a_cones, run.d_entry, s)
         if not is_expansionary(ell, req.max_ell):
             return False
         req.max_ell = ell
         label = block_label(req.side, i)
         run.emit(event(s, "expansionary", block=label, ell=ell, req=req.label))
-        sigma = "".join("1" if n in a_entry else "0" for n in range(s))
+        sigma = "".join("1" if n in a_cones.entry else "0" for n in range(s))
         for x in range(ell + 1):
             if x in req.values:
                 continue

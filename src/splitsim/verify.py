@@ -10,11 +10,13 @@ not the bookkeeping that produced it.  The rules the engine follows
 come from that kernel too: the label grammar (parse_label), routing
 (route), block membership (PriorityAssignment.members, which reads the
 index the replayed updates keep over the scenario's table owners), the
-cone truth and the mind-change count of a p row.  Payload integers are
-read with the trace grammar's parse_int, so a non-canonical one is a
-malformed payload.  Block state is keyed by (side, index), as in the
-engine; a restraint-set or initialize line whose block label does not
-parse fails V2 on that line.
+cone oracle (Cones: over C's schedule from set-up, over each half's
+final map once the replay ends, so V5, V7 and V9 look their past-stage
+cone questions up), the cone truth and the mind-change count of a p
+row.  Payload integers are read with the trace grammar's parse_int, so
+a non-canonical one is a malformed payload.  Block state is keyed by
+(side, index), as in the engine; a restraint-set or initialize line
+whose block label does not parse fails V2 on that line.
 
 Checks:
   V1  partition                     A0 and A1 split B exactly, stage by stage.
@@ -39,19 +41,18 @@ from __future__ import annotations
 
 from .model import (
     SIDE_LABEL,
+    Cones,
     PriorityAssignment,
     agreement_length,
     applicable_axiom,
     block_label,
     build_policy,
     changes,
-    cone_holds,
     cone_truth,
     member,
     parse_label,
     priority_order,
     route,
-    string_lifetime,
     threatens,
 )
 from .omegace import ApproxTable, limit_eval, restrict
@@ -119,9 +120,10 @@ class _Context:
         self.horizon = scenario.horizon
         self.problems = _Problems()
         self.b_entry = dict(scenario.b_schedule.entry_stage())
-        self.c_entry = dict(scenario.c_schedule.entry_stage())
+        self.c_cones = Cones(scenario.c_schedule.entry_stage())
         self.d_entry = dict(scenario.d_schedule.entry_stage())
         self.a_entry = ({}, {})  # element -> entry stage, per half
+        self.a_cones = None  # per half, over the final a_entry once the replay ends
         self.routed = {}
         self.restraint = {}       # (side, i) -> live restraint, -1 for none
         self.max_restraint = {}
@@ -196,6 +198,7 @@ def _replay(scenario, events) -> _Context:
     for s in ctx.none_update_stages:
         if ctx.inits_by_stage.get(s):
             prob.add("V11", s, "update claims no initialization despite one")
+    ctx.a_cones = (Cones(ctx.a_entry[0]), Cones(ctx.a_entry[1]))
     return ctx
 
 
@@ -254,7 +257,7 @@ def _on_enumerate(ctx, ev, s, pend):
             prob.add("V2", s, "string enumerated twice into W_%d" % j, ev)
         ctx.w_seen.add((j, sigma))
         prior = ctx.w_sets.setdefault(j, [])
-        if cone_truth(prior, ctx.c_entry, s):
+        if cone_truth(prior, ctx.c_cones, s):
             prob.add("V7", s, "enumeration into W_%d while C already lies in a cone" % j, ev)
         prior.append((s, sigma))
         return
@@ -484,8 +487,8 @@ def _check_v5(ctx):
         if table is None:
             prob.add("V5", rec["stage"], "expansionary event for an unknown functional", rec["ev"])
             continue
-        a_entry = ctx.a_entry[rec["req"][0]]
-        ell = agreement_length(table, a_entry, ctx.d_entry, rec["stage"])
+        a_cones = ctx.a_cones[rec["req"][0]]
+        ell = agreement_length(table, a_cones, ctx.d_entry, rec["stage"])
         if ell != rec["ell"]:
             prob.add(
                 "V5", rec["stage"],
@@ -504,7 +507,7 @@ def _check_v5(ctx):
         if table is None:
             prob.add("V5", d["stage"], "diagonalization by an unknown functional", d["ev"])
             continue
-        ax_def = applicable_axiom(table, def_stage, ctx.a_entry[side], None, d["x"])
+        ax_def = applicable_axiom(table, def_stage, ctx.a_cones[side], None, d["x"])
         if ax_def is None:
             prob.add("V5", def_stage, "no computation behind the defined value", d["ev"])
             continue
@@ -513,7 +516,7 @@ def _check_v5(ctx):
             # disagreement is not required to persist.
             continue
         h = ctx.horizon
-        ax = applicable_axiom(table, h, ctx.a_entry[side], None, d["x"])
+        ax = applicable_axiom(table, h, ctx.a_cones[side], None, d["x"])
         if ax is None:
             prob.add("V5", h, "diagonalized computation lost by the horizon", d["ev"])
         elif ax.k != k:
@@ -540,8 +543,8 @@ def _check_v7(ctx, p_rows):
         if not 0 <= entry <= resolved <= h:
             prob.add("V7", ev.stage, "resolution outside the scan window", ev)
             continue
-        birth, death = string_lifetime(sigma, ctx.c_entry)
-        if birth > entry or (death is not None and death <= resolved):
+        missing, birth, death = ctx.c_cones.lifetime(sigma)
+        if missing or birth > entry or (death is not None and death <= resolved):
             prob.add("V7", ev.stage, "C leaves the certified cone inside the window", ev)
         row = p_rows.get(j)
         if row is None or row[resolved] != 1:
@@ -565,14 +568,14 @@ def _check_v7(ctx, p_rows):
             except (KeyError, ValueError):
                 prob.add("V7", ev.stage, "refusal without a resolution stage", ev)
                 continue
-            if cone_holds(sigma, ctx.c_entry, resolved):
+            if ctx.c_cones.holds(sigma, resolved):
                 prob.add("V7", ev.stage, "refusal without a cone-exit witness", ev)
             if "memo" not in pay and row is not None:
                 if any(row[u] for u in range(max(0, entry), min(resolved, h + 1))):
                     prob.add("V7", ev.stage, "refusal despite an earlier p hit", ev)
         elif result == "pending":
-            birth, death = string_lifetime(sigma, ctx.c_entry)
-            if birth > entry or (death is not None and death <= h):
+            missing, birth, death = ctx.c_cones.lifetime(sigma)
+            if missing or birth > entry or (death is not None and death <= h):
                 prob.add("V7", ev.stage, "pending scan despite a cone exit", ev)
             elif row is not None and any(row[u] for u in range(max(0, entry), h + 1)):
                 prob.add("V7", ev.stage, "pending scan despite a p hit", ev)
@@ -605,7 +608,7 @@ def _check_v8_v10(ctx, p_rows):
             prob.add("V8", 0, "p(%d, 0) is %d, not 0" % (j, row[0]))
         if flips > q:
             prob.add("V8", h, "p row %d changes its mind %d times, budget %d" % (j, flips, q))
-        if row[h] != cone_truth(ctx.w_sets[j], ctx.c_entry, h):
+        if row[h] != cone_truth(ctx.w_sets[j], ctx.c_cones, h):
             settled = False
     rows = {j: tuple(row) for j, row in p_rows.items()}
     bounds = {j: sc.q_overrides.get(j, sc.q_default) + 1 for j in p_rows}
@@ -631,7 +634,7 @@ def _check_v9(ctx, settled):
     if sc.construction != "robinson" or not settled:
         return
     h = ctx.horizon
-    c_stages = sorted(set(ctx.c_entry.values()))
+    c_stages = sorted(set(ctx.c_cones.entry.values()))
     for d in ctx.definitions:
         side, e = d["req"]
         table = sc.functionals.get(d["req"])
@@ -644,9 +647,9 @@ def _check_v9(ctx, settled):
         marks.update(t for t in ctx.a_entry[side].values() if d["stage"] < t < end)
         marks.update(t for t in c_stages if d["stage"] < t < end)
         for t in sorted(marks):
-            if not cone_holds(d["sigma"], ctx.c_entry, t):
+            if not ctx.c_cones.holds(d["sigma"], t):
                 continue
-            ax = applicable_axiom(table, t, ctx.a_entry[side], ctx.c_entry, d["x"])
+            ax = applicable_axiom(table, t, ctx.a_cones[side], ctx.c_cones, d["x"])
             if ax is None:
                 prob.add(
                     "V9", t,
@@ -667,7 +670,7 @@ def _check_v9(ctx, settled):
 def verify(scenario, events, final=None) -> dict:
     """Check a finished run; returns {"checks", "flags", "diagnostics"}."""
     ctx = _replay(scenario, events)
-    policy = build_policy(scenario) if scenario.construction == "robinson" else None
+    policy = build_policy(scenario, ctx.c_cones) if scenario.construction == "robinson" else None
     p_rows = {j: policy.row(j, strings, ctx.horizon) for j, strings in ctx.w_sets.items()}
     _check_v5(ctx)
     _check_v7(ctx, p_rows)

@@ -17,7 +17,7 @@ import pytest
 from splitsim.corrupt import corrupt
 from splitsim.fuzz import generate
 from splitsim.harness import run
-from splitsim.model import applicable_axiom
+from splitsim.model import Cones, applicable_axiom
 from splitsim.omegace import ApproxTable, limit_eval, restrict
 from splitsim.scenario import load_scenario
 from splitsim.trace import parse, render
@@ -166,7 +166,7 @@ def test_v5_diagonalization_persistence(record):
     diags = [ev for ev in events if ev.kind == "diagonalize"]
     table = scenario.functionals[(0, 0)]
     horizon = scenario.horizon
-    a0_final = {x: t for t, x in final["a0"]}
+    a0_final = Cones({x: t for t, x in final["a0"]})
     d_final = {x for _, x in final["d"]}
     flips_hold = []
     for ev in diags:

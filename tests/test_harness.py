@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 from splitsim.harness import build_strategy, run
-from splitsim.model import TablePolicy, TruthfulDelayPolicy, build_policy
+from splitsim.model import Cones, TablePolicy, TruthfulDelayPolicy, build_policy
 from splitsim.robinson import RobinsonStrategy
 from splitsim.sacks import SacksStrategy
 from splitsim.scenario import load_scenario
@@ -24,7 +24,7 @@ def test_policy_dispatch():
             "p_policy": {"type": "table", "values": {"0": [0, 1]}},
         }
     )
-    assert isinstance(build_policy(sc), TablePolicy)
+    assert isinstance(build_policy(sc, Cones()), TablePolicy)
     assert isinstance(build_strategy(sc), RobinsonStrategy)
     sc = load_scenario(
         {
@@ -34,9 +34,11 @@ def test_policy_dispatch():
             "p_policy": {"type": "truthful_delay", "d": 3},
         }
     )
-    pol = build_policy(sc)
+    c_cones = Cones()
+    pol = build_policy(sc, c_cones)
     assert isinstance(pol, TruthfulDelayPolicy)
     assert pol.delay == 3
+    assert pol.c_cones is c_cones
 
 
 def test_strategy_dispatch_sacks():

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from splitsim.model import (
     Axiom,
     ConflictError,
+    Cones,
     EnumerationSchedule,
     FunctionalTable,
     PriorityAssignment,
@@ -11,7 +12,6 @@ from splitsim.model import (
     block_label,
     changes,
     check_bits,
-    cone_holds,
     cone_truth,
     consistency_conflicts,
     pair,
@@ -82,12 +82,13 @@ def test_schedule_members_and_entry():
     assert sched.entries == ((1, 0), (4, 2))
     entry = sched.entry_stage()
     assert entry == {0: 1, 2: 4}
-    # The set at stage s, read through the cone test as its
+    # The set at stage s, read through the cone oracle as its
     # characteristic string up to the largest element.
-    assert cone_holds("000", entry, 0)
-    assert cone_holds("100", entry, 1)
-    assert cone_holds("101", entry, 4)
-    assert cone_holds("100", entry, 3)
+    cones = Cones(entry)
+    assert cones.holds("000", 0)
+    assert cones.holds("100", 1)
+    assert cones.holds("101", 4)
+    assert cones.holds("100", 3)
 
 
 @given(
@@ -108,23 +109,24 @@ def test_schedule_snapshots_monotone(rows, s, t):
     def chars(u):
         return "".join("1" if entry.get(i, 99) <= u else "0" for i in range(31))
 
-    assert cone_holds(chars(lo), entry, lo)
-    assert cone_holds(chars(hi), entry, hi)
+    cones = Cones(entry)
+    assert cones.holds(chars(lo), lo)
+    assert cones.holds(chars(hi), hi)
     assert all(a <= b for a, b in zip(chars(lo), chars(hi)))
 
 
 def test_cone_membership():
-    present = {0: 5, 2: 5}
-    assert cone_holds("", present, 5)
-    assert cone_holds("101", present, 5)
-    assert not cone_holds("1", {}, 0)
-    assert not cone_holds("100", present, 5)  # bit 2 claims absence
-    assert not cone_holds("11", present, 5)
-    entry = {0: 1, 2: 4}
-    assert cone_holds("101", entry, 4)
-    assert not cone_holds("101", entry, 3)
-    assert cone_holds("1", entry, 1)
-    assert not cone_holds("01", entry, 2)
+    present = Cones({0: 5, 2: 5})
+    assert present.holds("", 5)
+    assert present.holds("101", 5)
+    assert not Cones({}).holds("1", 0)
+    assert not present.holds("100", 5)  # bit 2 claims absence
+    assert not present.holds("11", 5)
+    entry = Cones({0: 1, 2: 4})
+    assert entry.holds("101", 4)
+    assert not entry.holds("101", 3)
+    assert entry.holds("1", 1)
+    assert not entry.holds("01", 2)
 
 
 def test_axiom_validation():
@@ -154,32 +156,32 @@ def test_evaluate_cone_and_appear_gating():
             (2, Axiom("", 1, 1)),
         ]
     )
-    ax = applicable_axiom(table, 0, {}, None, 0)
+    ax = applicable_axiom(table, 0, Cones(), None, 0)
     assert (ax.k, ax.use) == (0, 1)
-    ax = applicable_axiom(table, 0, {0: 0}, None, 0)
+    ax = applicable_axiom(table, 0, Cones({0: 0}), None, 0)
     assert (ax.k, ax.use) == (1, 1)
     # An element entering after the stage is not yet in the oracle.
-    ax = applicable_axiom(table, 0, {0: 1}, None, 0)
+    ax = applicable_axiom(table, 0, Cones({0: 1}), None, 0)
     assert (ax.k, ax.use) == (0, 1)
     # Appear stage gates the x=1 axiom.
-    assert applicable_axiom(table, 1, {}, None, 1) is None
-    assert applicable_axiom(table, 2, {}, None, 1).k == 1
-    assert applicable_axiom(table, 2, {}, None, 5) is None
+    assert applicable_axiom(table, 1, Cones(), None, 1) is None
+    assert applicable_axiom(table, 2, Cones(), None, 1).k == 1
+    assert applicable_axiom(table, 2, Cones(), None, 5) is None
 
 
 def test_evaluate_arity_checks():
     unary = _table([(0, Axiom("", 0, 0))])
     binary = _table([(0, Axiom("", 0, 0, ""))], binary=True)
     with pytest.raises(ValueError):
-        applicable_axiom(unary, 0, {}, {}, 0)
+        applicable_axiom(unary, 0, Cones(), Cones(), 0)
     with pytest.raises(ValueError):
-        applicable_axiom(binary, 0, {}, None, 0)
-    assert applicable_axiom(binary, 0, {}, {}, 0).k == 0
+        applicable_axiom(binary, 0, Cones(), None, 0)
+    assert applicable_axiom(binary, 0, Cones(), Cones(), 0).k == 0
     # The second oracle gates binary axioms through sigma.
     gated = _table([(0, Axiom("1", 0, 1, "1"))], binary=True)
-    assert applicable_axiom(gated, 3, {0: 2}, {}, 0) is None
-    assert applicable_axiom(gated, 3, {}, {0: 3}, 0) is None
-    assert applicable_axiom(gated, 3, {0: 2}, {0: 3}, 0).k == 1
+    assert applicable_axiom(gated, 3, Cones({0: 2}), Cones(), 0) is None
+    assert applicable_axiom(gated, 3, Cones(), Cones({0: 3}), 0) is None
+    assert applicable_axiom(gated, 3, Cones({0: 2}), Cones({0: 3}), 0).k == 1
 
 
 def test_consistency_conflicts():
@@ -223,15 +225,15 @@ def test_consistent_tables_answer_uniquely(rows, members, s):
     table = _table(rows)
     if consistency_conflicts(table):
         return
-    entry = dict.fromkeys(members, s)
+    cones = Cones(dict.fromkeys(members, s))
     for x in range(3):
         answers = {
             ax.k
             for appear, ax in table.axioms_for(x)
-            if appear <= s and cone_holds(ax.theta, entry, s)
+            if appear <= s and cones.holds(ax.theta, s)
         }
         assert len(answers) <= 1
-        got = applicable_axiom(table, s, entry, None, x)
+        got = applicable_axiom(table, s, cones, None, x)
         if answers:
             assert got is not None and got.k in answers
         else:
@@ -296,11 +298,11 @@ def test_members_index_matches_scan(owners, steps):
 def test_changes_and_cone_truth():
     assert changes([]) == 0
     assert changes([0, 0, 1, 1, 0, 1]) == 3
-    c_entry = {0: 2, 1: 5}
+    c_cones = Cones({0: 2, 1: 5})
     strings = [(1, "1"), (4, "10")]
-    assert cone_truth(strings, c_entry, 1) == 0  # C has not entered "1" yet
-    assert cone_truth(strings, c_entry, 3) == 1
-    assert cone_truth(strings, c_entry, 5) == 1  # "10" died at 5, "1" still holds
-    assert cone_truth([(4, "10")], c_entry, 3) == 0  # not enumerated by stage 3
-    assert cone_truth([(4, "10")], c_entry, 4) == 1
-    assert cone_truth([(4, "10")], c_entry, 5) == 0
+    assert cone_truth(strings, c_cones, 1) == 0  # C has not entered "1" yet
+    assert cone_truth(strings, c_cones, 3) == 1
+    assert cone_truth(strings, c_cones, 5) == 1  # "10" died at 5, "1" still holds
+    assert cone_truth([(4, "10")], c_cones, 3) == 0  # not enumerated by stage 3
+    assert cone_truth([(4, "10")], c_cones, 4) == 1
+    assert cone_truth([(4, "10")], c_cones, 5) == 0

@@ -1,17 +1,17 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from splitsim.engine import Run
 from splitsim.fuzz import generate
 from splitsim.harness import build_strategy, run
 from splitsim.model import (
     Axiom,
+    Cones,
     TablePolicy,
     TruthfulDelayPolicy,
     build_policy,
     changes,
-    cone_holds,
     cone_truth,
-    string_lifetime,
 )
 from splitsim.robinson import RobinsonStrategy
 from splitsim.scenario import load_scenario
@@ -22,20 +22,21 @@ from conftest import bench_module
 oracle_churn_doc = bench_module("workloads").oracle_churn_doc
 
 
-def test_string_lifetime_frozen_cases():
-    assert string_lifetime("", {}) == (0, None)
-    assert string_lifetime("1", {0: 3}) == (3, None)
-    assert string_lifetime("1", {}) == (1 << 62, None)
-    assert string_lifetime("0", {0: 3}) == (0, 3)
-    assert string_lifetime("10", {0: 1, 1: 4}) == (1, 4)
-    assert string_lifetime("11", {0: 2, 1: 5}) == (5, None)
-    assert string_lifetime("00", {0: 2, 1: 5}) == (0, 2)
+def test_lifetime_frozen_cases():
+    # (missing 1-positions, birth, death)
+    assert Cones({}).lifetime("") == (0, 0, None)
+    assert Cones({0: 3}).lifetime("1") == (0, 3, None)
+    assert Cones({}).lifetime("1") == (1, 0, None)
+    assert Cones({0: 3}).lifetime("0") == (0, 0, 3)
+    assert Cones({0: 1, 1: 4}).lifetime("10") == (0, 1, 4)
+    assert Cones({0: 2, 1: 5}).lifetime("11") == (0, 5, None)
+    assert Cones({0: 2, 1: 5}).lifetime("00") == (0, 0, 2)
 
 
 def test_truthful_delay_policy():
     with pytest.raises(ValueError):
-        TruthfulDelayPolicy(0, {})
-    pol = TruthfulDelayPolicy(2, {0: 3})
+        TruthfulDelayPolicy(0, Cones())
+    pol = TruthfulDelayPolicy(2, Cones({0: 3}))
     alive = [(1, "1")]  # joins the cone at stage 3, never leaves
     assert pol.row(0, alive, 6) == [0, 0, 0, 0, 0, 1, 1]
     assert pol.first_hit(0, alive, 0, 8) == 5
@@ -70,6 +71,30 @@ def test_table_policy():
         TablePolicy({0: [1, 0]})
     with pytest.raises(ValueError):
         TablePolicy({0: [0, 2]})
+
+
+_strings = st.lists(st.tuples(st.integers(0, 12), st.text(alphabet="01", max_size=5)), max_size=4)
+
+
+@given(
+    st.dictionaries(st.integers(0, 5), st.integers(0, 12), max_size=6),
+    st.integers(1, 4),
+    _strings,
+    st.integers(0, 14),
+)
+def test_truthful_first_hit_at_the_horizon_is_the_row_end(c_entry, delay, strings, h):
+    pol = TruthfulDelayPolicy(delay, Cones(c_entry))
+    assert (pol.first_hit(0, strings, h, h) is not None) == (pol.row(0, strings, h)[h] == 1)
+
+
+@given(
+    st.lists(st.integers(0, 1), max_size=12),
+    st.integers(0, 2),
+    st.integers(0, 14),
+)
+def test_table_first_hit_at_the_horizon_is_the_row_end(tail, j, h):
+    pol = TablePolicy({0: [0] + tail})
+    assert (pol.first_hit(j, [], h, h) is not None) == (pol.row(j, [], h)[h] == 1)
 
 
 def _doc(horizon, c, delay, functionals, b=()):
@@ -113,9 +138,9 @@ def test_certification_race_won_by_policy_hit():
     assert [(ev.stage, ev.payload["j"], ev.payload["sigma"]) for ev in enums] == [(2, "0", "0")]
     # p holds only while C stays out of the cone, one stage late.
     strings = [(2, "0")]
-    p_row = build_policy(sc).row(0, strings, 8)
+    p_row = build_policy(sc, Cones(sc.c_schedule.entry_stage())).row(0, strings, 8)
     assert changes(p_row) == 2
-    assert p_row[8] == 0 == cone_truth(strings, r.c_entry, 8)
+    assert p_row[8] == 0 == cone_truth(strings, r.c_cones, 8)
     assert not state["unsettled"]
     assert verify(sc, events)["checks"]["V8"]["status"] == "pass"
     # The local definition died with its sigma cone.
@@ -202,8 +227,8 @@ class LemmaCheckingStrategy(RobinsonStrategy):
     that no recorded theta has left its A half unless its owner was
     cancelled at that stage (the lemma in the robinson docstring)."""
 
-    def __init__(self, tables, policy):
-        super().__init__(tables, policy)
+    def __init__(self, tables):
+        super().__init__(tables)
         self.held: list[tuple[int, int, Axiom]] = []
         self.cancelled: set[tuple[int, int]] = set()
         self.certified = 0
@@ -222,7 +247,7 @@ class LemmaCheckingStrategy(RobinsonStrategy):
     def refresh_pass(self, s):
         for side, e, axiom in self.held:
             if (side, e) not in self.cancelled:
-                assert cone_holds(axiom.theta, self.run.a_entry[side], s), (s, side, e, axiom)
+                assert self.run.a_cones[side].holds(axiom.theta, s), (s, side, e, axiom)
         self.held = [h for h in self.held if h[:2] not in self.cancelled]
         self.cancelled.clear()
         super().refresh_pass(s)
@@ -230,7 +255,7 @@ class LemmaCheckingStrategy(RobinsonStrategy):
 
 def run_checked(doc):
     sc = load_scenario(doc)
-    strategy = LemmaCheckingStrategy(sc.functionals, build_policy(sc))
+    strategy = LemmaCheckingStrategy(sc.functionals)
     r = Run(sc, strategy)
     events = r.execute()
     report = verify(sc, events, r.final_state())

@@ -4,7 +4,7 @@ from pathlib import Path
 from splitsim.engine import Run
 from splitsim.fuzz import generate
 from splitsim.harness import run
-from splitsim.model import Axiom, FunctionalTable, PriorityAssignment, agreement_length
+from splitsim.model import Axiom, Cones, FunctionalTable, PriorityAssignment, agreement_length
 from splitsim.sacks import SacksStrategy, is_expansionary
 from splitsim.scenario import load_scenario
 from splitsim.trace import render
@@ -21,21 +21,21 @@ def _unary(axioms):
 def test_agreement_length_hand_cases():
     # One axiom per input, all answering 0 over the empty cone.
     table = _unary([(0, Axiom("", 0, 0)), (0, Axiom("", 1, 0)), (0, Axiom("", 2, 0))])
-    assert agreement_length(table, {}, {}, 0) == 2
+    assert agreement_length(table, Cones(), {}, 0) == 2
     # D holds 1 from stage 3 on: agreement stops below it.
-    assert agreement_length(table, {}, {1: 3}, 3) == 0
-    assert agreement_length(table, {}, {1: 4}, 3) == 2
+    assert agreement_length(table, Cones(), {1: 3}, 3) == 0
+    assert agreement_length(table, Cones(), {1: 4}, 3) == 2
     # Divergence at 0 means no agreement at all.
-    assert agreement_length(_unary([]), {}, {}, 5) == -1
+    assert agreement_length(_unary([]), Cones(), {}, 5) == -1
     # Cone mismatch blocks the axiom until the member arrives.
     gated = _unary([(0, Axiom("1", 0, 0))])
-    assert agreement_length(gated, {}, {}, 2) == -1
-    assert agreement_length(gated, {0: 1}, {}, 2) == 0
-    assert agreement_length(gated, {0: 3}, {}, 2) == -1  # enters after the stage
+    assert agreement_length(gated, Cones(), {}, 2) == -1
+    assert agreement_length(gated, Cones({0: 1}), {}, 2) == 0
+    assert agreement_length(gated, Cones({0: 3}), {}, 2) == -1  # enters after the stage
     # Appear stage gates too.
     late = _unary([(4, Axiom("", 0, 0))])
-    assert agreement_length(late, {}, {}, 3) == -1
-    assert agreement_length(late, {}, {}, 4) == 0
+    assert agreement_length(late, Cones(), {}, 3) == -1
+    assert agreement_length(late, Cones(), {}, 4) == 0
 
 
 def test_expansionary_baseline():
