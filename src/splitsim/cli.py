@@ -129,6 +129,9 @@ def cmd_verify(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.max_horizon < 2:
         return _fail_usage("--max-horizon must be at least 2, not %d" % args.max_horizon)
+    for flag, value in (("--seed", args.seed), ("--count", args.count)):
+        if value < 0:
+            return _fail_usage("%s must be a natural, not %d" % (flag, value))
     constructions = [args.construction] if args.construction else list(CONSTRUCTIONS)
     totals = {"pass": 0, "fail": 0, "unsettled": 0}
     peak_restraint = (-1, "-", "-")

@@ -12,7 +12,7 @@ beat, and so on), so callers can pick a different run.
 from __future__ import annotations
 
 from . import verify as _verify
-from .model import Cones, applicable_axiom, build_policy, changes, parse_label
+from .model import Cones, applicable_axiom, build_policy, changes, p_row, parse_label
 from .trace import TraceEvent, event
 
 
@@ -163,8 +163,8 @@ def _v8(scenario, events):
         if ev.kind == "enumerate" and ev.payload.get("set") == "W":
             taken.add(int(ev.payload["j"]))
     j = max(taken, default=-1) + 1
-    row = build_policy(scenario, Cones(entry)).row(j, [(0, sig) for sig in sigmas], horizon)
-    flips = changes(row)
+    policy = build_policy(scenario, Cones(entry))
+    flips = changes(p_row(policy.windows(j, [(0, sig) for sig in sigmas]), horizon))
     if flips <= scenario.q_default:
         raise CorruptionError(
             "C churns %d p-changes out of a budget of %d" % (flips, scenario.q_default)

@@ -73,6 +73,8 @@ def generate(seed: int, index: int, construction: str, max_horizon: int = 64) ->
         raise ValueError("unknown construction %r" % (construction,))
     if max_horizon < 2:
         raise ValueError("max_horizon must be at least 2")
+    if seed < 0 or index < 0:
+        raise ValueError("seed and index must be naturals")
     rng = random.Random("%d:%d:%s" % (seed, index, construction))
     horizon = _pick_horizon(rng, max_horizon)
     binary = construction == "robinson"
@@ -148,8 +150,3 @@ def generate(seed: int, index: int, construction: str, max_horizon: int = 64) ->
             doc["q_overrides"] = {"0": rng.randint(20, 40)}
     return doc
 
-
-def stream(seed: int, count: int, construction: str, max_horizon: int = 64):
-    """Documents at indices 0..count-1 of the (seed, construction) stream."""
-    for index in range(count):
-        yield generate(seed, index, construction, max_horizon)

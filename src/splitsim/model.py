@@ -15,8 +15,11 @@ nothing else from the package.  The ingredients are:
 * Turing functionals given as finite axiom tables with explicit use,
   the one rule for when two axioms conflict (conflicting), and the
   axiom a table selects at a stage,
-* the semantics of the external approximation p (its policies and rows,
-  the mind-change count of a row, and the cone truth p approximates),
+* the semantics of the external approximation p: each policy gives its
+  windows, the stage intervals on which p(j, .) answers 1, and
+  first_hit and p_row read every answer off them; scan, the one
+  certification race between p and C leaving sigma's cone; the
+  mind-change count of a row, and the cone truth p approximates,
 * block and requirement labels and their one parser,
 * the interleaved priority order of blocks, the routing of an arrival
   away from the strongest threatened block, and the dynamic assignment
@@ -356,67 +359,73 @@ class TruthfulDelayPolicy:
         self.delay = delay
         self.c_cones = c_cones
 
-    def live_window(self, enum_stage: int, sigma: str) -> tuple[int, int | None]:
-        """Stages [lo, hi] at which one string of W_j makes p answer 1.
+    def windows(self, j: int, strings: list[tuple[int, str]]) -> list[tuple[int, int | None]]:
+        """One window per string of W_j whose cone C enters, shifted d late.
 
-        hi None means the window never closes.  The window is empty when
-        C leaves the cone before p could report it (lo > hi); when C never
-        enters the cone, lo lies beyond any horizon.
+        A window is empty (lo > hi) when C leaves the cone before p could
+        report it.
         """
-        missing, birth, death = self.c_cones.lifetime(sigma)
-        if missing:
-            return 1 << 62, None
-        lo = max(enum_stage, birth) + self.delay
-        return lo, None if death is None else death - 1 + self.delay
-
-    def row(self, j: int, strings: list[tuple[int, str]], horizon: int) -> list[int]:
-        """p(j, t) for t in 0..horizon."""
-        row = [0] * (horizon + 1)
+        out = []
         for enum_stage, sigma in strings:
-            lo, hi = self.live_window(enum_stage, sigma)
-            top = horizon if hi is None else min(horizon, hi)
-            for t in range(lo, top + 1):
-                row[t] = 1
-        return row
-
-    def first_hit(self, j: int, strings: list[tuple[int, str]], s: int, horizon: int) -> int | None:
-        """The first t in s..horizon with p(j, t) = 1, or None."""
-        best = None
-        for enum_stage, sigma in strings:
-            lo, hi = self.live_window(enum_stage, sigma)
-            t = max(s, lo)
-            if hi is not None and t > hi:
-                continue
-            if best is None or t < best:
-                best = t
-        if best is None or best > horizon:
-            return None
-        return best
+            missing, birth, death = self.c_cones.lifetime(sigma)
+            if not missing:
+                lo = max(enum_stage, birth) + self.delay
+                out.append((lo, None if death is None else death - 1 + self.delay))
+        return out
 
 
 class TablePolicy:
     """p read off an explicit per-index table; missing entries are 0."""
 
     def __init__(self, values: dict[int, list[int]]):
-        self.values = {int(j): list(row) for j, row in values.items()}
-        for j, row in self.values.items():
+        self._windows: dict[int, list[tuple[int, int]]] = {}
+        for j, row in values.items():
             if any(v not in (0, 1) for v in row):
                 raise ValueError("p table rows must consist of bits")
             if row and row[0] != 0:
                 raise ValueError("p must answer 0 at stage 0 (index %d)" % j)
+            self._windows[int(j)] = [(t, t) for t, v in enumerate(row) if v]
 
-    def row(self, j: int, strings, horizon: int) -> list[int]:
-        """p(j, t) for t in 0..horizon."""
-        given = self.values.get(j, [])[: horizon + 1]
-        return given + [0] * (horizon + 1 - len(given))
+    def windows(self, j: int, strings) -> list[tuple[int, int]]:
+        """One single-stage window per 1 in row j."""
+        return self._windows.get(j, [])
 
-    def first_hit(self, j: int, strings, s: int, horizon: int) -> int | None:
-        """The first t in s..horizon with p(j, t) = 1, or None."""
-        given = self.values.get(j, [])
-        for t in range(s, min(len(given), horizon + 1)):
-            if given[t] == 1:
-                return t
-        return None
+
+def first_hit(windows, s: int, horizon: int) -> int | None:
+    """The first t in s..horizon at which p answers 1 over these windows, or None."""
+    best = None
+    for lo, hi in windows:
+        t = max(s, lo)
+        if (hi is None or t <= hi) and (best is None or t < best):
+            best = t
+    return None if best is None or best > horizon else best
+
+
+def p_row(windows, horizon: int) -> list[int]:
+    """p(j, t) for t in 0..horizon over the windows of index j."""
+    row = [0] * (horizon + 1)
+    for lo, hi in windows:
+        top = horizon if hi is None else min(horizon, hi)
+        row[lo: top + 1] = [1] * max(0, top + 1 - lo)
+    return row
+
+
+def scan(windows, c_cones: Cones, sigma: str, entry: int, horizon: int):
+    """The certification scan from stage entry: the race between p and C.
+
+    windows are p's for the guessing index, and C lies in sigma's cone at
+    entry.  The scan certifies at the first p hit, is refused at the stage
+    C leaves the cone if that comes no later, and is pending when neither
+    happens by the horizon: ("certify", t), ("refused", t) or
+    ("pending", None).
+    """
+    _, _, death = c_cones.lifetime(sigma)
+    t_hit = first_hit(windows, entry, horizon)
+    if death is not None and death <= horizon and (t_hit is None or death <= t_hit):
+        return "refused", death
+    if t_hit is None:
+        return "pending", None
+    return "certify", t_hit
 
 
 def build_policy(scenario, c_cones: Cones):

@@ -5,23 +5,24 @@ joined with a third enumeration C, and builds local functionals relative
 to C.  A computation may only be copied into a local functional after it
 is certified: its C-side string sigma is enumerated into the guessing set
 of a per-input index j (unless C already lies in one of the set's cones),
-and the stage scans forward for the first moment that either C leaves the
-cone of sigma (refusal) or the external approximation p answers 1 for j
-(certification).  The scan happens inside the stage against the
+and the kernel's scan (model.scan) races the first moment C leaves the
+cone of sigma (refusal) against the first stage the external
+approximation p answers 1 for j (certification), read off the policy's
+windows for j.  The scan happens inside the stage against the
 pre-specified C schedule and p policy, both oblivious to the run, so a
 run remains a pure function of its scenario.
 
-Each input keeps one record (InputState): its guessing index, its
-refusal memos and its local definition (k, death).  death is the stage
-at which C leaves sigma's cone (None: never), read off its lifetime in
-Run.c_cones, so the definition is live at stage s iff death is None or
-s < death, and it dies with its requirement on initialization.  A
-refusal memo suppresses re-certification of a string whose future cone
-exit is already known.
+Each input keeps one record (InputState): its guessing index, the set
+of sigmas whose scan was refused, and its local definition (k, death).
+death is the stage at which C leaves sigma's cone (None: never), read
+off its lifetime in Run.c_cones, so the definition is live at stage s
+iff death is None or s < death, and it dies with its requirement on
+initialization.  A sigma refused before is refused again at its death
+(the cone exit still beats every p hit), and that line is marked memo=1.
 
 Injury has one cause, initialization.  When a requirement is cancelled,
 every input of it that holds a guessing index is injured: its index,
-memos and definition are dropped and a fresh index is issued on next
+refusals and definition are dropped and a fresh index is issued on next
 use; the old guessing set stays behind for the verifier.  A certified
 theta never has to be re-tested against its half:
 
@@ -55,7 +56,9 @@ from .model import (
     block_label,
     build_policy,
     cone_truth,
+    first_hit,
     member,
+    scan,
 )
 from .trace import event
 
@@ -66,7 +69,7 @@ class InputState:
 
     epoch: int = 0
     j: int | None = None
-    refusal_memo: dict[str, int] = field(default_factory=dict)
+    refusals: set[str] = field(default_factory=set)
     local: tuple[int, int | None] | None = None  # (k, death)
 
     def live_value(self, s: int) -> int | None:
@@ -80,7 +83,7 @@ class InputState:
         self.epoch += 1
         self.j = None
         self.local = None
-        self.refusal_memo.clear()
+        self.refusals.clear()
 
 
 class GuessingRegistry:
@@ -152,25 +155,20 @@ class RobinsonStrategy:
                 )
             )
 
-        memo = st.refusal_memo.get(axiom.sigma)
-        if memo is not None and s <= memo:
-            emit_scan("refuse-certify", memo=1, resolved=memo, result="refused")
-            return False
-        _, _, death = run.c_cones.lifetime(axiom.sigma)
-        t_exit = death if death is not None and death <= run.horizon else None
-        t_hit = self.policy.first_hit(j, strings, s, run.horizon)
-        if t_exit is None and t_hit is None:
+        result, t = scan(self.policy.windows(j, strings), run.c_cones, axiom.sigma, s, run.horizon)
+        if result == "certify":
+            st.local = (axiom.k, run.c_cones.lifetime(axiom.sigma)[2])
+            emit_scan("certify", resolved=t)
+            return True
+        if result == "pending":
             run.pending_scans += 1
             run.unsettled = True
             emit_scan("refuse-certify", result="pending")
-            return False
-        if t_exit is not None and (t_hit is None or t_exit <= t_hit):
-            st.refusal_memo[axiom.sigma] = t_exit
-            emit_scan("refuse-certify", resolved=t_exit, result="refused")
-            return False
-        st.local = (axiom.k, death)
-        emit_scan("certify", resolved=t_hit)
-        return True
+        else:
+            memo = {"memo": 1} if axiom.sigma in st.refusals else {}
+            st.refusals.add(axiom.sigma)
+            emit_scan("refuse-certify", resolved=t, result="refused", **memo)
+        return False
 
     # -- requirement strategies ------------------------------------------------
 
@@ -266,6 +264,6 @@ class RobinsonStrategy:
         run = self.run
         h = run.horizon
         for j, strings in self.registry.sets.items():
-            p_h = self.policy.first_hit(j, strings, h, h) is not None
+            p_h = first_hit(self.policy.windows(j, strings), h, h) is not None
             if p_h != cone_truth(strings, run.c_cones, h):
                 run.unsettled = True

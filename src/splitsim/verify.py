@@ -12,8 +12,10 @@ come from that kernel too: the label grammar (parse_label), routing
 index the replayed updates keep over the scenario's table owners), the
 cone oracle (Cones: over C's schedule from set-up, over each half's
 final map once the replay ends, so V5, V7 and V9 look their past-stage
-cone questions up), the cone truth and the mind-change count of a p
-row.  Payload integers are read with the trace grammar's parse_int, so
+cone questions up), the cone truth, the mind-change count of a p
+row, the p windows of each guessing set (built once; V7 scans them and
+V8/V10 read their p_row), and the certification scan itself (scan).
+Payload integers are read with the trace grammar's parse_int, so
 a non-canonical one is a malformed payload.  Block state is keyed by
 (side, index), as in the engine; a restraint-set or initialize line
 whose block label does not parse fails V2 on that line.
@@ -25,7 +27,7 @@ Checks:
   V4  restraint-integrity           routing and arrivals respect live restraints.
   V5  diagonalization-persistence   diagonalized disagreements survive to the horizon.
   V6  injury-discipline             injuries only under same-stage initialization.
-  V7  certification-soundness       scans match the C schedule and the p policy.
+  V7  certification-soundness       each scan line is model.scan from its stage.
   V8  p-contract                    p starts at 0, stays within its change budget.
   V9  local-global-coherence        live local values track the watched functional.
   V10 change-coding-equivalence     coded p rows decode back to their limits;
@@ -50,9 +52,11 @@ from .model import (
     changes,
     cone_truth,
     member,
+    p_row,
     parse_label,
     priority_order,
     route,
+    scan,
     threatens,
 )
 from .omegace import ApproxTable, limit_eval, restrict
@@ -139,8 +143,7 @@ class _Context:
         self.last_change = [-1, -1]
         self.w_sets = {}
         self.w_seen = set()
-        self.cert_events = []
-        self.refuse_events = []
+        self.scans = []  # certify and refuse-certify lines, in trace order
         self.pending_count = 0
         self.defined_k = {}
         self.diags = []
@@ -389,13 +392,9 @@ def _on_act(ctx, ev, s, pend):
     ctx.action_counts[req] = ctx.action_counts.get(req, 0) + 1
 
 
-def _on_certify(ctx, ev, s, pend):
-    ctx.cert_events.append(ev)
-
-
-def _on_refuse_certify(ctx, ev, s, pend):
-    ctx.refuse_events.append(ev)
-    if ev.payload.get("result") == "pending":
+def _on_scan(ctx, ev, s, pend):
+    ctx.scans.append(ev)
+    if ev.kind == "refuse-certify" and ev.payload.get("result") == "pending":
         ctx.pending_count += 1
 
 
@@ -465,8 +464,8 @@ _HANDLERS = {
     "act": (0, _on_act),
     "expansionary": (0, _on_expansionary),
     "diagonalize": (0, _on_diagonalize),
-    "certify": (0, _on_certify),
-    "refuse-certify": (0, _on_refuse_certify),
+    "certify": (0, _on_scan),
+    "refuse-certify": (0, _on_scan),
     "define-local": (0, _on_define_local),
     "restraint-set": (0, _on_restraint_set),
     "assignment-update": (None, _on_assignment_update),
@@ -525,62 +524,46 @@ def _check_v5(ctx):
             prob.add("V5", h, "diagonalized value rejoined D at input %d" % d["x"], d["ev"])
 
 
-def _check_v7(ctx, p_rows):
+def _outcome(result, t):
+    return result if t is None else "%s at %d" % (result, t)
+
+
+def _check_v7(ctx, windows):
+    """A scan line, memo refusal or not, must start at its own stage inside
+    sigma's cone, name an enumerated guessing set, and claim what model.scan
+    gives over that set's p windows."""
     prob = ctx.problems
     if ctx.scenario.construction != "robinson":
-        for ev in ctx.cert_events + ctx.refuse_events:
+        for ev in ctx.scans:
             prob.add("V7", ev.stage, "certification event in a plain-construction trace", ev)
         return
-    h = ctx.horizon
-    for ev in ctx.cert_events:
+    for ev in ctx.scans:
         pay = ev.payload
+        certify = ev.kind == "certify"
         try:
-            j, sigma = parse_int(pay["j"]), pay["sigma"]
-            entry, resolved = parse_int(pay["entry"]), parse_int(pay["resolved"])
+            j, entry, sigma = parse_int(pay["j"]), parse_int(pay["entry"]), pay["sigma"]
+            resolved = parse_int(pay["resolved"]) if "resolved" in pay else None
+            result = "certify" if certify else pay["result"]
         except (KeyError, ValueError):
-            prob.add("V7", ev.stage, "malformed certification record", ev)
+            record = "certification" if certify else "refusal"
+            prob.add("V7", ev.stage, "malformed %s record" % record, ev)
             continue
-        if not 0 <= entry <= resolved <= h:
-            prob.add("V7", ev.stage, "resolution outside the scan window", ev)
-            continue
-        missing, birth, death = ctx.c_cones.lifetime(sigma)
-        if missing or birth > entry or (death is not None and death <= resolved):
-            prob.add("V7", ev.stage, "C leaves the certified cone inside the window", ev)
-        row = p_rows.get(j)
-        if row is None or row[resolved] != 1:
-            prob.add("V7", ev.stage, "p does not answer 1 at resolution", ev)
-        elif any(row[u] for u in range(entry, resolved)):
-            prob.add("V7", ev.stage, "p answered 1 before the recorded resolution", ev)
-    for ev in ctx.refuse_events:
-        pay = ev.payload
-        sigma = pay.get("sigma", "")
-        try:
-            entry = parse_int(pay.get("entry", str(ev.stage)))
-            j = parse_int(pay.get("j", "-1"))
-        except ValueError:
-            prob.add("V7", ev.stage, "malformed refusal record", ev)
-            continue
-        result = pay.get("result")
-        row = p_rows.get(j)
-        if result == "refused":
-            try:
-                resolved = parse_int(pay["resolved"])
-            except (KeyError, ValueError):
-                prob.add("V7", ev.stage, "refusal without a resolution stage", ev)
-                continue
-            if ctx.c_cones.holds(sigma, resolved):
-                prob.add("V7", ev.stage, "refusal without a cone-exit witness", ev)
-            if "memo" not in pay and row is not None:
-                if any(row[u] for u in range(max(0, entry), min(resolved, h + 1))):
-                    prob.add("V7", ev.stage, "refusal despite an earlier p hit", ev)
-        elif result == "pending":
-            missing, birth, death = ctx.c_cones.lifetime(sigma)
-            if missing or birth > entry or (death is not None and death <= h):
-                prob.add("V7", ev.stage, "pending scan despite a cone exit", ev)
-            elif row is not None and any(row[u] for u in range(max(0, entry), h + 1)):
-                prob.add("V7", ev.stage, "pending scan despite a p hit", ev)
-        else:
+        if entry != ev.stage:
+            prob.add("V7", ev.stage, "scan entry %d is not its stage" % entry, ev)
+        elif j not in windows:
+            prob.add("V7", ev.stage, "scan names W_%d, which holds no string" % j, ev)
+        elif not ctx.c_cones.holds(sigma, entry):
+            prob.add("V7", ev.stage, "C lies outside the scanned cone at entry", ev)
+        elif not certify and result not in ("refused", "pending"):
             prob.add("V7", ev.stage, "unknown refusal result %r" % (result,), ev)
+        else:
+            want = scan(windows[j], ctx.c_cones, sigma, entry, ctx.horizon)
+            if want != (result, resolved):
+                prob.add(
+                    "V7", ev.stage,
+                    "scan gives %s, line claims %s" % (_outcome(*want), _outcome(result, resolved)),
+                    ev,
+                )
 
 
 def _check_v8_v10(ctx, p_rows):
@@ -670,10 +653,13 @@ def _check_v9(ctx, settled):
 def verify(scenario, events, final=None) -> dict:
     """Check a finished run; returns {"checks", "flags", "diagnostics"}."""
     ctx = _replay(scenario, events)
-    policy = build_policy(scenario, ctx.c_cones) if scenario.construction == "robinson" else None
-    p_rows = {j: policy.row(j, strings, ctx.horizon) for j, strings in ctx.w_sets.items()}
+    windows = {}
+    if scenario.construction == "robinson":
+        policy = build_policy(scenario, ctx.c_cones)
+        windows = {j: policy.windows(j, strings) for j, strings in ctx.w_sets.items()}
+    p_rows = {j: p_row(w, ctx.horizon) for j, w in windows.items()}
     _check_v5(ctx)
-    _check_v7(ctx, p_rows)
+    _check_v7(ctx, windows)
     settled = _check_v8_v10(ctx, p_rows)
     _check_v9(ctx, settled)
 
@@ -686,7 +672,7 @@ def verify(scenario, events, final=None) -> dict:
     else:
         if not ctx.injuries:
             skipped["V6"] = "no certified state to injure in this construction"
-        if not ctx.cert_events and not ctx.refuse_events:
+        if not ctx.scans:
             skipped["V7"] = "no certification in this construction"
         if not ctx.w_sets:
             skipped["V8"] = "no guessing sets in this construction"

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from splitsim.cli import main
+from splitsim.fuzz import generate
+from splitsim.scenario import load_scenario
 from splitsim.trace import render
 
 from conftest import malformed_refusals
@@ -106,6 +108,24 @@ def test_fuzz_single_construction(capsys):
     assert "fuzz: 2 pass, 0 fail" in out
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--count"])
+def test_fuzz_negative_seed_or_count_sweeps_nothing(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main(["fuzz", flag, "-1", "--max-horizon", "16"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: %s must be a natural, not -1\n" % flag
+    assert not (tmp_path / "failing-scenario.json").exists()
+
+
+def test_generate_refuses_negative_seed_or_index():
+    with pytest.raises(ValueError):
+        generate(-1, 0, "sacks")
+    with pytest.raises(ValueError):
+        generate(0, -1, "robinson")
+    load_scenario(generate(0, 0, "robinson"))  # the smallest position is a valid document
+
+
 def test_explain_filters(tmp_path, capsys):
     trace = tmp_path / "run.trace"
     main(["run", "--scenario", SCENARIO, "--trace", str(trace)])
@@ -185,6 +205,8 @@ _EMPTY_KEY_TRACE = (
         pytest.param(b"[" * 200_000 + b"]" * 200_000, None, "run", id="deeply-nested-scenario"),
         pytest.param(None, None, "fuzz --count 1 --max-horizon 1", id="fuzz-max-horizon-1"),
         pytest.param(None, None, "fuzz --count 1 --max-horizon -3", id="fuzz-max-horizon-negative"),
+        pytest.param(None, None, "fuzz --seed -1 --count 1", id="fuzz-seed-negative"),
+        pytest.param(None, None, "fuzz --count -3", id="fuzz-count-negative"),
     ],
 )
 def test_hostile_input_is_usage_error(tmp_path, capsys, scenario_bytes, trace_bytes, command):

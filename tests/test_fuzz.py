@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from splitsim.fuzz import generate, stream
+from splitsim.fuzz import generate
 from splitsim.harness import run
 from splitsim.scenario import load_scenario
 
@@ -14,12 +14,6 @@ def test_generation_is_deterministic():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert generate(9, 4, "sacks") != a
     assert generate(10, 3, "sacks") != a
-
-
-def test_stream_matches_generate():
-    docs = list(stream(5, 6, "robinson"))
-    assert len(docs) == 6
-    assert docs == [generate(5, i, "robinson") for i in range(6)]
 
 
 @pytest.mark.parametrize("construction", ["sacks", "robinson"])

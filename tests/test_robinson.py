@@ -12,6 +12,8 @@ from splitsim.model import (
     build_policy,
     changes,
     cone_truth,
+    first_hit,
+    p_row,
 )
 from splitsim.robinson import RobinsonStrategy
 from splitsim.scenario import load_scenario
@@ -33,40 +35,46 @@ def test_lifetime_frozen_cases():
     assert Cones({0: 2, 1: 5}).lifetime("00") == (0, 0, 2)
 
 
+def _assert_first_hit_is_first_one(windows, horizon):
+    # first_hit is the first 1 of the row at or after the scan start.
+    row = p_row(windows, horizon)
+    for s in range(horizon + 1):
+        want = next((t for t in range(s, horizon + 1) if row[t]), None)
+        assert first_hit(windows, s, horizon) == want
+
+
 def test_truthful_delay_policy():
     with pytest.raises(ValueError):
         TruthfulDelayPolicy(0, Cones())
     pol = TruthfulDelayPolicy(2, Cones({0: 3}))
-    alive = [(1, "1")]  # joins the cone at stage 3, never leaves
-    assert pol.row(0, alive, 6) == [0, 0, 0, 0, 0, 1, 1]
-    assert pol.first_hit(0, alive, 0, 8) == 5
-    assert pol.first_hit(0, alive, 6, 8) == 6
-    assert pol.first_hit(0, alive, 0, 4) is None
-    dying = [(0, "0")]  # dies when 0 enters C at stage 3
-    assert pol.row(0, dying, 6) == [0, 0, 1, 1, 1, 0, 0]
-    assert pol.first_hit(0, dying, 0, 8) == 2
-    assert pol.first_hit(0, dying, 5, 8) is None
-    unborn = [(0, "01")]  # 1 never enters C, so C never enters the cone
-    assert pol.row(0, unborn, 6) == [0] * 7
-    assert pol.first_hit(0, unborn, 0, 8) is None
-    late = [(4, "")]  # enumerated after C entered the cone: the window opens at 4 + d
-    assert pol.row(0, late, 6) == [0, 0, 0, 0, 0, 0, 1]
-    # first_hit is the first 1 of the row at or after the scan start.
-    for strings in (alive, dying, unborn, late, alive + dying):
-        row = pol.row(0, strings, 8)
-        for s in range(9):
-            want = next((t for t in range(s, 9) if row[t]), None)
-            assert pol.first_hit(0, strings, s, 8) == want
+    alive = pol.windows(0, [(1, "1")])  # joins the cone at stage 3, never leaves
+    assert p_row(alive, 6) == [0, 0, 0, 0, 0, 1, 1]
+    assert first_hit(alive, 0, 8) == 5
+    assert first_hit(alive, 6, 8) == 6
+    assert first_hit(alive, 0, 4) is None
+    dying = pol.windows(0, [(0, "0")])  # dies when 0 enters C at stage 3
+    assert p_row(dying, 6) == [0, 0, 1, 1, 1, 0, 0]
+    assert first_hit(dying, 0, 8) == 2
+    assert first_hit(dying, 5, 8) is None
+    unborn = pol.windows(0, [(0, "01")])  # 1 never enters C, so C never enters the cone
+    assert p_row(unborn, 6) == [0] * 7
+    assert first_hit(unborn, 0, 8) is None
+    late = pol.windows(0, [(4, "")])  # enumerated after C entered the cone: opens at 4 + d
+    assert p_row(late, 6) == [0, 0, 0, 0, 0, 0, 1]
+    for windows in (alive, dying, unborn, late, alive + dying):
+        _assert_first_hit_is_first_one(windows, 8)
 
 
 def test_table_policy():
     pol = TablePolicy({"0": [0, 1, 0]})
-    assert pol.row(0, [], 3) == [0, 1, 0, 0]
-    assert pol.row(0, [], 1) == [0, 1]
-    assert pol.row(7, [], 1) == [0, 0]
-    assert pol.first_hit(0, [], 0, 8) == 1
-    assert pol.first_hit(0, [], 2, 8) is None
-    assert pol.first_hit(0, [], 0, 0) is None
+    row0 = pol.windows(0, [])
+    assert p_row(row0, 3) == [0, 1, 0, 0]
+    assert p_row(row0, 1) == [0, 1]
+    assert p_row(pol.windows(7, []), 1) == [0, 0]
+    assert first_hit(row0, 0, 8) == 1
+    assert first_hit(row0, 2, 8) is None
+    assert first_hit(row0, 0, 0) is None
+    _assert_first_hit_is_first_one(row0, 8)
     with pytest.raises(ValueError):
         TablePolicy({0: [1, 0]})
     with pytest.raises(ValueError):
@@ -83,8 +91,13 @@ _strings = st.lists(st.tuples(st.integers(0, 12), st.text(alphabet="01", max_siz
     st.integers(0, 14),
 )
 def test_truthful_first_hit_at_the_horizon_is_the_row_end(c_entry, delay, strings, h):
-    pol = TruthfulDelayPolicy(delay, Cones(c_entry))
-    assert (pol.first_hit(0, strings, h, h) is not None) == (pol.row(0, strings, h)[h] == 1)
+    c_cones = Cones(c_entry)
+    windows = TruthfulDelayPolicy(delay, c_cones).windows(0, strings)
+    row = p_row(windows, h)
+    assert (first_hit(windows, h, h) is not None) == (row[h] == 1)
+    # The row is the cone truth, d stages late.
+    assert row == [int(t >= delay and cone_truth(strings, c_cones, t - delay)) for t in range(h + 1)]
+    _assert_first_hit_is_first_one(windows, h)
 
 
 @given(
@@ -93,8 +106,13 @@ def test_truthful_first_hit_at_the_horizon_is_the_row_end(c_entry, delay, string
     st.integers(0, 14),
 )
 def test_table_first_hit_at_the_horizon_is_the_row_end(tail, j, h):
-    pol = TablePolicy({0: [0] + tail})
-    assert (pol.first_hit(j, [], h, h) is not None) == (pol.row(j, [], h)[h] == 1)
+    given_row = [0] + tail if j == 0 else []
+    windows = TablePolicy({0: [0] + tail}).windows(j, [])
+    row = p_row(windows, h)
+    assert (first_hit(windows, h, h) is not None) == (row[h] == 1)
+    # Missing entries are 0.
+    assert row == (given_row + [0] * (h + 1))[: h + 1]
+    _assert_first_hit_is_first_one(windows, h)
 
 
 def _doc(horizon, c, delay, functionals, b=()):
@@ -138,9 +156,9 @@ def test_certification_race_won_by_policy_hit():
     assert [(ev.stage, ev.payload["j"], ev.payload["sigma"]) for ev in enums] == [(2, "0", "0")]
     # p holds only while C stays out of the cone, one stage late.
     strings = [(2, "0")]
-    p_row = build_policy(sc, Cones(sc.c_schedule.entry_stage())).row(0, strings, 8)
-    assert changes(p_row) == 2
-    assert p_row[8] == 0 == cone_truth(strings, r.c_cones, 8)
+    row = p_row(build_policy(sc, Cones(sc.c_schedule.entry_stage())).windows(0, strings), 8)
+    assert changes(row) == 2
+    assert row[8] == 0 == cone_truth(strings, r.c_cones, 8)
     assert not state["unsettled"]
     assert verify(sc, events)["checks"]["V8"]["status"] == "pass"
     # The local definition died with its sigma cone.

@@ -110,6 +110,65 @@ def test_corruptions_refuse_without_material(control_materials):
         corrupt("V99", *control_materials["deflection"][:2])
 
 
+# Scan lines of every result: a memo refusal after a plain one (the cone
+# exit beats a delay of 5), and pending scans (p too late for the horizon).
+_REFUSAL_DOC = dict(CERTIFY_DOC, c=[[6, 0]], p_policy={"type": "truthful_delay", "d": 5})
+_PENDING_DOC = dict(CERTIFY_DOC, c=[], p_policy={"type": "truthful_delay", "d": 10})
+
+
+def _scan_forgeries(events):
+    """(forged line, events) for each entry +-1, resolved +-1 and j moved to
+    another issued index, on every certify and refuse-certify line."""
+    issued = sorted({ev.payload["j"] for ev in events if ev.payload.get("set") == "W"})
+    for at, ev in enumerate(events):
+        if ev.kind not in ("certify", "refuse-certify"):
+            continue
+        pay = ev.payload
+        changes = [("entry", str(int(pay["entry"]) + d)) for d in (1, -1)]
+        if "resolved" in pay:
+            changes += [("resolved", str(int(pay["resolved"]) + d)) for d in (1, -1)]
+        changes += [("j", j) for j in issued if j != pay["j"]]
+        for key, value in changes:
+            line = TraceEvent(ev.stage, ev.kind, dict(pay, **{key: value}))
+            yield line, events[:at] + [line] + events[at + 1:]
+
+
+def test_forged_scan_fields_fail_v7(control_materials):
+    materials = [m[:2] for m in control_materials.values() if m[0].construction == "robinson"]
+    for doc in (_REFUSAL_DOC, _PENDING_DOC):
+        sc = load_scenario(doc)
+        materials.append((sc, run(sc)[0]))
+    forged = {}
+    for sc, events in materials:
+        for line, mutated in _scan_forgeries(events):
+            v7 = verify(sc, mutated)["checks"]["V7"]
+            assert v7["status"] == "fail", line.to_line()
+            assert line.to_line() in [w["line"] for w in v7["witnesses"]]
+            key = line.payload.get("result", "certify") + " memo" * ("memo" in line.payload)
+            forged[key] = forged.get(key, 0) + 1
+    assert set(forged) == {"certify", "refused", "refused memo", "pending"}, forged
+
+
+def test_forged_scan_witnesses(control_materials):
+    sc, events, _ = control_materials["certify"]
+    at, line = next((i, ev) for i, ev in enumerate(events) if ev.kind == "certify")
+    forged, _ = _forge(events, "certify", line.stage, resolved="4")
+    v7 = verify(sc, forged)["checks"]["V7"]
+    assert v7["witnesses"][0]["note"] == "scan gives certify at 3, line claims certify at 4"
+    # A refusal line may not claim the certification the scan gives.
+    refusal = TraceEvent(line.stage, "refuse-certify", dict(line.payload, result="certify"))
+    v7 = verify(sc, events[:at] + [refusal] + events[at + 1:])["checks"]["V7"]
+    assert v7["witnesses"][0]["note"] == "unknown refusal result 'certify'"
+
+
+def test_w_enumeration_in_a_sacks_trace_fails_v2(control_materials):
+    sc, events, _ = control_materials["deflection"]
+    forged = events + [TraceEvent(sc.horizon, "enumerate", {"j": "0", "set": "W", "sigma": ""})]
+    report = verify(sc, forged)
+    assert report["checks"]["V2"]["status"] == "fail"
+    assert report["checks"]["V8"]["status"] == "pass"
+
+
 def test_honest_fuzz_sweep_passes():
     for construction in ("sacks", "robinson"):
         for index in range(12):
