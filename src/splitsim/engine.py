@@ -29,18 +29,21 @@ inputs last changed (its wake rules), the Robinson strategy every owner
 block.
 Requirements that own no functional table can never act, define nothing
 and hold no state, so only blocks holding table owners are ever due.
-Run.owner_orders lists those blocks in priority order, and
-Run.order_of_owner sends each owner (side, e) to its block's priority
-order; both are read off each assignment's membership index
-(PriorityAssignment.blocks) and rebuilt only when part three updates an
-assignment.
 
-Block state is the one map model.route reads: Run.restraint sends each
-block that exists, keyed by its address (side, i), to its restraint, -1
-for none.  A block comes into existence when it is first initialized, or
-when part two first passes it: every owner block up to the stop order,
-or up to the acting block, exists after part two, due or not.  It never
-leaves the map.
+Block state is one model.BlockState (Run.blocks), the same type the
+verifier replays.  Its restraint map is the record: it sends each block
+that exists, keyed by its address (side, i), to its restraint, -1 for
+none.  Routing is the state's bisection of its restraint stack, the
+victims of an initialization are a slice of its sorted existing blocks,
+and block membership and each owner's block are read off its
+assignments, whose index an update touches only where values change.
+A block comes into existence when it is first initialized, or when part
+two first passes it: every owner block up to the stop order, or up to
+the acting block, exists after part two, due or not.  It never leaves
+the record.  Run._passed is the highest order up to which every owner
+block exists, so part two passes only the owners beyond it, continuing
+each side's list of passed owners; an update takes both back to the
+first owner it moves onto a block part two may not have passed.
 """
 
 from __future__ import annotations
@@ -50,12 +53,12 @@ from collections import OrderedDict
 
 from .model import (
     SIDE_LABEL,
+    BlockState,
     Cones,
     PriorityAssignment,
     block_label,
     order_block,
     priority_order,
-    route,
 )
 from .trace import TraceEvent, event
 
@@ -75,12 +78,12 @@ class Run:
         self.c_cones = Cones(scenario.c_schedule.entry_stage())
         self.d_entry = dict(scenario.d_schedule.entry_stage())
         self.a_cones = (Cones(), Cones())
-        self.restraint: dict[tuple[int, int], int] = {}
-        self.assignments = tuple(
-            PriorityAssignment(e for owner_side, e in strategy.owners if owner_side == side)
-            for side in (0, 1)
-        )
-        self._index_owner_blocks()
+        self.blocks = BlockState(strategy.owners)
+        self.assignments: tuple[PriorityAssignment, ...] = self.blocks.assignments
+        # Every owner block of priority order at most _passed exists, and
+        # so do the blocks of the first _owners_passed[side] owners of side.
+        self._passed = -1
+        self._owners_passed = [0, 0]
         self.events: list[TraceEvent] = []
         self.pending_scans = 0
         self.unsettled = False
@@ -112,10 +115,8 @@ class Run:
             self._pending_d[x] = None
 
     def set_restraint(self, side: int, i: int, s: int) -> None:
-        if self.restraint[(side, i)] == s:
-            return
-        self.restraint[(side, i)] = s
-        self.emit(event(s, "restraint-set", block=block_label(side, i), value=s))
+        if self.blocks.set_restraint(side, i, s):
+            self.emit(event(s, "restraint-set", block=block_label(side, i), value=s))
 
     # -- stage parts ------------------------------------------------------
 
@@ -142,7 +143,7 @@ class Run:
         x = self.b_by_stage.get(s)
         if x is None:
             return
-        threatened, half, init = route(x, self.restraint)
+        threatened, half, init = self.blocks.route(x)
         label = "-" if threatened is None else block_label(*threatened)
         self.emit(event(s, "route", threatened=label, to="A%d" % half, x=x))
         self._enumerate_half(half, x, s)
@@ -155,23 +156,25 @@ class Run:
         self.a_cones[side].arrive(x, s)
         self.emit(event(s, "enumerate", element=x, set="A%d" % side))
 
-    def _index_owner_blocks(self) -> None:
-        self.order_of_owner = {
-            (side, e): priority_order(side, i)
-            for side in (0, 1)
-            for i, members in self.assignments[side].blocks.items()
-            for e in members
-        }
-        self.owner_orders = sorted(set(self.order_of_owner.values()))
-        # owner_orders[:_passed] are known to exist in restraint.
-        self._passed = 0
-
     def _pass_blocks(self, upto: int) -> None:
-        """Bring every owner block of priority order at most upto into existence."""
-        end = bisect_right(self.owner_orders, upto)
-        for order in self.owner_orders[self._passed:end]:
-            self.restraint.setdefault(order_block(order), -1)
-        self._passed = max(self._passed, end)
+        """Bring every owner block of priority order at most upto into existence.
+
+        Each side's owners sit on nondecreasing blocks, so each side's
+        passed owners are a prefix of its owner list, and passing
+        continues it.
+        """
+        if upto <= self._passed:
+            return
+        self._passed = upto
+        for side, assign in enumerate(self.assignments):
+            owners, k = assign.owners, self._owners_passed[side]
+            while k < len(owners):
+                i = assign.value(owners[k])
+                if priority_order(side, i) > upto:
+                    break
+                self.blocks.add(side, i)
+                k += 1
+            self._owners_passed[side] = k
 
     def _part_two(self, s: int) -> None:
         stop_order = min(
@@ -193,15 +196,13 @@ class Run:
 
     def initialize_block(self, side: int, i: int, s: int, cause: str) -> None:
         """Initialize block (side, i) and everything of lower priority."""
-        self.restraint.setdefault((side, i), -1)
         floor = priority_order(side, i)
         if self._init_target is None or floor < self._init_target[0]:
             self._init_target = (floor, side, i)
         initiator = block_label(side, i)
-        orders = (priority_order(*blk) for blk in self.restraint)
-        for order in sorted(o for o in orders if o >= floor):
+        self.blocks.initialize(side, i)
+        for order in self.blocks.existing_from(floor):
             blk = order_block(order)
-            self.restraint[blk] = -1
             for e in self.block_members(*blk):
                 self.strategy.cancel_requirement(blk[0], e, s)
             self.emit(
@@ -224,8 +225,14 @@ class Run:
             )
         if assign.value(m) != i:
             raise ConstructionInvariantError("update tail is not on the target block")
-        assign.update(s, i, m)
-        self._index_owner_blocks()
+        self.blocks.update(side, s, i, m)
+        # Owners up to s sit on blocks that exist; those above it now sit
+        # on blocks i + 1, i + 2, ..., which need not.
+        k = bisect_right(assign.owners, s)
+        if k < len(assign.owners):
+            self._owners_passed[side] = min(self._owners_passed[side], k)
+            moved = priority_order(side, i + assign.owners[k] - s)
+            self._passed = min(self._passed, moved - 1)
         self.emit(event(s, "assignment-update", i=i, side=SIDE_LABEL[side], tail=m))
 
     # -- results ----------------------------------------------------------

@@ -21,9 +21,12 @@ nothing else from the package.  The ingredients are:
   certification race between p and C leaving sigma's cone; the
   mind-change count of a row, and the cone truth p approximates,
 * block and requirement labels and their one parser,
-* the interleaved priority order of blocks, the routing of an arrival
-  away from the strongest threatened block, and the dynamic assignment
-  of requirements to blocks together with block membership.
+* the interleaved priority order of blocks and the one block-state
+  machine (BlockState) that the engine drives and the verifier
+  replays: the restraint record, the stack of blocks an arrival can be
+  routed against (route), the existing blocks whose suffix an
+  initialization clears, and the dynamic assignment of requirements to
+  blocks with its incremental membership index.
 
 A functional converges on an input exactly when some axiom whose oracle
 string(s) are initial segments of the current oracle set(s) has appeared
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 
@@ -476,22 +479,6 @@ def threatens(x: int, restraint: int) -> bool:
     return 0 <= x <= restraint
 
 
-def route(x: int, restraints: dict[tuple[int, int], int]):
-    """Where an arrival goes: (threatened block, half, block to initialize).
-
-    restraints maps blocks (side, i) to their restraints.  The arrival is
-    deflected away from the strongest block it threatens, into the other
-    half, and the next-weaker block in priority order is initialized;
-    with no threatened block it goes to A0 and nothing is initialized
-    (both blocks are then None).
-    """
-    threatened = [blk for blk, r in restraints.items() if threatens(x, r)]
-    if not threatened:
-        return None, 0, None
-    side, i = min(threatened, key=lambda blk: priority_order(*blk))
-    return (side, i), 1 - side, order_block(priority_order(side, i) + 1)
-
-
 class PriorityAssignment:
     """One side's dynamic requirement-to-block assignment.
 
@@ -502,15 +489,22 @@ class PriorityAssignment:
     identity.  Neither tail nor update raises on a bad argument, so a
     replay of untrusted update claims can apply them and report what is
     wrong; the engine checks its own invariants before it updates.
-    blocks indexes membership: it maps each block holding some of the
-    side's owners (the indices that own a table) to those owners, in
-    order, and update rebuilds it from value, so the two always agree.
+
+    owners are the side's indices that own a table.  blocks indexes the
+    membership of the owners inside the explicit prefix: it maps each
+    block holding some of them to those owners, in order.  Past the
+    prefix a block holds at most the one index last + (i - top), so
+    members is arithmetic there.  update keeps every index up to m on its
+    block, so it re-indexes only the owners that one of the two prefixes
+    covers above m or above the old prefix: in a run, where stages grow,
+    those in (m, s] and those the prefix covers for the first time.
     """
 
     def __init__(self, owners):
         self.owners = sorted(owners)
+        self._owner_set = set(self.owners)
         self.prefix: list[int] = [0]
-        self._index()
+        self.blocks: dict[int, list[int]] = {0: [0]} if 0 in self._owner_set else {}
 
     def value(self, e: int) -> int:
         prefix = self.prefix
@@ -521,14 +515,15 @@ class PriorityAssignment:
             return prefix[e]
         return prefix[last] + (e - last)
 
-    def _index(self) -> None:
-        self.blocks: dict[int, list[int]] = {}
-        for e in self.owners:
-            self.blocks.setdefault(self.value(e), []).append(e)
-
     def members(self, i: int) -> tuple[int, ...]:
         """The owners currently assigned to block i, in ascending order."""
-        return tuple(self.blocks.get(i, ()))
+        held = self.blocks.get(i, ())
+        prefix = self.prefix
+        last = len(prefix) - 1
+        e = last + (i - prefix[last])
+        if e > last and e in self._owner_set:
+            return (*held, e)
+        return tuple(held)
 
     def tail(self, i: int) -> int | None:
         """Largest requirement index currently assigned to block i; None if there is none."""
@@ -548,10 +543,55 @@ class PriorityAssignment:
         below m keep their block; everything strictly above s lands on
         i + distance-from-s.
         """
-        new = self.snapshot_values(m)
-        new.extend([i] * (s - m))
-        self.prefix = new
-        self._index()
+        prefix, owners, blocks = self.prefix, self.owners, self.blocks
+        old_len = len(prefix)
+        new_len = max(m + 1, 0) + max(s - m, 0)
+        lo, hi = min(m, old_len - 1), max(old_len, new_len) - 1
+        moved = owners[bisect_right(owners, lo): bisect_right(owners, hi)]
+        # A block's indexed owners above m are a suffix of its list.
+        for e in moved:
+            if e < old_len:
+                held = blocks.get(prefix[e])
+                if held and held[-1] > m:
+                    del held[bisect_right(held, m):]
+                    if not held:
+                        del blocks[prefix[e]]
+        # The prefix becomes [value(0), ..., value(m)] + [i] * (s - m), in place.
+        if m < old_len:
+            del prefix[max(m + 1, 0):]
+        else:
+            prefix.extend(range(prefix[-1] + 1, prefix[-1] + 1 + m - (old_len - 1)))
+        prefix.extend([i] * (s - m))
+        for e in moved:
+            if e < new_len:
+                blocks.setdefault(prefix[e], []).append(e)
+
+    def first_rise(self, s: int, i: int, m: int) -> tuple[int, int, int] | None:
+        """The first index update(s, i, m) would raise, as (e, was, now); None if none.
+
+        For 0 <= m <= s over a valid map (nondecreasing from 0, steps of
+        0 or 1), where value(e) - e is nonincreasing.  Indices up to m
+        keep their values and those in (m, s] take i; value(m+1) is the
+        least old value among them, so a rise there shows at m + 1.  Past
+        s the new map has value(e) - e constant, so the first index whose
+        old value(e) - e falls below that constant is found by bisection.
+        """
+        if m < s:
+            was = self.value(m + 1)
+            if was < i:
+                return m + 1, was, i
+            base = i - s
+        else:
+            base = self.value(s) - s
+        prefix = self.prefix
+        last = len(prefix) - 1
+        e = bisect_right(
+            range(last + 1), -base, min(s + 1, last + 1), key=lambda e: e - prefix[e]
+        )
+        if e > last and prefix[last] - last >= base:
+            return None
+        e = max(e, s + 1)
+        return e, self.value(e), base + e
 
     def snapshot_values(self, upto: int) -> list[int]:
         """[value(0), ..., value(upto)]."""
@@ -561,3 +601,133 @@ class PriorityAssignment:
         last = len(prefix) - 1
         top = prefix[last]
         return prefix + list(range(top + 1, top + 1 + upto - last))
+
+
+class BlockState:
+    """The block facts the construction and the verifier share.
+
+    restraint is the record: it maps each block that exists, keyed by
+    its address (side, i), to its restraint, -1 for none.  Restraints
+    are stages, each set no lower than any set before it, and an
+    initialization clears a block together with every weaker one.  So
+    the blocks an arrival can be routed against form a stack of
+    (order, restraint) pairs increasing in both, each restraint above
+    that of every stronger block: set_restraint pops the orders at or
+    above its block's and pushes the pair unless the top already holds
+    as high a restraint, initialize pops the orders at or above its
+    floor, and route is one bisection for the first restraint at or
+    above the arrival.  orders lists the existing blocks in priority
+    order, so the victims of an initialization are a slice of it, and
+    _live lists the blocks holding a restraint, so clearing them costs
+    what setting them did.  The two assignments carry block membership.
+    """
+
+    def __init__(self, owners):
+        self.owners = sorted(owners)
+        self.assignments = tuple(
+            PriorityAssignment(e for owner_side, e in self.owners if owner_side == side)
+            for side in (0, 1)
+        )
+        self.restraint: dict[tuple[int, int], int] = {}
+        self.orders: list[int] = []
+        self._live: list[int] = []
+        self._stack_orders: list[int] = []
+        self._stack_restraints: list[int] = []
+        self._owner_orders: list[int] | None = None
+
+    def add(self, side: int, i: int) -> None:
+        """Bring block (side, i) into existence if it is not yet, with no restraint."""
+        if (side, i) not in self.restraint:
+            self.restraint[(side, i)] = -1
+            insort(self.orders, priority_order(side, i))
+
+    def _pop(self, order: int) -> None:
+        k = bisect_left(self._stack_orders, order)
+        del self._stack_orders[k:]
+        del self._stack_restraints[k:]
+
+    def set_restraint(self, side: int, i: int, s: int) -> bool:
+        """Set the restraint of block (side, i) to stage s; False if it already holds s."""
+        old = self.restraint.get((side, i))
+        if old == s:
+            return False
+        order = priority_order(side, i)
+        if old is None:
+            insort(self.orders, order)
+        if old is None or old < 0:
+            insort(self._live, order)
+        self.restraint[(side, i)] = s
+        self._pop(order)
+        if not self._stack_restraints or self._stack_restraints[-1] < s:
+            self._stack_orders.append(order)
+            self._stack_restraints.append(s)
+        return True
+
+    def initialize(self, side: int, i: int) -> None:
+        """Initialize block (side, i), bringing it into existence, and every weaker block."""
+        self.add(side, i)
+        floor = priority_order(side, i)
+        self._pop(floor)
+        live = self._live
+        k = bisect_left(live, floor)
+        for order in live[k:]:
+            self.restraint[order_block(order)] = -1
+        del live[k:]
+
+    def existing_from(self, order: int) -> list[int]:
+        """The orders of the existing blocks at order or weaker, ascending."""
+        return self.orders[bisect_left(self.orders, order):]
+
+    def route(self, x: int):
+        """Where an arrival goes: (threatened block, half, block to initialize).
+
+        The arrival is deflected away from the strongest block it
+        threatens, into the other half, and the next-weaker block in
+        priority order is initialized; with no threatened block it goes
+        to A0 and nothing is initialized (both blocks are then None).
+        """
+        k = bisect_left(self._stack_restraints, x)
+        if x < 0 or k == len(self._stack_restraints):
+            return None, 0, None
+        order = self._stack_orders[k]
+        side, i = order_block(order)
+        return (side, i), 1 - side, order_block(order + 1)
+
+    def threatened(self, x: int) -> list[int]:
+        """The orders of every block the arrival x threatens, ascending.
+
+        The strongest is the one route finds on the stack; a weaker one
+        holding a restraint off the stack lies above it in _live.
+        """
+        k = bisect_left(self._stack_restraints, x)
+        if x < 0 or k == len(self._stack_restraints):
+            return []
+        live, restraint = self._live, self.restraint
+        return [
+            order for order in live[bisect_left(live, self._stack_orders[k]):]
+            if threatens(x, restraint[order_block(order)])
+        ]
+
+    def orders_of(self, owners) -> list[int]:
+        """The distinct priority orders of the blocks holding these (side, e) owners, ascending.
+
+        Each owner's block is read off its side's prefix, or the
+        unit-slope extension past it, as value does.
+        """
+        ends = [(a.prefix, len(a.prefix) - 1) for a in self.assignments]
+        return sorted({
+            2 * (prefix[e] if e <= last else prefix[last] + e - last) + side
+            for side, e in owners
+            for prefix, last in (ends[side],)
+        })
+
+    def owner_orders(self) -> list[int]:
+        """orders_of every owner, kept until the next update."""
+        if self._owner_orders is None:
+            self._owner_orders = self.orders_of(self.owners)
+        return self._owner_orders
+
+    def update(self, side: int, s: int, i: int, m: int) -> None:
+        """Apply update(s, i, m) to the assignment of side."""
+        self.assignments[side].update(s, i, m)
+        self._owner_orders = None

@@ -174,7 +174,7 @@ class RobinsonStrategy:
 
     def due_orders(self, s: int) -> list[int]:
         """Every owner block is due: Robinson has no wake rules yet."""
-        return self.run.owner_orders
+        return self.run.blocks.owner_orders()
 
     def run_block(self, side: int, i: int, s: int) -> bool:
         acted = False

@@ -130,8 +130,7 @@ class SacksStrategy:
     def due_orders(self, s: int) -> list[int]:
         """Priority orders of the blocks that hold awake owners, ascending."""
         self._wake(s)
-        order = self.run.order_of_owner
-        return sorted({order[key] for key in self.awake})
+        return self.run.blocks.orders_of(self.awake)
 
     def run_block(self, side: int, i: int, s: int) -> bool:
         acted = False

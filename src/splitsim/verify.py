@@ -7,24 +7,41 @@ change-set coding of the p approximations.  Engine and strategy
 internals are never consulted: the module imports only the trusted
 kernel (model, omegace, trace), so a failure always indicts the trace,
 not the bookkeeping that produced it.  The rules the engine follows
-come from that kernel too: the label grammar (parse_label), routing
-(route), block membership (PriorityAssignment.members, which reads the
-index the replayed updates keep over the scenario's table owners), the
-cone oracle (Cones: over C's schedule from set-up, over each half's
-final map once the replay ends, so V5, V7 and V9 look their past-stage
-cone questions up), the cone truth, the mind-change count of a p
-row, the p windows of each guessing set (built once; V7 scans them and
-V8/V10 read their p_row), and the certification scan itself (scan).
-Payload integers are read with the trace grammar's parse_int, so
-a non-canonical one is a malformed payload.  Block state is keyed by
-(side, index), as in the engine; a restraint-set or initialize line
-whose block label does not parse fails V2 on that line.
+come from that kernel too: the label grammar (parse_label), the block
+state (BlockState, replayed from the restraint-set, initialize and
+assignment-update lines: routing is its restraint stack, an
+initialization clears its block and every weaker one, and block
+membership reads the index its assignments keep over the scenario's
+table owners), the cone oracle (Cones: over C's schedule from set-up,
+over each half's final map once the replay ends, so V5, V7 and V9 look
+their past-stage cone questions up), the cone truth, the mind-change
+count of a p row, the p windows of each guessing set (built once; V7
+scans them and V8/V10 read their p_row), and the certification scan
+itself (scan).  Payload integers are read with the trace grammar's
+parse_int, so a non-canonical one is a malformed payload.  Block state
+is keyed by (side, index), as in the engine; a restraint-set or
+initialize line whose block label does not parse fails V2 on that line.
+
+A restraint is the stage that sets it: a restraint-set line whose value
+is not its stage, or with no same-stage act line naming its block,
+fails V4, and the replay sets the stage (never below its clock), so the
+restraints it replays only grow, as the block state needs.  An
+assignment update fails V3 if it raises some index, which on a valid
+map shows at the first index past the tail or where value(e) - e falls
+below the new map's (PriorityAssignment.first_rise); the replay keeps
+the map valid by applying a target of value(tail) or one above it.  V7
+replays guessing-index issuance and refusals per input: a scan line
+must name the index its input holds (a fresh one, the next issued, on
+its first scan and on its first after a cancellation of its
+requirement), and memo=1 marks exactly a refusal of a sigma the input
+had refused since its index was issued.
 
 Checks:
   V1  partition                     A0 and A1 split B exactly, stage by stage.
   V2  monotone-enumerations         line grammar, stage order, c.e. discipline.
   V3  assignment-monotone           block assignments only ever move down.
-  V4  restraint-integrity           routing and arrivals respect live restraints.
+  V4  restraint-integrity           restraints are stages set by acts; routing
+                                    and arrivals respect live restraints.
   V5  diagonalization-persistence   diagonalized disagreements survive to the horizon.
   V6  injury-discipline             injuries only under same-stage initialization.
   V7  certification-soundness       each scan line is model.scan from its stage.
@@ -43,8 +60,8 @@ from __future__ import annotations
 
 from .model import (
     SIDE_LABEL,
+    BlockState,
     Cones,
-    PriorityAssignment,
     agreement_length,
     applicable_axiom,
     block_label,
@@ -52,12 +69,11 @@ from .model import (
     changes,
     cone_truth,
     member,
+    order_block,
     p_row,
     parse_label,
     priority_order,
-    route,
     scan,
-    threatens,
 )
 from .omegace import ApproxTable, limit_eval, restrict
 from .trace import TraceEvent, parse_int
@@ -129,21 +145,24 @@ class _Context:
         self.a_entry = ({}, {})  # element -> entry stage, per half
         self.a_cones = None  # per half, over the final a_entry once the replay ends
         self.routed = {}
-        self.restraint = {}       # (side, i) -> live restraint, -1 for none
+        self.clock = 0  # the latest stage replayed so far
+        self.blocks = BlockState(scenario.functionals)
+        self.assignments = self.blocks.assignments
         self.max_restraint = {}
+        self.restraint_sets = []  # (stage, line) of every restraint-set line
+        self.acts = set()         # (stage, block label) of every act line
         self.last_initialized = {}
         self.inits_by_stage = {}
         self.initiators_by_stage = {}
         self.updates_per_stage = {}
         self.none_update_stages = []
-        self.assignments = tuple(
-            PriorityAssignment(e for owner_side, e in scenario.functionals if owner_side == side)
-            for side in (0, 1)
-        )
         self.last_change = [-1, -1]
         self.w_sets = {}
         self.w_seen = set()
-        self.scans = []  # certify and refuse-certify lines, in trace order
+        self.scans = []  # (line, index its input holds, memo due), in trace order
+        # req text -> x text -> (guessing index, sigmas refused since the index)
+        self.held = {}
+        self.issued = 0
         self.pending_count = 0
         self.defined_k = {}
         self.diags = []
@@ -178,7 +197,7 @@ def _replay(scenario, events) -> _Context:
         if s > last_stage:
             if pend.busy():
                 _close_stage(ctx, pend, last_stage)
-            last_stage = s
+            last_stage = ctx.clock = s
         parity, handler = _HANDLERS.get(ev.kind, (None, None))
         if parity is not None and s % 2 != parity:
             prob.add("V2", s, "%s event at an %s stage" % (ev.kind, _PARITY_WORD[s % 2]), ev)
@@ -198,6 +217,11 @@ def _replay(scenario, events) -> _Context:
         n = ctx.updates_per_stage.get(s, 0)
         if n != 1:
             prob.add("V11", s, "stage has %d assignment updates instead of one" % n)
+    for s, ev in ctx.restraint_sets:
+        if (s, ev.payload["block"]) not in ctx.acts:
+            prob.add(
+                "V4", s, "restraint set with no act of %s this stage" % ev.payload["block"], ev
+            )
     for s in ctx.none_update_stages:
         if ctx.inits_by_stage.get(s):
             prob.add("V11", s, "update claims no initialization despite one")
@@ -295,9 +319,9 @@ def _on_enumerate(ctx, ev, s, pend):
         pend.routes.pop(matched)
     ctx.routed[x] = (side, s)
     ctx.a_entry[side][x] = s
-    for blk, r in ctx.restraint.items():
-        if blk[0] == side and threatens(x, r):
-            pend.violations.append((blk, ev))
+    for order in ctx.blocks.threatened(x):
+        if order % 2 == side:
+            pend.violations.append((order_block(order), ev))
 
 
 def _on_route(ctx, ev, s, pend):
@@ -305,7 +329,7 @@ def _on_route(ctx, ev, s, pend):
     pay = ev.payload
     x = parse_int(pay["x"])
     to = pay["to"]
-    threatened, half, init = route(x, ctx.restraint)
+    threatened, half, init = ctx.blocks.route(x)
     want_label = "-" if threatened is None else block_label(*threatened)
     if pay.get("threatened", "-") != want_label:
         prob.add("V4", s, "route names the wrong threatened block (%s)" % want_label, ev)
@@ -324,8 +348,14 @@ def _on_restraint_set(ctx, ev, s, pend):
     if blk is None:
         ctx.problems.add("V2", s, "restraint names no block", ev)
         return
-    ctx.restraint[blk] = value
-    ctx.max_restraint[blk] = max(ctx.max_restraint.get(blk, -1), value)
+    if value != s:
+        ctx.problems.add("V4", s, "restraint value %d, expected the stage %d" % (value, s), ev)
+    # The replay goes on with the stage, never below its clock, so the
+    # restraints it sets only grow, as the block state requires.
+    stage = max(s, ctx.clock)
+    ctx.blocks.set_restraint(*blk, stage)
+    ctx.max_restraint[blk] = max(ctx.max_restraint.get(blk, -1), stage)
+    ctx.restraint_sets.append((s, ev))
 
 
 def _on_initialize(ctx, ev, s, pend):
@@ -336,13 +366,14 @@ def _on_initialize(ctx, ev, s, pend):
         ctx.problems.add("V2", s, "initialization names no block", ev)
         return
     side, i = blk
-    ctx.restraint[blk] = -1
+    ctx.blocks.initialize(side, i)
     ctx.last_initialized[blk] = s
     ctx.inits_by_stage.setdefault(s, set()).add(blk)
     ctx.initiators_by_stage.setdefault(s, set()).add(initiator)
     gone = {(side, e) for e in ctx.assignments[side].members(i)}
     for key in gone:
         ctx.cancels.setdefault(key, []).append(s)
+        ctx.held.pop(block_label(*key), None)
     if gone:
         ctx.defined_k = {
             key: v for key, v in ctx.defined_k.items() if key[0] not in gone
@@ -385,6 +416,7 @@ def _on_expansionary(ctx, ev, s, pend):
 
 
 def _on_act(ctx, ev, s, pend):
+    ctx.acts.add((s, ev.payload.get("block")))
     req = parse_label(ev.payload["req"])
     if req is None:
         ctx.problems.add("V2", s, "act names no requirement", ev)
@@ -393,9 +425,33 @@ def _on_act(ctx, ev, s, pend):
 
 
 def _on_scan(ctx, ev, s, pend):
-    ctx.scans.append(ev)
-    if ev.kind == "refuse-certify" and ev.payload.get("result") == "pending":
-        ctx.pending_count += 1
+    """Replay the guessing index and the refusals of the line's input.
+
+    An input is issued the next fresh index on its first scan, and again
+    on its first scan after a cancellation of its requirement; otherwise
+    it scans the index it holds.  A refusal is a memo refusal exactly when
+    its input had refused the same sigma since it was issued its index.
+    """
+    pay = ev.payload
+    req, x = pay.get("req"), pay.get("x")
+    inputs = ctx.held.get(req)
+    if inputs is None:
+        inputs = ctx.held[req] = {}
+    held = inputs.get(x)
+    if held is None:
+        held = inputs[x] = (ctx.issued, set())
+        ctx.issued += 1
+    j, refusals = held
+    memo = False
+    if ev.kind == "refuse-certify":
+        result = pay.get("result")
+        if result == "refused":
+            sigma = pay.get("sigma")
+            memo = sigma in refusals
+            refusals.add(sigma)
+        elif result == "pending":
+            ctx.pending_count += 1
+    ctx.scans.append((ev, j, memo))
 
 
 def _on_injury(ctx, ev, s, pend):
@@ -442,16 +498,15 @@ def _on_assignment_update(ctx, ev, s, pend):
     elif m < 0:
         prob.add("V11", s, "update tail %d is negative" % m, ev)
         m = 0
-    # Past both prefixes both maps have unit slope, so a rise shows
-    # up within the longer prefix; the new one ends at s.
-    before = assign.snapshot_values(max(len(assign.prefix) - 1, s))
-    assign.update(s, i, m)
-    for e, (was, now) in enumerate(zip(before, assign.snapshot_values(len(before) - 1))):
-        if now > was:
-            prob.add(
-                "V3", s, "assignment of index %d rose from %d to %d" % (e, was, now), ev
-            )
-            break
+    rise = assign.first_rise(s, i, m)
+    if rise is not None:
+        prob.add("V3", s, "assignment of index %d rose from %d to %d" % rise, ev)
+    if m < s:
+        # Replay a target that keeps the map valid (steps of 0 or 1),
+        # which first_rise needs: value(m), or one above it.
+        base = assign.value(m)
+        i = min(max(i, base), base + 1)
+    ctx.blocks.update(side, s, i, m)
     ctx.last_change[side] = s
 
 
@@ -530,14 +585,15 @@ def _outcome(result, t):
 
 def _check_v7(ctx, windows):
     """A scan line, memo refusal or not, must start at its own stage inside
-    sigma's cone, name an enumerated guessing set, and claim what model.scan
-    gives over that set's p windows."""
+    sigma's cone, name the guessing set its input holds, which must be
+    enumerated, claim what model.scan gives over that set's p windows, and
+    carry memo=1 exactly when the replay expects a memo refusal."""
     prob = ctx.problems
     if ctx.scenario.construction != "robinson":
-        for ev in ctx.scans:
+        for ev, _, _ in ctx.scans:
             prob.add("V7", ev.stage, "certification event in a plain-construction trace", ev)
         return
-    for ev in ctx.scans:
+    for ev, held_j, memo in ctx.scans:
         pay = ev.payload
         certify = ev.kind == "certify"
         try:
@@ -550,6 +606,8 @@ def _check_v7(ctx, windows):
             continue
         if entry != ev.stage:
             prob.add("V7", ev.stage, "scan entry %d is not its stage" % entry, ev)
+        elif j != held_j:
+            prob.add("V7", ev.stage, "scan names W_%d, its input holds W_%d" % (j, held_j), ev)
         elif j not in windows:
             prob.add("V7", ev.stage, "scan names W_%d, which holds no string" % j, ev)
         elif not ctx.c_cones.holds(sigma, entry):
@@ -562,6 +620,12 @@ def _check_v7(ctx, windows):
                 prob.add(
                     "V7", ev.stage,
                     "scan gives %s, line claims %s" % (_outcome(*want), _outcome(result, resolved)),
+                    ev,
+                )
+            elif pay.get("memo") != ("1" if memo else None):
+                prob.add(
+                    "V7", ev.stage,
+                    "memo flag %s, expected %s" % (pay.get("memo", "absent"), "1" if memo else "absent"),
                     ev,
                 )
 

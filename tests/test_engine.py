@@ -3,7 +3,10 @@ from hypothesis import given, strategies as st
 
 from splitsim.engine import ConstructionInvariantError, Run
 from splitsim.harness import build_strategy, run
+from bisect import bisect_right
+
 from splitsim.model import (
+    BlockState,
     PriorityAssignment,
     block_label,
     order_block,
@@ -163,6 +166,55 @@ def test_block_dispatch_reads_the_membership_index(monkeypatch):
     assert {"diagonalize", "initialize", "assignment-update"} <= kinds
     assert any(ev.kind == "assignment-update" and ev.payload["side"] != "none" for ev in events)
     assert calls <= 10 * len(events), (calls, len(events))
+
+
+def test_block_state_work_is_bounded_per_event(monkeypatch):
+    """Routing, initialization and updates cost their output, not every
+    block: a deterministic count of block-state work per trace event, not
+    a timing gate.  Work is stack pops, victims visited (the existing
+    blocks an initialization hands back, and the restraints it clears)
+    and owners re-indexed (those an update moves inside either prefix).
+    Before the kernel's block state, this run's routes scanned every
+    existing block (81,068 visits), its initializations sorted every
+    existing block (19,344) and its updates re-indexed every owner
+    (29,432): 129,844 in all over 1,765 events, about 74 per event.
+    With the block state it is 196: no stack pops (the run sets one
+    restraint, and a route is a bisection of the stack), 93 victims (one
+    per initialize line) and 103 owners re-indexed."""
+    sc = load_scenario(dense_sacks_doc(832))
+    work = {"pops": 0, "victims": 0, "reindexed": 0}
+    pop, initialize, existing_from = BlockState._pop, BlockState.initialize, BlockState.existing_from
+    update = PriorityAssignment.update
+
+    def counting_pop(self, order):
+        before = len(self._stack_orders)
+        pop(self, order)
+        work["pops"] += before - len(self._stack_orders)
+
+    def counting_initialize(self, side, i):
+        before = len(self._live)
+        initialize(self, side, i)
+        work["victims"] += before - len(self._live)
+
+    def counting_existing_from(self, order):
+        victims = existing_from(self, order)
+        work["victims"] += len(victims)
+        return victims
+
+    def counting_update(self, s, i, m):
+        old_len = len(self.prefix)
+        update(self, s, i, m)
+        lo, hi = min(m, old_len - 1), max(old_len, len(self.prefix)) - 1
+        work["reindexed"] += bisect_right(self.owners, hi) - bisect_right(self.owners, lo)
+
+    monkeypatch.setattr(BlockState, "_pop", counting_pop)
+    monkeypatch.setattr(BlockState, "initialize", counting_initialize)
+    monkeypatch.setattr(BlockState, "existing_from", counting_existing_from)
+    monkeypatch.setattr(PriorityAssignment, "update", counting_update)
+    events, _ = run(sc)
+    assert len(events) == 1765
+    assert {"route", "initialize", "restraint-set"} <= {ev.kind for ev in events}
+    assert sum(work.values()) <= len(events), work
 
 
 def test_sacks_dispatch_visits_only_awake_owners(monkeypatch):

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from splitsim.model import (
     Axiom,
+    BlockState,
     ConflictError,
     Cones,
     EnumerationSchedule,
@@ -14,9 +15,11 @@ from splitsim.model import (
     check_bits,
     cone_truth,
     consistency_conflicts,
+    order_block,
     pair,
     parse_label,
-    route,
+    priority_order,
+    threatens,
     unpair,
     validate_consistency,
 )
@@ -252,14 +255,26 @@ def test_parse_label():
         assert parse_label(text) is None, text
 
 
+def _restrained(restraints):
+    """A BlockState holding these {(side, i): restraint} records, set in
+    increasing restraint order (as stages set them); -1 only exists."""
+    blocks = BlockState([])
+    for blk, r in sorted(restraints.items(), key=lambda item: item[1]):
+        if r < 0:
+            blocks.add(*blk)
+        else:
+            blocks.set_restraint(*blk, r)
+    return blocks
+
+
 def test_route():
     # No restraint is threatened: A0, nothing initialized.
-    assert route(4, {}) == (None, 0, None)
-    assert route(4, {(0, 0): 3, (1, 0): -1}) == (None, 0, None)
+    assert _restrained({}).route(4) == (None, 0, None)
+    assert _restrained({(0, 0): 3, (1, 0): -1}).route(4) == (None, 0, None)
     # The strongest threatened block decides; the next-weaker block is initialized.
-    assert route(2, {(0, 1): 5, (1, 0): 2}) == ((1, 0), 0, (0, 1))
-    assert route(2, {(0, 1): 5, (1, 1): 2}) == ((0, 1), 1, (1, 1))
-    assert route(0, {(0, 0): 0}) == ((0, 0), 1, (1, 0))
+    assert _restrained({(0, 1): 5, (1, 0): 2}).route(2) == ((1, 0), 0, (0, 1))
+    assert _restrained({(0, 1): 5, (1, 1): 2}).route(2) == ((0, 1), 1, (1, 1))
+    assert _restrained({(0, 0): 0}).route(0) == ((0, 0), 1, (1, 0))
 
 
 def test_members():
@@ -272,27 +287,109 @@ def test_members():
     assert second.members(2) == ()
 
 
-@given(
-    st.sets(st.integers(0, 30), max_size=12),
-    st.lists(
-        st.tuples(st.integers(0, 20), st.integers(-3, 10), st.integers(0, 25)), max_size=8
+def _scan_route(x, restraint):
+    """Routing as a scan of the record: the strongest block x threatens."""
+    threatened = [blk for blk, r in restraint.items() if threatens(x, r)]
+    if not threatened:
+        return None, 0, None
+    side, i = min(threatened, key=lambda blk: priority_order(*blk))
+    return (side, i), 1 - side, order_block(priority_order(side, i) + 1)
+
+
+_BLOCK_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("restraint"), st.integers(0, 1), st.integers(0, 4), st.integers(0, 3)),
+        st.tuples(st.just("initialize"), st.integers(0, 1), st.integers(0, 4)),
+        st.tuples(st.just("add"), st.integers(0, 1), st.integers(0, 4)),
+        st.tuples(
+            st.just("update"), st.integers(0, 1),
+            st.integers(0, 12), st.integers(-3, 8), st.integers(0, 14),
+        ),
     ),
+    max_size=24,
 )
+
+
+@given(st.sets(st.tuples(st.integers(0, 1), st.integers(0, 14)), max_size=20), _BLOCK_STEPS)
+# A restraint the stack must drop when its own block is initialized.
+@example(set(), [("restraint", 0, 1, 1), ("initialize", 0, 1)])
+# A tail past the prefix: owner 1 keeps its block and enters the index.
+@example({(0, 1)}, [("update", 0, 5, 1, 3)])
+# An update inside a plateau keeps the owners at or below the tail.
+@example({(0, 2), (0, 3)}, [("update", 0, 5, 1, 1), ("update", 0, 6, 1, 2)])
+# A lower stage shortens the prefix: owner 3 leaves the index.
+@example({(0, 3)}, [("update", 0, 5, 1, 1), ("update", 0, 2, 0, 2)])
 def test_members_index_matches_scan(owners, steps):
-    """The membership index equals a scan of value over the owners after
-    every update, forged ones included: negative blocks, tails off the
-    target block, tails past the prefix or past the stage."""
-    assign = PriorityAssignment(owners)
+    """BlockState against brute force after every step.  route is the scan
+    of the record it replaced, threatened a sorted scan, the victims of an
+    initialization the sorted existing blocks at or below its floor, and
+    members and the owners' block orders a scan of value over the owners.  Restraints come from a clock
+    that never goes down, as in the engine and the replay; updates take
+    the verifier's forged shapes too: negative blocks, targets off
+    value(m), tails past the prefix or past the stage."""
+    blocks = BlockState(owners)
+    clock = 0
 
-    def index_matches_scan():
-        image = {assign.value(e) for e in owners}
-        for j in image | set(range(-4, 12)):
-            assert assign.members(j) == tuple(e for e in sorted(owners) if assign.value(e) == j)
+    def matches_scans():
+        record = blocks.restraint
+        assert blocks.orders == sorted(priority_order(*blk) for blk in record)
+        for x in range(-1, clock + 2):
+            assert blocks.route(x) == _scan_route(x, record)
+            assert blocks.threatened(x) == sorted(
+                priority_order(*blk) for blk, r in record.items() if threatens(x, r)
+            )
+        for side, assign in enumerate(blocks.assignments):
+            mine = sorted(e for owner_side, e in owners if owner_side == side)
+            image = {assign.value(e) for e in mine}
+            for j in image | set(range(-4, 12)):
+                want = tuple(e for e in mine if assign.value(e) == j)
+                assert assign.members(j) == want
+        assert blocks.owner_orders() == sorted(
+            {2 * blocks.assignments[side].value(e) + side for side, e in owners}
+        )
 
-    index_matches_scan()
-    for s, i, m in steps:
-        assign.update(s, i, m)
-        index_matches_scan()
+    matches_scans()
+    for kind, side, *args in steps:
+        if kind == "restraint":
+            clock += args[1]
+            blocks.set_restraint(side, args[0], clock)
+        elif kind == "initialize":
+            floor = priority_order(side, args[0])
+            blocks.initialize(side, args[0])
+            weaker = [o for o in sorted(priority_order(*blk) for blk in blocks.restraint) if o >= floor]
+            assert blocks.existing_from(floor) == weaker
+            assert all(blocks.restraint[order_block(o)] == -1 for o in weaker)
+        elif kind == "add":
+            blocks.add(side, args[0])
+        else:
+            blocks.update(side, *args)
+        matches_scans()
+
+
+@given(
+    st.lists(st.integers(0, 6), max_size=8),
+    st.integers(0, 24), st.integers(-2, 10), st.integers(0, 24),
+)
+def test_first_rise_matches_a_scan(blocks, s, i, m):
+    """On a valid map, first_rise finds the first index an update would
+    raise, as a scan of both maps up to the longer prefix does."""
+    assign = PriorityAssignment([])
+    t = 0
+    for b in blocks:  # legal updates keep the map valid
+        t += 1
+        tail = assign.tail(b)
+        if tail is not None and tail <= t:
+            assign.update(t, b, tail)
+    m = min(m, s)
+    before = assign.snapshot_values(max(len(assign.prefix) - 1, s))
+    want = None
+    rise = assign.first_rise(s, i, m)
+    assign.update(s, i, m)
+    for e, (was, now) in enumerate(zip(before, assign.snapshot_values(len(before) - 1))):
+        if now > was:
+            want = (e, was, now)
+            break
+    assert rise == want
 
 
 def test_changes_and_cone_truth():

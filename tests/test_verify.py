@@ -208,6 +208,51 @@ def test_forged_block_label_fails_v2(control_materials, material, kind, stage, b
     assert line.to_line() in [w.get("line") for w in v2["witnesses"]]
 
 
+def test_restraint_value_is_its_stage(control_materials):
+    sc, events, _ = control_materials["forced"]
+    forged, line = _forge(events, "restraint-set", 0, value="3")
+    v4 = verify(sc, forged)["checks"]["V4"]
+    assert v4["status"] == "fail"
+    assert {"note": "restraint value 3, expected the stage 0", "line": line.to_line()} in [
+        {k: w.get(k) for k in ("note", "line")} for w in v4["witnesses"]
+    ]
+
+
+def test_restraint_needs_a_same_stage_act(control_materials):
+    sc, events, _ = control_materials["forced"]
+    forged, line = _forge(events, "act", 0, block="P:1")
+    v4 = verify(sc, forged)["checks"]["V4"]
+    assert v4["status"] == "fail"
+    assert [w["note"] for w in v4["witnesses"]] == ["restraint set with no act of P:0 this stage"]
+
+
+def _rescan(events, stage, **changes):
+    """events with the stage's scan line given new payload values; None drops a field."""
+    at = next(i for i, ev in enumerate(events) if ev.stage == stage and "entry" in ev.payload)
+    payload = {k: v for k, v in dict(events[at].payload, **changes).items() if v is not None}
+    line = TraceEvent(stage, events[at].kind, payload)
+    return events[:at] + [line] + events[at + 1:], line
+
+
+@pytest.mark.parametrize(
+    "stage, changes, note",
+    [
+        (4, {"memo": None}, "memo flag absent, expected 1"),
+        (2, {"memo": "1"}, "memo flag 1, expected absent"),
+        (4, {"j": "1"}, "scan names W_1, its input holds W_0"),
+    ],
+)
+def test_scan_index_and_memo_are_replayed(stage, changes, note):
+    """The refusal run refuses sigma "0" of P:0 input 0 at stage 2 and
+    again, memo=1, at stage 4, both over W_0."""
+    sc = load_scenario(_REFUSAL_DOC)
+    events, _ = run(sc)
+    forged, line = _rescan(events, stage, **changes)
+    v7 = verify(sc, forged)["checks"]["V7"]
+    assert v7["status"] == "fail"
+    assert v7["witnesses"][0] == {"stage": stage, "note": note, "line": line.to_line()}
+
+
 def test_act_naming_no_requirement_fails_v2():
     sc = load_scenario(json.loads((GOLDEN_DIR / "deflection-update-scenario.json").read_text()))
     events = parse((GOLDEN_DIR / "deflection-update-expected.trace").read_text())
