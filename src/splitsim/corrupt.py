@@ -12,7 +12,7 @@ beat, and so on), so callers can pick a different run.
 from __future__ import annotations
 
 from . import verify as _verify
-from .model import Cones, applicable_axiom, build_policy, changes, p_row, parse_label
+from .model import Cones, build_policy, changes, p_row
 from .trace import TraceEvent, event
 
 
@@ -90,31 +90,8 @@ def _v4(scenario, events):
 def _v5(scenario, events):
     """Flip the stored bit behind a diagonalization that must persist."""
     ctx = _verify._replay(scenario, events)
-    for diag in ctx.diags:
-        side, e = diag["req"]
-        if ctx.cancelled_after(side, e, diag["stage"]) is not None:
-            continue
-        table = scenario.functionals.get(diag["req"])
-        if table is None:
-            continue
-        target = None
-        for ev in events:
-            if (
-                ev.kind == "define-local"
-                and "theta" not in ev.payload
-                and parse_label(ev.payload.get("req", "")) == diag["req"]
-                and int(ev.payload["x"]) == diag["x"]
-            ):
-                target = ev
-        if target is None:
-            continue
-        ax = applicable_axiom(table, target.stage, ctx.a_cones[side], None, diag["x"])
-        if ax is None or ax.use > target.stage + 1:
-            # The verifier exempts definitions whose computation outruns
-            # the recorded restraint, so this one is not forgeable.
-            continue
-        flipped = 1 - int(target.payload["k"])
-        return _replace(events, target, _with_payload(target, k=flipped))
+    for _, _, k, target in _verify._persisting_diagonalizations(ctx, lambda *_: None):
+        return _replace(events, target, _with_payload(target, k=1 - k))
     raise CorruptionError("no persisting diagonalization to forge")
 
 

@@ -20,6 +20,10 @@ nothing else from the package.  The ingredients are:
   first_hit and p_row read every answer off them; scan, the one
   certification race between p and C leaving sigma's cone; the
   mind-change count of a row, and the cone truth p approximates,
+* the guessing indices (GuessingIndices) that the oracle construction
+  drives and the verifier replays: which index each input scans under,
+  which of its refusals repeat one (the memo), and which inputs a
+  cancellation of their requirement injures,
 * block and requirement labels and their one parser,
 * the interleaved priority order of blocks and the one block-state
   machine (BlockState) that the engine drives and the verifier
@@ -436,6 +440,49 @@ def build_policy(scenario, c_cones: Cones):
     if scenario.p_policy_kind == "table":
         return TablePolicy(scenario.p_policy_params["values"])
     return TruthfulDelayPolicy(scenario.p_policy_params["d"], c_cones)
+
+
+class GuessingIndices:
+    """The guessing index each input holds and the sigmas it has refused.
+
+    An input is keyed by (req, x), of any hashable types.  Its index and
+    its refusals form one entry, issued together and dropped together, so
+    a refusal can never outlive the index it was made under.  Indices are
+    issued 0, 1, 2, ... in order of first use, and a cancelled input is
+    issued a fresh one on its next scan.
+    """
+
+    def __init__(self):
+        self.issued = 0
+        self._by_req: dict = {}
+
+    def __len__(self) -> int:
+        """The number of inputs holding an index."""
+        return sum(map(len, self._by_req.values()))
+
+    def _entry(self, req, x) -> tuple[int, set]:
+        inputs = self._by_req.setdefault(req, {})
+        entry = inputs.get(x)
+        if entry is None:
+            entry = inputs[x] = (self.issued, set())
+            self.issued += 1
+        return entry
+
+    def held(self, req, x) -> int:
+        """The index input x of req holds, issuing the next one if it holds none."""
+        return self._entry(req, x)[0]
+
+    def refuse(self, req, x, sigma) -> bool:
+        """Record a refusal of sigma; True iff the input refused it since its index was issued."""
+        refusals = self._entry(req, x)[1]
+        if sigma in refusals:
+            return True
+        refusals.add(sigma)
+        return False
+
+    def cancel(self, req) -> list:
+        """Drop the indices and refusals of req; the inputs that held one, ascending."""
+        return sorted(self._by_req.pop(req, ()))
 
 
 # -- priority blocks and the dynamic assignment --------------------------------

@@ -12,19 +12,23 @@ windows for j.  The scan happens inside the stage against the
 pre-specified C schedule and p policy, both oblivious to the run, so a
 run remains a pure function of its scenario.
 
-Each input keeps one record (InputState): its guessing index, the set
-of sigmas whose scan was refused, and its local definition (k, death).
-death is the stage at which C leaves sigma's cone (None: never), read
-off its lifetime in Run.c_cones, so the definition is live at stage s
-iff death is None or s < death, and it dies with its requirement on
-initialization.  A sigma refused before is refused again at its death
-(the cone exit still beats every p hit), and that line is marked memo=1.
+The kernel's GuessingIndices (RobinsonStrategy.inputs) holds each
+input's guessing index and the sigmas whose scan was refused under it,
+keyed by owner (side, e) and input x; the strings enumerated into each
+guessing set W_j are in sets.  An input's local definition is (k, death)
+in its owner's locals map.  death is the stage at which C leaves sigma's
+cone (None: never), read off its lifetime in Run.c_cones, so the
+definition is live at stage s iff death is None or s < death
+(live_value), and it dies with its requirement on initialization.  A
+sigma refused before is refused again at its death (the cone exit still
+beats every p hit), and that line is marked memo=1.
 
 Injury has one cause, initialization.  When a requirement is cancelled,
-every input of it that holds a guessing index is injured: its index,
-refusals and definition are dropped and a fresh index is issued on next
-use; the old guessing set stays behind for the verifier.  A certified
-theta never has to be re-tested against its half:
+every input of it that holds a guessing index is injured: the
+cancellation drops its index and refusals together, its definition goes
+with them, and a fresh index is issued on next use; the old guessing
+set stays behind for the verifier.  A certified theta never has to be
+re-tested against its half:
 
   * certify succeeds for input x of owner (side, e) in block (side, i)
     only at a stage s > use, and the same pass sets restraint(side, i)
@@ -46,12 +50,11 @@ cancelled, and refresh_pass injures exactly the cancelled owners' inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .engine import ConstructionInvariantError
 from .model import (
     Axiom,
     FunctionalTable,
+    GuessingIndices,
     applicable_axiom,
     block_label,
     build_policy,
@@ -63,43 +66,6 @@ from .model import (
 from .trace import event
 
 
-@dataclass
-class InputState:
-    """Certification and local definition of one (requirement, input) pair."""
-
-    epoch: int = 0
-    j: int | None = None
-    refusals: set[str] = field(default_factory=set)
-    local: tuple[int, int | None] | None = None  # (k, death)
-
-    def live_value(self, s: int) -> int | None:
-        """The local value defined at this input if it is live at stage s."""
-        if self.local is None:
-            return None
-        k, death = self.local
-        return k if death is None or s < death else None
-
-    def refresh(self) -> None:
-        self.epoch += 1
-        self.j = None
-        self.local = None
-        self.refusals.clear()
-
-
-class GuessingRegistry:
-    """Issues fresh guessing-set indices and stores their enumerations."""
-
-    def __init__(self):
-        self.sets: dict[int, list[tuple[int, str]]] = {}
-        self.owner_epoch: dict[int, int] = {}
-
-    def issue(self, epoch: int) -> int:
-        j = len(self.sets)
-        self.sets[j] = []
-        self.owner_epoch[j] = epoch
-        return j
-
-
 class RobinsonStrategy:
     """Per-run state and block dispatch for the oracle construction."""
 
@@ -107,8 +73,10 @@ class RobinsonStrategy:
         self.tables = tables
         self.owners: list[tuple[int, int]] = sorted(tables)
         self.policy = None
-        self.registry = GuessingRegistry()
-        self.inputs: dict[tuple[int, int, int], InputState] = {}
+        self.inputs = GuessingIndices()  # keyed by owner (side, e) and input x
+        self.sets: dict[int, list[tuple[int, str]]] = {}  # j -> (stage, sigma) of W_j
+        # (side, e) -> x -> (k, death) of the input's local definition
+        self.locals: dict[tuple[int, int], dict[int, tuple[int, int | None]]] = {}
         self._refresh_flags: set[tuple[int, int]] = set()
         self.run = None
 
@@ -116,12 +84,13 @@ class RobinsonStrategy:
         self.run = run
         self.policy = build_policy(run.scenario, run.c_cones)
 
-    def input_state(self, side: int, e: int, x: int) -> InputState:
-        key = (side, e, x)
-        st = self.inputs.get(key)
-        if st is None:
-            st = self.inputs[key] = InputState()
-        return st
+    def live_value(self, side: int, e: int, x: int, s: int) -> int | None:
+        """The local value defined at input x of (side, e) if it is live at stage s."""
+        local = self.locals.get((side, e), {}).get(x)
+        if local is None:
+            return None
+        k, death = local
+        return k if death is None or s < death else None
 
     # -- certification --------------------------------------------------------
 
@@ -134,15 +103,8 @@ class RobinsonStrategy:
         """
         run = self.run
         label = block_label(side, e)
-        st = self.input_state(side, e, x)
-        if st.j is None:
-            st.j = self.registry.issue(st.epoch)
-        if self.registry.owner_epoch[st.j] != st.epoch:
-            raise ConstructionInvariantError(
-                "stale guessing set for %s input %d" % (label, x)
-            )
-        j = st.j
-        strings = self.registry.sets[j]
+        j = self.inputs.held((side, e), x)
+        strings = self.sets.setdefault(j, [])
         if not cone_truth(strings, run.c_cones, s):
             strings.append((s, axiom.sigma))
             run.emit(event(s, "enumerate", j=j, set="W", sigma=axiom.sigma))
@@ -157,7 +119,8 @@ class RobinsonStrategy:
 
         result, t = scan(self.policy.windows(j, strings), run.c_cones, axiom.sigma, s, run.horizon)
         if result == "certify":
-            st.local = (axiom.k, run.c_cones.lifetime(axiom.sigma)[2])
+            death = run.c_cones.lifetime(axiom.sigma)[2]
+            self.locals.setdefault((side, e), {})[x] = (axiom.k, death)
             emit_scan("certify", resolved=t)
             return True
         if result == "pending":
@@ -165,8 +128,7 @@ class RobinsonStrategy:
             run.unsettled = True
             emit_scan("refuse-certify", result="pending")
         else:
-            memo = {"memo": 1} if axiom.sigma in st.refusals else {}
-            st.refusals.add(axiom.sigma)
+            memo = {"memo": 1} if self.inputs.refuse((side, e), x, axiom.sigma) else {}
             emit_scan("refuse-certify", resolved=t, result="refused", **memo)
         return False
 
@@ -209,8 +171,7 @@ class RobinsonStrategy:
         d_now = member(run.d_entry, x, s)
         if got is None or got.k != d_now:
             return "nocomp"
-        st = self.inputs.get((side, e, x))
-        live = None if st is None else st.live_value(s)
+        live = self.live_value(side, e, x, s)
         if live is not None:
             if live != d_now:
                 raise ConstructionInvariantError(
@@ -237,9 +198,9 @@ class RobinsonStrategy:
     def refresh_pass(self, s: int) -> None:
         """Settle the inputs of the requirements cancelled at stage s.
 
-        An input holding a guessing index is injured, the others are
-        refreshed.  Cancellation is the only cause of injury (see the
-        module docstring), so a stage without one does nothing.  Local
+        An input is injured when its cancellation drops its guessing
+        index.  Cancellation is the only cause of injury (see the module
+        docstring), so a stage without one does nothing.  Local
         definitions of a cancelled requirement die here rather than at
         the cancellation, safely: no requirement runs between a
         cancellation and the end of its stage.
@@ -247,14 +208,12 @@ class RobinsonStrategy:
         flags = self._refresh_flags
         if not flags:
             return
-        for (side, e, x), st in sorted(self.inputs.items()):
-            if (side, e) not in flags:
-                continue
-            if st.j is not None:
+        for side, e in sorted(flags):
+            self.locals.pop((side, e), None)
+            for x in self.inputs.cancel((side, e)):
                 self.run.emit(
                     event(s, "injury", cause="initialized", req=block_label(side, e), x=x)
                 )
-            st.refresh()
         flags.clear()
 
     # -- results -----------------------------------------------------------------
@@ -263,7 +222,7 @@ class RobinsonStrategy:
         """Flag the run unsettled if some p still disagrees with the cone truth."""
         run = self.run
         h = run.horizon
-        for j, strings in self.registry.sets.items():
+        for j, strings in self.sets.items():
             p_h = first_hit(self.policy.windows(j, strings), h, h) is not None
             if p_h != cone_truth(strings, run.c_cones, h):
                 run.unsettled = True

@@ -29,12 +29,15 @@ restraints it replays only grow, as the block state needs.  An
 assignment update fails V3 if it raises some index, which on a valid
 map shows at the first index past the tail or where value(e) - e falls
 below the new map's (PriorityAssignment.first_rise); the replay keeps
-the map valid by applying a target of value(tail) or one above it.  V7
-replays guessing-index issuance and refusals per input: a scan line
-must name the index its input holds (a fresh one, the next issued, on
-its first scan and on its first after a cancellation of its
+the map valid by applying a target of value(tail) or one above it.  The
+kernel's GuessingIndices replays guessing-index issuance, refusals and
+cancellations per input, keyed by the scan lines' req and x texts.  V7:
+a scan line must name the index its input holds (a fresh one, the next
+issued, on its first scan and on its first after a cancellation of its
 requirement), and memo=1 marks exactly a refusal of a sigma the input
-had refused since its index was issued.
+had refused since its index was issued.  V6: an initialize line cancels
+its block's requirements, and the inputs whose index that drops must
+be, one for one, the stage's injury lines, each with cause=initialized.
 
 Checks:
   V1  partition                     A0 and A1 split B exactly, stage by stage.
@@ -43,7 +46,7 @@ Checks:
   V4  restraint-integrity           restraints are stages set by acts; routing
                                     and arrivals respect live restraints.
   V5  diagonalization-persistence   diagonalized disagreements survive to the horizon.
-  V6  injury-discipline             injuries only under same-stage initialization.
+  V6  injury-discipline             injuries are the indices the stage's initializations drop.
   V7  certification-soundness       each scan line is model.scan from its stage.
   V8  p-contract                    p starts at 0, stays within its change budget.
   V9  local-global-coherence        live local values track the watched functional.
@@ -58,10 +61,13 @@ checks carry minimal witnesses (stage plus the offending trace lines).
 
 from __future__ import annotations
 
+from functools import partial
+
 from .model import (
     SIDE_LABEL,
     BlockState,
     Cones,
+    GuessingIndices,
     agreement_length,
     applicable_axiom,
     block_label,
@@ -120,16 +126,18 @@ class _StageState:
         self.routes = []          # (event, x, destination) awaiting enumeration
         self.expected_inits = []  # (target block, route event) from deflections
         self.violations = []      # (block, arrival event) to be forgiven
-        self.injuries = []        # (event, containing block or None)
+        self.injuries = []        # injury events
+        self.dropped = []         # (req, x) texts whose index an initialization cancelled
 
     def busy(self) -> bool:
-        return bool(self.routes or self.expected_inits or self.violations or self.injuries)
+        return any((self.routes, self.expected_inits, self.violations, self.injuries, self.dropped))
 
     def clear(self):
         self.routes.clear()
         self.expected_inits.clear()
         self.violations.clear()
         self.injuries.clear()
+        self.dropped.clear()
 
 
 class _Context:
@@ -144,7 +152,6 @@ class _Context:
         self.d_entry = dict(scenario.d_schedule.entry_stage())
         self.a_entry = ({}, {})  # element -> entry stage, per half
         self.a_cones = None  # per half, over the final a_entry once the replay ends
-        self.routed = {}
         self.clock = 0  # the latest stage replayed so far
         self.blocks = BlockState(scenario.functionals)
         self.assignments = self.blocks.assignments
@@ -160,9 +167,7 @@ class _Context:
         self.w_sets = {}
         self.w_seen = set()
         self.scans = []  # (line, index its input holds, memo due), in trace order
-        # req text -> x text -> (guessing index, sigmas refused since the index)
-        self.held = {}
-        self.issued = 0
+        self.indices = GuessingIndices()  # keyed by the scan lines' req and x texts
         self.pending_count = 0
         self.defined_k = {}
         self.diags = []
@@ -211,7 +216,7 @@ def _replay(scenario, events) -> _Context:
         _close_stage(ctx, pend, last_stage)
 
     for x, t in sorted(ctx.b_entry.items()):
-        if x not in ctx.routed:
+        if x not in ctx.a_entry[0] and x not in ctx.a_entry[1]:
             prob.add("V1", t, "arrival %d at stage %d was never routed" % (x, t))
     for s in range(ctx.horizon + 1):
         n = ctx.updates_per_stage.get(s, 0)
@@ -248,16 +253,17 @@ def _close_stage(ctx, pend, s):
                 % block_label(*blk),
                 ev,
             )
-    for ev, blk in pend.injuries:
+    for ev in pend.injuries:
+        key = ev.payload.get("req"), ev.payload.get("x")
+        matched = key in pend.dropped
+        if matched:
+            pend.dropped.remove(key)
         if ev.payload.get("cause") != "initialized":
             prob.add("V6", s, "injury without initialization cause", ev)
-        elif blk is None:
-            prob.add("V6", s, "injury names no requirement", ev)
-        elif blk not in inits:
-            prob.add(
-                "V6", s,
-                "injury with no same-stage initialization of %s" % block_label(*blk), ev,
-            )
+        elif not matched:
+            prob.add("V6", s, "injury to an input that lost no guessing index this stage", ev)
+    for req, x in pend.dropped:
+        prob.add("V6", s, "%s input %s lost its guessing index with no injury" % (req, x))
     pend.clear()
 
 
@@ -303,7 +309,7 @@ def _on_enumerate(ctx, ev, s, pend):
     side = int(target[1])
     if s % 2 == 0:
         prob.add("V2", s, "arrival routed at an even stage", ev)
-    if x in ctx.routed:
+    if x in ctx.a_entry[0] or x in ctx.a_entry[1]:
         prob.add("V1", s, "element %d enters a half twice" % x, ev)
         return
     if ctx.b_entry.get(x) != s:
@@ -317,7 +323,6 @@ def _on_enumerate(ctx, ev, s, pend):
         prob.add("V4", s, "arrival enumerated without a matching route", ev)
     else:
         pend.routes.pop(matched)
-    ctx.routed[x] = (side, s)
     ctx.a_entry[side][x] = s
     for order in ctx.blocks.threatened(x):
         if order % 2 == side:
@@ -373,7 +378,8 @@ def _on_initialize(ctx, ev, s, pend):
     gone = {(side, e) for e in ctx.assignments[side].members(i)}
     for key in gone:
         ctx.cancels.setdefault(key, []).append(s)
-        ctx.held.pop(block_label(*key), None)
+        req = block_label(*key)
+        pend.dropped.extend((req, x) for x in ctx.indices.cancel(req))
     if gone:
         ctx.defined_k = {
             key: v for key, v in ctx.defined_k.items() if key[0] not in gone
@@ -394,7 +400,7 @@ def _on_define_local(ctx, ev, s, pend):
              "sigma": pay["sigma"], "stage": s, "ev": ev}
         )
     else:
-        ctx.defined_k[(req, x)] = (k, s)
+        ctx.defined_k[(req, x)] = (k, ev)
 
 
 def _on_diagonalize(ctx, ev, s, pend):
@@ -425,30 +431,15 @@ def _on_act(ctx, ev, s, pend):
 
 
 def _on_scan(ctx, ev, s, pend):
-    """Replay the guessing index and the refusals of the line's input.
-
-    An input is issued the next fresh index on its first scan, and again
-    on its first scan after a cancellation of its requirement; otherwise
-    it scans the index it holds.  A refusal is a memo refusal exactly when
-    its input had refused the same sigma since it was issued its index.
-    """
+    """Replay the guessing index and the refusals of the line's input."""
     pay = ev.payload
     req, x = pay.get("req"), pay.get("x")
-    inputs = ctx.held.get(req)
-    if inputs is None:
-        inputs = ctx.held[req] = {}
-    held = inputs.get(x)
-    if held is None:
-        held = inputs[x] = (ctx.issued, set())
-        ctx.issued += 1
-    j, refusals = held
+    j = ctx.indices.held(req, x)
     memo = False
     if ev.kind == "refuse-certify":
         result = pay.get("result")
         if result == "refused":
-            sigma = pay.get("sigma")
-            memo = sigma in refusals
-            refusals.add(sigma)
+            memo = ctx.indices.refuse(req, x, pay.get("sigma"))
         elif result == "pending":
             ctx.pending_count += 1
     ctx.scans.append((ev, j, memo))
@@ -456,11 +447,10 @@ def _on_scan(ctx, ev, s, pend):
 
 def _on_injury(ctx, ev, s, pend):
     req = parse_label(ev.payload.get("req", ""))
-    blk = None
     if req is not None:
         blk = req[0], ctx.assignments[req[0]].value(req[1])
         ctx.injuries_per_block[blk] = ctx.injuries_per_block.get(blk, 0) + 1
-    pend.injuries.append((ev, blk))
+    pend.injuries.append(ev)
     ctx.injuries.append(ev)
 
 
@@ -529,6 +519,36 @@ _HANDLERS = {
 _PARITY_WORD = ("even", "odd")
 
 
+def _persisting_diagonalizations(ctx, fail):
+    """The Sacks diagonalizations that must persist to the horizon, as
+    (diagonalization, table, defined value, definition line).
+
+    One need not persist once its requirement is cancelled after it, nor
+    when the computation behind its definition has a use beyond the
+    definition stage + 1, which the recorded restraint cannot shield.
+    fail(stage, note, line) hears of each one the trace cannot back: no
+    surviving definition, no functional, or no computation behind it.
+    """
+    for d in ctx.diags:
+        side, e = d["req"]
+        if ctx.cancelled_after(side, e, d["stage"]) is not None:
+            continue
+        got = ctx.defined_k.get((d["req"], d["x"]))
+        if got is None:
+            fail(d["stage"], "diagonalization without a surviving definition", d["ev"])
+            continue
+        k, definition = got
+        table = ctx.scenario.functionals.get(d["req"])
+        if table is None:
+            fail(d["stage"], "diagonalization by an unknown functional", d["ev"])
+            continue
+        ax_def = applicable_axiom(table, definition.stage, ctx.a_cones[side], None, d["x"])
+        if ax_def is None:
+            fail(definition.stage, "no computation behind the defined value", d["ev"])
+        elif ax_def.use <= definition.stage + 1:
+            yield d, table, k, definition
+
+
 def _check_v5(ctx):
     prob = ctx.problems
     sc = ctx.scenario
@@ -548,29 +568,9 @@ def _check_v5(ctx):
                 "V5", rec["stage"],
                 "recorded agreement %d, recomputed %d" % (rec["ell"], ell), rec["ev"],
             )
-    for d in ctx.diags:
-        side, e = d["req"]
-        if ctx.cancelled_after(side, e, d["stage"]) is not None:
-            continue
-        got = ctx.defined_k.get((d["req"], d["x"]))
-        if got is None:
-            prob.add("V5", d["stage"], "diagonalization without a surviving definition", d["ev"])
-            continue
-        k, def_stage = got
-        table = sc.functionals.get(d["req"])
-        if table is None:
-            prob.add("V5", d["stage"], "diagonalization by an unknown functional", d["ev"])
-            continue
-        ax_def = applicable_axiom(table, def_stage, ctx.a_cones[side], None, d["x"])
-        if ax_def is None:
-            prob.add("V5", def_stage, "no computation behind the defined value", d["ev"])
-            continue
-        if ax_def.use > def_stage + 1:
-            # The recorded restraint cannot shield a use this long, so the
-            # disagreement is not required to persist.
-            continue
-        h = ctx.horizon
-        ax = applicable_axiom(table, h, ctx.a_cones[side], None, d["x"])
+    h = ctx.horizon
+    for d, table, k, _ in _persisting_diagonalizations(ctx, partial(prob.add, "V5")):
+        ax = applicable_axiom(table, h, ctx.a_cones[d["req"][0]], None, d["x"])
         if ax is None:
             prob.add("V5", h, "diagonalized computation lost by the horizon", d["ev"])
         elif ax.k != k:

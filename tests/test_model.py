@@ -8,6 +8,7 @@ from splitsim.model import (
     Cones,
     EnumerationSchedule,
     FunctionalTable,
+    GuessingIndices,
     PriorityAssignment,
     applicable_axiom,
     block_label,
@@ -390,6 +391,64 @@ def test_first_rise_matches_a_scan(blocks, s, i, m):
             want = (e, was, now)
             break
     assert rise == want
+
+
+_REQS = st.sampled_from([(0, 0), (1, 0), "P:1"])  # any hashable key, as in the replay
+_GUESS_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("held"), _REQS, st.integers(0, 3)),
+        st.tuples(st.just("refuse"), _REQS, st.integers(0, 3), st.sampled_from(["", "0", "1"])),
+        st.tuples(st.just("cancel"), _REQS),
+    ),
+    max_size=40,
+)
+
+
+@given(_GUESS_STEPS)
+@example([("refuse", "P:1", 0, "0"), ("refuse", "P:1", 0, "0"), ("cancel", "P:1"),
+          ("refuse", "P:1", 0, "0"), ("held", "P:1", 0)])
+def test_guessing_indices_match_a_history_scan(steps):
+    """GuessingIndices against a scan of every call made so far: an input
+    holds the index issued to it since its requirement's last
+    cancellation (a fresh one, numbered by all issues before it, if there
+    is none), a refusal repeats one of the same input and sigma since that
+    cancellation, and a cancellation returns the inputs issued to since
+    the one before it."""
+    guesses = GuessingIndices()
+    history = []  # ("issue", req, x, j), ("refuse", req, x, sigma) or ("cancel", req)
+
+    def since(req):
+        tail = []
+        for rec in history:
+            if rec[1] == req:
+                tail = [] if rec[0] == "cancel" else tail + [rec]
+        return tail
+
+    def want_held(req, x):
+        for rec in since(req):
+            if rec[0] == "issue" and rec[2] == x:
+                return rec[3]
+        j = sum(rec[0] == "issue" for rec in history)
+        history.append(("issue", req, x, j))
+        return j
+
+    for kind, req, *args in steps:
+        if kind == "held":
+            assert guesses.held(req, *args) == want_held(req, *args)
+        elif kind == "refuse":
+            x, sigma = args
+            want_held(req, x)
+            memo = ("refuse", req, x, sigma) in since(req)
+            history.append(("refuse", req, x, sigma))
+            assert guesses.refuse(req, x, sigma) == memo
+        else:
+            held = sorted({rec[2] for rec in since(req) if rec[0] == "issue"})
+            history.append(("cancel", req))
+            assert guesses.cancel(req) == held
+        assert len(guesses) == sum(
+            rec[0] == "issue" for req in {rec[1] for rec in history} for rec in since(req)
+        )
+        assert guesses.issued == sum(rec[0] == "issue" for rec in history)
 
 
 def test_changes_and_cone_truth():

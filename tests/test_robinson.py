@@ -165,10 +165,9 @@ def test_certification_race_won_by_policy_hit():
     defines = [ev.payload for ev in events if ev.kind == "define-local"]
     assert defines == [{"k": "0", "req": "P:0", "sigma": "0", "theta": "0", "x": "0"}]
     assert [ev.stage for ev in events if ev.kind == "define-local"] == [2]
-    st = strategy.inputs[(0, 0, 0)]
-    assert st.local == (0, 4)
-    assert st.live_value(3) == 0
-    assert st.live_value(8) is None
+    assert strategy.locals[(0, 0)][0] == (0, 4)
+    assert strategy.live_value(0, 0, 0, 3) == 0
+    assert strategy.live_value(0, 0, 0, 8) is None
 
 
 def test_refusal_and_memo():
@@ -240,6 +239,37 @@ def test_initialization_injury_is_attributed():
     assert verify(load_scenario(doc), events)["checks"]["V8"]["status"] == "pass"
 
 
+def test_cancelled_input_scans_a_fresh_index():
+    """A cancellation drops an input's index and refusals together.  P:1
+    refuses sigma "0" over W_1 at stage 4 and again, memo=1, at stage 6;
+    the stage-7 arrival under Q:0's restraint initializes P:1 and injures
+    the input, whose next scan names the fresh W_2 and is no memo refusal,
+    though C leaves the same cone at the same stage."""
+    doc = _doc(
+        14,
+        [[12, 0]],
+        11,
+        [
+            {"side": 1, "e": 0, "axioms": [{"theta": "", "sigma": "", "x": 0, "k": 0, "stage": 0}]},
+            {"side": 0, "e": 1, "axioms": [_BASE_AXIOM]},
+        ],
+        b=[[7, 1]],
+    )
+    sc = load_scenario(doc)
+    events, final = run(sc)
+    scans = [
+        (ev.stage, ev.payload["j"], ev.payload.get("memo"))
+        for ev in events
+        if ev.kind == "refuse-certify" and ev.payload["req"] == "P:1"
+    ]
+    assert scans == [(4, "1", None), (6, "1", "1"), (8, "2", None), (10, "2", "1")]
+    injuries = [(ev.stage, ev.payload) for ev in events if ev.kind == "injury"]
+    assert injuries == [(7, {"cause": "initialized", "req": "P:1", "x": "0"})]
+    enums = [(ev.stage, ev.payload["j"]) for ev in events if ev.payload.get("set") == "W"]
+    assert enums == [(2, "0"), (4, "1"), (8, "2")]
+    assert passed(verify(sc, events, final))
+
+
 class LemmaCheckingStrategy(RobinsonStrategy):
     """Records every certified axiom and, at the end of every stage, checks
     that no recorded theta has left its A half unless its owner was
@@ -295,7 +325,7 @@ def test_arrival_below_a_theta_on_its_side_is_deflected():
     assert not [ev for ev in events if ev.kind == "injury"]
     assert [ev.stage for ev in events if ev.kind == "certify"] == [4]
     assert strategy.certified == 1 and len(strategy.held) == 1
-    assert strategy.inputs[(0, 0, 0)].live_value(10) == 0
+    assert strategy.live_value(0, 0, 0, 10) == 0
 
 
 def test_arrival_below_a_theta_under_a_stronger_block_injures_it():

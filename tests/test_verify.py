@@ -253,6 +253,26 @@ def test_scan_index_and_memo_are_replayed(stage, changes, note):
     assert v7["witnesses"][0] == {"stage": stage, "note": note, "line": line.to_line()}
 
 
+def test_injuries_match_the_dropped_indices(control_materials):
+    """V6 matches each injury line one for one against the inputs whose
+    guessing index a same-stage initialization cancelled."""
+    sc, events, _ = control_materials["injury"]
+    at, line = next((i, ev) for i, ev in enumerate(events) if ev.kind == "injury")
+    req, x = line.payload["req"], line.payload["x"]
+    dropped = "%s input %s lost its guessing index with no injury" % (req, x)
+    moved = TraceEvent(line.stage, "injury", dict(line.payload, x=str(int(x) + 1)))
+    for forged, notes in [
+        (events[:at] + events[at + 1:], [dropped]),
+        (events[:at] + [moved] + events[at + 1:],
+         ["injury to an input that lost no guessing index this stage", dropped]),
+        (events[:at] + [line, line] + events[at + 1:],
+         ["injury to an input that lost no guessing index this stage"]),
+    ]:
+        v6 = verify(sc, forged)["checks"]["V6"]
+        assert v6["status"] == "fail"
+        assert [w["note"] for w in v6["witnesses"]] == notes
+
+
 def test_act_naming_no_requirement_fails_v2():
     sc = load_scenario(json.loads((GOLDEN_DIR / "deflection-update-scenario.json").read_text()))
     events = parse((GOLDEN_DIR / "deflection-update-expected.trace").read_text())
