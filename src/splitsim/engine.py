@@ -21,14 +21,30 @@ initialized during the stage; requirement indices above the tail of that
 block are pulled down onto it, and the indices beyond the current stage
 keep unit spacing, so assignments only ever decrease pointwise.
 
-Block dispatch (part two) runs only the blocks the strategy reports as
-due, in priority order, up to the stop order or the first block that
-acts.  A block that is not due would do nothing if it ran: the Sacks
-strategy reports the blocks of the owners that have not run since their
-inputs last changed (its wake rules), the Robinson strategy every owner
-block.
-Requirements that own no functional table can never act, define nothing
-and hold no state, so only blocks holding table owners are ever due.
+Block dispatch (part two) runs only the blocks that hold awake owners,
+in priority order, up to the stop order or the first block that acts,
+and in them only the awake owners.  Requirements that own no functional
+table can never act, define nothing and hold no state, so only table
+owners are tracked.  The engine keeps the one awake set (Run.awake):
+every owner starts awake, and an owner wakes when something it reads
+may have changed:
+
+  (a) a stage the strategy names for it arrives (wake_stages: the
+      appearance of an axiom of its table, and whatever else of the
+      owner's inputs changes on a schedule);
+  (b) any D entry lands, scheduled or by the policy;
+  (c) an arrival on its side lands below its table's largest use;
+  (d) it is cancelled by an initialization of its block.
+
+The strategy says when an owner sleeps (Run.sleep): only when running
+it again before one of these would do nothing.  The due orders, the
+blocks of the awake owners, are recomputed only after the awake set or
+an assignment changes.  Only an initialization cancels requirements or
+moves the assignment, so the strategy's refresh pass and the update
+run only at a stage with one.  A stage where nothing is due costs its
+one trace line: the loop skips the D policy and routing when they have
+nothing to do, part two returns at once, and the quiet update line is
+appended directly.
 
 Block state is one model.BlockState (Run.blocks), the same type the
 verifier replays.  Its restraint map is the record: it sends each block
@@ -37,13 +53,22 @@ none.  Routing is the state's bisection of its restraint stack, the
 victims of an initialization are a slice of its sorted existing blocks,
 and block membership and each owner's block are read off its
 assignments, whose index an update touches only where values change.
-A block comes into existence when it is first initialized, or when part
-two first passes it: every owner block up to the stop order, or up to
-the acting block, exists after part two, due or not.  It never leaves
-the record.  Run._passed is the highest order up to which every owner
-block exists, so part two passes only the owners beyond it, continuing
-each side's list of passed owners; an update takes both back to the
-first owner it moves onto a block part two may not have passed.
+A block comes into existence when it is first initialized, first
+restrained, or first passed by part two, and it never leaves the
+record.  Part two passes every owner block up to the stop order, or up
+to the acting block, due or not; bringing the due blocks it runs into
+existence is all that takes:
+
+  * an owner sleeps only after part two ran it, inside a block that
+    then exists;
+  * an update moves only the owners weaker than the stage's strongest
+    initialized block; those on existing blocks were cancelled by that
+    initialization and so woken, and no owner sleeps on a block that
+    does not exist;
+
+so every sleeping owner sits on an existing block.  An owner block that
+part two passes without running it holds only sleeping owners (an
+awake one would make it due), so it exists already.
 """
 
 from __future__ import annotations
@@ -80,10 +105,6 @@ class Run:
         self.a_cones = (Cones(), Cones())
         self.blocks = BlockState(strategy.owners)
         self.assignments: tuple[PriorityAssignment, ...] = self.blocks.assignments
-        # Every owner block of priority order at most _passed exists, and
-        # so do the blocks of the first _owners_passed[side] owners of side.
-        self._passed = -1
-        self._owners_passed = [0, 0]
         self.events: list[TraceEvent] = []
         self.pending_scans = 0
         self.unsettled = False
@@ -92,6 +113,23 @@ class Run:
         self._pending_d: OrderedDict[int, None] = OrderedDict()
         self._d_budget = scenario.d_policy_limit if scenario.d_policy else 0
         strategy.bind(self)
+        # The wake rules (module docstring).  _due caches the orders of
+        # the blocks holding awake owners; None when it must be recomputed.
+        self.awake: set[tuple[int, int]] = set(strategy.owners)
+        self._due: list[int] | None = None
+        self._everyone = frozenset(strategy.owners)
+        self._wake_at: dict[int, set | frozenset] = {}  # rules (a) and scheduled (b)
+        for t, owner in strategy.wake_stages():
+            self._wake_at.setdefault(t, set()).add(owner)
+        for t in self.d_entry.values():
+            self._wake_at[t] = self._everyone
+        # Rule (c): per side, the owners in ascending order of their
+        # table's largest use, beside those uses for bisection.
+        self._uses = ([], [])
+        self._by_use = ([], [])
+        for use, key in sorted((strategy.tables[key].largest_use, key) for key in strategy.owners):
+            self._uses[key[0]].append(use)
+            self._by_use[key[0]].append(key)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -118,18 +156,42 @@ class Run:
         if self.blocks.set_restraint(side, i, s):
             self.emit(event(s, "restraint-set", block=block_label(side, i), value=s))
 
+    def wake(self, owners) -> None:
+        """Run these owners at the next part two that reaches their blocks."""
+        awake = self.awake
+        n = len(awake)
+        awake.update(owners)
+        if len(awake) != n:
+            self._due = None
+
+    def sleep(self, owner: tuple[int, int]) -> None:
+        """Skip owner in part two until one of its wake rules fires."""
+        self.awake.discard(owner)
+        self._due = None
+
     # -- stage parts ------------------------------------------------------
 
     def execute(self) -> list[TraceEvent]:
+        events, wake_at, b_by_stage = self.events, self._wake_at, self.b_by_stage
         for s in range(self.horizon + 1):
+            woken = wake_at.get(s)
+            if woken is not None:
+                self.wake(woken)
             if s % 2 == 1:
-                self._policy_enumerations(s)
-                self._part_one(s)
-            else:
+                if self._pending_d and self._d_budget != 0:
+                    self._policy_enumerations(s)
+                if s in b_by_stage:
+                    self._part_one(s, b_by_stage[s])
+            elif self.awake:
                 self._part_two(s)
-            self.strategy.refresh_pass(s)
-            self._part_three(s)
-        return self.events
+            # Only an initialization cancels, so only then is there
+            # anything to refresh or update.
+            if self._init_target is None:
+                events.append(TraceEvent(s, "assignment-update", {"side": "none"}))
+            else:
+                self.strategy.refresh_pass(s)
+                self._part_three(s)
+        return events
 
     def _policy_enumerations(self, s: int) -> None:
         while self._pending_d and self._d_budget != 0:
@@ -138,11 +200,9 @@ class Run:
             if self._d_budget > 0:
                 self._d_budget -= 1
             self.emit(event(s, "enumerate", element=x, set="D"))
+        self.wake(self._everyone)
 
-    def _part_one(self, s: int) -> None:
-        x = self.b_by_stage.get(s)
-        if x is None:
-            return
+    def _part_one(self, s: int, x: int) -> None:
         threatened, half, init = self.blocks.route(x)
         label = "-" if threatened is None else block_label(*threatened)
         self.emit(event(s, "route", threatened=label, to="A%d" % half, x=x))
@@ -155,40 +215,23 @@ class Run:
             raise ConstructionInvariantError("element %d routed twice" % x)
         self.a_cones[side].arrive(x, s)
         self.emit(event(s, "enumerate", element=x, set="A%d" % side))
-
-    def _pass_blocks(self, upto: int) -> None:
-        """Bring every owner block of priority order at most upto into existence.
-
-        Each side's owners sit on nondecreasing blocks, so each side's
-        passed owners are a prefix of its owner list, and passing
-        continues it.
-        """
-        if upto <= self._passed:
-            return
-        self._passed = upto
-        for side, assign in enumerate(self.assignments):
-            owners, k = assign.owners, self._owners_passed[side]
-            while k < len(owners):
-                i = assign.value(owners[k])
-                if priority_order(side, i) > upto:
-                    break
-                self.blocks.add(side, i)
-                k += 1
-            self._owners_passed[side] = k
+        self.wake(self._by_use[side][bisect_right(self._uses[side], x):])
 
     def _part_two(self, s: int) -> None:
-        stop_order = min(
-            2 * self.assignments[0].value(s),
-            2 * self.assignments[1].value(s) + 1,
-        )
-        for order in self.strategy.due_orders(s):
+        due = self._due
+        if due is None:
+            due = self._due = self.blocks.orders_of(self.awake)
+        if not due:
+            return
+        stop_order = min(2 * self.assignments[0].value(s), 2 * self.assignments[1].value(s) + 1)
+        for order in due:
             if order > stop_order:
-                break
-            self._pass_blocks(order)
-            if self.strategy.run_block(*order_block(order), s):
+                return
+            side, i = order_block(order)
+            self.blocks.add(side, i)
+            if self.strategy.run_block(side, i, s):
                 self.initialize_block(*order_block(order + 1), s, cause="act")
                 return
-        self._pass_blocks(stop_order)
 
     def block_members(self, side: int, i: int) -> tuple[int, ...]:
         """Table-owning requirement indices currently assigned to block (side, i)."""
@@ -203,16 +246,15 @@ class Run:
         self.blocks.initialize(side, i)
         for order in self.blocks.existing_from(floor):
             blk = order_block(order)
-            for e in self.block_members(*blk):
+            members = self.block_members(*blk)
+            for e in members:
                 self.strategy.cancel_requirement(blk[0], e, s)
+            self.wake((blk[0], e) for e in members)
             self.emit(
                 event(s, "initialize", block=block_label(*blk), cause=cause, initiator=initiator)
             )
 
     def _part_three(self, s: int) -> None:
-        if self._init_target is None:
-            self.emit(event(s, "assignment-update", side="none"))
-            return
         _, side, i = self._init_target
         self._init_target = None
         assign = self.assignments[side]
@@ -226,13 +268,7 @@ class Run:
         if assign.value(m) != i:
             raise ConstructionInvariantError("update tail is not on the target block")
         self.blocks.update(side, s, i, m)
-        # Owners up to s sit on blocks that exist; those above it now sit
-        # on blocks i + 1, i + 2, ..., which need not.
-        k = bisect_right(assign.owners, s)
-        if k < len(assign.owners):
-            self._owners_passed[side] = min(self._owners_passed[side], k)
-            moved = priority_order(side, i + assign.owners[k] - s)
-            self._passed = min(self._passed, moved - 1)
+        self._due = None
         self.emit(event(s, "assignment-update", i=i, side=SIDE_LABEL[side], tail=m))
 
     # -- results ----------------------------------------------------------

@@ -78,7 +78,7 @@ def unpair(n: int) -> tuple[int, int]:
 
 def check_bits(s: str) -> str:
     """Validate that s is a finite string over {0, 1}; returns s."""
-    if not isinstance(s, str) or any(c not in "01" for c in s):
+    if not isinstance(s, str) or s.strip("01"):
         raise ValueError("oracle strings must consist of 0/1 characters: %r" % (s,))
     return s
 
@@ -249,6 +249,8 @@ class FunctionalTable:
         self._by_x: dict[int, list[tuple[int, Axiom]]] = {}
         for appear, ax in self.axioms:
             self._by_x.setdefault(ax.x, []).append((appear, ax))
+        # Every oracle position any axiom reads lies below this.
+        self.largest_use = max((ax.use for _, ax in self.axioms), default=0)
 
     def axioms_for(self, x: int) -> list[tuple[int, Axiom]]:
         return self._by_x.get(x, [])
@@ -680,7 +682,6 @@ class BlockState:
         self._live: list[int] = []
         self._stack_orders: list[int] = []
         self._stack_restraints: list[int] = []
-        self._owner_orders: list[int] | None = None
 
     def add(self, side: int, i: int) -> None:
         """Bring block (side, i) into existence if it is not yet, with no restraint."""
@@ -768,13 +769,6 @@ class BlockState:
             for prefix, last in (ends[side],)
         })
 
-    def owner_orders(self) -> list[int]:
-        """orders_of every owner, kept until the next update."""
-        if self._owner_orders is None:
-            self._owner_orders = self.orders_of(self.owners)
-        return self._owner_orders
-
     def update(self, side: int, s: int, i: int, m: int) -> None:
         """Apply update(s, i, m) to the assignment of side."""
         self.assignments[side].update(s, i, m)
-        self._owner_orders = None

@@ -46,6 +46,28 @@ re-tested against its half:
 
 So a certified theta leaves its half only at a stage where its owner is
 cancelled, and refresh_pass injures exactly the cancelled owners' inputs.
+
+Dispatch is event-driven.  A run of an owner reads the axioms of its
+table that have appeared, its own half and C below its table's largest
+use (C also decides when a local definition dies: its sigma is no
+longer than the use), D, its local definitions, and the stage only
+through the deferral s <= use.  The run stops at the first input that
+is neither defined already nor acted on.  So an owner whose run stopped
+on exit nocomp and emitted nothing does nothing at a later stage until
+one of these happens; the owner then wakes by the engine's rules:
+
+  (a) an axiom of its table appears;
+  (b) the stage reaches use + 1 of one of its axioms (the deferral ends);
+  (c) a C entry lands below its table's largest use;
+  (d) an arrival on its side lands below its table's largest use;
+  (e) any D entry lands, scheduled or by the policy;
+  (f) it is cancelled by an initialization of its block.
+
+(a) to (c) are the static stages of wake_stages.  Every owner starts
+awake, and only such a quiet nocomp run puts it to sleep.  A run that
+refused or left a scan pending re-emits its scan at every stage, one
+that acted may act again, and one that reached the x < s bound has
+more inputs at the next stage, so each of these leaves its owner awake.
 """
 
 from __future__ import annotations
@@ -134,19 +156,32 @@ class RobinsonStrategy:
 
     # -- requirement strategies ------------------------------------------------
 
-    def due_orders(self, s: int) -> list[int]:
-        """Every owner block is due: Robinson has no wake rules yet."""
-        return self.run.blocks.owner_orders()
+    def wake_stages(self) -> list[tuple[int, tuple[int, int]]]:
+        """Wake rules (a) to (c) as (stage, owner) pairs."""
+        c_entries = self.run.scenario.c_schedule.entries
+        stages = []
+        for key, table in self.tables.items():
+            for appear, ax in table.axioms:
+                stages += ((appear, key), (ax.use + 1, key))
+            stages += ((t, key) for t, c in c_entries if c < table.largest_use)
+        return stages
 
     def run_block(self, side: int, i: int, s: int) -> bool:
         acted = False
+        awake = self.run.awake
         for e in self.run.block_members(side, i):
-            acted |= self.run_requirement(side, e, i, s)
+            if (side, e) in awake:
+                acted |= self.run_requirement(side, e, i, s)
         return acted
 
     def run_requirement(self, side: int, e: int, i: int, s: int) -> bool:
-        """One pass of requirement (side, e) inside its block (side, i)."""
+        """One pass of requirement (side, e) inside its block (side, i).
+
+        The owner sleeps when the pass stops on nocomp without acting,
+        which also means it emitted nothing.
+        """
         acted = False
+        result = None
         x = 0
         while x < s:
             result = self.run_input_strategy(side, e, x, i, s)
@@ -154,6 +189,8 @@ class RobinsonStrategy:
                 break
             acted |= result == "acted"
             x += 1
+        if result == "nocomp" and not acted:
+            self.run.sleep((side, e))
         return acted
 
     def run_input_strategy(self, side: int, e: int, x: int, i: int, s: int) -> str:

@@ -23,9 +23,10 @@ Dispatch is event-driven.  A requirement reads only its local values,
 its record max_ell, D, its own half below its table's largest use, and
 the axioms of its table that have appeared.  So an owner that ran at
 stage t (and did nothing, or acted) does nothing at a later stage s
-unless one of these happens in (t, s]; the owner then wakes:
+unless one of these happens in (t, s]; the owner then wakes by the
+engine's rules:
 
-  (a) an axiom of its table appears;
+  (a) an axiom of its table appears (wake_stages);
   (b) any D entry lands, scheduled or by the policy;
   (c) an arrival on its side lands below its table's largest use;
   (d) it is cancelled by an initialization of its block.
@@ -38,7 +39,6 @@ awake owners.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .model import FunctionalTable, agreement_length, block_label, member
@@ -81,63 +81,22 @@ class SacksStrategy:
         self.requirements: dict[tuple[int, int], SacksRequirement] = {
             key: SacksRequirement(*key) for key in self.owners
         }
-        # Wake rule (a): the owners whose table gains an axiom, by stage.
-        self._appear: dict[int, set[tuple[int, int]]] = {}
-        for key, table in tables.items():
-            for appear, _ in table.axioms:
-                self._appear.setdefault(appear, set()).add(key)
-        # Wake rule (c): per side, the owners in ascending order of their
-        # table's largest use, beside those uses for bisection.
-        self._uses = ([], [])
-        self._by_use = ([], [])
-        tops = (
-            (max((ax.use for _, ax in table.axioms), default=0), key)
-            for key, table in tables.items()
-        )
-        for use, key in sorted(tops):
-            self._uses[key[0]].append(use)
-            self._by_use[key[0]].append(key)
-        self.awake: set[tuple[int, int]] = set(self.owners)
         self.run = None
 
     def bind(self, run) -> None:
         self.run = run
-        # Wake rule (b): scheduled D entries land at known stages; policy
-        # entries are the only ones added later, so d_entry grows by them.
-        self._d_stages = set(run.d_entry.values())
-        self._d_seen = len(run.d_entry)
-        self._woken = 0
 
-    def _wake(self, s: int) -> None:
-        """Wake the owners whose inputs changed at a stage in (_woken, s]."""
-        run = self.run
-        awake = self.awake
-        d_landed = len(run.d_entry) != self._d_seen
-        self._d_seen = len(run.d_entry)
-        for t in range(self._woken + 1, s + 1):
-            awake.update(self._appear.get(t, ()))
-            d_landed |= t in self._d_stages
-            x = run.b_by_stage.get(t)
-            if x is not None:
-                # The stage's B arrival went into one half: wake the
-                # owners on that side whose largest use exceeds x.
-                side = 0 if x in run.a_cones[0].entry else 1
-                awake.update(self._by_use[side][bisect_right(self._uses[side], x):])
-        self._woken = s
-        if d_landed:
-            awake.update(self.owners)
-
-    def due_orders(self, s: int) -> list[int]:
-        """Priority orders of the blocks that hold awake owners, ascending."""
-        self._wake(s)
-        return self.run.blocks.orders_of(self.awake)
+    def wake_stages(self) -> list[tuple[int, tuple[int, int]]]:
+        """Wake rule (a): (stage, owner) for each axiom's appearance."""
+        return [(appear, key) for key, table in self.tables.items() for appear, _ in table.axioms]
 
     def run_block(self, side: int, i: int, s: int) -> bool:
         acted = False
-        for e in self.run.block_members(side, i):
+        run = self.run
+        for e in run.block_members(side, i):
             key = (side, e)
-            if key in self.awake:
-                self.awake.discard(key)
+            if key in run.awake:
+                run.sleep(key)
                 acted |= self.run_requirement(self.requirements[key], i, s)
         return acted
 
@@ -174,7 +133,6 @@ class SacksStrategy:
 
     def cancel_requirement(self, side: int, e: int, s: int) -> None:
         self.requirements[(side, e)].reset()
-        self.awake.add((side, e))
 
     def refresh_pass(self, s: int) -> None:
         pass

@@ -51,9 +51,12 @@ class TraceEvent(NamedTuple):
     payload: dict[str, str]
 
     def to_line(self) -> str:
-        parts = ["stage=%d" % self.stage, "kind=%s" % self.kind]
-        parts += ["%s=%s" % (k, self.payload[k]) for k in sorted(self.payload)]
-        return "\t".join(parts)
+        return "stage=%d%s" % (self.stage, _line_tail(self.kind, self.payload))
+
+
+def _line_tail(kind: str, payload: dict[str, str]) -> str:
+    """The text of a line after its stage field: kind, then the payload by key."""
+    return "\tkind=" + kind + "".join(["\t%s=%s" % (k, payload[k]) for k in sorted(payload)])
 
 
 def parse_int(text: str) -> int:
@@ -110,8 +113,22 @@ def parse_line(line: str) -> TraceEvent:
 
 
 def render(events) -> str:
-    """The full trace text: one line per event, newline-terminated."""
-    return "".join(ev.to_line() + "\n" for ev in events)
+    """The full trace text: one line per event, newline-terminated.
+
+    Each distinct (kind, payload) tail is formatted once per call, as
+    parse parses each distinct tail once; the memo is keyed by the
+    payload's items in their own order, so equal payloads built in two
+    key orders are formatted once each, to the same text.
+    """
+    tails: dict[tuple, str] = {}
+    lines = []
+    for stage, kind, payload in events:
+        key = (kind, *payload.items())
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = _line_tail(kind, payload)
+        lines.append("stage=%d%s\n" % (stage, tail))
+    return "".join(lines)
 
 
 def parse(text: str) -> list[TraceEvent]:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splitsim.engine import ConstructionInvariantError, Run
+from splitsim.fuzz import generate
 from splitsim.harness import build_strategy, run
 from bisect import bisect_right
 
@@ -16,7 +17,9 @@ from splitsim.model import (
 from splitsim.sacks import SacksStrategy
 from splitsim.scenario import load_scenario
 
-from conftest import dense_sacks_doc
+from conftest import bench_module, dense_sacks_doc
+
+oracle_churn_doc = bench_module("workloads").oracle_churn_doc
 
 
 def test_priority_order_interleaving():
@@ -235,3 +238,100 @@ def test_sacks_dispatch_visits_only_awake_owners(monkeypatch):
     events, _ = run(sc)
     assert any(ev.kind == "diagonalize" for ev in events)
     assert visits <= 2 * len(events), (visits, len(events))
+
+
+class PassCheckingRun(Run):
+    """Checks the lemma in the engine docstring: after every part two and
+    every update, each sleeping owner sits on an existing block, and after
+    a part two each owner block up to the stop order, or up to the acting
+    block, exists.  Between those points owners only wake and blocks only
+    come into existence, so the lemma holds at every stage, quiet ones
+    (where part two is not called) included."""
+
+    def _check_sleepers(self):
+        for side, e in self.strategy.owners:
+            if (side, e) not in self.awake:
+                assert (side, self.assignments[side].value(e)) in self.blocks.restraint, (side, e)
+
+    def _part_two(self, s):
+        stop = min(2 * self.assignments[0].value(s), 2 * self.assignments[1].value(s) + 1)
+        super()._part_two(s)
+        self._check_sleepers()
+        passed = stop if self._init_target is None else self._init_target[0] - 1
+        for side, assign in enumerate(self.assignments):
+            for e in assign.owners:
+                i = assign.value(e)
+                if priority_order(side, i) <= passed:
+                    assert (side, i) in self.blocks.restraint, (s, side, e, i)
+
+    def _part_three(self, s):
+        super()._part_three(s)
+        self._check_sleepers()
+
+
+def test_part_two_passes_only_existing_blocks_without_running_them():
+    docs = [generate(11, i, c, 256) for c in ("sacks", "robinson") for i in range(100)]
+    docs += [dense_sacks_doc(208), oracle_churn_doc(2026, 40)]
+    initialized = 0
+    for doc in docs:
+        sc = load_scenario(doc)
+        events = PassCheckingRun(sc, build_strategy(sc)).execute()
+        initialized += any(ev.kind == "initialize" for ev in events)
+    assert initialized > 50
+
+
+def _quiet_tail_docs(horizon):
+    """Runs whose every event falls in their first 12 stages, at any horizon."""
+    axiom = {"theta": "", "x": 0, "k": 0, "stage": 0}
+    sacks = {
+        "construction": "sacks",
+        "horizon": horizon,
+        "b": [[3, 0]],
+        "d": [],
+        "functionals": [
+            {"side": 0, "e": 0, "axioms": [axiom]},
+            {"side": 1, "e": 0, "axioms": [axiom]},
+        ],
+    }
+    robinson = {
+        "construction": "robinson",
+        "horizon": horizon,
+        "b": [[5, 0]],
+        "c": [[8, 1]],
+        "d": [[9, 1]],
+        "functionals": [
+            {"side": 1, "e": 0, "axioms": [dict(axiom, sigma="")]},
+            {"side": 0, "e": 1, "axioms": [dict(axiom, theta="00", sigma="00")]},
+        ],
+    }
+    return [sacks, robinson]
+
+
+def test_quiet_stages_cost_no_block_work(monkeypatch):
+    """A stage where nothing is due maps no owner to its block and reads
+    no assignment: a deterministic count of BlockState.orders_of and
+    PriorityAssignment.value calls, which must not grow with the quiet
+    stages a longer horizon adds."""
+    calls = {"orders_of": 0, "value": 0}
+    orders_of, value = BlockState.orders_of, PriorityAssignment.value
+
+    def counting_orders_of(self, owners):
+        calls["orders_of"] += 1
+        return orders_of(self, owners)
+
+    def counting_value(self, e):
+        calls["value"] += 1
+        return value(self, e)
+
+    monkeypatch.setattr(BlockState, "orders_of", counting_orders_of)
+    monkeypatch.setattr(PriorityAssignment, "value", counting_value)
+    for short, long in zip(_quiet_tail_docs(12), _quiet_tail_docs(2000)):
+        before = dict(calls)
+        events, _ = run(load_scenario(short))
+        work = {k: calls[k] - before[k] for k in calls}
+        busy = {ev.stage for ev in events if ev.payload != {"side": "none"}}
+        assert max(busy) <= 12 and work["value"] > 0, (busy, work)
+        before = dict(calls)
+        long_events, _ = run(load_scenario(long))
+        assert len(long_events) == len(events) + 2000 - 12
+        assert {k: calls[k] - before[k] for k in calls} == work

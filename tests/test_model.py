@@ -72,6 +72,17 @@ def test_check_bits():
         check_bits(None)
 
 
+@given(st.one_of(st.text(), st.text("01"), st.text("01 \n\t2\u0661"), st.none(), st.integers()))
+def test_check_bits_is_the_per_character_rule(s):
+    """check_bits accepts exactly the strings all of whose characters are 0 or 1."""
+    per_character = isinstance(s, str) and all(c in "01" for c in s)
+    try:
+        accepted = check_bits(s) is s
+    except ValueError:
+        accepted = False
+    assert accepted == per_character
+
+
 def test_schedule_build_rejects_duplicates_and_negatives():
     with pytest.raises(ValueError):
         EnumerationSchedule.build("B", [(1, 3), (5, 3)])
@@ -345,7 +356,7 @@ def test_members_index_matches_scan(owners, steps):
             for j in image | set(range(-4, 12)):
                 want = tuple(e for e in mine if assign.value(e) == j)
                 assert assign.members(j) == want
-        assert blocks.owner_orders() == sorted(
+        assert blocks.orders_of(owners) == sorted(
             {2 * blocks.assignments[side].value(e) + side for side, e in owners}
         )
 

@@ -7,6 +7,7 @@ from splitsim.harness import build_strategy, run
 from splitsim.model import (
     Axiom,
     Cones,
+    block_label,
     TablePolicy,
     TruthfulDelayPolicy,
     build_policy,
@@ -17,6 +18,7 @@ from splitsim.model import (
 )
 from splitsim.robinson import RobinsonStrategy
 from splitsim.scenario import load_scenario
+from splitsim.trace import render
 from splitsim.verify import passed, verify
 
 from conftest import bench_module
@@ -359,3 +361,120 @@ def test_no_certified_theta_breaks_while_its_owner_stands():
         certified += strategy.certified
         injured += any(ev.kind == "injury" for ev in events)
     assert certified > 0 and injured > 0
+
+
+
+class VisitRecorder(RobinsonStrategy):
+    """Records the (stage, owner label) of every requirement visit."""
+
+    def __init__(self, tables):
+        super().__init__(tables)
+        self.visits = []
+
+    def run_requirement(self, side, e, i, s):
+        self.visits.append((s, block_label(side, e)))
+        return super().run_requirement(side, e, i, s)
+
+
+class WakeEveryOwner(VisitRecorder):
+    """Reference dispatch without wake rules: every owner wakes at every stage."""
+
+    def wake_stages(self):
+        return [(s, key) for s in range(self.run.horizon + 1) for key in self.owners]
+
+
+def run_against_reference(doc):
+    """(events, visits) of a run, whose trace must equal the reference's
+    byte for byte; the visits of the reference are returned beside them."""
+    sc = load_scenario(doc)
+    strategy, reference = VisitRecorder(sc.functionals), WakeEveryOwner(sc.functionals)
+    events = Run(sc, strategy).execute()
+    assert render(events) == render(Run(sc, reference).execute()), doc
+    return events, strategy.visits, reference.visits
+
+
+def test_wake_rules_match_visiting_every_owner():
+    """Letting an owner sleep after a quiet nocomp must not change a byte."""
+    docs = [generate(11, i, "robinson", 512) for i in range(200)]
+    # C entries, scheduled D entries and arrivals all occur.
+    assert sum(doc["c"] != [] for doc in docs) > 50
+    assert sum(doc["d"] != [] for doc in docs) > 50
+    assert sum(doc["b"] != [] for doc in docs) > 100
+    docs += [oracle_churn_doc(2026, h) for h in range(36, 44)]
+    visits = reference_visits = 0
+    for doc in docs:
+        _, mine, reference = run_against_reference(doc)
+        assert set(mine) <= set(reference)
+        visits += len(mine)
+        reference_visits += len(reference)
+    assert visits < reference_visits / 2, (visits, reference_visits)
+
+
+def test_deferred_action_wakes_at_use_plus_one():
+    # The only axiom has use 4, so its certification waits for a stage
+    # past 4.  P:0 sleeps after the deferral at stage 2, is woken at
+    # stage 5 (odd), and acts at stage 6; at stage 8 it is defined at
+    # input 0 and diverges at 1, so it sleeps for good.
+    axiom = {"theta": "0000", "sigma": "0000", "x": 0, "k": 0, "stage": 0}
+    doc = _doc(12, [], 1, [{"side": 0, "e": 0, "axioms": [axiom]}])
+    events, visits, _ = run_against_reference(doc)
+    assert visits == [(0, "P:0"), (2, "P:0"), (6, "P:0"), (8, "P:0")]
+    assert [(ev.stage, ev.payload["via"]) for ev in events if ev.kind == "act"] == [(6, "certified")]
+
+
+def test_refusal_repeats_every_stage_until_its_cone_dies():
+    # C leaves sigma "0"'s cone at stage 8, before p's late answer, so each
+    # scan is refused (the retries from the memo) and P:0 stays awake; at
+    # stage 8 the axiom no longer applies, and P:0 sleeps.
+    doc = _doc(14, [[8, 0]], 9, [{"side": 0, "e": 0, "axioms": [_BASE_AXIOM]}])
+    events, visits, _ = run_against_reference(doc)
+    scans = [
+        (ev.stage, ev.payload["resolved"], ev.payload.get("memo"))
+        for ev in events if ev.kind == "refuse-certify"
+    ]
+    assert scans == [(2, "8", None), (4, "8", "1"), (6, "8", "1")]
+    assert [s for s, _ in visits] == [0, 2, 4, 6, 8]
+
+
+def test_local_definition_dying_at_a_c_entry_wakes_its_owner():
+    # P:0 defines input 0 under sigma "0" at stage 2 and sleeps at stage
+    # 4.  C enumerates 0 at stage 6, which kills that definition and opens
+    # the cone of sigma "1": the C entry wakes P:0, which certifies and
+    # defines input 0 afresh at once.
+    alternative = {"theta": "0", "sigma": "1", "x": 0, "k": 0, "stage": 0}
+    doc = _doc(12, [[6, 0]], 1, [{"side": 0, "e": 0, "axioms": [_BASE_AXIOM, alternative]}])
+    events, visits, _ = run_against_reference(doc)
+    defines = [(ev.stage, ev.payload["sigma"]) for ev in events if ev.kind == "define-local"]
+    assert defines == [(2, "0"), (6, "1")]
+    assert [s for s, _ in visits] == [0, 2, 4, 6, 8]
+
+
+def test_arrival_below_the_use_wakes_its_owner():
+    # P:0's only axiom reads a 1 at A0's position 0, so P:0 diverges and
+    # sleeps at stage 2.  The stage-3 arrival of 0 lands in A0 and wakes
+    # it; P:0 certifies at stage 4.
+    axiom = dict(_BASE_AXIOM, theta="1")
+    doc = _doc(8, [], 1, [{"side": 0, "e": 0, "axioms": [axiom]}], b=[[3, 0]])
+    events, visits, _ = run_against_reference(doc)
+    assert [s for s, _ in visits] == [0, 2, 4, 6]
+    assert [ev.stage for ev in events if ev.kind == "certify"] == [4]
+
+
+def test_robinson_dispatch_visits_only_awake_owners(monkeypatch):
+    """Part two runs a Robinson owner only while it may do something: a
+    deterministic count of requirement visits per trace event, not a
+    timing gate.  Running every owner up to the stop order on every even
+    stage made about 1.6 visits per event here; the wake rules make 0.42."""
+    visits = 0
+    run_requirement = RobinsonStrategy.run_requirement
+
+    def counting_run_requirement(self, side, e, i, s):
+        nonlocal visits
+        visits += 1
+        return run_requirement(self, side, e, i, s)
+
+    monkeypatch.setattr(RobinsonStrategy, "run_requirement", counting_run_requirement)
+    events = 0
+    for i in range(100):
+        events += len(run(load_scenario(generate(2026, i, "robinson", 1024)))[0])
+    assert visits <= 0.5 * events, (visits, events)

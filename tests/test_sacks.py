@@ -96,11 +96,10 @@ def test_one_shot_definitions_and_reset():
 
 
 class WakeEveryOwner(SacksStrategy):
-    """Reference dispatch without wake rules: every owner is due at every stage."""
+    """Reference dispatch without wake rules: every owner wakes at every stage."""
 
-    def due_orders(self, s):
-        self.awake.update(self.owners)
-        return super().due_orders(s)
+    def wake_stages(self):
+        return [(s, key) for s in range(self.run.horizon + 1) for key in self.owners]
 
 
 def test_wake_rules_match_visiting_every_owner():
@@ -139,12 +138,14 @@ def test_arrival_at_the_last_use_position_wakes():
 
 
 def test_due_orders_read_the_owner_index(monkeypatch):
-    """Due blocks come from Run.order_of_owner, rebuilt only when an
-    assignment updates, not from PriorityAssignment.value per awake owner
-    per even stage: a deterministic count of value calls, not a timing
-    gate.  Mapping every awake owner made 1,628 calls on this run; what
-    is left (964) is the stop order, two per even stage, and one per owner
-    of the updated side at each membership index rebuild."""
+    """Due blocks are BlockState.orders_of over the awake owners, recomputed
+    only when the awake set or an assignment changes, and part two reads
+    the assignment only for its stop order, two value calls, when some
+    owner is due: a deterministic count of value calls, not a timing
+    gate.  Mapping every awake owner per even stage made 1,628 calls on
+    this run, and computing the stop order and passing the owner blocks
+    on every even stage 964; what is left (222) is the stop order on the
+    stages with a due owner and one read per assignment update."""
     sc = load_scenario(dense_sacks_doc(208))
     calls = 0
     value = PriorityAssignment.value
@@ -157,4 +158,4 @@ def test_due_orders_read_the_owner_index(monkeypatch):
     monkeypatch.setattr(PriorityAssignment, "value", counting_value)
     events, _ = run(sc)
     assert len(events) == 450
-    assert calls <= 1000, calls
+    assert calls <= 300, calls

@@ -227,3 +227,34 @@ def test_parse_checks_each_distinct_tail_once(monkeypatch):
     events = parse("".join(line + "\n" for line in lines))
     assert [ev.to_line() for ev in events] == lines
     assert calls <= len(tails) < len(lines) / 4, (calls, len(tails), len(lines))
+
+
+def _spec_line(ev):
+    """A line as the module docstring specifies it, built without the memo."""
+    fields = ["stage=%d" % ev.stage, "kind=" + ev.kind]
+    fields += ["%s=%s" % (k, ev.payload[k]) for k in sorted(ev.payload)]
+    return "\t".join(fields)
+
+
+_PAYLOADS = st.dictionaries(
+    st.sampled_from(["block", "j", "req", "sigma", "x"]), st.text("01PQ:-", max_size=3), max_size=4
+)
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(KINDS), _PAYLOADS), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(-1, 10**6), st.integers(0, 3), st.booleans()), max_size=40),
+)
+def test_render_formats_each_tail_as_its_own_line(tails, picks):
+    """The render memo changes no byte: tails repeat, and equal payloads
+    come in two key orders."""
+    events = []
+    for stage, k, reverse in picks:
+        kind, payload = tails[k % len(tails)]
+        items = list(payload.items())
+        if reverse:
+            items.reverse()
+        events.append(TraceEvent(stage, kind, dict(items)))
+    text = render(events)
+    assert text == "".join(ev.to_line() + "\n" for ev in events)
+    assert text == "".join(_spec_line(ev) + "\n" for ev in events)
