@@ -228,6 +228,8 @@ class FunctionalTable:
     Axioms become visible at their appear stage and never retract.  The
     table is indexed by input for evaluation; per input, axioms are kept
     in (use, k) order so the first applicable one is the selected one.
+    Its axioms arrive validated (Axiom.validate against binary): the
+    scenario loader validates each one to report its problem by path.
     """
 
     def __init__(self, side: int, e: int, axioms, binary: bool):
@@ -242,7 +244,6 @@ class FunctionalTable:
         for appear, ax in axioms:
             if appear < 0:
                 raise ValueError("appear stage must be a natural")
-            ax.validate(binary)
             rows.append((int(appear), ax))
         rows.sort(key=lambda r: (r[1].x, r[1].use, r[1].k, r[0]))
         self.axioms: tuple[tuple[int, Axiom], ...] = tuple(rows)

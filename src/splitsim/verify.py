@@ -39,6 +39,24 @@ had refused since its index was issued.  V6: an initialize line cancels
 its block's requirements, and the inputs whose index that drops must
 be, one for one, the stage's injury lines, each with cause=initialized.
 
+A stage of the replay is the run of lines between two stage boundaries,
+the points where a line's stage rises above the last.  One _StageState
+record holds everything a same-stage rule reads, and _close_stage
+settles those rules when the replay leaves the stage: V4 (each route
+has its enumeration, each deflection and each arrival under a live
+restraint initializes its block, each restraint has an act of its
+block), V6 (the injuries are the dropped indices) and V11 (exactly one
+update; side=none only without an initialization; a targeted update
+names the strongest initiator of the stage's lines before it, since
+the engine updates after its initializations).  A quiet stage, whose
+one line is its side=none update, breaks none of them, so the replay
+does not close it when the next stage follows at once; the last stage
+replayed, and a stage before a gap, are always closed.  A stage the
+replay jumps over, or one after the last line up to the horizon, has no
+lines and fails V11 with 0 updates.  A line whose stage goes backwards
+fails V2 and is settled with the stage being replayed, as the restraint
+replay uses max(stage, clock).
+
 Checks:
   V1  partition                     A0 and A1 split B exactly, stage by stage.
   V2  monotone-enumerations         line grammar, stage order, c.e. discipline.
@@ -53,7 +71,8 @@ Checks:
   V10 change-coding-equivalence     coded p rows decode back to their limits;
                                     fails only where a row breaks V8's start
                                     or budget rule (a negative index fails V2).
-  V11 assignment-update-rule        every update names the true tail and initiator.
+  V11 assignment-update-rule        one update per stage, naming the true tail and
+                                    the strongest initiator, or none without one.
 
 A report is a plain dict: {"checks", "flags", "diagnostics"}.  Failing
 checks carry minimal witnesses (stage plus the offending trace lines).
@@ -120,24 +139,25 @@ class _Problems:
 
 
 class _StageState:
-    """Buffers that reset at every stage boundary."""
+    """One stage of the replay: everything its same-stage rules read.
+
+    The handlers fill it from the stage's lines, and _close_stage
+    settles it when the replay leaves the stage.
+    """
 
     def __init__(self):
+        self.updates = 0          # assignment-update lines
+        self.none_updates = 0     # of them, the side=none ones
+        self.targets = []         # (update line, target, strongest initiator before it)
+        self.inits = set()        # blocks initialized
+        self.initiator = None     # the strongest initiator, as the engine keeps it
+        self.acts = set()         # block labels of the act lines
+        self.restraints = []      # restraint-set lines
         self.routes = []          # (event, x, destination) awaiting enumeration
         self.expected_inits = []  # (target block, route event) from deflections
         self.violations = []      # (block, arrival event) to be forgiven
         self.injuries = []        # injury events
         self.dropped = []         # (req, x) texts whose index an initialization cancelled
-
-    def busy(self) -> bool:
-        return any((self.routes, self.expected_inits, self.violations, self.injuries, self.dropped))
-
-    def clear(self):
-        self.routes.clear()
-        self.expected_inits.clear()
-        self.violations.clear()
-        self.injuries.clear()
-        self.dropped.clear()
 
 
 class _Context:
@@ -156,13 +176,7 @@ class _Context:
         self.blocks = BlockState(scenario.functionals)
         self.assignments = self.blocks.assignments
         self.max_restraint = {}
-        self.restraint_sets = []  # (stage, line) of every restraint-set line
-        self.acts = set()         # (stage, block label) of every act line
         self.last_initialized = {}
-        self.inits_by_stage = {}
-        self.initiators_by_stage = {}
-        self.updates_per_stage = {}
-        self.none_update_stages = []
         self.last_change = [-1, -1]
         self.w_sets = {}
         self.w_seen = set()
@@ -191,6 +205,7 @@ def _replay(scenario, events) -> _Context:
     prob = ctx.problems
     pend = _StageState()
     last_stage = 0
+    lines = 0  # lines replayed at stage last_stage
 
     for ev in events:
         s = ev.stage
@@ -200,9 +215,15 @@ def _replay(scenario, events) -> _Context:
             prob.add("V2", s, "stage outside 0..%d" % ctx.horizon, ev)
             continue
         if s > last_stage:
-            if pend.busy():
-                _close_stage(ctx, pend, last_stage)
+            if lines == pend.none_updates == 1 and s == last_stage + 1:
+                # A quiet stage, its one line the side=none update, breaks
+                # no same-stage rule; only a gap after it needs the close.
+                pend.updates = pend.none_updates = 0
+            else:
+                pend = _leave_stage(ctx, pend, last_stage, s)
+            lines = 0
             last_stage = ctx.clock = s
+        lines += 1
         parity, handler = _HANDLERS.get(ev.kind, (None, None))
         if parity is not None and s % 2 != parity:
             prob.add("V2", s, "%s event at an %s stage" % (ev.kind, _PARITY_WORD[s % 2]), ev)
@@ -212,32 +233,28 @@ def _replay(scenario, events) -> _Context:
             handler(ctx, ev, s, pend)
         except (KeyError, ValueError):
             prob.add("V2", s, "malformed %s payload" % ev.kind, ev)
-    if pend.busy():
-        _close_stage(ctx, pend, last_stage)
+    _leave_stage(ctx, pend, last_stage, ctx.horizon + 1)
 
     for x, t in sorted(ctx.b_entry.items()):
         if x not in ctx.a_entry[0] and x not in ctx.a_entry[1]:
             prob.add("V1", t, "arrival %d at stage %d was never routed" % (x, t))
-    for s in range(ctx.horizon + 1):
-        n = ctx.updates_per_stage.get(s, 0)
-        if n != 1:
-            prob.add("V11", s, "stage has %d assignment updates instead of one" % n)
-    for s, ev in ctx.restraint_sets:
-        if (s, ev.payload["block"]) not in ctx.acts:
-            prob.add(
-                "V4", s, "restraint set with no act of %s this stage" % ev.payload["block"], ev
-            )
-    for s in ctx.none_update_stages:
-        if ctx.inits_by_stage.get(s):
-            prob.add("V11", s, "update claims no initialization despite one")
     ctx.a_cones = (Cones(ctx.a_entry[0]), Cones(ctx.a_entry[1]))
     return ctx
 
 
+def _leave_stage(ctx, pend, s, to) -> _StageState:
+    """Close stage s and fail V11 at each stage strictly between s and
+    `to`, which has no lines, so no update; returns the record of `to`."""
+    _close_stage(ctx, pend, s)
+    for t in range(s + 1, to):
+        ctx.problems.add("V11", t, "stage has 0 assignment updates instead of one")
+    return _StageState()
+
+
 def _close_stage(ctx, pend, s):
-    """Settle what stage s left pending; the replay calls it only when pend is busy."""
+    """Settle the same-stage rules of stage s: V4, V6 and V11."""
     prob = ctx.problems
-    inits = ctx.inits_by_stage.get(s, set())
+    inits = pend.inits
     for ev, x, to in pend.routes:
         prob.add("V4", s, "route of %d to %s without its enumeration" % (x, to), ev)
     for target, ev in pend.expected_inits:
@@ -253,6 +270,11 @@ def _close_stage(ctx, pend, s):
                 % block_label(*blk),
                 ev,
             )
+    for ev in pend.restraints:
+        if ev.payload["block"] not in pend.acts:
+            prob.add(
+                "V4", s, "restraint set with no act of %s this stage" % ev.payload["block"], ev
+            )
     for ev in pend.injuries:
         key = ev.payload.get("req"), ev.payload.get("x")
         matched = key in pend.dropped
@@ -264,7 +286,21 @@ def _close_stage(ctx, pend, s):
             prob.add("V6", s, "injury to an input that lost no guessing index this stage", ev)
     for req, x in pend.dropped:
         prob.add("V6", s, "%s input %s lost its guessing index with no injury" % (req, x))
-    pend.clear()
+    if pend.updates != 1:
+        prob.add("V11", s, "stage has %d assignment updates instead of one" % pend.updates)
+    if pend.initiator is not None:
+        for _ in range(pend.none_updates):
+            prob.add("V11", s, "update claims no initialization despite one")
+    for ev, target, strongest in pend.targets:
+        if strongest is None:
+            prob.add("V11", s, "update without any initialization this stage", ev)
+        elif target != strongest:
+            prob.add(
+                "V11", s,
+                "update target %s is not the strongest initiator %s"
+                % (block_label(*target), block_label(*strongest)),
+                ev,
+            )
 
 
 # Replay handlers, one per event kind; _HANDLERS dispatches to them.  A
@@ -360,7 +396,7 @@ def _on_restraint_set(ctx, ev, s, pend):
     stage = max(s, ctx.clock)
     ctx.blocks.set_restraint(*blk, stage)
     ctx.max_restraint[blk] = max(ctx.max_restraint.get(blk, -1), stage)
-    ctx.restraint_sets.append((s, ev))
+    pend.restraints.append(ev)
 
 
 def _on_initialize(ctx, ev, s, pend):
@@ -373,8 +409,9 @@ def _on_initialize(ctx, ev, s, pend):
     side, i = blk
     ctx.blocks.initialize(side, i)
     ctx.last_initialized[blk] = s
-    ctx.inits_by_stage.setdefault(s, set()).add(blk)
-    ctx.initiators_by_stage.setdefault(s, set()).add(initiator)
+    pend.inits.add(blk)
+    if pend.initiator is None or priority_order(*initiator) < priority_order(*pend.initiator):
+        pend.initiator = initiator
     gone = {(side, e) for e in ctx.assignments[side].members(i)}
     for key in gone:
         ctx.cancels.setdefault(key, []).append(s)
@@ -422,7 +459,7 @@ def _on_expansionary(ctx, ev, s, pend):
 
 
 def _on_act(ctx, ev, s, pend):
-    ctx.acts.add((s, ev.payload.get("block")))
+    pend.acts.add(ev.payload.get("block"))
     req = parse_label(ev.payload["req"])
     if req is None:
         ctx.problems.add("V2", s, "act names no requirement", ev)
@@ -455,27 +492,17 @@ def _on_injury(ctx, ev, s, pend):
 
 
 def _on_assignment_update(ctx, ev, s, pend):
-    ctx.updates_per_stage[s] = ctx.updates_per_stage.get(s, 0) + 1
+    pend.updates += 1
     pay = ev.payload
     side_label = pay["side"]
     if side_label == "none":
-        ctx.none_update_stages.append(s)
+        pend.none_updates += 1
         return
     prob = ctx.problems
     side = SIDE_LABEL.index(side_label)
     i = parse_int(pay["i"])
     m = parse_int(pay["tail"])
-    if not ctx.inits_by_stage.get(s):
-        prob.add("V11", s, "update without any initialization this stage", ev)
-    else:
-        strongest = min(ctx.initiators_by_stage[s], key=lambda b: priority_order(*b))
-        if strongest != (side, i):
-            prob.add(
-                "V11", s,
-                "update target %s is not the strongest initiator %s"
-                % (block_label(side, i), block_label(*strongest)),
-                ev,
-            )
+    pend.targets.append((ev, (side, i), pend.initiator))
     assign = ctx.assignments[side]
     want_m = assign.tail(i)
     if want_m is None:

@@ -57,6 +57,33 @@ def dense_sacks_doc(horizon):
     }
 
 
+def quiet_tail_docs(horizon):
+    """Runs whose every event falls in their first 12 stages, at any horizon."""
+    axiom = {"theta": "", "x": 0, "k": 0, "stage": 0}
+    sacks = {
+        "construction": "sacks",
+        "horizon": horizon,
+        "b": [[3, 0]],
+        "d": [],
+        "functionals": [
+            {"side": 0, "e": 0, "axioms": [axiom]},
+            {"side": 1, "e": 0, "axioms": [axiom]},
+        ],
+    }
+    robinson = {
+        "construction": "robinson",
+        "horizon": horizon,
+        "b": [[5, 0]],
+        "c": [[8, 1]],
+        "d": [[9, 1]],
+        "functionals": [
+            {"side": 1, "e": 0, "axioms": [dict(axiom, sigma="")]},
+            {"side": 0, "e": 1, "axioms": [dict(axiom, theta="00", sigma="00")]},
+        ],
+    }
+    return [sacks, robinson]
+
+
 @pytest.fixture
 def record():
     return record_line

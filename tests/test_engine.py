@@ -17,7 +17,7 @@ from splitsim.model import (
 from splitsim.sacks import SacksStrategy
 from splitsim.scenario import load_scenario
 
-from conftest import bench_module, dense_sacks_doc
+from conftest import bench_module, dense_sacks_doc, quiet_tail_docs
 
 oracle_churn_doc = bench_module("workloads").oracle_churn_doc
 
@@ -280,33 +280,6 @@ def test_part_two_passes_only_existing_blocks_without_running_them():
     assert initialized > 50
 
 
-def _quiet_tail_docs(horizon):
-    """Runs whose every event falls in their first 12 stages, at any horizon."""
-    axiom = {"theta": "", "x": 0, "k": 0, "stage": 0}
-    sacks = {
-        "construction": "sacks",
-        "horizon": horizon,
-        "b": [[3, 0]],
-        "d": [],
-        "functionals": [
-            {"side": 0, "e": 0, "axioms": [axiom]},
-            {"side": 1, "e": 0, "axioms": [axiom]},
-        ],
-    }
-    robinson = {
-        "construction": "robinson",
-        "horizon": horizon,
-        "b": [[5, 0]],
-        "c": [[8, 1]],
-        "d": [[9, 1]],
-        "functionals": [
-            {"side": 1, "e": 0, "axioms": [dict(axiom, sigma="")]},
-            {"side": 0, "e": 1, "axioms": [dict(axiom, theta="00", sigma="00")]},
-        ],
-    }
-    return [sacks, robinson]
-
-
 def test_quiet_stages_cost_no_block_work(monkeypatch):
     """A stage where nothing is due maps no owner to its block and reads
     no assignment: a deterministic count of BlockState.orders_of and
@@ -325,7 +298,7 @@ def test_quiet_stages_cost_no_block_work(monkeypatch):
 
     monkeypatch.setattr(BlockState, "orders_of", counting_orders_of)
     monkeypatch.setattr(PriorityAssignment, "value", counting_value)
-    for short, long in zip(_quiet_tail_docs(12), _quiet_tail_docs(2000)):
+    for short, long in zip(quiet_tail_docs(12), quiet_tail_docs(2000)):
         before = dict(calls)
         events, _ = run(load_scenario(short))
         work = {k: calls[k] - before[k] for k in calls}

@@ -13,7 +13,7 @@ from splitsim.scenario import load_scenario
 from splitsim.trace import KINDS, TraceEvent, TraceParseError, parse, render
 from splitsim.verify import CHECKS, passed, verify
 
-from conftest import CERTIFY_DOC, GOLDEN_DIR, malformed_refusals
+from conftest import CERTIFY_DOC, GOLDEN_DIR, malformed_refusals, quiet_tail_docs
 
 def test_check_catalogue():
     assert [name for name, _ in CHECKS] == ["V%d" % i for i in range(1, 12)]
@@ -368,13 +368,8 @@ def test_v10_builds_the_change_set_once(control_materials, monkeypatch):
     assert "no bounded approximation" in v10["witnesses"][0]["note"]
 
 
-def test_replay_settles_only_busy_stages(monkeypatch):
-    """The end-of-stage checks run only where a stage left work pending:
-    a deterministic count of _close_stage calls, not a timing gate.
-    Only a route (a deflection or an arrival under restraint) or an
-    injury leaves work pending, so quiet heartbeat stages cost nothing."""
-    sc = load_scenario(generate(2026, 478, "robinson", 1024))
-    events, final = run(sc)
+def _closed_stages(monkeypatch):
+    """The stages _close_stage settles from now on, in call order."""
     closed = []
     close = verify_mod._close_stage
 
@@ -383,10 +378,119 @@ def test_replay_settles_only_busy_stages(monkeypatch):
         return close(ctx, pend, s)
 
     monkeypatch.setattr(verify_mod, "_close_stage", counting_close)
+    return closed
+
+
+def test_replay_settles_only_busy_stages(monkeypatch):
+    """The replay closes a stage only where it has a line other than a
+    side=none update, or at the last stage replayed: a deterministic
+    count of _close_stage calls, not a timing gate.  A quiet stage, whose
+    one line is its side=none update, costs no close."""
+    closed = _closed_stages(monkeypatch)
+    sc = load_scenario(generate(2026, 478, "robinson", 1024))
+    events, final = run(sc)
     assert passed(verify(sc, events, final))
-    busy = {ev.stage for ev in events if ev.kind in ("route", "injury")}
-    assert closed and set(closed) <= busy, (closed, busy)
+    busy = {ev.stage for ev in events if ev.payload != {"side": "none"}}
+    assert closed and set(closed) <= busy | {events[-1].stage}, (closed, busy)
     assert len(closed) == len(set(closed)) < (sc.horizon + 1) / 10
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["sacks", "robinson"])
+def test_quiet_stages_cost_no_close(which, monkeypatch):
+    """A longer horizon adds only quiet stages, so no close: the runs of
+    one scenario whose events all fall in its first 12 stages make one
+    count of _close_stage calls at H, 2H and 4H."""
+    closed = _closed_stages(monkeypatch)
+    counts = []
+    for horizon in (500, 1000, 2000):
+        sc = load_scenario(quiet_tail_docs(horizon)[which])
+        events, final = run(sc)
+        assert passed(verify(sc, events, final))
+        counts.append(len(closed))
+        closed.clear()
+    assert counts[0] > 0 and counts == counts[:1] * 3, counts
+
+
+@pytest.mark.parametrize("doc", quiet_tail_docs(40), ids=lambda doc: doc["construction"])
+def test_missing_stages_fail_v11_once_each(doc):
+    """Deleting the lines of k consecutive quiet stages fails V11 exactly
+    once at each, in stage order, in mid-trace and at the tail up to the
+    horizon.  Every stage after 12 is quiet here: its one line is its
+    side=none update."""
+    sc = load_scenario(doc)
+    events, _ = run(sc)
+    k = 4
+    mid = next(i for i, ev in enumerate(events) if ev.stage == 20)
+    assert all(ev.payload == {"side": "none"} for ev in events[mid:])
+    assert len(events) - mid == sc.horizon - 20 + 1
+    for forged, stages in [
+        (events[:mid] + events[mid + k:], [20, 21, 22, 23]),
+        (events[:-k], list(range(sc.horizon - k + 1, sc.horizon + 1))),
+    ]:
+        v11 = verify(sc, forged)["checks"]["V11"]
+        assert v11["failures"] == k
+        assert v11["witnesses"] == [
+            {"stage": t, "note": "stage has 0 assignment updates instead of one"} for t in stages
+        ]
+
+
+def test_none_update_before_an_initialization_fails_v11(control_materials):
+    """A stage's update replaced by a side=none update ahead of the
+    stage's initialize line: the whole stage is settled at its close,
+    so the initialization after the update still counts."""
+    sc, events, _ = control_materials["deflection"]
+    at = next(i for i, ev in enumerate(events) if ev.kind == "initialize")
+    end = next(i for i in range(at, len(events)) if events[i].kind == "assignment-update")
+    stage = events[at].stage
+    none = TraceEvent(stage, "assignment-update", {"side": "none"})
+    forged = events[:at] + [none] + events[at:end] + events[end + 1:]
+    v11 = verify(sc, forged)["checks"]["V11"]
+    assert v11["status"] == "fail"
+    assert {"stage": stage, "note": "update claims no initialization despite one"} in v11["witnesses"]
+
+
+def test_lone_targeted_update_fails_v11(control_materials):
+    """A stage whose one line is a targeted update is no quiet stage: it
+    is closed, and the update names no initialization."""
+    sc, events, _ = control_materials["deflection"]
+    stages = [ev.stage for ev in events]
+    at = next(
+        i for i, ev in enumerate(events[:-1]) if stages.count(ev.stage) == 1 and ev.stage > 0
+    )
+    assert events[at].payload == {"side": "none"}
+    line = TraceEvent(events[at].stage, "assignment-update", {"i": "0", "side": "P", "tail": "0"})
+    v11 = verify(sc, events[:at] + [line] + events[at + 1:])["checks"]["V11"]
+    assert v11["status"] == "fail"
+    assert {
+        "stage": line.stage, "note": "update without any initialization this stage", "line": line.to_line()
+    } in v11["witnesses"]
+
+
+def test_restraint_and_its_act_pass_v4_in_either_order(control_materials):
+    """The act that backs a restraint may come anywhere in its stage: the
+    engine writes the restraint first, and a restraint moved after its
+    act passes V4 as well."""
+    sc, events, _ = control_materials["forced"]
+    at = next(i for i, ev in enumerate(events) if ev.kind == "restraint-set")
+    act = next(i for i, ev in enumerate(events) if ev.kind == "act")
+    assert events[act].stage == events[at].stage and at < act
+    for forged in (events, events[:at] + events[at + 1:act + 1] + [events[at]] + events[act + 1:]):
+        assert verify(sc, forged)["checks"]["V4"]["status"] == "pass"
+
+
+def test_lines_swapped_across_stages_fail_v2(control_materials):
+    """A line swapped with one of a later stage puts a stage out of order,
+    whatever the two lines are, so the trace fails."""
+    for sc, events, _ in control_materials.values():
+        for at in range(0, len(events) - 1, 3):
+            later = next((j for j in range(at, len(events)) if events[j].stage > events[at].stage), None)
+            if later is None:
+                continue
+            forged = list(events)
+            forged[at], forged[later] = forged[later], forged[at]
+            report = verify(sc, forged)
+            assert report["checks"]["V2"]["status"] == "fail", (at, later)
+            assert not passed(report)
 
 
 _TOTALITY_RUNS = [
