@@ -45,6 +45,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ConflictError(ValueError):
@@ -189,12 +190,13 @@ class Cones:
         return state[0] == 0 and state[1] <= t and (state[2] is None or t < state[2])
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(NamedTuple):
     """One oracle axiom: output k on input x over cones theta (and sigma).
 
     Unary axioms carry only theta.  Binary axioms carry a second string
-    sigma of the same length, so a single use bounds both oracles.
+    sigma of the same length, so a single use bounds both oracles.  An
+    axiom is an immutable record compared and hashed by value; a tuple,
+    because the scenario loader builds one per axiom of a document.
     """
 
     theta: str
@@ -207,18 +209,19 @@ class Axiom:
         return len(self.theta)
 
     def validate(self, binary: bool) -> None:
-        check_bits(self.theta)
-        if self.x < 0:
+        theta, x, k, sigma = self
+        check_bits(theta)
+        if x < 0:
             raise ValueError("axiom input must be a natural")
-        if self.k not in (0, 1):
+        if k not in (0, 1):
             raise ValueError("axiom output must be a bit")
         if binary:
-            if self.sigma is None:
+            if sigma is None:
                 raise ValueError("binary axiom lacks its second oracle string")
-            check_bits(self.sigma)
-            if len(self.sigma) != len(self.theta):
+            check_bits(sigma)
+            if len(sigma) != len(theta):
                 raise ValueError("binary axiom oracle strings must share one use")
-        elif self.sigma is not None:
+        elif sigma is not None:
             raise ValueError("unary axiom carries an unexpected second oracle string")
 
 
@@ -227,9 +230,10 @@ class FunctionalTable:
 
     Axioms become visible at their appear stage and never retract.  The
     table is indexed by input for evaluation; per input, axioms are kept
-    in (use, k) order so the first applicable one is the selected one.
-    Its axioms arrive validated (Axiom.validate against binary): the
-    scenario loader validates each one to report its problem by path.
+    in (use, k, appear) order, ties in the order given, so the first
+    applicable one is the selected one.  Its axioms arrive validated
+    (Axiom.validate against binary): the scenario loader validates each
+    one to report its problem by path.
     """
 
     def __init__(self, side: int, e: int, axioms, binary: bool):
@@ -240,18 +244,27 @@ class FunctionalTable:
         self.side = side
         self.e = e
         self.binary = binary
-        rows = []
+        # Sorted by (x, use, k, appear), then the position given, so the
+        # sort never compares two axioms and ties keep their order.
+        keyed = []
         for appear, ax in axioms:
             if appear < 0:
                 raise ValueError("appear stage must be a natural")
-            rows.append((int(appear), ax))
-        rows.sort(key=lambda r: (r[1].x, r[1].use, r[1].k, r[0]))
+            keyed.append((ax.x, len(ax.theta), ax.k, appear, len(keyed), ax))
+        keyed.sort()
+        rows: list[tuple[int, Axiom]] = []
+        by_x: dict[int, list[tuple[int, Axiom]]] = {}
+        # Every oracle position any axiom reads lies below largest_use.
+        largest_use = 0
+        for x, use, _, appear, _, ax in keyed:
+            row = (appear, ax)
+            rows.append(row)
+            by_x.setdefault(x, []).append(row)
+            if use > largest_use:
+                largest_use = use
         self.axioms: tuple[tuple[int, Axiom], ...] = tuple(rows)
-        self._by_x: dict[int, list[tuple[int, Axiom]]] = {}
-        for appear, ax in self.axioms:
-            self._by_x.setdefault(ax.x, []).append((appear, ax))
-        # Every oracle position any axiom reads lies below this.
-        self.largest_use = max((ax.use for _, ax in self.axioms), default=0)
+        self._by_x = by_x
+        self.largest_use = largest_use
 
     def axioms_for(self, x: int) -> list[tuple[int, Axiom]]:
         return self._by_x.get(x, [])

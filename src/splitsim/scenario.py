@@ -34,6 +34,8 @@ TOP_KEYS = {
     "q_overrides",
     "seed",
 }
+FUNCTIONAL_KEYS = frozenset(("side", "e", "axioms"))
+AXIOM_KEYS = frozenset(("theta", "sigma", "x", "k", "stage"))
 
 
 class ScenarioError(ValueError):
@@ -66,7 +68,7 @@ _INDEX_RE = re.compile(r"0|[1-9][0-9]*")
 
 def _is_int(value) -> bool:
     """A JSON integer: booleans and floats are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_index(key) -> int | None:
@@ -185,27 +187,26 @@ def _load_schedule(raw, key, role, horizon, problems, b_convention=False):
         raw = []
     stages_seen: dict[int, int] = {}
     for idx, row in enumerate(raw):
-        path = "%s[%d]" % (key, idx)
         if (
             not isinstance(row, (list, tuple))
             or len(row) != 2
-            or not all(_is_int(v) for v in row)
+            or not (_is_int(row[0]) and _is_int(row[1]))
         ):
-            problems.append("%s: must be a [stage, element] pair of integers" % path)
+            problems.append("%s[%d]: must be a [stage, element] pair of integers" % (key, idx))
             continue
         stage, element = row
         if stage < 0 or stage > horizon:
-            problems.append("%s: stage %d outside 0..%d" % (path, stage, horizon))
+            problems.append("%s[%d]: stage %d outside 0..%d" % (key, idx, stage, horizon))
             continue
         if element < 0 or element >= horizon:
-            problems.append("%s: element %d outside 0..%d" % (path, element, horizon - 1))
+            problems.append("%s[%d]: element %d outside 0..%d" % (key, idx, element, horizon - 1))
             continue
         if b_convention:
             if stage % 2 == 0:
-                problems.append("%s: B may only enumerate at odd stages" % path)
+                problems.append("%s[%d]: B may only enumerate at odd stages" % (key, idx))
                 continue
             if stages_seen.get(stage, 0) >= 1:
-                problems.append("%s: B may enumerate at most one element per stage" % path)
+                problems.append("%s[%d]: B may enumerate at most one element per stage" % (key, idx))
                 continue
             stages_seen[stage] = 1
         entries.append((stage, element))
@@ -226,7 +227,8 @@ def _load_functionals(raw, binary, horizon, problems):
         if not isinstance(entry, dict):
             problems.append("%s: must be an object" % path)
             continue
-        _unknown_keys(entry, ("side", "e", "axioms"), path, problems)
+        if not FUNCTIONAL_KEYS.issuperset(entry):
+            _unknown_keys(entry, FUNCTIONAL_KEYS, path, problems)
         side = entry.get("side")
         e = entry.get("e")
         if not _is_int(side) or side not in (0, 1):
@@ -238,36 +240,29 @@ def _load_functionals(raw, binary, horizon, problems):
         if (side, e) in tables:
             problems.append("%s: duplicate functional (side %d, e %d)" % (path, side, e))
             continue
-        rows = []
-        ok = True
         axioms_raw = entry.get("axioms", [])
         if not isinstance(axioms_raw, list):
             problems.append("%s.axioms: must be an array" % path)
             continue
+        rows = []
+        ok = True
         for a_idx, ax_raw in enumerate(axioms_raw):
-            a_path = "%s.axioms[%d]" % (path, a_idx)
-            if not isinstance(ax_raw, dict):
-                problems.append("%s: must be an object" % a_path)
-                ok = False
-                continue
-            _unknown_keys(ax_raw, ("theta", "sigma", "x", "k", "stage"), a_path, problems)
-            stage = ax_raw.get("stage", 0)
-            if not _is_int(stage) or not 0 <= stage <= horizon:
-                problems.append("%s.stage: must lie in 0..%d" % (a_path, horizon))
-                ok = False
-                continue
-            x, k = ax_raw.get("x", 0), ax_raw.get("k", 0)
-            bad = [name for name, v in (("x", x), ("k", k)) if not _is_int(v)]
-            for name in bad:
-                problems.append("%s.%s: must be an integer" % (a_path, name))
-            if bad:
-                ok = False
-                continue
+            if isinstance(ax_raw, dict) and AXIOM_KEYS.issuperset(ax_raw):
+                stage, x, k = ax_raw.get("stage", 0), ax_raw.get("x", 0), ax_raw.get("k", 0)
+                checked = type(stage) is int and type(x) is int and type(k) is int and 0 <= stage <= horizon
+            else:
+                checked = False
+            if not checked:
+                fields = _axiom_fields(ax_raw, horizon, "%s.axioms[%d]" % (path, a_idx), problems)
+                if fields is None:
+                    ok = False
+                    continue
+                stage, x, k = fields
+            ax = Axiom(ax_raw.get("theta", ""), x, k, ax_raw.get("sigma"))
             try:
-                ax = Axiom(theta=ax_raw.get("theta", ""), x=x, k=k, sigma=ax_raw.get("sigma"))
                 ax.validate(binary)
             except (TypeError, ValueError) as err:
-                problems.append("%s: %s" % (a_path, err))
+                problems.append("%s.axioms[%d]: %s" % (path, a_idx, err))
                 ok = False
                 continue
             rows.append((stage, ax))
@@ -281,6 +276,29 @@ def _load_functionals(raw, binary, horizon, problems):
             continue
         tables[(side, e)] = table
     return tables
+
+
+def _axiom_fields(ax_raw, horizon, a_path, problems):
+    """The (stage, x, k) of an axiom that failed the loader's one-line test.
+
+    That test passes an object with known keys only, plain integers and
+    a stage in range.  Any other axiom comes here, with its path, and
+    gets every check: its problems are reported, and None is returned
+    when it cannot be built.  Unknown keys alone do not stop the build.
+    """
+    if not isinstance(ax_raw, dict):
+        problems.append("%s: must be an object" % a_path)
+        return None
+    _unknown_keys(ax_raw, AXIOM_KEYS, a_path, problems)
+    stage = ax_raw.get("stage", 0)
+    if not _is_int(stage) or not 0 <= stage <= horizon:
+        problems.append("%s.stage: must lie in 0..%d" % (a_path, horizon))
+        return None
+    x, k = ax_raw.get("x", 0), ax_raw.get("k", 0)
+    bad = [name for name, v in (("x", x), ("k", k)) if not _is_int(v)]
+    for name in bad:
+        problems.append("%s.%s: must be an integer" % (a_path, name))
+    return None if bad else (stage, x, k)
 
 
 def _load_p_policy(raw, horizon, problems):

@@ -1,7 +1,11 @@
 import json
+import random
+from pathlib import Path
 
 import pytest
 
+from splitsim.fuzz import generate
+from splitsim.model import Axiom
 from splitsim.scenario import ScenarioError, load_scenario, load_scenario_file
 
 
@@ -268,3 +272,121 @@ def test_load_scenario_file(tmp_path):
     with pytest.raises(ScenarioError) as info:
         load_scenario_file(str(undecodable))
     assert info.value.problems[0].startswith(str(undecodable))
+
+
+# The loader's problem lists, pinned.  Document n is generate(2026, n // 2,
+# c, 64) with c alternating sacks, robinson, and it gets corruption
+# n % 12 on a functional and an axiom that random.Random(n) picks; the
+# cycle puts each binary-only corruption on a robinson document and the
+# unary-only one on a sacks document.  Every list was recorded before
+# the loader formatted its problem paths lazily, so each message and its
+# order are pinned.
+LOADER_GOLDEN = Path(__file__).parent / "golden" / "loader-problems.json"
+CORRUPTIONS = (
+    "unknown axiom keys",
+    "bool x",
+    "float k",
+    "stage out of range",
+    "non-bit theta",
+    "sigma/theta length mismatch",
+    "sigma on a unary table",
+    "no sigma on a binary table",
+    "duplicate functional",
+    "conflicting pair",
+    "axioms not a list",
+    "axiom not an object",
+)
+
+
+def _corrupted(n):
+    """(document label, corruption, corrupted document) for document n."""
+    construction = ("sacks", "robinson")[n % 2]
+    doc = generate(2026, n // 2, construction, 64)
+    kind = CORRUPTIONS[n % len(CORRUPTIONS)]
+    rng = random.Random(n)
+    table = rng.choice(doc["functionals"])
+    axioms = table["axioms"]
+    at = rng.randrange(len(axioms))
+    ax = axioms[at]
+    if kind == "unknown axiom keys":
+        ax.update(zeta=1, alpha=2)
+    elif kind == "bool x":
+        ax["x"] = True
+    elif kind == "float k":
+        ax["k"] = float(ax["k"])
+    elif kind == "stage out of range":
+        ax["stage"] = doc["horizon"] + 1
+    elif kind == "non-bit theta":
+        ax["theta"] = "2" + ax["theta"][1:]
+    elif kind == "sigma/theta length mismatch":
+        ax["sigma"] += "0"
+    elif kind == "sigma on a unary table":
+        ax["sigma"] = ax["theta"]
+    elif kind == "no sigma on a binary table":
+        del ax["sigma"]
+    elif kind == "duplicate functional":
+        doc["functionals"].append(dict(table))
+    elif kind == "conflicting pair":
+        axioms.append(dict(ax, k=1 - ax["k"]))
+    elif kind == "axioms not a list":
+        table["axioms"] = {"0": ax}
+    else:
+        axioms[at] = [ax["theta"], ax["x"], ax["k"]]
+    return "%s[%d]" % (construction, n // 2), kind, doc
+
+
+def _loader_problems():
+    records = []
+    for n in range(300):
+        label, kind, doc = _corrupted(n)
+        records.append({"document": label, "corruption": kind, "problems": _problems(doc)})
+    return records
+
+
+def test_loader_problem_lists_are_pinned():
+    golden = json.loads(LOADER_GOLDEN.read_text(encoding="utf-8"))
+    assert _loader_problems() == golden
+
+
+def test_one_axiom_reports_its_problems_in_order():
+    bad = {"theta": "", "x": True, "k": 1.0, "zeta": 0, "alpha": 0}
+    assert _problems(_valid(functionals=_axiom(**bad))) == [
+        "functionals[0].axioms[0].alpha: unknown key",
+        "functionals[0].axioms[0].zeta: unknown key",
+        "functionals[0].axioms[0].x: must be an integer",
+        "functionals[0].axioms[0].k: must be an integer",
+    ]
+    assert _problems(_valid(functionals=_axiom(stage=-1, x=-1, theta="2"))) == [
+        "functionals[0].axioms[0].stage: must lie in 0..8",
+    ]
+    assert _problems(_valid(functionals=_axiom(x=-1, theta="2"))) == [
+        "functionals[0].axioms[0]: oracle strings must consist of 0/1 characters: '2'",
+    ]
+    assert _problems(_valid(functionals=_axiom(x=-1, k=2, theta=7))) == [
+        "functionals[0].axioms[0]: oracle strings must consist of 0/1 characters: 7",
+    ]
+    assert _problems(_valid(functionals=_axiom(x=-1, k=2))) == [
+        "functionals[0].axioms[0]: axiom input must be a natural",
+    ]
+
+
+def test_corpus_load_builds_and_validates_each_axiom_once(monkeypatch):
+    docs = [generate(2026, i, c, 1024) for c in ("sacks", "robinson") for i in range(500)]
+    axioms = sum(len(f["axioms"]) for doc in docs for f in doc["functionals"])
+    counts = {"new": 0, "validate": 0}
+    new, validate = Axiom.__new__, Axiom.validate
+
+    def counted_new(cls, *args, **kwargs):
+        counts["new"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_validate(self, binary):
+        counts["validate"] += 1
+        return validate(self, binary)
+
+    monkeypatch.setattr(Axiom, "__new__", counted_new)
+    monkeypatch.setattr(Axiom, "validate", counted_validate)
+    for doc in docs:
+        load_scenario(doc)
+    assert axioms == 27077
+    assert counts == {"new": axioms, "validate": axioms}
