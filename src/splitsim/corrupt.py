@@ -12,7 +12,7 @@ beat, and so on), so callers can pick a different run.
 from __future__ import annotations
 
 from . import verify as _verify
-from .model import Cones, build_policy, changes, p_row
+from .model import Cones, build_policy, p_spans
 from .trace import TraceEvent, event
 
 
@@ -141,7 +141,8 @@ def _v8(scenario, events):
             taken.add(int(ev.payload["j"]))
     j = max(taken, default=-1) + 1
     policy = build_policy(scenario, Cones(entry))
-    flips = changes(p_row(policy.windows(j, [(0, sig) for sig in sigmas]), horizon))
+    spans = p_spans(policy.windows(j, [(0, sig) for sig in sigmas]), horizon)
+    flips = 2 * len(spans) - (bool(spans) and spans[-1][1] == horizon)
     if flips <= scenario.q_default:
         raise CorruptionError(
             "C churns %d p-changes out of a budget of %d" % (flips, scenario.q_default)

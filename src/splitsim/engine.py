@@ -101,7 +101,7 @@ class Run:
         self.strategy = strategy
         self.b_by_stage = {s: x for s, x in scenario.b_schedule.entries}
         self.c_cones = Cones(scenario.c_schedule.entry_stage())
-        self.d_entry = dict(scenario.d_schedule.entry_stage())
+        self.d_entry = scenario.d_schedule.entry_stage()
         self.a_cones = (Cones(), Cones())
         self.blocks = BlockState(strategy.owners)
         self.assignments: tuple[PriorityAssignment, ...] = self.blocks.assignments

@@ -17,7 +17,7 @@ nothing else from the package.  The ingredients are:
   axiom a table selects at a stage,
 * the semantics of the external approximation p: each policy gives its
   windows, the stage intervals on which p(j, .) answers 1, and
-  first_hit and p_row read every answer off them; scan, the one
+  first_hit and p_spans read every answer off them; scan, the one
   certification race between p and C leaving sigma's cone; the
   mind-change count of a row, and the cone truth p approximates,
 * the guessing indices (GuessingIndices) that the oracle construction
@@ -98,7 +98,7 @@ class EnumerationSchedule:
 
     @staticmethod
     def build(role: str, entries) -> "EnumerationSchedule":
-        rows = sorted((int(s), int(x)) for s, x in entries)
+        rows = sorted(entries)
         seen: set[int] = set()
         for s, x in rows:
             if s < 0 or x < 0:
@@ -414,18 +414,28 @@ class TablePolicy:
         return self._windows.get(j, [])
 
 
+def p_spans(windows, horizon: int) -> list[tuple[int, int]]:
+    """The stages in 0..horizon where p answers 1 over these windows, as
+    sorted, disjoint, maximal intervals (lo, hi): hi None runs to the
+    horizon, and overlapping or adjacent windows merge.  So p starts at 1
+    iff spans[0][0] == 0, ends at 1 iff spans[-1][1] == horizon, and
+    changes its mind 2 * len(spans) - start - last times."""
+    spans = []
+    for lo, hi in sorted((lo, horizon if hi is None else min(hi, horizon)) for lo, hi in windows):
+        if spans and lo <= spans[-1][1] + 1:
+            spans[-1] = (spans[-1][0], max(hi, spans[-1][1]))
+        elif lo <= hi:
+            spans.append((lo, hi))
+    return spans
+
+
 def first_hit(windows, s: int, horizon: int) -> int | None:
     """The first t in s..horizon at which p answers 1 over these windows, or None."""
-    best = None
-    for lo, hi in windows:
-        t = max(s, lo)
-        if (hi is None or t <= hi) and (best is None or t < best):
-            best = t
-    return None if best is None or best > horizon else best
+    return next((max(s, lo) for lo, hi in p_spans(windows, horizon) if hi >= s), None)
 
 
 def p_row(windows, horizon: int) -> list[int]:
-    """p(j, t) for t in 0..horizon over the windows of index j."""
+    """p(j, t) for t in 0..horizon: only the test reference for p_spans."""
     row = [0] * (horizon + 1)
     for lo, hi in windows:
         top = horizon if hi is None else min(horizon, hi)

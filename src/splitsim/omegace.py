@@ -4,12 +4,13 @@ An ApproxTable is a finite, horizon-bounded picture of a limit-computable
 0/1 function: for each argument x a stage-indexed bit sequence that starts
 at 0 and flips fewer than b(x) times.  The change set encodes each flip as
 a Cantor pair code: the i-th flip of argument x, observed between stages u
-and u+1, enumerates pair(x, i-1) at stage u.
+and u+1, enumerates pair(x, i-1) at stage u, and restrict reads the limit
+back out of the change set alone.  The acceptance suite checks restrict
+against direct limit evaluation on randomized tables.
 
-restrict reads the limit of the approximation back out of the change set
-alone, in one pass over its codes: x is in the limit set exactly when its
-code count below the merged bound is odd.  The acceptance suite checks
-this equivalence with direct limit evaluation on randomized tables.
+Nothing calls this module at run or verify time: it is the reference
+that the lemma behind the verifier's V10 (a p row is an accepted table
+exactly when it keeps V8's start and budget rules) is tested against.
 """
 
 from __future__ import annotations
@@ -88,13 +89,9 @@ def build_change_set(tab: ApproxTable) -> EnumerationSchedule:
 def restrict(tab: ApproxTable, n: int) -> set[int]:
     """Decode the limit set below n from the change set alone.
 
-    Merges the change bounds below n into d, then reads the elements of
-    the change set once (every code is enumerated before the horizon):
-    each code unpairs to (x, i), and when x < n and i < d it toggles x's
-    parity.  x is in the result iff it was toggled an odd number of
-    times, i.e. iff the number of codes pair(x, i) with i < d is odd;
-    pair is a bijection, so this is the same count as probing every
-    pair(x, i), in O(codes) instead of O(n * d).
+    With d the largest change bound below n, x < n is in the result iff
+    the number of codes pair(x, i) with i < d is odd; one pass over the
+    change set counts them.
     """
     if n < 0 or n > tab.horizon:
         raise ValueError("restriction length must lie within the horizon")

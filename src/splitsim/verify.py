@@ -2,25 +2,24 @@
 
 The verifier consumes a scenario plus the event list of a finished run
 and replays everything it can recompute purely: routing decisions,
-restraint windows, assignment updates, certification scans, and the
-change-set coding of the p approximations.  Engine and strategy
-internals are never consulted: the module imports only the trusted
-kernel (model, omegace, trace), so a failure always indicts the trace,
-not the bookkeeping that produced it.  The rules the engine follows
-come from that kernel too: the label grammar (parse_label), the block
-state (BlockState, replayed from the restraint-set, initialize and
-assignment-update lines: routing is its restraint stack, an
-initialization clears its block and every weaker one, and block
-membership reads the index its assignments keep over the scenario's
-table owners), the cone oracle (Cones: over C's schedule from set-up,
-over each half's final map once the replay ends, so V5, V7 and V9 look
-their past-stage cone questions up), the cone truth, the mind-change
-count of a p row, the p windows of each guessing set (built once; V7
-scans them and V8/V10 read their p_row), and the certification scan
-itself (scan).  Payload integers are read with the trace grammar's
-parse_int, so a non-canonical one is a malformed payload.  Block state
-is keyed by (side, index), as in the engine; a restraint-set or
-initialize line whose block label does not parse fails V2 on that line.
+restraint windows, assignment updates, certification scans, and the p
+contract, whose change-set coding follows from it by a lemma.  It never
+consults engine or strategy internals, only the trusted kernel (model,
+omegace, trace), so a failure always indicts the trace, not the
+bookkeeping that produced it.  The kernel gives the engine's rules too:
+the label grammar (parse_label), the block state (BlockState, replayed
+from the restraint-set, initialize and assignment-update lines: routing
+is its restraint stack, an initialization clears its block and every
+weaker one, and block membership reads the index its assignments keep
+over the scenario's table owners), the cone oracle (Cones: over C's
+schedule from set-up, over each half's final map once the replay ends,
+so V5, V7 and V9 look their past-stage cone questions up), the cone
+truth, p's windows per guessing set (V7 scans them, V8 reads their
+p_spans), and the certification scan (scan).  Payload integers are
+read with the trace grammar's parse_int, so a non-canonical one is a
+malformed payload.  Block state is keyed by (side, index), as in the
+engine; a restraint-set or initialize line whose block label does not
+parse fails V2 on that line.
 
 A restraint is the stage that sets it: a restraint-set line whose value
 is not its stage, or with no same-stage act line naming its block,
@@ -68,9 +67,8 @@ Checks:
   V7  certification-soundness       each scan line is model.scan from its stage.
   V8  p-contract                    p starts at 0, stays within its change budget.
   V9  local-global-coherence        live local values track the watched functional.
-  V10 change-coding-equivalence     coded p rows decode back to their limits;
-                                    fails only where a row breaks V8's start
-                                    or budget rule (a negative index fails V2).
+  V10 change-coding-equivalence     coded p rows decode back to their limits:
+                                    V8's verdict, by the lemma of _check_v8_v10.
   V11 assignment-update-rule        one update per stage, naming the true tail and
                                     the strongest initiator, or none without one.
 
@@ -91,16 +89,15 @@ from .model import (
     applicable_axiom,
     block_label,
     build_policy,
-    changes,
     cone_truth,
     member,
     order_block,
-    p_row,
+    p_spans,
     parse_label,
     priority_order,
     scan,
 )
-from .omegace import ApproxTable, limit_eval, restrict
+from .omegace import restrict  # unused here: bench/spans.py wraps verify.restrict
 from .trace import TraceEvent, parse_int
 
 CHECKS = (
@@ -167,9 +164,9 @@ class _Context:
         self.scenario = scenario
         self.horizon = scenario.horizon
         self.problems = _Problems()
-        self.b_entry = dict(scenario.b_schedule.entry_stage())
+        self.b_entry = scenario.b_schedule.entry_stage()
         self.c_cones = Cones(scenario.c_schedule.entry_stage())
-        self.d_entry = dict(scenario.d_schedule.entry_stage())
+        self.d_entry = scenario.d_schedule.entry_stage()
         self.a_entry = ({}, {})  # element -> entry stage, per half
         self.a_cones = None  # per half, over the final a_entry once the replay ends
         self.clock = 0  # the latest stage replayed so far
@@ -657,17 +654,17 @@ def _check_v7(ctx, windows):
                 )
 
 
-def _check_v8_v10(ctx, p_rows):
-    """The p contract and the change-set coding of the p rows.
+def _check_v8_v10(ctx, windows):
+    """The p contract, read off each guessing set's p spans, and its coding.
 
-    V10 fails exactly when ApproxTable rejects the rows: a row breaks
-    V8's start or budget rule, or a guessing-set index is not a natural
-    (the enumerate handler already fails V2 on such a line and keeps it
-    out of the rows).  Once the table is accepted, every row starts at 0
-    and changes at most q < bound <= d times, restrict counts the codes
-    pair(x, i) with i < d, and pair is injective, so the decode below
-    any n equals the limit; one decode at n = top suffices, and the
-    equivalence itself is omegace's property test.
+    Lemma: V10 fails exactly when V8 finds a broken start or budget.
+    omegace's ApproxTable over the p rows (length and bits hold by
+    construction, the loader gives q >= 1, and a negative index fails V2
+    before it enters w_sets) rejects exactly a row that starts at 1 or
+    changes its mind more than q times, and once it accepts, restrict
+    decodes the limit (omegace's property test).  So V10 gives the one
+    witness ApproxTable gives: the first broken set in enumeration
+    order, its start tested before its budget.
     """
     prob = ctx.problems
     sc = ctx.scenario
@@ -675,30 +672,24 @@ def _check_v8_v10(ctx, p_rows):
         return True
     h = ctx.horizon
     settled = ctx.pending_count == 0
-    for j, row in sorted(p_rows.items()):
-        q = sc.q_overrides.get(j, sc.q_default)
-        flips = changes(row)
-        if row[0] != 0:
-            prob.add("V8", 0, "p(%d, 0) is %d, not 0" % (j, row[0]))
+    broken = {}
+    for j, w in sorted(windows.items()):
+        spans = p_spans(w, h)
+        start = bool(spans) and spans[0][0] == 0
+        last = bool(spans) and spans[-1][1] == h
+        flips, q = 2 * len(spans) - start - last, sc.q_overrides.get(j, sc.q_default)
+        if start:
+            prob.add("V8", 0, "p(%d, 0) is 1, not 0" % j)
+            broken[j] = "approximations must start at 0 (argument %d)" % j
         if flips > q:
             prob.add("V8", h, "p row %d changes its mind %d times, budget %d" % (j, flips, q))
-        if row[h] != cone_truth(ctx.w_sets[j], ctx.c_cones, h):
+            budget = "argument %d changes its mind %d times, bound is %d" % (j, flips, q + 1)
+            broken.setdefault(j, budget)
+        if last != cone_truth(ctx.w_sets[j], ctx.c_cones, h):
             settled = False
-    rows = {j: tuple(row) for j, row in p_rows.items()}
-    bounds = {j: sc.q_overrides.get(j, sc.q_default) + 1 for j in p_rows}
-    try:
-        tab = ApproxTable(h, rows, bounds)
-    except ValueError as err:
-        prob.add("V10", h, "p rows are no bounded approximation: %s" % err)
-        return settled
-    top = min(h, (max(p_rows) + 2) if p_rows else 1)
-    want = {x for x in range(top) if limit_eval(tab, x) == 1}
-    got = restrict(tab, top)
-    if got != want:
-        prob.add(
-            "V10", h, "restriction below %d decodes to %s, limit is %s"
-            % (top, sorted(got), sorted(want))
-        )
+    first = next((j for j in ctx.w_sets if j in broken), None)
+    if first is not None:
+        prob.add("V10", h, "p rows are no bounded approximation: %s" % broken[first])
     return settled
 
 
@@ -748,10 +739,9 @@ def verify(scenario, events, final=None) -> dict:
     if scenario.construction == "robinson":
         policy = build_policy(scenario, ctx.c_cones)
         windows = {j: policy.windows(j, strings) for j, strings in ctx.w_sets.items()}
-    p_rows = {j: p_row(w, ctx.horizon) for j, w in windows.items()}
     _check_v5(ctx)
     _check_v7(ctx, windows)
-    settled = _check_v8_v10(ctx, p_rows)
+    settled = _check_v8_v10(ctx, windows)
     _check_v9(ctx, settled)
 
     skipped = {}

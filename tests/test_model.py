@@ -17,6 +17,8 @@ from splitsim.model import (
     cone_truth,
     consistency_conflicts,
     order_block,
+    p_row,
+    p_spans,
     pair,
     parse_label,
     priority_order,
@@ -460,6 +462,34 @@ def test_guessing_indices_match_a_history_scan(steps):
             rec[0] == "issue" for req in {rec[1] for rec in history} for rec in since(req)
         )
         assert guesses.issued == sum(rec[0] == "issue" for rec in history)
+
+
+_stage = st.integers(0, 14)
+_windows = st.lists(
+    st.one_of(
+        st.tuples(_stage, st.none()),  # open: runs to the horizon
+        st.tuples(_stage, _stage),  # lo > hi is an empty window
+        _stage.map(lambda t: (t, t)),  # a table policy's one window per 1
+    ),
+    max_size=8,
+)
+
+
+@example([(1, 1), (2, 2), (2, 2), (4, 4), (6, None), (9, 3), (20, None), (0, 0)], 12)
+@example([(0, None)], 0)
+@given(_windows, st.integers(0, 12))
+def test_p_spans_reproduce_the_row(windows, horizon):
+    """p_spans against the reference p_row: the spans are exactly the row's
+    1s, and give its start bit, last bit and mind changes."""
+    spans = p_spans(windows, horizon)
+    row = p_row(windows, horizon)
+    assert all(0 <= lo <= hi <= horizon for lo, hi in spans)
+    assert all(a[1] + 1 < b[0] for a, b in zip(spans, spans[1:]))  # sorted, disjoint, maximal
+    assert [int(any(lo <= t <= hi for lo, hi in spans)) for t in range(horizon + 1)] == row
+    start = bool(spans) and spans[0][0] == 0
+    last = bool(spans) and spans[-1][1] == horizon
+    assert (start, last) == (row[0] == 1, row[horizon] == 1)
+    assert 2 * len(spans) - start - last == changes(row)
 
 
 def test_changes_and_cone_truth():

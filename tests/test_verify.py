@@ -1,9 +1,10 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitsim import omegace
+from splitsim import model, omegace
 from splitsim import verify as verify_mod
 from splitsim.corrupt import CorruptionError, corrupt
 from splitsim.fuzz import generate
@@ -344,28 +345,87 @@ def test_negative_w_index_fails_v2():
     assert report["checks"]["V10"]["status"] == "pass"
 
 
-def test_v10_builds_the_change_set_once(control_materials, monkeypatch):
-    """V10 decodes once, at the top of the p rows, not once per prefix:
-    a deterministic count of build_change_set calls, not a timing gate."""
+def test_v8_v10_read_p_off_its_spans(control_materials, monkeypatch):
+    """V8 and V10 read p off its spans: verify builds no p row, codes no
+    change set and decodes none, on the honest runs and on the V8
+    forgery alike.  A deterministic count of calls, not a timing gate."""
+    calls = []
+    for owner, name in ((omegace, "build_change_set"), (verify_mod, "restrict"), (model, "p_row")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+        )
     sc, events, final = control_materials["injury"]
-    calls = 0
-    build = omegace.build_change_set
-
-    def counting_build(tab):
-        nonlocal calls
-        calls += 1
-        return build(tab)
-
-    monkeypatch.setattr(omegace, "build_change_set", counting_build)
     report = verify(sc, events, final)
     assert passed(report)
     assert report["diagnostics"]["guessing_sets"] == 3
-    assert calls == 1
 
-    sc, events, _ = control_materials["churn"]
+    sc, events, final = control_materials["churn"]
+    assert passed(verify(sc, events, final))
     v10 = verify(sc, corrupt("V8", sc, events))["checks"]["V10"]
     assert v10["status"] == "fail"
-    assert "no bounded approximation" in v10["witnesses"][0]["note"]
+    assert v10["witnesses"] == [{
+        "stage": 12,
+        "note": "p rows are no bounded approximation: argument 0 changes its mind 5 times, bound is 3",
+    }]
+    assert calls == []
+
+
+def _coded_verdict(sc, events):
+    """V10's verdict as omegace reaches it from the p rows: they form an
+    ApproxTable with bounds q + 1, and restrict decodes their limit."""
+    windows = {}
+    if sc.construction == "robinson":
+        policy = model.build_policy(sc, model.Cones(sc.c_schedule.entry_stage()))
+        w_sets = verify_mod._replay(sc, events).w_sets
+        windows = {j: policy.windows(j, strings) for j, strings in w_sets.items()}
+    h = sc.horizon
+    rows = {j: tuple(model.p_row(w, h)) for j, w in windows.items()}
+    bounds = {j: sc.q_overrides.get(j, sc.q_default) + 1 for j in rows}
+    try:
+        tab = omegace.ApproxTable(h, rows, bounds)
+    except ValueError:
+        return False
+    top = min(h, max(rows) + 2 if rows else 1)
+    return omegace.restrict(tab, top) == {x for x in range(top) if omegace.limit_eval(tab, x)}
+
+
+def _low_budget_docs(rng, doc):
+    """doc under tight change budgets, and under random table policies."""
+    for q in (1, 2, 3):
+        yield dict(doc, q_default=q)
+    yield dict(doc, q_default=3, q_overrides={"0": 1, "2": 2})
+    for density in (0.02, 0.1, 0.5):
+        values = {
+            str(j): [0] + [int(rng.random() < density) for _ in range(rng.randrange(doc["horizon"]))]
+            for j in range(4)
+        }
+        yield dict(doc, p_policy={"type": "table", "values": values}, q_default=rng.randint(1, 3))
+
+
+def test_v10_is_v8s_verdict_by_the_lemma(control_materials):
+    """The lemma of verify._check_v8_v10, checked against omegace: over
+    honest runs, low-budget and table-policy variants of them, and the
+    negative controls, V10 and V8 pass exactly when the coded p rows
+    decode back to their limit."""
+    rng = random.Random(18)
+    traces = []
+    for i in range(100):
+        doc = generate(2026, i, "robinson", 256)
+        for variant in [doc, *_low_budget_docs(rng, doc)]:
+            sc = load_scenario(variant)
+            traces.append((sc, run(sc)[0]))
+    for check, material in _CONTROLS.items():
+        sc, events, _ = control_materials[material]
+        traces.append((sc, corrupt(check, sc, events)))
+    verdicts = set()
+    for sc, events in traces:
+        want = _coded_verdict(sc, events)
+        checks = verify(sc, events)["checks"]
+        assert (checks["V10"]["status"] != "fail") == want
+        assert (checks["V8"]["status"] != "fail") == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def _closed_stages(monkeypatch):
