@@ -189,56 +189,41 @@ def cmd_fuzz(args) -> int:
     return 0
 
 
+# One line format per event kind, and per the one payload value that
+# changes how an enumerate or assignment-update line reads.
+_DESCRIPTIONS = {
+    "enumerate": "enumerate {element} into {set}",
+    ("enumerate", "W"): "enumerate sigma={sigma} into W_{j}",
+    "route": "route x={x} to {to} (threatened: {threatened})",
+    "initialize": "initialize {block} (cause={cause}, by={initiator})",
+    "restraint-set": "restraint of {block} set to {value}",
+    "expansionary": "expansionary for {req}, agreement {ell}",
+    "define-local": "define {req}({x}) = {k}",
+    "diagonalize": "diagonalize {req} at x={x}",
+    "certify": "certify {req}({x})={k} via j={j} (entry {entry}, resolved {resolved})",
+    "refuse-certify": "refuse {req}({x}) via j={j} ({result})",
+    "injury": "injury of {req} at x={x} (cause={cause})",
+    "act": "act by {req} (via {via})",
+    "assignment-update": "assignment {side}: indices above tail {tail} pulled to block {i}",
+    ("assignment-update", "none"): "assignment unchanged",
+}
+_VARIANT_FIELD = {"enumerate": "set", "assignment-update": "side"}
+
+
+class _Fields(dict):
+    """A payload whose missing fields read as ?, or as their own default."""
+
+    DEFAULTS = {"threatened": "-", "sigma": ""}
+
+    def __missing__(self, key):
+        return self.DEFAULTS.get(key, "?")
+
+
 def _describe(ev) -> str:
     pay = ev.payload
-    kind = ev.kind
-    if kind == "enumerate":
-        if pay.get("set") == "W":
-            body = "enumerate sigma=%s into W_%s" % (pay.get("sigma", ""), pay.get("j", "?"))
-        else:
-            body = "enumerate %s into %s" % (pay.get("element", "?"), pay.get("set", "?"))
-    elif kind == "route":
-        body = "route x=%s to %s (threatened: %s)" % (
-            pay.get("x", "?"), pay.get("to", "?"), pay.get("threatened", "-"),
-        )
-    elif kind == "initialize":
-        body = "initialize %s (cause=%s, by=%s)" % (
-            pay.get("block", "?"), pay.get("cause", "?"), pay.get("initiator", "?"),
-        )
-    elif kind == "restraint-set":
-        body = "restraint of %s set to %s" % (pay.get("block", "?"), pay.get("value", "?"))
-    elif kind == "expansionary":
-        body = "expansionary for %s, agreement %s" % (pay.get("req", "?"), pay.get("ell", "?"))
-    elif kind == "define-local":
-        body = "define %s(%s) = %s" % (pay.get("req", "?"), pay.get("x", "?"), pay.get("k", "?"))
-    elif kind == "diagonalize":
-        body = "diagonalize %s at x=%s" % (pay.get("req", "?"), pay.get("x", "?"))
-    elif kind == "certify":
-        body = "certify %s(%s)=%s via j=%s (entry %s, resolved %s)" % (
-            pay.get("req", "?"), pay.get("x", "?"), pay.get("k", "?"),
-            pay.get("j", "?"), pay.get("entry", "?"), pay.get("resolved", "?"),
-        )
-    elif kind == "refuse-certify":
-        body = "refuse %s(%s) via j=%s (%s)" % (
-            pay.get("req", "?"), pay.get("x", "?"), pay.get("j", "?"),
-            pay.get("result", "?"),
-        )
-    elif kind == "injury":
-        body = "injury of %s at x=%s (cause=%s)" % (
-            pay.get("req", "?"), pay.get("x", "?"), pay.get("cause", "?"),
-        )
-    elif kind == "act":
-        body = "act by %s (via %s)" % (pay.get("req", "?"), pay.get("via", "?"))
-    elif kind == "assignment-update":
-        if pay.get("side") == "none":
-            body = "assignment unchanged"
-        else:
-            body = "assignment %s: indices above tail %s pulled to block %s" % (
-                pay.get("side", "?"), pay.get("tail", "?"), pay.get("i", "?"),
-            )
-    else:
-        body = kind
-    return "[stage %4d] %s" % (ev.stage, body)
+    variant = (ev.kind, pay.get(_VARIANT_FIELD.get(ev.kind)))
+    fmt = _DESCRIPTIONS.get(variant, _DESCRIPTIONS[ev.kind])
+    return "[stage %4d] %s" % (ev.stage, fmt.format_map(_Fields(pay)))
 
 
 def _matches(ev, args) -> bool:

@@ -11,9 +11,9 @@ beat, and so on), so callers can pick a different run.
 
 from __future__ import annotations
 
-from . import verify as _verify
 from .model import Cones, build_policy, p_spans
 from .trace import TraceEvent, event
+from .verify import persisting_diagonalizations, verify
 
 
 class CorruptionError(ValueError):
@@ -89,8 +89,7 @@ def _v4(scenario, events):
 
 def _v5(scenario, events):
     """Flip the stored bit behind a diagonalization that must persist."""
-    ctx = _verify._replay(scenario, events)
-    for _, _, k, target in _verify._persisting_diagonalizations(ctx, lambda *_: None):
+    for _, _, k, target in persisting_diagonalizations(scenario, events):
         return _replace(events, target, _with_payload(target, k=1 - k))
     raise CorruptionError("no persisting diagonalization to forge")
 
@@ -153,7 +152,7 @@ def _v8(scenario, events):
 
 def _v9(scenario, events):
     """Flip the bit of a live local definition away from its functional."""
-    report = _verify.verify(scenario, events)
+    report = verify(scenario, events)
     if report["flags"]["status"] != "settled":
         raise CorruptionError("coherence is only checked on settled runs")
     for ev in events:

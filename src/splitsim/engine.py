@@ -37,11 +37,11 @@ may have changed:
   (d) it is cancelled by an initialization of its block.
 
 The strategy says when an owner sleeps (Run.sleep): only when running
-it again before one of these would do nothing.  The due orders, the
-blocks of the awake owners, are recomputed only after the awake set or
-an assignment changes.  Only an initialization cancels requirements or
-moves the assignment, so the strategy's refresh pass and the update
-run only at a stage with one.  A stage where nothing is due costs its
+it again before one of these would do nothing.  Part two reads the due
+orders, the blocks of the awake owners, off the assignments each time
+it runs.  Only an initialization cancels requirements or moves the
+assignment, so the strategy's refresh pass and the update run only at
+a stage with one.  A stage where nothing is due costs its
 one trace line: the loop skips the D policy and routing when they have
 nothing to do, part two returns at once, and the quiet update line is
 appended directly.
@@ -52,7 +52,7 @@ that exists, keyed by its address (side, i), to its restraint, -1 for
 none.  Routing is the state's bisection of its restraint stack, the
 victims of an initialization are a slice of its sorted existing blocks,
 and block membership and each owner's block are read off its
-assignments, whose index an update touches only where values change.
+assignments: a block's owners by bisection of the monotone map.
 A block comes into existence when it is first initialized, first
 restrained, or first passed by part two, and it never leaves the
 record.  Part two passes every owner block up to the stop order, or up
@@ -113,10 +113,8 @@ class Run:
         self._pending_d: OrderedDict[int, None] = OrderedDict()
         self._d_budget = scenario.d_policy_limit if scenario.d_policy else 0
         strategy.bind(self)
-        # The wake rules (module docstring).  _due caches the orders of
-        # the blocks holding awake owners; None when it must be recomputed.
+        # The wake rules (module docstring).
         self.awake: set[tuple[int, int]] = set(strategy.owners)
-        self._due: list[int] | None = None
         self._everyone = frozenset(strategy.owners)
         self._wake_at: dict[int, set | frozenset] = {}  # rules (a) and scheduled (b)
         for t, owner in strategy.wake_stages():
@@ -158,16 +156,11 @@ class Run:
 
     def wake(self, owners) -> None:
         """Run these owners at the next part two that reaches their blocks."""
-        awake = self.awake
-        n = len(awake)
-        awake.update(owners)
-        if len(awake) != n:
-            self._due = None
+        self.awake.update(owners)
 
     def sleep(self, owner: tuple[int, int]) -> None:
         """Skip owner in part two until one of its wake rules fires."""
         self.awake.discard(owner)
-        self._due = None
 
     # -- stage parts ------------------------------------------------------
 
@@ -218,13 +211,8 @@ class Run:
         self.wake(self._by_use[side][bisect_right(self._uses[side], x):])
 
     def _part_two(self, s: int) -> None:
-        due = self._due
-        if due is None:
-            due = self._due = self.blocks.orders_of(self.awake)
-        if not due:
-            return
         stop_order = min(2 * self.assignments[0].value(s), 2 * self.assignments[1].value(s) + 1)
-        for order in due:
+        for order in self.blocks.orders_of(self.awake):
             if order > stop_order:
                 return
             side, i = order_block(order)
@@ -267,8 +255,7 @@ class Run:
             )
         if assign.value(m) != i:
             raise ConstructionInvariantError("update tail is not on the target block")
-        self.blocks.update(side, s, i, m)
-        self._due = None
+        assign.update(s, i, m)
         self.emit(event(s, "assignment-update", i=i, side=SIDE_LABEL[side], tail=m))
 
     # -- results ----------------------------------------------------------

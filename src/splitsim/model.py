@@ -30,7 +30,7 @@ nothing else from the package.  The ingredients are:
   replays: the restraint record, the stack of blocks an arrival can be
   routed against (route), the existing blocks whose suffix an
   initialization clears, and the dynamic assignment of requirements to
-  blocks with its incremental membership index.
+  blocks, a monotone map whose block preimages are read by bisection.
 
 A functional converges on an input exactly when some axiom whose oracle
 string(s) are initial segments of the current oracle set(s) has appeared
@@ -559,25 +559,19 @@ class PriorityAssignment:
     never steps by more than one, so it is stored as an explicit prefix
     plus a unit-slope extension: value(e) for e beyond the prefix is the
     last prefix value plus the distance.  The initial assignment is the
-    identity.  Neither tail nor update raises on a bad argument, so a
-    replay of untrusted update claims can apply them and report what is
-    wrong; the engine checks its own invariants before it updates.
+    identity.  update keeps the map valid under any claim, so a replay
+    of untrusted update claims can apply them and report what is wrong;
+    the engine checks its own invariants before it updates.
 
-    owners are the side's indices that own a table.  blocks indexes the
-    membership of the owners inside the explicit prefix: it maps each
-    block holding some of them to those owners, in order.  Past the
-    prefix a block holds at most the one index last + (i - top), so
-    members is arithmetic there.  update keeps every index up to m on its
-    block, so it re-indexes only the owners that one of the two prefixes
-    covers above m or above the old prefix: in a run, where stages grow,
-    those in (m, s] and those the prefix covers for the first time.
+    owners are the side's indices that own a table, in ascending order.
+    The map is monotone, so a block's preimage is one run of indices,
+    read off the prefix by bisection (or, past it, the one index
+    last + (i - top)), and its owners are a slice of owners.
     """
 
     def __init__(self, owners):
         self.owners = sorted(owners)
-        self._owner_set = set(self.owners)
         self.prefix: list[int] = [0]
-        self.blocks: dict[int, list[int]] = {0: [0]} if 0 in self._owner_set else {}
 
     def value(self, e: int) -> int:
         prefix = self.prefix
@@ -588,60 +582,50 @@ class PriorityAssignment:
             return prefix[e]
         return prefix[last] + (e - last)
 
-    def members(self, i: int) -> tuple[int, ...]:
-        """The owners currently assigned to block i, in ascending order."""
-        held = self.blocks.get(i, ())
+    def _preimage(self, i: int) -> tuple[int, int]:
+        """The indices [lo, hi) currently assigned to block i."""
         prefix = self.prefix
         last = len(prefix) - 1
-        e = last + (i - prefix[last])
-        if e > last and e in self._owner_set:
-            return (*held, e)
-        return tuple(held)
+        if i > prefix[last]:
+            e = last + (i - prefix[last])
+            return e, e + 1
+        return bisect_left(prefix, i), bisect_right(prefix, i)
+
+    def members(self, i: int) -> tuple[int, ...]:
+        """The owners currently assigned to block i, in ascending order."""
+        lo, hi = self._preimage(i)
+        owners = self.owners
+        return tuple(owners[bisect_left(owners, lo): bisect_left(owners, hi)])
 
     def tail(self, i: int) -> int | None:
         """Largest requirement index currently assigned to block i; None if there is none."""
-        last = len(self.prefix) - 1
-        top = self.prefix[last]
-        if i >= top:
-            return last + (i - top)
-        e = bisect_right(self.prefix, i) - 1
-        if e < 0 or self.prefix[e] != i:
-            return None
-        return e
+        lo, hi = self._preimage(i)
+        return hi - 1 if lo < hi else None
 
     def update(self, s: int, i: int, m: int) -> None:
         """Pull indices m+1..s onto block i; keep unit spacing beyond s.
 
-        m is meant to be the tail of block i, at most s.  Indices at or
-        below m keep their block; everything strictly above s lands on
-        i + distance-from-s.
+        m is meant to be the tail of block i, and 0 <= m <= s.  Indices
+        at or below m keep their block; everything strictly above s lands
+        on i + distance-from-s.  Below s the target i is clamped into
+        value(m) or one above it, so any such claim leaves the map valid.
         """
-        prefix, owners, blocks = self.prefix, self.owners, self.blocks
-        old_len = len(prefix)
-        new_len = max(m + 1, 0) + max(s - m, 0)
-        lo, hi = min(m, old_len - 1), max(old_len, new_len) - 1
-        moved = owners[bisect_right(owners, lo): bisect_right(owners, hi)]
-        # A block's indexed owners above m are a suffix of its list.
-        for e in moved:
-            if e < old_len:
-                held = blocks.get(prefix[e])
-                if held and held[-1] > m:
-                    del held[bisect_right(held, m):]
-                    if not held:
-                        del blocks[prefix[e]]
+        prefix = self.prefix
+        last = len(prefix) - 1
+        if m < s:
+            base = prefix[m] if m <= last else prefix[last] + (m - last)
+            i = min(max(i, base), base + 1)
         # The prefix becomes [value(0), ..., value(m)] + [i] * (s - m), in place.
-        if m < old_len:
-            del prefix[max(m + 1, 0):]
+        if m <= last:
+            del prefix[m + 1:]
         else:
-            prefix.extend(range(prefix[-1] + 1, prefix[-1] + 1 + m - (old_len - 1)))
+            prefix.extend(range(prefix[last] + 1, prefix[last] + 1 + m - last))
         prefix.extend([i] * (s - m))
-        for e in moved:
-            if e < new_len:
-                blocks.setdefault(prefix[e], []).append(e)
 
     def first_rise(self, s: int, i: int, m: int) -> tuple[int, int, int] | None:
-        """The first index update(s, i, m) would raise, as (e, was, now); None if none.
+        """The first index the claim update(s, i, m) raises, as (e, was, now); None if none.
 
+        The claim is judged as written, before update clamps its target.
         For 0 <= m <= s over a valid map (nondecreasing from 0, steps of
         0 or 1), where value(e) - e is nonincreasing.  Indices up to m
         keep their values and those in (m, s] take i; value(m+1) is the
@@ -692,13 +676,13 @@ class BlockState:
     above the arrival.  orders lists the existing blocks in priority
     order, so the victims of an initialization are a slice of it, and
     _live lists the blocks holding a restraint, so clearing them costs
-    what setting them did.  The two assignments carry block membership.
+    what setting them did.  The two assignments carry block membership,
+    which each reads off its map by bisection.
     """
 
     def __init__(self, owners):
-        self.owners = sorted(owners)
         self.assignments = tuple(
-            PriorityAssignment(e for owner_side, e in self.owners if owner_side == side)
+            PriorityAssignment(e for owner_side, e in owners if owner_side == side)
             for side in (0, 1)
         )
         self.restraint: dict[tuple[int, int], int] = {}
@@ -792,7 +776,3 @@ class BlockState:
             for side, e in owners
             for prefix, last in (ends[side],)
         })
-
-    def update(self, side: int, s: int, i: int, m: int) -> None:
-        """Apply update(s, i, m) to the assignment of side."""
-        self.assignments[side].update(s, i, m)

@@ -10,14 +10,14 @@ bookkeeping that produced it.  The kernel gives the engine's rules too:
 the label grammar (parse_label), the block state (BlockState, replayed
 from the restraint-set, initialize and assignment-update lines: routing
 is its restraint stack, an initialization clears its block and every
-weaker one, and block membership reads the index its assignments keep
-over the scenario's table owners), the cone oracle (Cones: over C's
-schedule from set-up, over each half's final map once the replay ends,
-so V5, V7 and V9 look their past-stage cone questions up), the cone
-truth, p's windows per guessing set (V7 scans them, V8 reads their
-p_spans), and the certification scan (scan).  Payload integers are
-read with the trace grammar's parse_int, so a non-canonical one is a
-malformed payload.  Block state is keyed by (side, index), as in the
+weaker one, and block membership is read off its assignments by
+bisection over the scenario's table owners), the cone oracle (Cones:
+over C's schedule from set-up, over each half's final map once the
+replay ends, so V5, V7 and V9 look their past-stage cone questions up),
+the cone truth, p's windows per guessing set (V7 scans them, V8 reads
+their p_spans), and the certification scan (scan).  Payload integers
+are read with the trace grammar's parse_int, so a non-canonical one is
+a malformed payload.  Block state is keyed by (side, index), as in the
 engine; a restraint-set or initialize line whose block label does not
 parse fails V2 on that line.
 
@@ -27,16 +27,17 @@ fails V4, and the replay sets the stage (never below its clock), so the
 restraints it replays only grow, as the block state needs.  An
 assignment update fails V3 if it raises some index, which on a valid
 map shows at the first index past the tail or where value(e) - e falls
-below the new map's (PriorityAssignment.first_rise); the replay keeps
-the map valid by applying a target of value(tail) or one above it.  The
-kernel's GuessingIndices replays guessing-index issuance, refusals and
-cancellations per input, keyed by the scan lines' req and x texts.  V7:
-a scan line must name the index its input holds (a fresh one, the next
-issued, on its first scan and on its first after a cancellation of its
-requirement), and memo=1 marks exactly a refusal of a sigma the input
-had refused since its index was issued.  V6: an initialize line cancels
-its block's requirements, and the inputs whose index that drops must
-be, one for one, the stage's injury lines, each with cause=initialized.
+below the new map's (PriorityAssignment.first_rise); the kernel's
+update then keeps the map valid by applying a target of value(tail) or
+one above it.  The kernel's GuessingIndices replays guessing-index
+issuance, refusals and cancellations per input, keyed by the scan
+lines' req and x texts.  V7: a scan line must name the index its input
+holds (a fresh one, the next issued, on its first scan and on its first
+after a cancellation of its requirement), and memo=1 marks exactly a
+refusal of a sigma the input had refused since its index was issued.
+V6: an initialize line cancels its block's requirements, and the inputs
+whose index that drops must be, one for one, the stage's injury lines,
+each with cause=initialized.
 
 A stage of the replay is the run of lines between two stage boundaries,
 the points where a line's stage rises above the last.  One _StageState
@@ -180,7 +181,7 @@ class _Context:
         self.scans = []  # (line, index its input holds, memo due), in trace order
         self.indices = GuessingIndices()  # keyed by the scan lines' req and x texts
         self.pending_count = 0
-        self.defined_k = {}
+        self.defined = {}  # requirement -> input -> (value, line) of its last definition
         self.diags = []
         self.expansionary = []
         self.definitions = []
@@ -409,15 +410,11 @@ def _on_initialize(ctx, ev, s, pend):
     pend.inits.add(blk)
     if pend.initiator is None or priority_order(*initiator) < priority_order(*pend.initiator):
         pend.initiator = initiator
-    gone = {(side, e) for e in ctx.assignments[side].members(i)}
-    for key in gone:
+    for key in {(side, e) for e in ctx.assignments[side].members(i)}:
         ctx.cancels.setdefault(key, []).append(s)
+        ctx.defined.pop(key, None)
         req = block_label(*key)
         pend.dropped.extend((req, x) for x in ctx.indices.cancel(req))
-    if gone:
-        ctx.defined_k = {
-            key: v for key, v in ctx.defined_k.items() if key[0] not in gone
-        }
 
 
 def _on_define_local(ctx, ev, s, pend):
@@ -434,7 +431,7 @@ def _on_define_local(ctx, ev, s, pend):
              "sigma": pay["sigma"], "stage": s, "ev": ev}
         )
     else:
-        ctx.defined_k[(req, x)] = (k, ev)
+        ctx.defined.setdefault(req, {})[x] = (k, ev)
 
 
 def _on_diagonalize(ctx, ev, s, pend):
@@ -515,12 +512,7 @@ def _on_assignment_update(ctx, ev, s, pend):
     rise = assign.first_rise(s, i, m)
     if rise is not None:
         prob.add("V3", s, "assignment of index %d rose from %d to %d" % rise, ev)
-    if m < s:
-        # Replay a target that keeps the map valid (steps of 0 or 1),
-        # which first_rise needs: value(m), or one above it.
-        base = assign.value(m)
-        i = min(max(i, base), base + 1)
-    ctx.blocks.update(side, s, i, m)
+    assign.update(s, i, m)
     ctx.last_change[side] = s
 
 
@@ -557,7 +549,7 @@ def _persisting_diagonalizations(ctx, fail):
         side, e = d["req"]
         if ctx.cancelled_after(side, e, d["stage"]) is not None:
             continue
-        got = ctx.defined_k.get((d["req"], d["x"]))
+        got = ctx.defined.get(d["req"], {}).get(d["x"])
         if got is None:
             fail(d["stage"], "diagonalization without a surviving definition", d["ev"])
             continue
@@ -571,6 +563,13 @@ def _persisting_diagonalizations(ctx, fail):
             fail(definition.stage, "no computation behind the defined value", d["ev"])
         elif ax_def.use <= definition.stage + 1:
             yield d, table, k, definition
+
+
+def persisting_diagonalizations(scenario, events) -> list:
+    """The diagonalizations of a trace that V5 holds to the horizon, as
+    (diagonalization, table, defined value, definition line), from the
+    replay verify makes; those the trace cannot back are left out."""
+    return list(_persisting_diagonalizations(_replay(scenario, events), lambda *_: None))
 
 
 def _check_v5(ctx):
@@ -665,6 +664,11 @@ def _check_v8_v10(ctx, windows):
     decodes the limit (omegace's property test).  So V10 gives the one
     witness ApproxTable gives: the first broken set in enumeration
     order, its start tested before its budget.
+
+    The loader guarantees the start bit: it and TablePolicy reject a row
+    that starts at 1, and a truthful window opens at stage d >= 1.  So
+    the start rule and its V10 witness guard only a policy that breaks
+    the contract (tested with a forged one).
     """
     prob = ctx.problems
     sc = ctx.scenario

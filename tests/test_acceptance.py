@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from splitsim.cli import _describe
 from splitsim.corrupt import corrupt
 from splitsim.fuzz import generate
 from splitsim.harness import run
@@ -35,6 +36,9 @@ CORPUS_BUDGET_SECONDS = 60.0
 # verifier concludes moves one of them.
 CORPUS_TRACE_SHA256 = "b03738ea97bf52e59cafb0f59aa0200c4518130abec05773a449637e372a5440"
 CORPUS_REPORT_SHA256 = "27b5cdfd4df02d9e4f3ddaaca61614776cdc77bf5a43cffefd0a8773fa437afd"
+# sha256 of what `splitsim explain` prints, unfiltered, for each corpus
+# trace in order: one described line per event, then the count line.
+CORPUS_EXPLAIN_SHA256 = "b8978b6e81f470731848e9783296b5dd9722a86b75ac5c4881d3e258f1804d7c"
 
 
 def _partition_ok(scenario, final) -> bool:
@@ -54,6 +58,7 @@ def corpus():
     rows = []
     trace_hash = hashlib.sha256()
     report_hash = hashlib.sha256()
+    explain_hash = hashlib.sha256()
     for construction in ("sacks", "robinson"):
         for index in range(CORPUS_PER_CONSTRUCTION):
             doc = generate(CORPUS_SEED, index, construction, CORPUS_MAX_HORIZON)
@@ -66,6 +71,9 @@ def corpus():
             assert parse(text) == events, (construction, index)
             trace_hash.update(text.encode())
             report_hash.update(json.dumps(report, sort_keys=True).encode())
+            for ev in events:
+                explain_hash.update((_describe(ev) + "\n").encode())
+            explain_hash.update(b"%d of %d event(s) shown\n" % (len(events), len(events)))
             kinds = {}
             for ev in events:
                 kinds[ev.kind] = kinds.get(ev.kind, 0) + 1
@@ -99,6 +107,7 @@ def corpus():
         "elapsed": elapsed,
         "trace_sha256": trace_hash.hexdigest(),
         "report_sha256": report_hash.hexdigest(),
+        "explain_sha256": explain_hash.hexdigest(),
     }
 
 
@@ -341,6 +350,15 @@ def test_behaviour_digests(corpus, record):
     )
     assert corpus["trace_sha256"] == CORPUS_TRACE_SHA256
     assert corpus["report_sha256"] == CORPUS_REPORT_SHA256
+
+
+def test_explain_output_is_pinned_over_the_corpus(corpus, record):
+    ok = corpus["explain_sha256"] == CORPUS_EXPLAIN_SHA256
+    record(
+        "[%s] explain digest: corpus explain output %s"
+        % ("PASS" if ok else "FAIL", "match" if ok else "DIVERGE")
+    )
+    assert corpus["explain_sha256"] == CORPUS_EXPLAIN_SHA256
 
 
 def test_determinism_replay(corpus, record):

@@ -141,6 +141,24 @@ def test_explain_filters(tmp_path, capsys):
     assert len(narrower.splitlines()) < len(out.splitlines())
 
 
+def test_explain_prints_missing_fields(tmp_path, capsys):
+    trace = tmp_path / "sparse.trace"
+    trace.write_text(
+        "stage=0\tkind=enumerate\tj=2\tset=W\n"
+        "stage=1\tkind=route\tx=3\n"
+        "stage=1\tkind=assignment-update\tside=none\n"
+        "stage=2\tkind=certify\tk=0\n"
+    )
+    assert main(["explain", "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "[stage    0] enumerate sigma= into W_2",
+        "[stage    1] route x=3 to ? (threatened: -)",
+        "[stage    1] assignment unchanged",
+        "[stage    2] certify ?(?)=0 via j=? (entry ?, resolved ?)",
+        "4 of 4 event(s) shown",
+    ]
+
+
 def test_explain_rejects_bad_label(tmp_path, capsys):
     trace = tmp_path / "run.trace"
     main(["run", "--scenario", SCENARIO, "--trace", str(trace)])

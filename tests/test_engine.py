@@ -4,8 +4,6 @@ from hypothesis import given, strategies as st
 from splitsim.engine import ConstructionInvariantError, Run
 from splitsim.fuzz import generate
 from splitsim.harness import build_strategy, run
-from bisect import bisect_right
-
 from splitsim.model import (
     BlockState,
     PriorityAssignment,
@@ -151,9 +149,11 @@ def test_single_arrival_routes_to_a0():
 
 
 def test_block_dispatch_reads_the_membership_index(monkeypatch):
-    """Block dispatch must not scan the owners: a deterministic count of
-    PriorityAssignment.value calls per trace event, not a timing gate.
-    A scan per visited block costs hundreds of calls per event here."""
+    """Block dispatch must not scan the owners: a block's members are a
+    slice of the sorted owners, found by bisection of the monotone
+    assignment.  A deterministic count of PriorityAssignment.value calls
+    per trace event, not a timing gate; a scan per visited block costs
+    hundreds of calls per event here."""
     sc = load_scenario(dense_sacks_doc(208))
     calls = 0
     value = PriorityAssignment.value
@@ -172,22 +172,19 @@ def test_block_dispatch_reads_the_membership_index(monkeypatch):
 
 
 def test_block_state_work_is_bounded_per_event(monkeypatch):
-    """Routing, initialization and updates cost their output, not every
-    block: a deterministic count of block-state work per trace event, not
-    a timing gate.  Work is stack pops, victims visited (the existing
-    blocks an initialization hands back, and the restraints it clears)
-    and owners re-indexed (those an update moves inside either prefix).
-    Before the kernel's block state, this run's routes scanned every
-    existing block (81,068 visits), its initializations sorted every
-    existing block (19,344) and its updates re-indexed every owner
-    (29,432): 129,844 in all over 1,765 events, about 74 per event.
-    With the block state it is 196: no stack pops (the run sets one
-    restraint, and a route is a bisection of the stack), 93 victims (one
-    per initialize line) and 103 owners re-indexed."""
+    """Routing and initialization cost their output, not every block: a
+    deterministic count of block-state work per trace event, not a
+    timing gate.  Work is stack pops and victims visited (the existing
+    blocks an initialization hands back, and the restraints it clears);
+    an update only rewrites its prefix.  Before the kernel's block
+    state, this run's routes scanned every existing block (81,068
+    visits) and its initializations sorted every existing block
+    (19,344), over 1,765 events.  With the block state it is 93: no
+    stack pops (the run sets one restraint, and a route is a bisection
+    of the stack) and 93 victims (one per initialize line)."""
     sc = load_scenario(dense_sacks_doc(832))
-    work = {"pops": 0, "victims": 0, "reindexed": 0}
+    work = {"pops": 0, "victims": 0}
     pop, initialize, existing_from = BlockState._pop, BlockState.initialize, BlockState.existing_from
-    update = PriorityAssignment.update
 
     def counting_pop(self, order):
         before = len(self._stack_orders)
@@ -204,16 +201,9 @@ def test_block_state_work_is_bounded_per_event(monkeypatch):
         work["victims"] += len(victims)
         return victims
 
-    def counting_update(self, s, i, m):
-        old_len = len(self.prefix)
-        update(self, s, i, m)
-        lo, hi = min(m, old_len - 1), max(old_len, len(self.prefix)) - 1
-        work["reindexed"] += bisect_right(self.owners, hi) - bisect_right(self.owners, lo)
-
     monkeypatch.setattr(BlockState, "_pop", counting_pop)
     monkeypatch.setattr(BlockState, "initialize", counting_initialize)
     monkeypatch.setattr(BlockState, "existing_from", counting_existing_from)
-    monkeypatch.setattr(PriorityAssignment, "update", counting_update)
     events, _ = run(sc)
     assert len(events) == 1765
     assert {"route", "initialize", "restraint-set"} <= {ev.kind for ev in events}

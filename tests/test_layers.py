@@ -68,21 +68,41 @@ def test_build_layer_imports():
 
 
 def private_imports(path: Path) -> list[str]:
-    """Underscore names a source file imports from another package module."""
+    """Underscore names a source file imports from the package or one of its
+    modules, then those it reads off a package module it imported, as
+    attributes (dunders such as __name__ excepted there)."""
     tree = ast.parse(path.read_text())
-    return [
-        "%s.%s" % (node.module, alias.name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        and node.module
-        and (node.level == 1 or node.module.split(".")[0] == "splitsim")
-        for alias in node.names
-        if alias.name.startswith("_")
-    ]
+    found = []
+    modules = {}  # local name -> the package module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level == 1 or (node.module or "").split(".")[0] == "splitsim"
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append("%s.%s" % (node.module or "", alias.name))
+                if node.module in (None, "splitsim"):
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if alias.asname and parts[0] == "splitsim" and len(parts) == 2:
+                    modules[alias.asname] = parts[1]
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+        ):
+            found.append("%s.%s" % (modules[node.value.id], node.attr))
+    return found
 
 
 def test_no_module_imports_a_private_name():
-    """A rule two modules share lives under a public kernel name, not a borrowed private one."""
+    """A rule two modules share lives under a public kernel name, not a
+    borrowed private one, whether imported by name or read off a module."""
     found = {p.stem: private_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert not {m: names for m, names in found.items() if names}, found
 
@@ -93,9 +113,17 @@ def test_private_import_scan(tmp_path):
         "from .model import _segments, cone_holds\n"
         "from splitsim.trace import _hidden\n"
         "from . import verify as _verify\n"
+        "from splitsim import engine, _x\n"
+        "from . import __all__\n"
+        "import splitsim.omegace as oc\n"
         "from __future__ import annotations\n"
+        "_verify._replay(_verify.verify, oc.__name__)\n"
+        "engine.Run._part_two, oc._private, other._free\n"
     )
-    assert private_imports(probe) == ["model._segments", "splitsim.trace._hidden"]
+    assert private_imports(probe) == [
+        "model._segments", "splitsim.trace._hidden", "splitsim._x", ".__all__",
+        "verify._replay", "omegace._private",
+    ]
 
 
 def test_import_scan_sees_every_form(tmp_path):

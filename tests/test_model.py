@@ -327,20 +327,22 @@ _BLOCK_STEPS = st.lists(
 @given(st.sets(st.tuples(st.integers(0, 1), st.integers(0, 14)), max_size=20), _BLOCK_STEPS)
 # A restraint the stack must drop when its own block is initialized.
 @example(set(), [("restraint", 0, 1, 1), ("initialize", 0, 1)])
-# A tail past the prefix: owner 1 keeps its block and enters the index.
+# A tail past the prefix: owner 1 keeps its block, now inside the prefix.
 @example({(0, 1)}, [("update", 0, 5, 1, 3)])
 # An update inside a plateau keeps the owners at or below the tail.
 @example({(0, 2), (0, 3)}, [("update", 0, 5, 1, 1), ("update", 0, 6, 1, 2)])
-# A lower stage shortens the prefix: owner 3 leaves the index.
+# A lower stage shortens the prefix: owner 3 falls past it again.
 @example({(0, 3)}, [("update", 0, 5, 1, 1), ("update", 0, 2, 0, 2)])
 def test_members_index_matches_scan(owners, steps):
     """BlockState against brute force after every step.  route is the scan
     of the record it replaced, threatened a sorted scan, the victims of an
     initialization the sorted existing blocks at or below its floor, and
-    members and the owners' block orders a scan of value over the owners.  Restraints come from a clock
-    that never goes down, as in the engine and the replay; updates take
-    the verifier's forged shapes too: negative blocks, targets off
-    value(m), tails past the prefix or past the stage."""
+    members, tail and the owners' block orders a scan of value.
+    Restraints come from a clock that never goes down, as in the engine
+    and the replay; updates take the verifier's forged shapes too
+    (negative blocks, targets off value(m), tails past the prefix), whose
+    targets the kernel clamps, so the map stays valid.  A tail past the
+    stage is clamped to it first, as the verifier does."""
     blocks = BlockState(owners)
     clock = 0
 
@@ -353,11 +355,15 @@ def test_members_index_matches_scan(owners, steps):
                 priority_order(*blk) for blk, r in record.items() if threatens(x, r)
             )
         for side, assign in enumerate(blocks.assignments):
+            values = assign.snapshot_values(len(assign.prefix) + 16)
+            assert values[0] == 0 and all(0 <= b - a <= 1 for a, b in zip(values, values[1:]))
             mine = sorted(e for owner_side, e in owners if owner_side == side)
             image = {assign.value(e) for e in mine}
             for j in image | set(range(-4, 12)):
                 want = tuple(e for e in mine if assign.value(e) == j)
                 assert assign.members(j) == want
+                preimage = [e for e, v in enumerate(values) if v == j]
+                assert assign.tail(j) == (preimage[-1] if preimage else None)
         assert blocks.orders_of(owners) == sorted(
             {2 * blocks.assignments[side].value(e) + side for side, e in owners}
         )
@@ -376,7 +382,8 @@ def test_members_index_matches_scan(owners, steps):
         elif kind == "add":
             blocks.add(side, args[0])
         else:
-            blocks.update(side, *args)
+            s, i, m = args
+            blocks.assignments[side].update(s, i, min(m, s))
         matches_scans()
 
 
@@ -386,7 +393,8 @@ def test_members_index_matches_scan(owners, steps):
 )
 def test_first_rise_matches_a_scan(blocks, s, i, m):
     """On a valid map, first_rise finds the first index an update would
-    raise, as a scan of both maps up to the longer prefix does."""
+    raise, as a scan of both maps up to the longer prefix does; and
+    where the claim needs no clamp, update writes that claimed map."""
     assign = PriorityAssignment([])
     t = 0
     for b in blocks:  # legal updates keep the map valid
@@ -396,14 +404,19 @@ def test_first_rise_matches_a_scan(blocks, s, i, m):
             assign.update(t, b, tail)
     m = min(m, s)
     before = assign.snapshot_values(max(len(assign.prefix) - 1, s))
+    # The map the claim writes, unclamped: value(0..m), then i up to s,
+    # then unit slope.
+    claimed = before[: m + 1] + [i] * (s - m)
+    claimed += range(claimed[-1] + 1, claimed[-1] + 1 + len(before) - len(claimed))
     want = None
-    rise = assign.first_rise(s, i, m)
-    assign.update(s, i, m)
-    for e, (was, now) in enumerate(zip(before, assign.snapshot_values(len(before) - 1))):
+    for e, (was, now) in enumerate(zip(before, claimed)):
         if now > was:
             want = (e, was, now)
             break
-    assert rise == want
+    assert assign.first_rise(s, i, m) == want
+    if m == s or i in (before[m], before[m] + 1):
+        assign.update(s, i, m)
+        assert assign.snapshot_values(len(before) - 1) == claimed
 
 
 _REQS = st.sampled_from([(0, 0), (1, 0), "P:1"])  # any hashable key, as in the replay

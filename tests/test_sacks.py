@@ -138,14 +138,15 @@ def test_arrival_at_the_last_use_position_wakes():
 
 
 def test_due_orders_read_the_owner_index(monkeypatch):
-    """Due blocks are BlockState.orders_of over the awake owners, recomputed
-    only when the awake set or an assignment changes, and part two reads
+    """Due blocks are BlockState.orders_of over the awake owners, read off
+    the assignments' prefixes without a value call, and part two reads
     the assignment only for its stop order, two value calls, when some
     owner is due: a deterministic count of value calls, not a timing
-    gate.  Mapping every awake owner per even stage made 1,628 calls on
-    this run, and computing the stop order and passing the owner blocks
-    on every even stage 964; what is left (222) is the stop order on the
-    stages with a due owner and one read per assignment update."""
+    gate.  Mapping every awake owner through value per even stage made
+    1,628 calls on this run, and computing the stop order and passing the
+    owner blocks on every even stage 964; what is left (222) is the stop
+    order on the stages with a due owner and one read per assignment
+    update."""
     sc = load_scenario(dense_sacks_doc(208))
     calls = 0
     value = PriorityAssignment.value

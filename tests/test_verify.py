@@ -371,6 +371,34 @@ def test_v8_v10_read_p_off_its_spans(control_materials, monkeypatch):
     assert calls == []
 
 
+class _OpensAtZero:
+    """A p policy that breaks the contract: every window is stage 0 alone."""
+
+    def windows(self, j, strings):
+        return [(0, 0)]
+
+
+def test_v8_v10_start_witnesses(control_materials, monkeypatch):
+    """V8's start rule and V10's start witness, which no loadable scenario
+    reaches (the loader and TablePolicy reject a row that starts at 1, and
+    a truthful window opens at stage d >= 1), fire on a policy that
+    answers 1 at stage 0: V8 once per guessing set, V10 once, for the
+    first set in enumeration order, with one flip each, inside budget."""
+    monkeypatch.setattr(verify_mod, "build_policy", lambda scenario, c_cones: _OpensAtZero())
+    sc, events, _ = control_materials["injury"]
+    enumerated = [int(ev.payload["j"]) for ev in events if ev.payload.get("set") == "W"]
+    assert len(set(enumerated)) == 3
+    checks = verify(sc, events)["checks"]
+    assert checks["V8"]["witnesses"] == [
+        {"stage": 0, "note": "p(%d, 0) is 1, not 0" % j} for j in sorted(set(enumerated))
+    ]
+    assert checks["V10"]["witnesses"] == [{
+        "stage": sc.horizon,
+        "note": "p rows are no bounded approximation: "
+        "approximations must start at 0 (argument %d)" % enumerated[0],
+    }]
+
+
 def _coded_verdict(sc, events):
     """V10's verdict as omegace reaches it from the p rows: they form an
     ApproxTable with bounds q + 1, and restrict decodes their limit."""
