@@ -40,9 +40,14 @@ The strategy says when an owner sleeps (Run.sleep): only when running
 it again before one of these would do nothing.  Part two reads the due
 orders, the blocks of the awake owners, off the assignments each time
 it runs.  Only an initialization cancels requirements or moves the
-assignment, so the strategy's refresh pass and the update run only at
-a stage with one.  A stage where nothing is due costs its
-one trace line: the loop skips the D policy and routing when they have
+assignment.  The engine collects the owners an initialization cancels
+and hands them to the strategy once, at the end of the stage, ascending
+by (side, e): strategy.refresh_pass(s, cancelled) resets them.  No
+requirement runs between a cancellation and the end of its stage (part
+one runs none, and part two stops at its first initialization), so the
+reset may wait.  The refresh pass and the update run only at a stage
+with an initialization.  A stage where nothing is due costs its one
+trace line: the loop skips the D policy and routing when they have
 nothing to do, part two returns at once, and the quiet update line is
 appended directly.
 
@@ -109,6 +114,7 @@ class Run:
         self.pending_scans = 0
         self.unsettled = False
         self._init_target: tuple[int, int, int] | None = None
+        self._cancelled: set[tuple[int, int]] = set()  # owners cancelled this stage
         # Anti-delta's queue of D enumerations, oldest first.
         self._pending_d: OrderedDict[int, None] = OrderedDict()
         self._d_budget = scenario.d_policy_limit if scenario.d_policy else 0
@@ -182,7 +188,8 @@ class Run:
             if self._init_target is None:
                 events.append(TraceEvent(s, "assignment-update", {"side": "none"}))
             else:
-                self.strategy.refresh_pass(s)
+                cancelled, self._cancelled = sorted(self._cancelled), set()
+                self.strategy.refresh_pass(s, cancelled)
                 self._part_three(s)
         return events
 
@@ -234,10 +241,9 @@ class Run:
         self.blocks.initialize(side, i)
         for order in self.blocks.existing_from(floor):
             blk = order_block(order)
-            members = self.block_members(*blk)
-            for e in members:
-                self.strategy.cancel_requirement(blk[0], e, s)
-            self.wake((blk[0], e) for e in members)
+            cancelled = [(blk[0], e) for e in self.block_members(*blk)]
+            self._cancelled.update(cancelled)
+            self.wake(cancelled)
             self.emit(
                 event(s, "initialize", block=block_label(*blk), cause=cause, initiator=initiator)
             )

@@ -42,10 +42,12 @@ re-tested against its half:
     deflected into the other half.  Otherwise a stronger block on the
     other side is threatened; x' lands in this half and initializes a
     block whose order is at most order(side, i), which cancels e at the
-    same stage, and refresh_pass sees the cancellation first.
+    same stage.
 
 So a certified theta leaves its half only at a stage where its owner is
-cancelled, and refresh_pass injures exactly the cancelled owners' inputs.
+cancelled.  The engine hands each stage's cancelled owners to
+refresh_pass at the end of the stage, and it injures exactly their
+inputs.
 
 Dispatch is event-driven.  A run of an owner reads the axioms of its
 table that have appeared, its own half and C below its table's largest
@@ -99,7 +101,6 @@ class RobinsonStrategy:
         self.sets: dict[int, list[tuple[int, str]]] = {}  # j -> (stage, sigma) of W_j
         # (side, e) -> x -> (k, death) of the input's local definition
         self.locals: dict[tuple[int, int], dict[int, tuple[int, int | None]]] = {}
-        self._refresh_flags: set[tuple[int, int]] = set()
         self.run = None
 
     def bind(self, run) -> None:
@@ -229,29 +230,23 @@ class RobinsonStrategy:
 
     # -- refresh ---------------------------------------------------------------
 
-    def cancel_requirement(self, side: int, e: int, s: int) -> None:
-        self._refresh_flags.add((side, e))
-
-    def refresh_pass(self, s: int) -> None:
+    def refresh_pass(self, s: int, cancelled: list[tuple[int, int]]) -> None:
         """Settle the inputs of the requirements cancelled at stage s.
 
-        An input is injured when its cancellation drops its guessing
-        index.  Cancellation is the only cause of injury (see the module
-        docstring), so a stage without one does nothing.  Local
-        definitions of a cancelled requirement die here rather than at
-        the cancellation, safely: no requirement runs between a
-        cancellation and the end of its stage.
+        The engine hands over the cancelled owners once, at the end of
+        the stage, ascending by (side, e).  An input is injured when its
+        cancellation drops its guessing index.  Cancellation is the only
+        cause of injury (see the module docstring).  Local definitions of
+        a cancelled requirement die here rather than at the cancellation,
+        safely: no requirement runs between a cancellation and the end
+        of its stage.
         """
-        flags = self._refresh_flags
-        if not flags:
-            return
-        for side, e in sorted(flags):
+        for side, e in cancelled:
             self.locals.pop((side, e), None)
             for x in self.inputs.cancel((side, e)):
                 self.run.emit(
                     event(s, "injury", cause="initialized", req=block_label(side, e), x=x)
                 )
-        flags.clear()
 
     # -- results -----------------------------------------------------------------
 

@@ -32,7 +32,9 @@ engine's rules:
   (d) it is cancelled by an initialization of its block.
 
 Every owner starts awake, and running an owner puts it to sleep.  A
-diagonalized owner stays asleep until it is reset, which is (d).  Part
+diagonalized owner stays asleep until it is reset, which is (d): the
+engine hands each stage's cancelled owners to refresh_pass at the end of
+the stage, which resets them before any of them runs again.  Part
 two runs only the blocks that hold awake owners, and in them only the
 awake owners.
 """
@@ -131,11 +133,11 @@ class SacksStrategy:
         run.emit(event(s, "act", block=label, req=req.label, via="expansionary"))
         return True
 
-    def cancel_requirement(self, side: int, e: int, s: int) -> None:
-        self.requirements[(side, e)].reset()
-
-    def refresh_pass(self, s: int) -> None:
-        pass
+    def refresh_pass(self, s: int, cancelled: list[tuple[int, int]]) -> None:
+        """Reset the requirements cancelled at stage s, which the engine
+        hands over at the end of the stage; none of them runs before."""
+        for key in cancelled:
+            self.requirements[key].reset()
 
     def final_state(self) -> None:
         pass

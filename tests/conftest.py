@@ -1,27 +1,57 @@
+import functools
+import hashlib
 import importlib.util
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from splitsim.cli import _describe
 from splitsim.fuzz import generate
 from splitsim.harness import run
 from splitsim.scenario import load_scenario
-from splitsim.trace import TraceEvent
+from splitsim.trace import TraceEvent, parse, render
+from splitsim.verify import passed, verify
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
+@functools.cache
 def bench_module(name):
-    """A module of the benchmark (bench/ is no package), loaded from its file."""
+    """A module of the benchmark (bench/ is no package), loaded from its file once."""
     spec = importlib.util.spec_from_file_location("bench_" + name, BENCH_DIR / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def count_calls(monkeypatch, owner, name, before=None, after=None):
+    """Record every call of owner.name while monkeypatch holds.
+
+    Returns a list that gains one entry per call: the call's positional
+    arguments, or what before(*args) reads just before the call (for a
+    quantity the call changes), or what after(result, *args) reads just
+    after it.  The tests count work through this one helper.
+    """
+    real = getattr(owner, name)
+    entries = []
+
+    def recorder(*args, **kwargs):
+        if before is not None:
+            entries.append(before(*args))
+        result = real(*args, **kwargs)
+        if before is None:
+            entries.append(args if after is None else after(result, *args))
+        return result
+
+    monkeypatch.setattr(owner, name, recorder)
+    return entries
+
 
 ACCEPTANCE_LINES = []
 
@@ -160,6 +190,22 @@ def control_materials():
     return {name: _material(name) for name in ("deflection", "forced", "injury", "certify", "churn")}
 
 
+# The negative controls: each check's corruption is forged on this material.
+CONTROLS = {
+    "V1": "deflection",
+    "V2": "forced",
+    "V3": "deflection",
+    "V4": "deflection",
+    "V5": "forced",
+    "V6": "injury",
+    "V7": "injury",
+    "V8": "churn",
+    "V9": "certify",
+    "V10": "churn",
+    "V11": "deflection",
+}
+
+
 def malformed_refusals():
     """A robinson run, and its trace with j or entry of the first refusal garbled."""
     doc = generate(2026, 6, "robinson", 256)
@@ -171,3 +217,87 @@ def malformed_refusals():
         line = TraceEvent(events[at].stage, events[at].kind, payload)
         forged[key] = events[:at] + [line] + events[at + 1:]
     return doc, forged
+
+
+# The acceptance corpus: deterministic (seed 2026, 500 scenarios per
+# construction, horizons up to 1024), generated, run and verified once
+# per session in one timed pass.
+
+CORPUS_SEED = 2026
+CORPUS_PER_CONSTRUCTION = 500
+CORPUS_MAX_HORIZON = 1024
+CORPUS_BUDGET_SECONDS = 60.0
+
+
+def _partition_ok(scenario, final) -> bool:
+    b_map = {x: s for s, x in scenario.b_schedule.entries}
+    a0 = {x: s for s, x in final["a0"]}
+    a1 = {x: s for s, x in final["a1"]}
+    if set(a0) & set(a1):
+        return False
+    merged = dict(a0)
+    merged.update(a1)
+    return merged == b_map
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """Per-run summaries of the corpus, each with its document, the pass's
+    wall time, and sha256 digests over every rendered trace, every report
+    as sorted-key JSON and every explain line, in corpus order."""
+    t0 = time.perf_counter()
+    rows = []
+    trace_hash = hashlib.sha256()
+    report_hash = hashlib.sha256()
+    explain_hash = hashlib.sha256()
+    for construction in ("sacks", "robinson"):
+        for index in range(CORPUS_PER_CONSTRUCTION):
+            doc = generate(CORPUS_SEED, index, construction, CORPUS_MAX_HORIZON)
+            scenario = load_scenario(doc)
+            events, final = run(scenario)
+            report = verify(scenario, events, final)
+            text = render(events)
+            # The grammar is checked only where text enters, so every
+            # engine-written event must survive the trip through text.
+            assert parse(text) == events, (construction, index)
+            trace_hash.update(text.encode())
+            report_hash.update(json.dumps(report, sort_keys=True).encode())
+            for ev in events:
+                explain_hash.update((_describe(ev) + "\n").encode())
+            explain_hash.update(b"%d of %d event(s) shown\n" % (len(events), len(events)))
+            kinds = {}
+            for ev in events:
+                kinds[ev.kind] = kinds.get(ev.kind, 0) + 1
+            rows.append(
+                {
+                    "construction": construction,
+                    "index": index,
+                    "doc": doc,
+                    "horizon": scenario.horizon,
+                    "statuses": {
+                        name: entry["status"]
+                        for name, entry in report["checks"].items()
+                    },
+                    "settled": report["flags"]["status"] == "settled",
+                    "ok": passed(report),
+                    "partition_ok": _partition_ok(scenario, final),
+                    "injuries": kinds.get("injury", 0),
+                    "certs": kinds.get("certify", 0),
+                    "refusals": kinds.get("refuse-certify", 0),
+                    "diags": kinds.get("diagonalize", 0),
+                    "definitions": sum(
+                        1
+                        for ev in events
+                        if ev.kind == "define-local" and "theta" in ev.payload
+                    ),
+                    "w_sets": report["diagnostics"]["guessing_sets"],
+                }
+            )
+    elapsed = time.perf_counter() - t0
+    return {
+        "rows": rows,
+        "elapsed": elapsed,
+        "trace_sha256": trace_hash.hexdigest(),
+        "report_sha256": report_hash.hexdigest(),
+        "explain_sha256": explain_hash.hexdigest(),
+    }

@@ -1,35 +1,24 @@
 """Acceptance suite: one test and one printed verdict line per criterion.
 
 The fuzz corpus is deterministic (seed 2026, 500 scenarios per
-construction, horizons up to 1024) and is built once per session; every
-criterion over it consumes per-run summaries.  Each test records a
-[PASS]/[FAIL] line that the terminal summary prints even on plain
-pytest invocations.
+construction, horizons up to 1024) and is built once per session by
+conftest's corpus fixture; every criterion over it consumes per-run
+summaries.  Each test records a [PASS]/[FAIL] line that the terminal
+summary prints even on plain pytest invocations.
 """
 
-import hashlib
 import json
 import random
-import time
 
-import pytest
-
-from splitsim.cli import _describe
 from splitsim.corrupt import corrupt
-from splitsim.fuzz import generate
 from splitsim.harness import run
 from splitsim.model import Cones, applicable_axiom
 from splitsim.omegace import ApproxTable, limit_eval, restrict
 from splitsim.scenario import load_scenario
-from splitsim.trace import parse, render
-from splitsim.verify import CHECKS, passed, verify
+from splitsim.trace import render
+from splitsim.verify import CHECKS, verify
 
-from conftest import GOLDEN_DIR
-
-CORPUS_SEED = 2026
-CORPUS_PER_CONSTRUCTION = 500
-CORPUS_MAX_HORIZON = 1024
-CORPUS_BUDGET_SECONDS = 60.0
+from conftest import CONTROLS, CORPUS_BUDGET_SECONDS, GOLDEN_DIR
 
 # sha256 over the corpus in order: every rendered trace, and every report
 # as sorted-key JSON.  Any change to what a run emits or to what the
@@ -39,76 +28,6 @@ CORPUS_REPORT_SHA256 = "27b5cdfd4df02d9e4f3ddaaca61614776cdc77bf5a43cffefd0a8773
 # sha256 of what `splitsim explain` prints, unfiltered, for each corpus
 # trace in order: one described line per event, then the count line.
 CORPUS_EXPLAIN_SHA256 = "b8978b6e81f470731848e9783296b5dd9722a86b75ac5c4881d3e258f1804d7c"
-
-
-def _partition_ok(scenario, final) -> bool:
-    b_map = {x: s for s, x in scenario.b_schedule.entries}
-    a0 = {x: s for s, x in final["a0"]}
-    a1 = {x: s for s, x in final["a1"]}
-    if set(a0) & set(a1):
-        return False
-    merged = dict(a0)
-    merged.update(a1)
-    return merged == b_map
-
-
-@pytest.fixture(scope="session")
-def corpus():
-    t0 = time.perf_counter()
-    rows = []
-    trace_hash = hashlib.sha256()
-    report_hash = hashlib.sha256()
-    explain_hash = hashlib.sha256()
-    for construction in ("sacks", "robinson"):
-        for index in range(CORPUS_PER_CONSTRUCTION):
-            doc = generate(CORPUS_SEED, index, construction, CORPUS_MAX_HORIZON)
-            scenario = load_scenario(doc)
-            events, final = run(scenario)
-            report = verify(scenario, events, final)
-            text = render(events)
-            # The grammar is checked only where text enters, so every
-            # engine-written event must survive the trip through text.
-            assert parse(text) == events, (construction, index)
-            trace_hash.update(text.encode())
-            report_hash.update(json.dumps(report, sort_keys=True).encode())
-            for ev in events:
-                explain_hash.update((_describe(ev) + "\n").encode())
-            explain_hash.update(b"%d of %d event(s) shown\n" % (len(events), len(events)))
-            kinds = {}
-            for ev in events:
-                kinds[ev.kind] = kinds.get(ev.kind, 0) + 1
-            rows.append(
-                {
-                    "construction": construction,
-                    "index": index,
-                    "horizon": scenario.horizon,
-                    "statuses": {
-                        name: entry["status"]
-                        for name, entry in report["checks"].items()
-                    },
-                    "settled": report["flags"]["status"] == "settled",
-                    "ok": passed(report),
-                    "partition_ok": _partition_ok(scenario, final),
-                    "injuries": kinds.get("injury", 0),
-                    "certs": kinds.get("certify", 0),
-                    "refusals": kinds.get("refuse-certify", 0),
-                    "diags": kinds.get("diagonalize", 0),
-                    "definitions": sum(
-                        1
-                        for ev in events
-                        if ev.kind == "define-local" and "theta" in ev.payload
-                    ),
-                    "w_sets": report["diagnostics"]["guessing_sets"],
-                }
-            )
-    elapsed = time.perf_counter() - t0
-    return {
-        "rows": rows,
-        "elapsed": elapsed,
-        "trace_sha256": trace_hash.hexdigest(),
-        "report_sha256": report_hash.hexdigest(),
-        "explain_sha256": explain_hash.hexdigest(),
-    }
 
 
 def _bad(rows, check):
@@ -371,9 +290,7 @@ def test_determinism_replay(corpus, record):
     picks.extend(rows[-2:])
     mismatches = []
     for row in picks:
-        doc = generate(
-            CORPUS_SEED, row["index"], row["construction"], CORPUS_MAX_HORIZON
-        )
+        doc = row["doc"]
         round_tripped = json.loads(json.dumps(doc, sort_keys=True))
         first_events, first_final = run(load_scenario(doc))
         second_events, second_final = run(load_scenario(round_tripped))
@@ -388,22 +305,9 @@ def test_determinism_replay(corpus, record):
 
 
 def test_negative_controls(control_materials, record):
-    designated = {
-        "V1": "deflection",
-        "V2": "forced",
-        "V3": "deflection",
-        "V4": "deflection",
-        "V5": "forced",
-        "V6": "injury",
-        "V7": "injury",
-        "V8": "churn",
-        "V9": "certify",
-        "V10": "churn",
-        "V11": "deflection",
-    }
     missed = []
     for check, _ in CHECKS:
-        scenario, events, _final = control_materials[designated[check]]
+        scenario, events, _final = control_materials[CONTROLS[check]]
         forged = corrupt(check, scenario, events)
         report = verify(scenario, forged)
         if report["checks"][check]["status"] != "fail":

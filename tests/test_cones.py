@@ -14,7 +14,7 @@ from splitsim.scenario import load_scenario
 from splitsim.trace import render
 from splitsim.verify import verify
 
-from conftest import bench_module
+from conftest import bench_module, count_calls
 
 workloads = bench_module("workloads")
 
@@ -99,18 +99,11 @@ def test_selection_matches_a_walk_over_every_string(monkeypatch):
 
 
 def test_each_string_is_walked_once_per_oracle(monkeypatch):
-    walks = Counter()
-    walk = Cones._walk
-
-    def counting_walk(self, sigma):
-        walks[(self, sigma)] += 1
-        return walk(self, sigma)
-
-    monkeypatch.setattr(Cones, "_walk", counting_walk)
+    walks = count_calls(monkeypatch, Cones, "_walk")  # (oracle, sigma) per walk
     sc = load_scenario(workloads.oracle_churn_doc(2026, 160))
     events, final = run(sc)
-    run_walks = sum(walks.values())
+    run_walks = len(walks)
     report = verify(sc, events, final)
     assert report["flags"]["status"] == "settled"
-    assert run_walks > 0 and sum(walks.values()) > run_walks
-    assert max(walks.values()) == 1
+    assert run_walks > 0 and len(walks) > run_walks
+    assert max(Counter(walks).values()) == 1

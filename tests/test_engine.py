@@ -12,10 +12,9 @@ from splitsim.model import (
     priority_order,
     threatens,
 )
-from splitsim.sacks import SacksStrategy
 from splitsim.scenario import load_scenario
 
-from conftest import bench_module, dense_sacks_doc, quiet_tail_docs
+from conftest import bench_module, count_calls, dense_sacks_doc, quiet_tail_docs
 
 oracle_churn_doc = bench_module("workloads").oracle_churn_doc
 
@@ -148,6 +147,7 @@ def test_single_arrival_routes_to_a0():
     assert state["a0"] == [(1, 5)]
 
 
+
 def test_block_dispatch_reads_the_membership_index(monkeypatch):
     """Block dispatch must not scan the owners: a block's members are a
     slice of the sorted owners, found by bisection of the monotone
@@ -155,80 +155,12 @@ def test_block_dispatch_reads_the_membership_index(monkeypatch):
     per trace event, not a timing gate; a scan per visited block costs
     hundreds of calls per event here."""
     sc = load_scenario(dense_sacks_doc(208))
-    calls = 0
-    value = PriorityAssignment.value
-
-    def counting_value(self, e):
-        nonlocal calls
-        calls += 1
-        return value(self, e)
-
-    monkeypatch.setattr(PriorityAssignment, "value", counting_value)
+    calls = count_calls(monkeypatch, PriorityAssignment, "value")
     events, _ = run(sc)
     kinds = {ev.kind for ev in events}
     assert {"diagonalize", "initialize", "assignment-update"} <= kinds
     assert any(ev.kind == "assignment-update" and ev.payload["side"] != "none" for ev in events)
-    assert calls <= 10 * len(events), (calls, len(events))
-
-
-def test_block_state_work_is_bounded_per_event(monkeypatch):
-    """Routing and initialization cost their output, not every block: a
-    deterministic count of block-state work per trace event, not a
-    timing gate.  Work is stack pops and victims visited (the existing
-    blocks an initialization hands back, and the restraints it clears);
-    an update only rewrites its prefix.  Before the kernel's block
-    state, this run's routes scanned every existing block (81,068
-    visits) and its initializations sorted every existing block
-    (19,344), over 1,765 events.  With the block state it is 93: no
-    stack pops (the run sets one restraint, and a route is a bisection
-    of the stack) and 93 victims (one per initialize line)."""
-    sc = load_scenario(dense_sacks_doc(832))
-    work = {"pops": 0, "victims": 0}
-    pop, initialize, existing_from = BlockState._pop, BlockState.initialize, BlockState.existing_from
-
-    def counting_pop(self, order):
-        before = len(self._stack_orders)
-        pop(self, order)
-        work["pops"] += before - len(self._stack_orders)
-
-    def counting_initialize(self, side, i):
-        before = len(self._live)
-        initialize(self, side, i)
-        work["victims"] += before - len(self._live)
-
-    def counting_existing_from(self, order):
-        victims = existing_from(self, order)
-        work["victims"] += len(victims)
-        return victims
-
-    monkeypatch.setattr(BlockState, "_pop", counting_pop)
-    monkeypatch.setattr(BlockState, "initialize", counting_initialize)
-    monkeypatch.setattr(BlockState, "existing_from", counting_existing_from)
-    events, _ = run(sc)
-    assert len(events) == 1765
-    assert {"route", "initialize", "restraint-set"} <= {ev.kind for ev in events}
-    assert sum(work.values()) <= len(events), work
-
-
-def test_sacks_dispatch_visits_only_awake_owners(monkeypatch):
-    """Part two runs a Sacks owner only after one of its inputs changed:
-    a deterministic count of requirement visits per trace event, not a
-    timing gate.  Visiting every owner up to the stop order on every even
-    stage costs about 11 visits per event here."""
-    sc = load_scenario(dense_sacks_doc(208))
-    visits = 0
-    run_requirement = SacksStrategy.run_requirement
-
-    def counting_run_requirement(self, req, i, s):
-        nonlocal visits
-        visits += 1
-        return run_requirement(self, req, i, s)
-
-    monkeypatch.setattr(SacksStrategy, "run_requirement", counting_run_requirement)
-    events, _ = run(sc)
-    assert any(ev.kind == "diagonalize" for ev in events)
-    assert visits <= 2 * len(events), (visits, len(events))
-
+    assert len(calls) <= 10 * len(events), (len(calls), len(events))
 
 class PassCheckingRun(Run):
     """Checks the lemma in the engine docstring: after every part two and
@@ -275,26 +207,19 @@ def test_quiet_stages_cost_no_block_work(monkeypatch):
     no assignment: a deterministic count of BlockState.orders_of and
     PriorityAssignment.value calls, which must not grow with the quiet
     stages a longer horizon adds."""
-    calls = {"orders_of": 0, "value": 0}
-    orders_of, value = BlockState.orders_of, PriorityAssignment.value
-
-    def counting_orders_of(self, owners):
-        calls["orders_of"] += 1
-        return orders_of(self, owners)
-
-    def counting_value(self, e):
-        calls["value"] += 1
-        return value(self, e)
-
-    monkeypatch.setattr(BlockState, "orders_of", counting_orders_of)
-    monkeypatch.setattr(PriorityAssignment, "value", counting_value)
+    calls = {
+        "orders_of": count_calls(monkeypatch, BlockState, "orders_of"),
+        "value": count_calls(monkeypatch, PriorityAssignment, "value"),
+    }
     for short, long in zip(quiet_tail_docs(12), quiet_tail_docs(2000)):
-        before = dict(calls)
+        for entries in calls.values():
+            entries.clear()
         events, _ = run(load_scenario(short))
-        work = {k: calls[k] - before[k] for k in calls}
+        work = {k: len(entries) for k, entries in calls.items()}
         busy = {ev.stage for ev in events if ev.payload != {"side": "none"}}
         assert max(busy) <= 12 and work["value"] > 0, (busy, work)
-        before = dict(calls)
+        for entries in calls.values():
+            entries.clear()
         long_events, _ = run(load_scenario(long))
         assert len(long_events) == len(events) + 2000 - 12
-        assert {k: calls[k] - before[k] for k in calls} == work
+        assert {k: len(entries) for k, entries in calls.items()} == work

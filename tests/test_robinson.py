@@ -21,7 +21,7 @@ from splitsim.scenario import load_scenario
 from splitsim.trace import render
 from splitsim.verify import passed, verify
 
-from conftest import bench_module
+from conftest import bench_module, count_calls
 
 oracle_churn_doc = bench_module("workloads").oracle_churn_doc
 
@@ -273,34 +273,26 @@ def test_cancelled_input_scans_a_fresh_index():
 
 
 class LemmaCheckingStrategy(RobinsonStrategy):
-    """Records every certified axiom and, at the end of every stage, checks
+    """Records every certified axiom and, at every refresh pass, checks
     that no recorded theta has left its A half unless its owner was
     cancelled at that stage (the lemma in the robinson docstring)."""
 
     def __init__(self, tables):
         super().__init__(tables)
         self.held: list[tuple[int, int, Axiom]] = []
-        self.cancelled: set[tuple[int, int]] = set()
-        self.certified = 0
 
     def certify(self, side, e, x, axiom, s):
         ok = super().certify(side, e, x, axiom, s)
         if ok:
             self.held.append((side, e, axiom))
-            self.certified += 1
         return ok
 
-    def cancel_requirement(self, side, e, s):
-        self.cancelled.add((side, e))
-        super().cancel_requirement(side, e, s)
-
-    def refresh_pass(self, s):
+    def refresh_pass(self, s, cancelled):
         for side, e, axiom in self.held:
-            if (side, e) not in self.cancelled:
+            if (side, e) not in cancelled:
                 assert self.run.a_cones[side].holds(axiom.theta, s), (s, side, e, axiom)
-        self.held = [h for h in self.held if h[:2] not in self.cancelled]
-        self.cancelled.clear()
-        super().refresh_pass(s)
+        self.held = [h for h in self.held if h[:2] not in cancelled]
+        super().refresh_pass(s, cancelled)
 
 
 def run_checked(doc):
@@ -326,7 +318,7 @@ def test_arrival_below_a_theta_on_its_side_is_deflected():
     assert [(ev.stage, ev.payload["to"]) for ev in events if ev.kind == "route"] == [(5, "A1")]
     assert not [ev for ev in events if ev.kind == "injury"]
     assert [ev.stage for ev in events if ev.kind == "certify"] == [4]
-    assert strategy.certified == 1 and len(strategy.held) == 1
+    assert len(strategy.held) == 1
     assert strategy.live_value(0, 0, 0, 10) == 0
 
 
@@ -357,26 +349,13 @@ def test_no_certified_theta_breaks_while_its_owner_stands():
     docs += [oracle_churn_doc(seed, h) for seed in (2026, 7) for h in range(36, 60)]
     certified = injured = 0
     for doc in docs:
-        strategy, events = run_checked(doc)
-        certified += strategy.certified
+        events = run_checked(doc)[1]
+        certified += sum(ev.kind == "certify" for ev in events)
         injured += any(ev.kind == "injury" for ev in events)
     assert certified > 0 and injured > 0
 
 
-
-class VisitRecorder(RobinsonStrategy):
-    """Records the (stage, owner label) of every requirement visit."""
-
-    def __init__(self, tables):
-        super().__init__(tables)
-        self.visits = []
-
-    def run_requirement(self, side, e, i, s):
-        self.visits.append((s, block_label(side, e)))
-        return super().run_requirement(side, e, i, s)
-
-
-class WakeEveryOwner(VisitRecorder):
+class WakeEveryOwner(RobinsonStrategy):
     """Reference dispatch without wake rules: every owner wakes at every stage."""
 
     def wake_stages(self):
@@ -384,13 +363,20 @@ class WakeEveryOwner(VisitRecorder):
 
 
 def run_against_reference(doc):
-    """(events, visits) of a run, whose trace must equal the reference's
-    byte for byte; the visits of the reference are returned beside them."""
+    """(events, visits, reference visits) of a run, whose trace must equal
+    the reference's byte for byte; a visit is (stage, owner label)."""
     sc = load_scenario(doc)
-    strategy, reference = VisitRecorder(sc.functionals), WakeEveryOwner(sc.functionals)
-    events = Run(sc, strategy).execute()
-    assert render(events) == render(Run(sc, reference).execute()), doc
-    return events, strategy.visits, reference.visits
+    with pytest.MonkeyPatch.context() as mp:
+        visits = count_calls(
+            mp, RobinsonStrategy, "run_requirement",
+            before=lambda strategy, side, e, i, s: (s, block_label(side, e)),
+        )
+        events = Run(sc, RobinsonStrategy(sc.functionals)).execute()
+        mine = visits[:]
+        visits.clear()
+        reference = Run(sc, WakeEveryOwner(sc.functionals)).execute()
+    assert render(events) == render(reference), doc
+    return events, mine, visits
 
 
 def test_wake_rules_match_visiting_every_owner():
@@ -458,23 +444,3 @@ def test_arrival_below_the_use_wakes_its_owner():
     events, visits, _ = run_against_reference(doc)
     assert [s for s, _ in visits] == [0, 2, 4, 6]
     assert [ev.stage for ev in events if ev.kind == "certify"] == [4]
-
-
-def test_robinson_dispatch_visits_only_awake_owners(monkeypatch):
-    """Part two runs a Robinson owner only while it may do something: a
-    deterministic count of requirement visits per trace event, not a
-    timing gate.  Running every owner up to the stop order on every even
-    stage made about 1.6 visits per event here; the wake rules make 0.42."""
-    visits = 0
-    run_requirement = RobinsonStrategy.run_requirement
-
-    def counting_run_requirement(self, side, e, i, s):
-        nonlocal visits
-        visits += 1
-        return run_requirement(self, side, e, i, s)
-
-    monkeypatch.setattr(RobinsonStrategy, "run_requirement", counting_run_requirement)
-    events = 0
-    for i in range(100):
-        events += len(run(load_scenario(generate(2026, i, "robinson", 1024)))[0])
-    assert visits <= 0.5 * events, (visits, events)

@@ -9,7 +9,7 @@ from splitsim.sacks import SacksStrategy, is_expansionary
 from splitsim.scenario import load_scenario
 from splitsim.trace import render
 
-from conftest import dense_sacks_doc
+from conftest import count_calls, dense_sacks_doc
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -148,15 +148,7 @@ def test_due_orders_read_the_owner_index(monkeypatch):
     order on the stages with a due owner and one read per assignment
     update."""
     sc = load_scenario(dense_sacks_doc(208))
-    calls = 0
-    value = PriorityAssignment.value
-
-    def counting_value(self, e):
-        nonlocal calls
-        calls += 1
-        return value(self, e)
-
-    monkeypatch.setattr(PriorityAssignment, "value", counting_value)
+    calls = count_calls(monkeypatch, PriorityAssignment, "value")
     events, _ = run(sc)
     assert len(events) == 450
-    assert calls <= 300, calls
+    assert len(calls) <= 300, len(calls)

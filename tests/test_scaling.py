@@ -1,0 +1,182 @@
+"""Work against events at H, 2H and 4H: a deterministic gate on growth.
+
+Cost should grow with the events of a run, not with horizon times
+requirements.  Wall time is too noisy to show that, so this module
+counts work through conftest.count_calls, on three families at H, 2H
+and 4H:
+
+  * dense: conftest.dense_sacks_doc at H = 208, 416, 832 (Sacks block
+    dispatch over H/4 owners, a B arrival at every odd stage);
+  * churn: the benchmark's oracle_churn_doc(2026, H) at H = 40, 80, 160
+    (Robinson certification and injury);
+  * quiet: conftest.quiet_tail_docs at H = 500, 1000, 2000, whose
+    events all fall in their first 12 stages.
+
+Every counter counts over the run, except close (verify._close_stage),
+which counts over verify of the run's trace.  Block-state work is the
+restraint-stack entries popped, the restraints an initialization
+clears, and the victims it hands back.  A linear counter's count per
+event may rise by at most GROWTH per doubling.  On the quiet runs every
+count is the same at every horizon.  The corpus slice keeps its bound at
+the one size the corpus has, since corpus horizons are drawn, not set.
+
+Counts per event at H/2H/4H when the gate was set:
+
+  dense  PriorityAssignment.members      0.751/0.766/0.772
+         PriorityAssignment.value        0.493/0.484/0.481
+         BlockState.orders_of calls      0.218/0.215/0.214
+         Sacks run_requirement visits    0.693/0.713/0.720
+         verify._close_stage             0.238/0.238/0.237
+         block-state work                0.058/0.053/0.053
+  churn  Robinson run_requirement visits 0.075/0.062/0.060
+         verify._close_stage             0.029/0.024/0.021
+
+Three counters grow faster than events.  They are recorded here and not
+asserted.  A counter joins the gate in the change that makes it linear,
+never with a looser bound:
+
+  * owners mapped by BlockState.orders_of on dense: 1.48/2.27/3.81/6.91
+    per event at H = 208, 416, 832, 1664 (every awake owner is mapped,
+    and anti-delta D entries wake them all);
+  * Cones.holds calls in the churn run: 1,751/6,054/22,336/85,329 at
+    H = 40, 80, 160, 320 (selection visits every appeared axiom of an
+    input);
+  * churn trace bytes per event: 64/74/93/131/205 at H = 40, 80, 160,
+    320, 640 (the input is quadratic: every sigma spans H/4 places).
+"""
+
+from bisect import bisect_left
+
+import pytest
+
+from splitsim import verify as verify_mod
+from splitsim.harness import run
+from splitsim.model import BlockState, PriorityAssignment, priority_order
+from splitsim.robinson import RobinsonStrategy
+from splitsim.sacks import SacksStrategy
+from splitsim.scenario import load_scenario
+from splitsim.verify import passed, verify
+
+from conftest import bench_module, count_calls, dense_sacks_doc, quiet_tail_docs
+
+GROWTH = 1.10
+
+CALLS = {
+    "members": (PriorityAssignment, "members"),
+    "value": (PriorityAssignment, "value"),
+    "orders_of": (BlockState, "orders_of"),
+    "sacks visits": (SacksStrategy, "run_requirement"),
+    "robinson visits": (RobinsonStrategy, "run_requirement"),
+}
+
+LINEAR = {
+    "dense": ("members", "value", "orders_of", "sacks visits", "close", "block-state work"),
+    "churn": ("robinson visits", "close"),
+}
+
+QUIET = (500, 1000, 2000)
+
+
+def _measure(docs):
+    """Per document: its events and every counter's count."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = {name: count_calls(mp, *target) for name, target in CALLS.items()}
+        work = [
+            count_calls(
+                mp, BlockState, "_pop",
+                before=lambda state, order: len(state._stack_orders)
+                - bisect_left(state._stack_orders, order),
+            ),
+            count_calls(
+                mp, BlockState, "initialize",
+                before=lambda state, side, i: len(state._live)
+                - bisect_left(state._live, priority_order(side, i)),
+            ),
+            count_calls(mp, BlockState, "existing_from", after=lambda victims, *args: len(victims)),
+        ]
+        closes = count_calls(mp, verify_mod, "_close_stage")
+        rows = []
+        for doc in docs:
+            for entries in [*calls.values(), *work, closes]:
+                entries.clear()
+            sc = load_scenario(doc)
+            events, final = run(sc)
+            row = {name: len(entries) for name, entries in calls.items()}
+            row["block-state work"] = sum(map(sum, work))
+            assert passed(verify(sc, events, final))
+            row["close"] = len(closes)
+            row["events"] = events
+            rows.append(row)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def dense():
+    return _measure([dense_sacks_doc(h) for h in (208, 416, 832)])
+
+
+@pytest.fixture(scope="module")
+def churn():
+    oracle_churn_doc = bench_module("workloads").oracle_churn_doc
+    return _measure([oracle_churn_doc(2026, h) for h in (40, 80, 160)])
+
+
+@pytest.mark.parametrize(
+    "family, counter", [(family, c) for family, counters in LINEAR.items() for c in counters]
+)
+def test_work_per_event_is_linear(family, counter, request):
+    rows = request.getfixturevalue(family)
+    ratios = [row[counter] / len(row["events"]) for row in rows]
+    assert ratios[0] > 0, ratios
+    for small, large in zip(ratios, ratios[1:]):
+        assert large <= GROWTH * small, ratios
+
+
+def test_dense_sacks_dispatch_visits_only_awake_owners(dense):
+    """Part two runs a Sacks owner only after one of its inputs changed.
+    Visiting every owner up to the stop order on every even stage costs
+    about 11 visits per event here."""
+    row = dense[0]
+    assert any(ev.kind == "diagonalize" for ev in row["events"])
+    assert row["sacks visits"] <= 2 * len(row["events"]), row
+
+
+def test_dense_block_state_work_is_bounded_per_event(dense):
+    """Routing and initialization cost their output, not every block.
+    An update only rewrites its prefix.  Before the kernel's block
+    state, this run's routes scanned every existing block (81,068
+    visits) and its initializations sorted every existing block
+    (19,344), over 1,765 events.  With the block state it is 93: no
+    stack pops (the run sets one restraint, and a route is a bisection
+    of the stack) and 93 victims (one per initialize line)."""
+    row = dense[2]
+    events = row["events"]
+    assert len(events) == 1765
+    assert {"route", "initialize", "restraint-set"} <= {ev.kind for ev in events}
+    assert row["block-state work"] <= len(events), row["block-state work"]
+
+
+def test_corpus_slice_robinson_dispatch_visits_only_awake_owners(corpus, monkeypatch):
+    """Part two runs a Robinson owner only while it may do something.
+    Over the first 100 robinson documents of the corpus, running every
+    owner up to the stop order on every even stage made about 1.6
+    visits per event; the wake rules make 0.42."""
+    docs = [row["doc"] for row in corpus["rows"] if row["construction"] == "robinson"][:100]
+    visits = count_calls(monkeypatch, RobinsonStrategy, "run_requirement")
+    events = sum(len(run(load_scenario(doc))[0]) for doc in docs)
+    assert len(visits) <= 0.5 * events, (len(visits), events)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["sacks", "robinson"])
+def test_quiet_stages_cost_nothing(which):
+    """A longer horizon adds only quiet stages: no owner mapped to its
+    block, no assignment read, no visit, no block-state work and no
+    close.  Each quiet stage adds its one trace line."""
+    rows = _measure([quiet_tail_docs(h)[which] for h in QUIET])
+    events = [row.pop("events") for row in rows]
+    for run_events in events:
+        busy = {ev.stage for ev in run_events if ev.payload != {"side": "none"}}
+        assert max(busy) <= 12, busy
+    assert [len(e) - h for e, h in zip(events, QUIET)] == [len(events[0]) - QUIET[0]] * 3
+    assert rows[0]["value"] > 0 and rows[0]["close"] > 0, rows[0]
+    assert rows == rows[:1] * 3, rows

@@ -8,6 +8,8 @@ from splitsim.fuzz import generate
 from splitsim.model import Axiom
 from splitsim.scenario import ScenarioError, load_scenario, load_scenario_file
 
+from conftest import count_calls
+
 
 def _valid(**extra):
     doc = {
@@ -370,23 +372,12 @@ def test_one_axiom_reports_its_problems_in_order():
     ]
 
 
-def test_corpus_load_builds_and_validates_each_axiom_once(monkeypatch):
-    docs = [generate(2026, i, c, 1024) for c in ("sacks", "robinson") for i in range(500)]
+def test_corpus_load_builds_and_validates_each_axiom_once(corpus, monkeypatch):
+    docs = [row["doc"] for row in corpus["rows"]]
     axioms = sum(len(f["axioms"]) for doc in docs for f in doc["functionals"])
-    counts = {"new": 0, "validate": 0}
-    new, validate = Axiom.__new__, Axiom.validate
-
-    def counted_new(cls, *args, **kwargs):
-        counts["new"] += 1
-        return new(cls, *args, **kwargs)
-
-    def counted_validate(self, binary):
-        counts["validate"] += 1
-        return validate(self, binary)
-
-    monkeypatch.setattr(Axiom, "__new__", counted_new)
-    monkeypatch.setattr(Axiom, "validate", counted_validate)
+    new = count_calls(monkeypatch, Axiom, "__new__")
+    validate = count_calls(monkeypatch, Axiom, "validate")
     for doc in docs:
         load_scenario(doc)
     assert axioms == 27077
-    assert counts == {"new": axioms, "validate": axioms}
+    assert (len(new), len(validate)) == (axioms, axioms)

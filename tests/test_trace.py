@@ -18,6 +18,8 @@ from splitsim.trace import (
     render,
 )
 
+from conftest import count_calls
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -215,18 +217,10 @@ def test_parse_checks_each_distinct_tail_once(monkeypatch):
     line tail, while every line still has its stage read."""
     lines = _corpus_robinson_lines()
     tails = {line.partition("\t")[2] for line in lines}
-    calls = 0
-    full = trace.parse_line
-
-    def counting_parse_line(line):
-        nonlocal calls
-        calls += 1
-        return full(line)
-
-    monkeypatch.setattr(trace, "parse_line", counting_parse_line)
+    calls = count_calls(monkeypatch, trace, "parse_line")
     events = parse("".join(line + "\n" for line in lines))
     assert [ev.to_line() for ev in events] == lines
-    assert calls <= len(tails) < len(lines) / 4, (calls, len(tails), len(lines))
+    assert len(calls) <= len(tails) < len(lines) / 4, (len(calls), len(tails), len(lines))
 
 
 def _spec_line(ev):

@@ -14,7 +14,15 @@ from splitsim.scenario import load_scenario
 from splitsim.trace import KINDS, TraceEvent, TraceParseError, parse, render
 from splitsim.verify import CHECKS, passed, verify
 
-from conftest import CERTIFY_DOC, GOLDEN_DIR, malformed_refusals, quiet_tail_docs
+from conftest import (
+    CERTIFY_DOC,
+    CONTROLS,
+    GOLDEN_DIR,
+    count_calls,
+    malformed_refusals,
+    quiet_tail_docs,
+)
+
 
 def test_check_catalogue():
     assert [name for name, _ in CHECKS] == ["V%d" % i for i in range(1, 12)]
@@ -67,24 +75,9 @@ def test_unsettled_run_skips_coherence():
     assert passed(report)
 
 
-_CONTROLS = {
-    "V1": "deflection",
-    "V2": "forced",
-    "V3": "deflection",
-    "V4": "deflection",
-    "V5": "forced",
-    "V6": "injury",
-    "V7": "injury",
-    "V8": "churn",
-    "V9": "certify",
-    "V10": "churn",
-    "V11": "deflection",
-}
-
-
 @pytest.mark.parametrize("check", [name for name, _ in CHECKS])
 def test_negative_controls(check, control_materials):
-    sc, events, _ = control_materials[_CONTROLS[check]]
+    sc, events, _ = control_materials[CONTROLS[check]]
     forged = corrupt(check, sc, events)
     report = verify(sc, forged)
     assert report["checks"][check]["status"] == "fail", report["checks"][check]
@@ -288,14 +281,9 @@ def test_act_naming_no_requirement_fails_v2():
 def test_negative_tail_fails_v11_and_is_clamped(control_materials, monkeypatch):
     sc, events, _ = control_materials["deflection"]
     forged, line = _forge(events, "assignment-update", 2, tail="-1000000")
-    lengths = []
-    update = PriorityAssignment.update
-
-    def recording_update(self, s, i, m):
-        update(self, s, i, m)
-        lengths.append(len(self.prefix))
-
-    monkeypatch.setattr(PriorityAssignment, "update", recording_update)
+    lengths = count_calls(
+        monkeypatch, PriorityAssignment, "update", after=lambda _, assign, *args: len(assign.prefix)
+    )
     v11 = verify(sc, forged)["checks"]["V11"]
     assert v11["status"] == "fail"
     assert any(
@@ -349,12 +337,10 @@ def test_v8_v10_read_p_off_its_spans(control_materials, monkeypatch):
     """V8 and V10 read p off its spans: verify builds no p row, codes no
     change set and decodes none, on the honest runs and on the V8
     forgery alike.  A deterministic count of calls, not a timing gate."""
-    calls = []
-    for owner, name in ((omegace, "build_change_set"), (verify_mod, "restrict"), (model, "p_row")):
-        real = getattr(owner, name)
-        monkeypatch.setattr(
-            owner, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
-        )
+    calls = [
+        count_calls(monkeypatch, owner, name)
+        for owner, name in ((omegace, "build_change_set"), (verify_mod, "restrict"), (model, "p_row"))
+    ]
     sc, events, final = control_materials["injury"]
     report = verify(sc, events, final)
     assert passed(report)
@@ -368,7 +354,7 @@ def test_v8_v10_read_p_off_its_spans(control_materials, monkeypatch):
         "stage": 12,
         "note": "p rows are no bounded approximation: argument 0 changes its mind 5 times, bound is 3",
     }]
-    assert calls == []
+    assert calls == [[], [], []]
 
 
 class _OpensAtZero:
@@ -443,7 +429,7 @@ def test_v10_is_v8s_verdict_by_the_lemma(control_materials):
         for variant in [doc, *_low_budget_docs(rng, doc)]:
             sc = load_scenario(variant)
             traces.append((sc, run(sc)[0]))
-    for check, material in _CONTROLS.items():
+    for check, material in CONTROLS.items():
         sc, events, _ = control_materials[material]
         traces.append((sc, corrupt(check, sc, events)))
     verdicts = set()
@@ -456,25 +442,12 @@ def test_v10_is_v8s_verdict_by_the_lemma(control_materials):
     assert verdicts == {True, False}
 
 
-def _closed_stages(monkeypatch):
-    """The stages _close_stage settles from now on, in call order."""
-    closed = []
-    close = verify_mod._close_stage
-
-    def counting_close(ctx, pend, s):
-        closed.append(s)
-        return close(ctx, pend, s)
-
-    monkeypatch.setattr(verify_mod, "_close_stage", counting_close)
-    return closed
-
-
 def test_replay_settles_only_busy_stages(monkeypatch):
     """The replay closes a stage only where it has a line other than a
     side=none update, or at the last stage replayed: a deterministic
     count of _close_stage calls, not a timing gate.  A quiet stage, whose
     one line is its side=none update, costs no close."""
-    closed = _closed_stages(monkeypatch)
+    closed = count_calls(monkeypatch, verify_mod, "_close_stage", after=lambda _, ctx, pend, s: s)
     sc = load_scenario(generate(2026, 478, "robinson", 1024))
     events, final = run(sc)
     assert passed(verify(sc, events, final))
@@ -483,12 +456,13 @@ def test_replay_settles_only_busy_stages(monkeypatch):
     assert len(closed) == len(set(closed)) < (sc.horizon + 1) / 10
 
 
+
 @pytest.mark.parametrize("which", [0, 1], ids=["sacks", "robinson"])
 def test_quiet_stages_cost_no_close(which, monkeypatch):
     """A longer horizon adds only quiet stages, so no close: the runs of
     one scenario whose events all fall in its first 12 stages make one
     count of _close_stage calls at H, 2H and 4H."""
-    closed = _closed_stages(monkeypatch)
+    closed = count_calls(monkeypatch, verify_mod, "_close_stage")
     counts = []
     for horizon in (500, 1000, 2000):
         sc = load_scenario(quiet_tail_docs(horizon)[which])
@@ -497,7 +471,6 @@ def test_quiet_stages_cost_no_close(which, monkeypatch):
         counts.append(len(closed))
         closed.clear()
     assert counts[0] > 0 and counts == counts[:1] * 3, counts
-
 
 @pytest.mark.parametrize("doc", quiet_tail_docs(40), ids=lambda doc: doc["construction"])
 def test_missing_stages_fail_v11_once_each(doc):
