@@ -26,30 +26,40 @@ in priority order, up to the stop order or the first block that acts,
 and in them only the awake owners.  Requirements that own no functional
 table can never act, define nothing and hold no state, so only table
 owners are tracked.  The engine keeps the one awake set (Run.awake):
-every owner starts awake, and an owner wakes when something it reads
-may have changed:
+every owner starts awake, and a sleeping owner wakes when something its
+next run reads may have changed.  Its reach (strategy.reach) is the
+largest input that run can read before some other rule fires, so a
+change at one input wakes it only when that input is at most its reach:
 
   (a) a stage the strategy names for it arrives (wake_stages: the
       appearance of an axiom of its table, and whatever else of the
-      owner's inputs changes on a schedule);
-  (b) any D entry lands, scheduled or by the policy;
+      owner's inputs changes on a schedule), each naming the input it
+      concerns, or none for any input;
+  (b) a D entry lands, scheduled or by the policy, at an input at most
+      its reach;
   (c) an arrival on its side lands below its table's largest use;
   (d) it is cancelled by an initialization of its block.
 
-The strategy says when an owner sleeps (Run.sleep): only when running
-it again before one of these would do nothing.  Part two reads the due
-orders, the blocks of the awake owners, off the assignments each time
-it runs.  Only an initialization cancels requirements or moves the
-assignment.  The engine collects the owners an initialization cancels
-and hands them to the strategy once, at the end of the stage, ascending
-by (side, e): strategy.refresh_pass(s, cancelled) resets them.  No
-requirement runs between a cancellation and the end of its stage (part
-one runs none, and part two stops at its first initialization), so the
-reset may wait.  The refresh pass and the update run only at a stage
-with an initialization.  A stage where nothing is due costs its one
-trace line: the loop skips the D policy and routing when they have
-nothing to do, part two returns at once, and the quiet update line is
-appended directly.
+The strategy says when an owner sleeps (Run.sleep) and what its reach
+is then: it sleeps only when running it again before one of these would
+do nothing.  Its reach holds still while it sleeps, since only a run or
+the reset after a cancellation, which wakes it, changes what the reach
+is read from.  Every change of a stage lands before part two runs
+(scheduled wakes at the stage's start, the policy and arrivals at odd
+stages), so a run never misses one made at its own stage.
+
+Part two reads the due orders, the blocks of the awake owners, off the
+assignments each time it runs.  Only an initialization cancels
+requirements or moves the assignment.  The engine collects the owners
+an initialization cancels and hands them to the strategy once, at the
+end of the stage, ascending by (side, e): strategy.refresh_pass(s,
+cancelled) resets them.  No requirement runs between a cancellation and
+the end of its stage (part one runs none, and part two stops at its
+first initialization), so the reset may wait.  The refresh pass and the
+update run only at a stage with an initialization.  A stage where
+nothing is due costs its one trace line: the loop skips the D policy
+and routing when they have nothing to do, part two returns at once, and
+the quiet update line is appended directly.
 
 Block state is one model.BlockState (Run.blocks), the same type the
 verifier replays.  Its restraint map is the record: it sends each block
@@ -73,7 +83,10 @@ existence is all that takes:
 
 so every sleeping owner sits on an existing block.  An owner block that
 part two passes without running it holds only sleeping owners (an
-awake one would make it due), so it exists already.
+awake one would make it due), so it exists already.  Neither fact
+depends on when a sleeping owner wakes, so a wake rule that stops at
+the owner's reach leaves the lemma standing: sleeps only get longer,
+and cancellation wakes as before.
 """
 
 from __future__ import annotations
@@ -121,12 +134,13 @@ class Run:
         strategy.bind(self)
         # The wake rules (module docstring).
         self.awake: set[tuple[int, int]] = set(strategy.owners)
-        self._everyone = frozenset(strategy.owners)
-        self._wake_at: dict[int, set | frozenset] = {}  # rules (a) and scheduled (b)
-        for t, owner in strategy.wake_stages():
-            self._wake_at.setdefault(t, set()).add(owner)
-        for t in self.d_entry.values():
-            self._wake_at[t] = self._everyone
+        # Rules (a) and scheduled (b): stage -> [(owner, input)], where
+        # owner None is every owner and input None is any input.
+        self._wake_at: dict[int, list[tuple[tuple[int, int] | None, int | None]]] = {}
+        for t, owner, x in strategy.wake_stages():
+            self._wake_at.setdefault(t, []).append((owner, x))
+        for x, t in self.d_entry.items():
+            self._wake_at.setdefault(t, []).append((None, x))
         # Rule (c): per side, the owners in ascending order of their
         # table's largest use, beside those uses for bisection.
         self._uses = ([], [])
@@ -164,6 +178,20 @@ class Run:
         """Run these owners at the next part two that reaches their blocks."""
         self.awake.update(owners)
 
+    def _wake_reaching(self, x: int) -> None:
+        """Wake every owner whose reach is at least input x."""
+        awake, reach = self.awake, self.strategy.reach
+        awake.update([o for o in self.strategy.owners if o not in awake and reach(o) >= x])
+
+    def _wake_scheduled(self, wakes) -> None:
+        """Rules (a) and scheduled (b) at one stage: wakes as in _wake_at."""
+        awake, reach = self.awake, self.strategy.reach
+        for owner, x in wakes:
+            if owner is None:
+                self._wake_reaching(x)
+            elif owner not in awake and (x is None or reach(owner) >= x):
+                awake.add(owner)
+
     def sleep(self, owner: tuple[int, int]) -> None:
         """Skip owner in part two until one of its wake rules fires."""
         self.awake.discard(owner)
@@ -173,9 +201,9 @@ class Run:
     def execute(self) -> list[TraceEvent]:
         events, wake_at, b_by_stage = self.events, self._wake_at, self.b_by_stage
         for s in range(self.horizon + 1):
-            woken = wake_at.get(s)
-            if woken is not None:
-                self.wake(woken)
+            wakes = wake_at.get(s)
+            if wakes is not None:
+                self._wake_scheduled(wakes)
             if s % 2 == 1:
                 if self._pending_d and self._d_budget != 0:
                     self._policy_enumerations(s)
@@ -194,13 +222,15 @@ class Run:
         return events
 
     def _policy_enumerations(self, s: int) -> None:
+        least = self.horizon
         while self._pending_d and self._d_budget != 0:
             x, _ = self._pending_d.popitem(last=False)
             self.d_entry[x] = s
+            least = min(least, x)
             if self._d_budget > 0:
                 self._d_budget -= 1
             self.emit(event(s, "enumerate", element=x, set="D"))
-        self.wake(self._everyone)
+        self._wake_reaching(least)
 
     def _part_one(self, s: int, x: int) -> None:
         threatened, half, init = self.blocks.route(x)

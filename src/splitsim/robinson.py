@@ -55,14 +55,18 @@ use (C also decides when a local definition dies: its sigma is no
 longer than the use), D, its local definitions, and the stage only
 through the deferral s <= use.  The run stops at the first input that
 is neither defined already nor acted on.  So an owner whose run stopped
-on exit nocomp and emitted nothing does nothing at a later stage until
-one of these happens; the owner then wakes by the engine's rules:
+on exit nocomp at input x0 and emitted nothing found inputs 0..x0-1
+defined and x0 without a usable computation, and it visits no input
+above x0 until one of inputs 0..x0 changes status.  x0 is its reach.
+The owner does nothing at a later stage until one of these happens; it
+then wakes by the engine's rules:
 
-  (a) an axiom of its table appears;
-  (b) the stage reaches use + 1 of one of its axioms (the deferral ends);
+  (a) an axiom of its table appears at an input <= x0;
+  (b) the stage reaches use + 1 of one of its axioms at an input <= x0
+      (the deferral ends);
   (c) a C entry lands below its table's largest use;
   (d) an arrival on its side lands below its table's largest use;
-  (e) any D entry lands, scheduled or by the policy;
+  (e) a D entry lands at an input <= x0, scheduled or by the policy;
   (f) it is cancelled by an initialization of its block.
 
 (a) to (c) are the static stages of wake_stages.  Every owner starts
@@ -101,6 +105,8 @@ class RobinsonStrategy:
         self.sets: dict[int, list[tuple[int, str]]] = {}  # j -> (stage, sigma) of W_j
         # (side, e) -> x -> (k, death) of the input's local definition
         self.locals: dict[tuple[int, int], dict[int, tuple[int, int | None]]] = {}
+        # (side, e) -> the input where its last quiet pass stopped
+        self._reach: dict[tuple[int, int], int] = {}
         self.run = None
 
     def bind(self, run) -> None:
@@ -157,15 +163,19 @@ class RobinsonStrategy:
 
     # -- requirement strategies ------------------------------------------------
 
-    def wake_stages(self) -> list[tuple[int, tuple[int, int]]]:
-        """Wake rules (a) to (c) as (stage, owner) pairs."""
+    def wake_stages(self) -> list[tuple[int, tuple[int, int], int | None]]:
+        """Wake rules (a) to (c) as (stage, owner, input or None for any)."""
         c_entries = self.run.scenario.c_schedule.entries
         stages = []
         for key, table in self.tables.items():
             for appear, ax in table.axioms:
-                stages += ((appear, key), (ax.use + 1, key))
-            stages += ((t, key) for t, c in c_entries if c < table.largest_use)
+                stages += ((appear, key, ax.x), (ax.use + 1, key, ax.x))
+            stages += ((t, key, None) for t, c in c_entries if c < table.largest_use)
         return stages
+
+    def reach(self, key: tuple[int, int]) -> int:
+        """The input at which the owner's last quiet pass stopped (module docstring)."""
+        return self._reach[key]
 
     def run_block(self, side: int, i: int, s: int) -> bool:
         acted = False
@@ -191,6 +201,7 @@ class RobinsonStrategy:
             acted |= result == "acted"
             x += 1
         if result == "nocomp" and not acted:
+            self._reach[(side, e)] = x
             self.run.sleep((side, e))
         return acted
 

@@ -21,13 +21,20 @@ abandoned.
 
 Dispatch is event-driven.  A requirement reads only its local values,
 its record max_ell, D, its own half below its table's largest use, and
-the axioms of its table that have appeared.  So an owner that ran at
-stage t (and did nothing, or acted) does nothing at a later stage s
+the axioms of its table that have appeared.  Its values lie at inputs
+<= max_ell, and its next run acts only if D moved under one of them
+(exit 2) or the agreement length exceeds max_ell (exit 3), which is
+decided on inputs 0..max_ell+1 alone.  So whether its next run does
+anything rests on inputs <= max_ell + 1: that is its reach, and it is
+-1 once it has diagonalized (exit 1 reads no input).  An owner that ran
+at stage t (and did nothing, or acted) does nothing at a later stage s
 unless one of these happens in (t, s]; the owner then wakes by the
 engine's rules:
 
-  (a) an axiom of its table appears (wake_stages);
-  (b) any D entry lands, scheduled or by the policy;
+  (a) an axiom of its table appears at an input <= its reach
+      (wake_stages);
+  (b) a D entry lands at an input <= its reach, scheduled or by the
+      policy;
   (c) an arrival on its side lands below its table's largest use;
   (d) it is cancelled by an initialization of its block.
 
@@ -88,9 +95,17 @@ class SacksStrategy:
     def bind(self, run) -> None:
         self.run = run
 
-    def wake_stages(self) -> list[tuple[int, tuple[int, int]]]:
-        """Wake rule (a): (stage, owner) for each axiom's appearance."""
-        return [(appear, key) for key, table in self.tables.items() for appear, _ in table.axioms]
+    def wake_stages(self) -> list[tuple[int, tuple[int, int], int]]:
+        """Wake rule (a): (stage, owner, input) for each axiom's appearance."""
+        return [
+            (appear, key, ax.x) for key, table in self.tables.items() for appear, ax in table.axioms
+        ]
+
+    def reach(self, key: tuple[int, int]) -> int:
+        """The largest input whether the owner's next run acts rests on
+        (module docstring): max_ell + 1, or -1 once diagonalized."""
+        req = self.requirements[key]
+        return -1 if req.diagonalized else req.max_ell + 1
 
     def run_block(self, side: int, i: int, s: int) -> bool:
         acted = False

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from splitsim.cli import _describe
+from splitsim.engine import Run
 from splitsim.fuzz import generate
 from splitsim.harness import run
 from splitsim.scenario import load_scenario
@@ -51,6 +52,24 @@ def count_calls(monkeypatch, owner, name, before=None, after=None):
 
     monkeypatch.setattr(owner, name, recorder)
     return entries
+
+
+def visits_against_reference(doc, strategy, reference, visit):
+    """(events, visits, reference visits) of a run of doc under strategy.
+
+    The trace must equal, byte for byte, the one of a run under
+    reference, a subclass of strategy that wakes every owner at every
+    stage.  visit(strategy, *args) names one call of run_requirement.
+    """
+    sc = load_scenario(doc)
+    with pytest.MonkeyPatch.context() as mp:
+        visits = count_calls(mp, strategy, "run_requirement", before=visit)
+        events = Run(sc, strategy(sc.functionals)).execute()
+        mine = visits[:]
+        visits.clear()
+        expected = Run(sc, reference(sc.functionals)).execute()
+    assert render(events) == render(expected), doc
+    return events, mine, visits
 
 
 ACCEPTANCE_LINES = []
@@ -238,6 +257,14 @@ def _partition_ok(scenario, final) -> bool:
     merged = dict(a0)
     merged.update(a1)
     return merged == b_map
+
+
+def corpus_doc(corpus, construction, index):
+    """The document of the corpus fixture at (construction, index)."""
+    at = ("sacks", "robinson").index(construction) * CORPUS_PER_CONSTRUCTION + index
+    row = corpus["rows"][at]
+    assert (row["construction"], row["index"]) == (construction, index)
+    return row["doc"]
 
 
 @pytest.fixture(scope="session")

@@ -18,10 +18,9 @@ from splitsim.model import (
 )
 from splitsim.robinson import RobinsonStrategy
 from splitsim.scenario import load_scenario
-from splitsim.trace import render
 from splitsim.verify import passed, verify
 
-from conftest import bench_module, count_calls
+from conftest import bench_module, visits_against_reference
 
 oracle_churn_doc = bench_module("workloads").oracle_churn_doc
 
@@ -356,27 +355,20 @@ def test_no_certified_theta_breaks_while_its_owner_stands():
 
 
 class WakeEveryOwner(RobinsonStrategy):
-    """Reference dispatch without wake rules: every owner wakes at every stage."""
+    """Reference dispatch without wake rules: every owner wakes at every
+    stage, for any input, whatever its reach."""
 
     def wake_stages(self):
-        return [(s, key) for s in range(self.run.horizon + 1) for key in self.owners]
+        return [(s, key, None) for s in range(self.run.horizon + 1) for key in self.owners]
 
 
 def run_against_reference(doc):
     """(events, visits, reference visits) of a run, whose trace must equal
     the reference's byte for byte; a visit is (stage, owner label)."""
-    sc = load_scenario(doc)
-    with pytest.MonkeyPatch.context() as mp:
-        visits = count_calls(
-            mp, RobinsonStrategy, "run_requirement",
-            before=lambda strategy, side, e, i, s: (s, block_label(side, e)),
-        )
-        events = Run(sc, RobinsonStrategy(sc.functionals)).execute()
-        mine = visits[:]
-        visits.clear()
-        reference = Run(sc, WakeEveryOwner(sc.functionals)).execute()
-    assert render(events) == render(reference), doc
-    return events, mine, visits
+    return visits_against_reference(
+        doc, RobinsonStrategy, WakeEveryOwner,
+        lambda strategy, side, e, i, s: (s, block_label(side, e)),
+    )
 
 
 def test_wake_rules_match_visiting_every_owner():
@@ -444,3 +436,21 @@ def test_arrival_below_the_use_wakes_its_owner():
     events, visits, _ = run_against_reference(doc)
     assert [s for s, _ in visits] == [0, 2, 4, 6]
     assert [ev.stage for ev in events if ev.kind == "certify"] == [4]
+
+
+def test_changes_above_the_reach_do_not_wake_and_a_d_entry_at_it_does():
+    # At stage 4 P:0 finds input 0 defined and input 1 without agreement
+    # (its axiom says 1, D says 0), so it sleeps with reach 1.  The axiom
+    # at input 2 appears at stage 6 and its deferral ends at stage 8,
+    # both above the reach, so neither wakes P:0.  D enumerates 1 at
+    # stage 9, at the reach: P:0 wakes and certifies inputs 1 and 2 at
+    # stage 10, and sleeps at stage 12 on input 3.
+    def axiom(oracle, x, k, stage):
+        return {"theta": oracle, "sigma": oracle, "x": x, "k": k, "stage": stage}
+
+    axioms = [axiom("", 0, 0, 0), axiom("", 1, 1, 0), axiom("0000000", 2, 0, 6)]
+    doc = dict(_doc(12, [], 1, [{"side": 0, "e": 0, "axioms": axioms}]), d=[[9, 1]])
+    events, visits, _ = run_against_reference(doc)
+    assert [s for s, _ in visits] == [0, 2, 4, 10, 12]
+    certified = [(ev.stage, ev.payload["x"]) for ev in events if ev.kind == "certify"]
+    assert certified == [(2, "0"), (10, "1"), (10, "2")]

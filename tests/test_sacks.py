@@ -9,7 +9,7 @@ from splitsim.sacks import SacksStrategy, is_expansionary
 from splitsim.scenario import load_scenario
 from splitsim.trace import render
 
-from conftest import count_calls, dense_sacks_doc
+from conftest import count_calls, dense_sacks_doc, visits_against_reference
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -96,10 +96,11 @@ def test_one_shot_definitions_and_reset():
 
 
 class WakeEveryOwner(SacksStrategy):
-    """Reference dispatch without wake rules: every owner wakes at every stage."""
+    """Reference dispatch without wake rules: every owner wakes at every
+    stage, for any input, whatever its reach."""
 
     def wake_stages(self):
-        return [(s, key) for s in range(self.run.horizon + 1) for key in self.owners]
+        return [(s, key, None) for s in range(self.run.horizon + 1) for key in self.owners]
 
 
 def test_wake_rules_match_visiting_every_owner():
@@ -111,6 +112,84 @@ def test_wake_rules_match_visiting_every_owner():
         sc = load_scenario(doc)
         reference = Run(sc, WakeEveryOwner(sc.functionals)).execute()
         assert render(run(sc)[0]) == render(reference), doc
+
+
+def run_against_reference(doc):
+    """(events, visits, reference visits) of a run, whose trace must equal
+    the reference's byte for byte; a visit is (stage, owner label)."""
+    return visits_against_reference(
+        doc, SacksStrategy, WakeEveryOwner, lambda strategy, req, i, s: (s, req.label)
+    )
+
+
+def _axiom(x, k, stage):
+    return {"theta": "", "x": x, "k": k, "stage": stage}
+
+
+def _sacks_doc(horizon, d, functionals, b=()):
+    return {
+        "construction": "sacks",
+        "horizon": horizon,
+        "b": list(b),
+        "d": d,
+        "functionals": functionals,
+    }
+
+
+def test_axiom_above_the_reach_does_not_wake_and_one_at_it_does():
+    # P:0 agrees with D up to input 0 at stage 0 and acts: max_ell 0, so
+    # its reach is 1.  The axiom at input 2 (stage 4) lies above it and
+    # wakes nothing; the one at input 1 (stage 8) lies at it, and P:0
+    # wakes and agrees up to input 2.
+    axioms = [_axiom(0, 0, 0), _axiom(2, 0, 4), _axiom(1, 0, 8)]
+    events, visits, _ = run_against_reference(
+        _sacks_doc(10, [], [{"side": 0, "e": 0, "axioms": axioms}])
+    )
+    assert visits == [(0, "P:0"), (8, "P:0")]
+    assert [(ev.stage, ev.payload["ell"]) for ev in events if ev.kind == "expansionary"] == [
+        (0, "0"), (8, "2")
+    ]
+
+
+def test_d_entry_above_the_reach_does_not_wake():
+    # Scheduled: with reach 1 after stage 0, P:0 sleeps through D's entry
+    # of 2 at stage 3 and wakes for the entry of 1 at stage 7.
+    scheduled = _sacks_doc(10, [[3, 2], [7, 1]], [{"side": 0, "e": 0, "axioms": [_axiom(0, 0, 0)]}])
+    assert run_against_reference(scheduled)[1] == [(0, "P:0"), (8, "P:0")]
+    # By the policy: P:1 defines input 1 as 0 at stage 4, so anti-delta
+    # enumerates 1 at stage 5.  Q:0 never agrees with D (reach 0) and
+    # P:0 has diagonalized (reach -1), so only P:1 wakes, and it
+    # diagonalizes at stage 6.
+    policy = _sacks_doc(10, {"policy": "anti-delta"}, [
+        {"side": 0, "e": 0, "axioms": [_axiom(0, 0, 0)]},
+        {"side": 1, "e": 0, "axioms": [_axiom(0, 0, 0)]},
+        {"side": 0, "e": 1, "axioms": [_axiom(0, 1, 0), _axiom(1, 0, 0)]},
+    ])
+    events, visits, _ = run_against_reference(policy)
+    assert visits == [(0, "P:0"), (2, "P:0"), (4, "Q:0"), (4, "P:1"), (6, "P:1")]
+    assert [(ev.stage, ev.payload["element"]) for ev in events if ev.payload.get("set") == "D"] == [
+        (1, "0"), (5, "1")
+    ]
+    assert [(ev.stage, ev.payload["req"]) for ev in events if ev.kind == "diagonalize"] == [
+        (2, "P:0"), (6, "P:1")
+    ]
+
+
+def test_diagonalized_owner_sleeps_until_its_block_is_initialized():
+    # Q:0 defines inputs 0 and 1 at stage 2 and diagonalizes at stage 6,
+    # after D's entry of 1 at stage 5.  From then on its reach is -1:
+    # neither its axiom at input 0 (stage 8) nor D's entry of 2 (stage
+    # 9) wakes it.  The stage-11 arrival of 0 threatens P:0, is deflected
+    # into A1 and initializes Q:0's block, which wakes and resets Q:0.
+    doc = _sacks_doc(12, [[5, 1], [9, 2]], [
+        {"side": 0, "e": 0, "axioms": [_axiom(0, 0, 0)]},
+        {"side": 1, "e": 0, "axioms": [_axiom(0, 0, 0), _axiom(1, 0, 0), _axiom(0, 0, 8)]},
+    ], b=[[11, 0]])
+    events, visits, _ = run_against_reference(doc)
+    assert visits == [(0, "P:0"), (2, "Q:0"), (6, "P:0"), (6, "Q:0"), (12, "Q:0")]
+    assert [ev.stage for ev in events if ev.kind == "diagonalize"] == [6]
+    inits = [(ev.stage, ev.payload["block"]) for ev in events if ev.kind == "initialize"]
+    assert (11, "Q:0") in inits
 
 
 def test_arrival_at_the_last_use_position_wakes():
@@ -144,11 +223,12 @@ def test_due_orders_read_the_owner_index(monkeypatch):
     owner is due: a deterministic count of value calls, not a timing
     gate.  Mapping every awake owner through value per even stage made
     1,628 calls on this run, and computing the stop order and passing the
-    owner blocks on every even stage 964; what is left (222) is the stop
+    owner blocks on every even stage 964; what is left is the stop
     order on the stages with a due owner and one read per assignment
-    update."""
+    update: 222 while an axiom or a D entry at any input woke an owner,
+    108 since only those at inputs up to its reach do."""
     sc = load_scenario(dense_sacks_doc(208))
     calls = count_calls(monkeypatch, PriorityAssignment, "value")
     events, _ = run(sc)
     assert len(events) == 450
-    assert len(calls) <= 300, len(calls)
+    assert len(calls) <= 150, len(calls)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splitsim import trace
-from splitsim.fuzz import generate
 from splitsim.harness import run
 from splitsim.scenario import load_scenario
 from splitsim.trace import (
@@ -18,7 +17,7 @@ from splitsim.trace import (
     render,
 )
 
-from conftest import count_calls
+from conftest import corpus_doc, count_calls
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -164,8 +163,8 @@ def test_memoized_parse_agrees_with_parse_line(pairs):
     _assert_parse_agrees([head + ("\t" + tail if tail else "") for head, tail in pairs])
 
 
-def _corpus_robinson_lines():
-    sc = load_scenario(generate(2026, 478, "robinson", 1024))
+def _corpus_robinson_lines(corpus):
+    sc = load_scenario(corpus_doc(corpus, "robinson", 478))
     return render(run(sc)[0]).splitlines()
 
 
@@ -203,8 +202,8 @@ def _rejection(line):
     return caught.value
 
 
-def test_memoized_parse_agrees_on_mutated_corpus_traces():
-    lines = _corpus_robinson_lines()
+def test_memoized_parse_agrees_on_mutated_corpus_traces(corpus):
+    lines = _corpus_robinson_lines(corpus)
     _assert_parse_agrees(lines)
     for at, forged in _mutations(lines):
         mutated = lines[:at] + [forged] + lines[at + 1:]
@@ -212,10 +211,10 @@ def test_memoized_parse_agrees_on_mutated_corpus_traces():
         _assert_parse_agrees(mutated)
 
 
-def test_parse_checks_each_distinct_tail_once(monkeypatch):
+def test_parse_checks_each_distinct_tail_once(corpus, monkeypatch):
     """A count, not a timing: the full grammar walk runs once per distinct
     line tail, while every line still has its stage read."""
-    lines = _corpus_robinson_lines()
+    lines = _corpus_robinson_lines(corpus)
     tails = {line.partition("\t")[2] for line in lines}
     calls = count_calls(monkeypatch, trace, "parse_line")
     events = parse("".join(line + "\n" for line in lines))

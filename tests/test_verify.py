@@ -18,6 +18,7 @@ from conftest import (
     CERTIFY_DOC,
     CONTROLS,
     GOLDEN_DIR,
+    corpus_doc,
     count_calls,
     malformed_refusals,
     quiet_tail_docs,
@@ -442,13 +443,13 @@ def test_v10_is_v8s_verdict_by_the_lemma(control_materials):
     assert verdicts == {True, False}
 
 
-def test_replay_settles_only_busy_stages(monkeypatch):
+def test_replay_settles_only_busy_stages(corpus, monkeypatch):
     """The replay closes a stage only where it has a line other than a
     side=none update, or at the last stage replayed: a deterministic
     count of _close_stage calls, not a timing gate.  A quiet stage, whose
     one line is its side=none update, costs no close."""
     closed = count_calls(monkeypatch, verify_mod, "_close_stage", after=lambda _, ctx, pend, s: s)
-    sc = load_scenario(generate(2026, 478, "robinson", 1024))
+    sc = load_scenario(corpus_doc(corpus, "robinson", 478))
     events, final = run(sc)
     assert passed(verify(sc, events, final))
     busy = {ev.stage for ev in events if ev.payload != {"side": "none"}}
