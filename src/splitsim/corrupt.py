@@ -11,7 +11,7 @@ beat, and so on), so callers can pick a different run.
 
 from __future__ import annotations
 
-from .model import Cones, build_policy, p_spans
+from .model import Cones, build_policy, p_changes, p_spans
 from .trace import TraceEvent, event
 from .verify import persisting_diagonalizations, verify
 
@@ -141,7 +141,7 @@ def _v8(scenario, events):
     j = max(taken, default=-1) + 1
     policy = build_policy(scenario, Cones(entry))
     spans = p_spans(policy.windows(j, [(0, sig) for sig in sigmas]), horizon)
-    flips = 2 * len(spans) - (bool(spans) and spans[-1][1] == horizon)
+    flips = p_changes(spans, horizon)
     if flips <= scenario.q_default:
         raise CorruptionError(
             "C churns %d p-changes out of a budget of %d" % (flips, scenario.q_default)

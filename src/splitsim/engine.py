@@ -25,26 +25,24 @@ Block dispatch (part two) runs only the blocks that hold awake owners,
 in priority order, up to the stop order or the first block that acts,
 and in them only the awake owners.  Requirements that own no functional
 table can never act, define nothing and hold no state, so only table
-owners are tracked.  The engine keeps the one awake set (Run.awake):
-every owner starts awake, and a sleeping owner wakes when something its
-next run reads may have changed.  Its reach (strategy.reach) is the
-largest input that run can read before some other rule fires, so a
-change at one input wakes it only when that input is at most its reach:
+owners are tracked.  The engine holds the wake state: the awake set
+(Run.awake) and each sleeping owner's reach (Run.reach), the largest
+input on which whether its next run does anything rests.  Every owner
+starts awake.  A strategy puts an owner to sleep (Run.sleep) after a
+run that shows its next run would do nothing before one of these rules
+fires, with the reach that run computed; the owner then wakes when
 
-  (a) a stage the strategy names for it arrives (wake_stages: the
-      appearance of an axiom of its table, and whatever else of the
-      owner's inputs changes on a schedule), each naming the input it
-      concerns, or none for any input;
-  (b) a D entry lands, scheduled or by the policy, at an input at most
+  (a) an axiom of its table appears at an input at most its reach;
+  (b) a stage its strategy scheduled (Run.schedule_wakes) arrives, for
+      an input at most its reach or for any input;
+  (c) a D entry lands, scheduled or by the policy, at an input at most
       its reach;
-  (c) an arrival on its side lands below its table's largest use;
-  (d) it is cancelled by an initialization of its block.
+  (d) an arrival on its side lands below its table's largest use;
+  (e) it is cancelled by an initialization of its block.
 
-The strategy says when an owner sleeps (Run.sleep) and what its reach
-is then: it sleeps only when running it again before one of these would
-do nothing.  Its reach holds still while it sleeps, since only a run or
-the reset after a cancellation, which wakes it, changes what the reach
-is read from.  Every change of a stage lands before part two runs
+The recorded reach holds while the owner sleeps, since only a run or
+the reset after a cancellation, which wakes it, changes the state it
+was computed from.  Every change of a stage lands before part two runs
 (scheduled wakes at the stage's start, the policy and arrivals at odd
 stages), so a run never misses one made at its own stage.
 
@@ -84,9 +82,7 @@ existence is all that takes:
 so every sleeping owner sits on an existing block.  An owner block that
 part two passes without running it holds only sleeping owners (an
 awake one would make it due), so it exists already.  Neither fact
-depends on when a sleeping owner wakes, so a wake rule that stops at
-the owner's reach leaves the lemma standing: sleeps only get longer,
-and cancellation wakes as before.
+depends on when a sleeping owner wakes, only on cancellation waking it.
 """
 
 from __future__ import annotations
@@ -98,7 +94,7 @@ from .model import (
     SIDE_LABEL,
     BlockState,
     Cones,
-    PriorityAssignment,
+    PriorityAssignment,  # annotation only; bench/spans.py wraps engine.PriorityAssignment.update
     block_label,
     order_block,
     priority_order,
@@ -131,17 +127,20 @@ class Run:
         # Anti-delta's queue of D enumerations, oldest first.
         self._pending_d: OrderedDict[int, None] = OrderedDict()
         self._d_budget = scenario.d_policy_limit if scenario.d_policy else 0
-        strategy.bind(self)
-        # The wake rules (module docstring).
+        # The wake state (module docstring); rules (a), (b) and scheduled
+        # (c) as stage -> [(owner, input)], where owner None is every
+        # owner and input None is any input.
         self.awake: set[tuple[int, int]] = set(strategy.owners)
-        # Rules (a) and scheduled (b): stage -> [(owner, input)], where
-        # owner None is every owner and input None is any input.
+        self.reach: dict[tuple[int, int], int] = {}
         self._wake_at: dict[int, list[tuple[tuple[int, int] | None, int | None]]] = {}
-        for t, owner, x in strategy.wake_stages():
-            self._wake_at.setdefault(t, []).append((owner, x))
-        for x, t in self.d_entry.items():
-            self._wake_at.setdefault(t, []).append((None, x))
-        # Rule (c): per side, the owners in ascending order of their
+        self.schedule_wakes(
+            (appear, key, ax.x)
+            for key, table in strategy.tables.items()
+            for appear, ax in table.axioms
+        )
+        self.schedule_wakes((t, None, x) for x, t in self.d_entry.items())
+        strategy.bind(self)
+        # Rule (d): per side, the owners in ascending order of their
         # table's largest use, beside those uses for bisection.
         self._uses = ([], [])
         self._by_use = ([], [])
@@ -178,23 +177,30 @@ class Run:
         """Run these owners at the next part two that reaches their blocks."""
         self.awake.update(owners)
 
+    def schedule_wakes(self, wakes) -> None:
+        """Wake at stage t, for each (t, owner, input) of wakes, the owner
+        (None: every owner) if its reach is at least input (None: any)."""
+        for t, owner, x in wakes:
+            self._wake_at.setdefault(t, []).append((owner, x))
+
     def _wake_reaching(self, x: int) -> None:
-        """Wake every owner whose reach is at least input x."""
-        awake, reach = self.awake, self.strategy.reach
-        awake.update([o for o in self.strategy.owners if o not in awake and reach(o) >= x])
+        """Wake every sleeping owner whose reach is at least input x."""
+        awake = self.awake
+        awake.update([o for o, r in self.reach.items() if r >= x and o not in awake])
 
     def _wake_scheduled(self, wakes) -> None:
-        """Rules (a) and scheduled (b) at one stage: wakes as in _wake_at."""
-        awake, reach = self.awake, self.strategy.reach
+        """Scheduled wakes at one stage, as in _wake_at."""
+        awake, reach = self.awake, self.reach
         for owner, x in wakes:
             if owner is None:
                 self._wake_reaching(x)
-            elif owner not in awake and (x is None or reach(owner) >= x):
+            elif owner not in awake and (x is None or reach[owner] >= x):
                 awake.add(owner)
 
-    def sleep(self, owner: tuple[int, int]) -> None:
-        """Skip owner in part two until one of its wake rules fires."""
+    def sleep(self, owner: tuple[int, int], reach: int) -> None:
+        """Skip owner in part two until a wake rule fires for it at its reach."""
         self.awake.discard(owner)
+        self.reach[owner] = reach
 
     # -- stage parts ------------------------------------------------------
 

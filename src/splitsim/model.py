@@ -418,8 +418,7 @@ def p_spans(windows, horizon: int) -> list[tuple[int, int]]:
     """The stages in 0..horizon where p answers 1 over these windows, as
     sorted, disjoint, maximal intervals (lo, hi): hi None runs to the
     horizon, and overlapping or adjacent windows merge.  So p starts at 1
-    iff spans[0][0] == 0, ends at 1 iff spans[-1][1] == horizon, and
-    changes its mind 2 * len(spans) - start - last times."""
+    iff spans[0][0] == 0 and ends at 1 iff spans[-1][1] == horizon."""
     spans = []
     for lo, hi in sorted((lo, horizon if hi is None else min(hi, horizon)) for lo, hi in windows):
         if spans and lo <= spans[-1][1] + 1:
@@ -427,6 +426,15 @@ def p_spans(windows, horizon: int) -> list[tuple[int, int]]:
         elif lo <= hi:
             spans.append((lo, hi))
     return spans
+
+
+def p_changes(spans, horizon: int) -> int:
+    """How often p changes its mind in 0..horizon over its p_spans: at
+    both ends of every span, less a start at stage 0 and an end at the
+    horizon."""
+    if not spans:
+        return 0
+    return 2 * len(spans) - (spans[0][0] == 0) - (spans[-1][1] == horizon)
 
 
 def first_hit(windows, s: int, horizon: int) -> int | None:

@@ -49,31 +49,22 @@ cancelled.  The engine hands each stage's cancelled owners to
 refresh_pass at the end of the stage, and it injures exactly their
 inputs.
 
-Dispatch is event-driven.  A run of an owner reads the axioms of its
-table that have appeared, its own half and C below its table's largest
-use (C also decides when a local definition dies: its sigma is no
-longer than the use), D, its local definitions, and the stage only
-through the deferral s <= use.  The run stops at the first input that
-is neither defined already nor acted on.  So an owner whose run stopped
-on exit nocomp at input x0 and emitted nothing found inputs 0..x0-1
-defined and x0 without a usable computation, and it visits no input
-above x0 until one of inputs 0..x0 changes status.  x0 is its reach.
-The owner does nothing at a later stage until one of these happens; it
-then wakes by the engine's rules:
-
-  (a) an axiom of its table appears at an input <= x0;
-  (b) the stage reaches use + 1 of one of its axioms at an input <= x0
-      (the deferral ends);
-  (c) a C entry lands below its table's largest use;
-  (d) an arrival on its side lands below its table's largest use;
-  (e) a D entry lands at an input <= x0, scheduled or by the policy;
-  (f) it is cancelled by an initialization of its block.
-
-(a) to (c) are the static stages of wake_stages.  Every owner starts
-awake, and only such a quiet nocomp run puts it to sleep.  A run that
-refused or left a scan pending re-emits its scan at every stage, one
-that acted may act again, and one that reached the x < s bound has
-more inputs at the next stage, so each of these leaves its owner awake.
+Dispatch is event-driven (engine module docstring).  A run of an owner
+reads the axioms of its table that have appeared, its own half and C
+below its table's largest use (C also decides when a local definition
+dies: its sigma is no longer than the use), D, its local definitions,
+and the stage only through the deferral s <= use.  The run stops at the
+first input that is neither defined already nor acted on.  So an owner
+whose run stopped on exit nocomp at input x0 and emitted nothing found
+inputs 0..x0-1 defined and x0 without a usable computation, and it
+visits no input above x0 until one of inputs 0..x0 changes status.
+Only such a quiet nocomp run puts its owner to sleep, with reach x0.
+Besides the engine's rules, bind schedules the two wakes of its own:
+the stage use + 1 of an axiom at an input <= x0 (the deferral ends),
+and a C entry below its table's largest use.  A run that refused or
+left a scan pending re-emits its scan at every stage, one that acted
+may act again, and one that reached the x < s bound has more inputs at
+the next stage, so each of these leaves its owner awake.
 """
 
 from __future__ import annotations
@@ -105,13 +96,15 @@ class RobinsonStrategy:
         self.sets: dict[int, list[tuple[int, str]]] = {}  # j -> (stage, sigma) of W_j
         # (side, e) -> x -> (k, death) of the input's local definition
         self.locals: dict[tuple[int, int], dict[int, tuple[int, int | None]]] = {}
-        # (side, e) -> the input where its last quiet pass stopped
-        self._reach: dict[tuple[int, int], int] = {}
         self.run = None
 
     def bind(self, run) -> None:
         self.run = run
         self.policy = build_policy(run.scenario, run.c_cones)
+        c_entries = run.scenario.c_schedule.entries
+        for key, table in self.tables.items():
+            run.schedule_wakes((ax.use + 1, key, ax.x) for _, ax in table.axioms)
+            run.schedule_wakes((t, key, None) for t, c in c_entries if c < table.largest_use)
 
     def live_value(self, side: int, e: int, x: int, s: int) -> int | None:
         """The local value defined at input x of (side, e) if it is live at stage s."""
@@ -163,20 +156,6 @@ class RobinsonStrategy:
 
     # -- requirement strategies ------------------------------------------------
 
-    def wake_stages(self) -> list[tuple[int, tuple[int, int], int | None]]:
-        """Wake rules (a) to (c) as (stage, owner, input or None for any)."""
-        c_entries = self.run.scenario.c_schedule.entries
-        stages = []
-        for key, table in self.tables.items():
-            for appear, ax in table.axioms:
-                stages += ((appear, key, ax.x), (ax.use + 1, key, ax.x))
-            stages += ((t, key, None) for t, c in c_entries if c < table.largest_use)
-        return stages
-
-    def reach(self, key: tuple[int, int]) -> int:
-        """The input at which the owner's last quiet pass stopped (module docstring)."""
-        return self._reach[key]
-
     def run_block(self, side: int, i: int, s: int) -> bool:
         acted = False
         awake = self.run.awake
@@ -188,8 +167,8 @@ class RobinsonStrategy:
     def run_requirement(self, side: int, e: int, i: int, s: int) -> bool:
         """One pass of requirement (side, e) inside its block (side, i).
 
-        The owner sleeps when the pass stops on nocomp without acting,
-        which also means it emitted nothing.
+        The owner sleeps, with reach x, when the pass stops on nocomp at
+        x without acting, which also means it emitted nothing.
         """
         acted = False
         result = None
@@ -201,8 +180,7 @@ class RobinsonStrategy:
             acted |= result == "acted"
             x += 1
         if result == "nocomp" and not acted:
-            self._reach[(side, e)] = x
-            self.run.sleep((side, e))
+            self.run.sleep((side, e), x)
         return acted
 
     def run_input_strategy(self, side: int, e: int, x: int, i: int, s: int) -> str:

@@ -19,31 +19,15 @@ half-snapshot sigma the definition saw, so a later disagreement
 certifies that the watched functional computes a value D has since
 abandoned.
 
-Dispatch is event-driven.  A requirement reads only its local values,
-its record max_ell, D, its own half below its table's largest use, and
-the axioms of its table that have appeared.  Its values lie at inputs
-<= max_ell, and its next run acts only if D moved under one of them
-(exit 2) or the agreement length exceeds max_ell (exit 3), which is
+Dispatch is event-driven (engine module docstring): an owner sleeps
+after every run, with its reach.  A requirement reads only its local
+values, its record max_ell, D, its own half below its table's largest
+use, and the axioms of its table that have appeared.  Its values lie at
+inputs <= max_ell, and its next run acts only if D moved under one of
+them (exit 2) or the agreement length exceeds max_ell (exit 3), which is
 decided on inputs 0..max_ell+1 alone.  So whether its next run does
 anything rests on inputs <= max_ell + 1: that is its reach, and it is
--1 once it has diagonalized (exit 1 reads no input).  An owner that ran
-at stage t (and did nothing, or acted) does nothing at a later stage s
-unless one of these happens in (t, s]; the owner then wakes by the
-engine's rules:
-
-  (a) an axiom of its table appears at an input <= its reach
-      (wake_stages);
-  (b) a D entry lands at an input <= its reach, scheduled or by the
-      policy;
-  (c) an arrival on its side lands below its table's largest use;
-  (d) it is cancelled by an initialization of its block.
-
-Every owner starts awake, and running an owner puts it to sleep.  A
-diagonalized owner stays asleep until it is reset, which is (d): the
-engine hands each stage's cancelled owners to refresh_pass at the end of
-the stage, which resets them before any of them runs again.  Part
-two runs only the blocks that hold awake owners, and in them only the
-awake owners.
+-1 once it has diagonalized (exit 1 reads no input).
 """
 
 from __future__ import annotations
@@ -95,30 +79,20 @@ class SacksStrategy:
     def bind(self, run) -> None:
         self.run = run
 
-    def wake_stages(self) -> list[tuple[int, tuple[int, int], int]]:
-        """Wake rule (a): (stage, owner, input) for each axiom's appearance."""
-        return [
-            (appear, key, ax.x) for key, table in self.tables.items() for appear, ax in table.axioms
-        ]
-
-    def reach(self, key: tuple[int, int]) -> int:
-        """The largest input whether the owner's next run acts rests on
-        (module docstring): max_ell + 1, or -1 once diagonalized."""
-        req = self.requirements[key]
-        return -1 if req.diagonalized else req.max_ell + 1
-
     def run_block(self, side: int, i: int, s: int) -> bool:
         acted = False
         run = self.run
         for e in run.block_members(side, i):
             key = (side, e)
             if key in run.awake:
-                run.sleep(key)
-                acted |= self.run_requirement(self.requirements[key], i, s)
+                acted |= self.run_requirement(side, e, i, s)
+                req = self.requirements[key]
+                run.sleep(key, -1 if req.diagonalized else req.max_ell + 1)
         return acted
 
-    def run_requirement(self, req: SacksRequirement, i: int, s: int) -> bool:
-        """One pass of req's strategy inside its block i (on req's side)."""
+    def run_requirement(self, side: int, e: int, i: int, s: int) -> bool:
+        """One pass of requirement (side, e) inside its block (side, i)."""
+        req = self.requirements[(side, e)]
         if req.diagonalized:
             return False
         run = self.run
@@ -127,15 +101,15 @@ class SacksStrategy:
                 req.diagonalized = True
                 run.emit(event(s, "diagonalize", req=req.label, x=x))
                 run.emit(
-                    event(s, "act", block=block_label(req.side, i), req=req.label, via="diagonalize")
+                    event(s, "act", block=block_label(side, i), req=req.label, via="diagonalize")
                 )
                 return True
-        a_cones = run.a_cones[req.side]
-        ell = agreement_length(self.tables[(req.side, req.e)], a_cones, run.d_entry, s)
+        a_cones = run.a_cones[side]
+        ell = agreement_length(self.tables[(side, e)], a_cones, run.d_entry, s)
         if not is_expansionary(ell, req.max_ell):
             return False
         req.max_ell = ell
-        label = block_label(req.side, i)
+        label = block_label(side, i)
         run.emit(event(s, "expansionary", block=label, ell=ell, req=req.label))
         sigma = "".join("1" if n in a_cones.entry else "0" for n in range(s))
         for x in range(ell + 1):
@@ -144,7 +118,7 @@ class SacksStrategy:
             k = member(run.d_entry, x, s)
             req.values[x] = k
             run.define_local(s, x, k, req=req.label, sigma=sigma)
-        run.set_restraint(req.side, i, s)
+        run.set_restraint(side, i, s)
         run.emit(event(s, "act", block=label, req=req.label, via="expansionary"))
         return True
 

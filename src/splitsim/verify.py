@@ -93,6 +93,7 @@ from .model import (
     cone_truth,
     member,
     order_block,
+    p_changes,
     p_spans,
     parse_label,
     priority_order,
@@ -681,7 +682,7 @@ def _check_v8_v10(ctx, windows):
         spans = p_spans(w, h)
         start = bool(spans) and spans[0][0] == 0
         last = bool(spans) and spans[-1][1] == h
-        flips, q = 2 * len(spans) - start - last, sc.q_overrides.get(j, sc.q_default)
+        flips, q = p_changes(spans, h), sc.q_overrides.get(j, sc.q_default)
         if start:
             prob.add("V8", 0, "p(%d, 0) is 1, not 0" % j)
             broken[j] = "approximations must start at 0 (argument %d)" % j

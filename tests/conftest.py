@@ -12,7 +12,8 @@ import pytest
 from splitsim.cli import _describe
 from splitsim.engine import Run
 from splitsim.fuzz import generate
-from splitsim.harness import run
+from splitsim.harness import build_strategy, run
+from splitsim.model import block_label
 from splitsim.scenario import load_scenario
 from splitsim.trace import TraceEvent, parse, render
 from splitsim.verify import passed, verify
@@ -54,20 +55,30 @@ def count_calls(monkeypatch, owner, name, before=None, after=None):
     return entries
 
 
-def visits_against_reference(doc, strategy, reference, visit):
-    """(events, visits, reference visits) of a run of doc under strategy.
+class WakeEveryOwner(Run):
+    """Reference dispatch without wake rules: no owner ever sleeps, so
+    every owner is awake at every stage, for any input, whatever its
+    reach."""
 
-    The trace must equal, byte for byte, the one of a run under
-    reference, a subclass of strategy that wakes every owner at every
-    stage.  visit(strategy, *args) names one call of run_requirement.
-    """
+    def sleep(self, owner, reach):
+        pass
+
+
+def visits_against_reference(doc):
+    """(events, visits, reference visits) of a run of doc, whose trace
+    must equal, byte for byte, the one of a WakeEveryOwner run; a visit
+    is one call of run_requirement, as (stage, owner label)."""
     sc = load_scenario(doc)
+    strategy = type(build_strategy(sc))
     with pytest.MonkeyPatch.context() as mp:
-        visits = count_calls(mp, strategy, "run_requirement", before=visit)
+        visits = count_calls(
+            mp, strategy, "run_requirement",
+            before=lambda _, side, e, i, s: (s, block_label(side, e)),
+        )
         events = Run(sc, strategy(sc.functionals)).execute()
         mine = visits[:]
         visits.clear()
-        expected = Run(sc, reference(sc.functionals)).execute()
+        expected = WakeEveryOwner(sc, strategy(sc.functionals)).execute()
     assert render(events) == render(expected), doc
     return events, mine, visits
 

@@ -12,6 +12,7 @@ from splitsim.model import (
     priority_order,
     threatens,
 )
+from splitsim.sacks import SacksStrategy
 from splitsim.scenario import load_scenario
 
 from conftest import bench_module, count_calls, dense_sacks_doc, quiet_tail_docs
@@ -162,18 +163,54 @@ def test_block_dispatch_reads_the_membership_index(monkeypatch):
     assert any(ev.kind == "assignment-update" and ev.payload["side"] != "none" for ev in events)
     assert len(calls) <= 10 * len(events), (len(calls), len(events))
 
+
+def owner_state(strategy, owner):
+    """The strategy state a run of owner reads its reach from."""
+    if isinstance(strategy, SacksStrategy):
+        req = strategy.requirements[owner]
+        return dict(req.values), req.diagonalized, req.max_ell
+    # GuessingIndices has no per-owner view, so copy the owner's entries.
+    held = strategy.inputs._by_req.get(owner, {})
+    guesses = {x: (j, frozenset(refused)) for x, (j, refused) in held.items()}
+    return dict(strategy.locals.get(owner, {})), guesses
+
+
 class PassCheckingRun(Run):
     """Checks the lemma in the engine docstring: after every part two and
     every update, each sleeping owner sits on an existing block, and after
     a part two each owner block up to the stop order, or up to the acting
     block, exists.  Between those points owners only wake and blocks only
     come into existence, so the lemma holds at every stage, quiet ones
-    (where part two is not called) included."""
+    (where part two is not called) included.
+
+    It also checks the premise the recorded reach rests on: a sleeping
+    owner's strategy state is the one it fell asleep with, and a Sacks
+    owner's recorded reach is the one its state gives.  Only part two
+    and the refresh pass change strategy state, so these checks cover
+    every change.  held_state counts the sleepers checked that held a
+    local value or definition."""
+
+    def __init__(self, scenario, strategy):
+        self.asleep_with = {}
+        self.held_state = 0
+        super().__init__(scenario, strategy)
+
+    def sleep(self, owner, reach):
+        super().sleep(owner, reach)
+        self.asleep_with[owner] = owner_state(self.strategy, owner)
 
     def _check_sleepers(self):
         for side, e in self.strategy.owners:
-            if (side, e) not in self.awake:
-                assert (side, self.assignments[side].value(e)) in self.blocks.restraint, (side, e)
+            owner = (side, e)
+            if owner in self.awake:
+                continue
+            assert (side, self.assignments[side].value(e)) in self.blocks.restraint, owner
+            state = owner_state(self.strategy, owner)
+            assert state == self.asleep_with[owner], (owner, state, self.asleep_with[owner])
+            self.held_state += bool(state[0])
+            if isinstance(self.strategy, SacksStrategy):
+                _, diagonalized, max_ell = state
+                assert self.reach[owner] == (-1 if diagonalized else max_ell + 1), owner
 
     def _part_two(self, s):
         stop = min(2 * self.assignments[0].value(s), 2 * self.assignments[1].value(s) + 1)
@@ -195,11 +232,15 @@ def test_part_two_passes_only_existing_blocks_without_running_them():
     docs = [generate(11, i, c, 256) for c in ("sacks", "robinson") for i in range(100)]
     docs += [dense_sacks_doc(208), oracle_churn_doc(2026, 40)]
     initialized = 0
+    held_state = {"sacks": 0, "robinson": 0}
     for doc in docs:
         sc = load_scenario(doc)
-        events = PassCheckingRun(sc, build_strategy(sc)).execute()
+        r = PassCheckingRun(sc, build_strategy(sc))
+        events = r.execute()
         initialized += any(ev.kind == "initialize" for ev in events)
+        held_state[doc["construction"]] += r.held_state
     assert initialized > 50
+    assert min(held_state.values()) > 0, held_state
 
 
 def test_quiet_stages_cost_no_block_work(monkeypatch):

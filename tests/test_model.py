@@ -17,6 +17,7 @@ from splitsim.model import (
     cone_truth,
     consistency_conflicts,
     order_block,
+    p_changes,
     p_row,
     p_spans,
     pair,
@@ -502,7 +503,7 @@ def test_p_spans_reproduce_the_row(windows, horizon):
     start = bool(spans) and spans[0][0] == 0
     last = bool(spans) and spans[-1][1] == horizon
     assert (start, last) == (row[0] == 1, row[horizon] == 1)
-    assert 2 * len(spans) - start - last == changes(row)
+    assert p_changes(spans, horizon) == changes(row)
 
 
 def test_changes_and_cone_truth():

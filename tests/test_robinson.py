@@ -7,7 +7,6 @@ from splitsim.harness import build_strategy, run
 from splitsim.model import (
     Axiom,
     Cones,
-    block_label,
     TablePolicy,
     TruthfulDelayPolicy,
     build_policy,
@@ -354,23 +353,6 @@ def test_no_certified_theta_breaks_while_its_owner_stands():
     assert certified > 0 and injured > 0
 
 
-class WakeEveryOwner(RobinsonStrategy):
-    """Reference dispatch without wake rules: every owner wakes at every
-    stage, for any input, whatever its reach."""
-
-    def wake_stages(self):
-        return [(s, key, None) for s in range(self.run.horizon + 1) for key in self.owners]
-
-
-def run_against_reference(doc):
-    """(events, visits, reference visits) of a run, whose trace must equal
-    the reference's byte for byte; a visit is (stage, owner label)."""
-    return visits_against_reference(
-        doc, RobinsonStrategy, WakeEveryOwner,
-        lambda strategy, side, e, i, s: (s, block_label(side, e)),
-    )
-
-
 def test_wake_rules_match_visiting_every_owner():
     """Letting an owner sleep after a quiet nocomp must not change a byte."""
     docs = [generate(11, i, "robinson", 512) for i in range(200)]
@@ -381,7 +363,7 @@ def test_wake_rules_match_visiting_every_owner():
     docs += [oracle_churn_doc(2026, h) for h in range(36, 44)]
     visits = reference_visits = 0
     for doc in docs:
-        _, mine, reference = run_against_reference(doc)
+        _, mine, reference = visits_against_reference(doc)
         assert set(mine) <= set(reference)
         visits += len(mine)
         reference_visits += len(reference)
@@ -395,7 +377,7 @@ def test_deferred_action_wakes_at_use_plus_one():
     # input 0 and diverges at 1, so it sleeps for good.
     axiom = {"theta": "0000", "sigma": "0000", "x": 0, "k": 0, "stage": 0}
     doc = _doc(12, [], 1, [{"side": 0, "e": 0, "axioms": [axiom]}])
-    events, visits, _ = run_against_reference(doc)
+    events, visits, _ = visits_against_reference(doc)
     assert visits == [(0, "P:0"), (2, "P:0"), (6, "P:0"), (8, "P:0")]
     assert [(ev.stage, ev.payload["via"]) for ev in events if ev.kind == "act"] == [(6, "certified")]
 
@@ -405,7 +387,7 @@ def test_refusal_repeats_every_stage_until_its_cone_dies():
     # scan is refused (the retries from the memo) and P:0 stays awake; at
     # stage 8 the axiom no longer applies, and P:0 sleeps.
     doc = _doc(14, [[8, 0]], 9, [{"side": 0, "e": 0, "axioms": [_BASE_AXIOM]}])
-    events, visits, _ = run_against_reference(doc)
+    events, visits, _ = visits_against_reference(doc)
     scans = [
         (ev.stage, ev.payload["resolved"], ev.payload.get("memo"))
         for ev in events if ev.kind == "refuse-certify"
@@ -421,7 +403,7 @@ def test_local_definition_dying_at_a_c_entry_wakes_its_owner():
     # defines input 0 afresh at once.
     alternative = {"theta": "0", "sigma": "1", "x": 0, "k": 0, "stage": 0}
     doc = _doc(12, [[6, 0]], 1, [{"side": 0, "e": 0, "axioms": [_BASE_AXIOM, alternative]}])
-    events, visits, _ = run_against_reference(doc)
+    events, visits, _ = visits_against_reference(doc)
     defines = [(ev.stage, ev.payload["sigma"]) for ev in events if ev.kind == "define-local"]
     assert defines == [(2, "0"), (6, "1")]
     assert [s for s, _ in visits] == [0, 2, 4, 6, 8]
@@ -433,7 +415,7 @@ def test_arrival_below_the_use_wakes_its_owner():
     # it; P:0 certifies at stage 4.
     axiom = dict(_BASE_AXIOM, theta="1")
     doc = _doc(8, [], 1, [{"side": 0, "e": 0, "axioms": [axiom]}], b=[[3, 0]])
-    events, visits, _ = run_against_reference(doc)
+    events, visits, _ = visits_against_reference(doc)
     assert [s for s, _ in visits] == [0, 2, 4, 6]
     assert [ev.stage for ev in events if ev.kind == "certify"] == [4]
 
@@ -450,7 +432,7 @@ def test_changes_above_the_reach_do_not_wake_and_a_d_entry_at_it_does():
 
     axioms = [axiom("", 0, 0, 0), axiom("", 1, 1, 0), axiom("0000000", 2, 0, 6)]
     doc = dict(_doc(12, [], 1, [{"side": 0, "e": 0, "axioms": axioms}]), d=[[9, 1]])
-    events, visits, _ = run_against_reference(doc)
+    events, visits, _ = visits_against_reference(doc)
     assert [s for s, _ in visits] == [0, 2, 4, 10, 12]
     certified = [(ev.stage, ev.payload["x"]) for ev in events if ev.kind == "certify"]
     assert certified == [(2, "0"), (10, "1"), (10, "2")]

@@ -1,7 +1,6 @@
 import json
 from pathlib import Path
 
-from splitsim.engine import Run
 from splitsim.fuzz import generate
 from splitsim.harness import run
 from splitsim.model import Axiom, Cones, FunctionalTable, PriorityAssignment, agreement_length
@@ -9,7 +8,7 @@ from splitsim.sacks import SacksStrategy, is_expansionary
 from splitsim.scenario import load_scenario
 from splitsim.trace import render
 
-from conftest import count_calls, dense_sacks_doc, visits_against_reference
+from conftest import WakeEveryOwner, count_calls, dense_sacks_doc, visits_against_reference
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -95,14 +94,6 @@ def test_one_shot_definitions_and_reset():
     assert max(inits) == 3
 
 
-class WakeEveryOwner(SacksStrategy):
-    """Reference dispatch without wake rules: every owner wakes at every
-    stage, for any input, whatever its reach."""
-
-    def wake_stages(self):
-        return [(s, key, None) for s in range(self.run.horizon + 1) for key in self.owners]
-
-
 def test_wake_rules_match_visiting_every_owner():
     """Skipping the owners whose inputs did not change must not change a byte."""
     docs = [generate(11, i, "sacks", 512) for i in range(200)]
@@ -110,16 +101,8 @@ def test_wake_rules_match_visiting_every_owner():
     assert {type(doc["d"]) for doc in docs if doc["d"]} == {list, dict}
     for doc in docs + [dense_sacks_doc(208)]:
         sc = load_scenario(doc)
-        reference = Run(sc, WakeEveryOwner(sc.functionals)).execute()
+        reference = WakeEveryOwner(sc, SacksStrategy(sc.functionals)).execute()
         assert render(run(sc)[0]) == render(reference), doc
-
-
-def run_against_reference(doc):
-    """(events, visits, reference visits) of a run, whose trace must equal
-    the reference's byte for byte; a visit is (stage, owner label)."""
-    return visits_against_reference(
-        doc, SacksStrategy, WakeEveryOwner, lambda strategy, req, i, s: (s, req.label)
-    )
 
 
 def _axiom(x, k, stage):
@@ -142,7 +125,7 @@ def test_axiom_above_the_reach_does_not_wake_and_one_at_it_does():
     # wakes nothing; the one at input 1 (stage 8) lies at it, and P:0
     # wakes and agrees up to input 2.
     axioms = [_axiom(0, 0, 0), _axiom(2, 0, 4), _axiom(1, 0, 8)]
-    events, visits, _ = run_against_reference(
+    events, visits, _ = visits_against_reference(
         _sacks_doc(10, [], [{"side": 0, "e": 0, "axioms": axioms}])
     )
     assert visits == [(0, "P:0"), (8, "P:0")]
@@ -155,7 +138,7 @@ def test_d_entry_above_the_reach_does_not_wake():
     # Scheduled: with reach 1 after stage 0, P:0 sleeps through D's entry
     # of 2 at stage 3 and wakes for the entry of 1 at stage 7.
     scheduled = _sacks_doc(10, [[3, 2], [7, 1]], [{"side": 0, "e": 0, "axioms": [_axiom(0, 0, 0)]}])
-    assert run_against_reference(scheduled)[1] == [(0, "P:0"), (8, "P:0")]
+    assert visits_against_reference(scheduled)[1] == [(0, "P:0"), (8, "P:0")]
     # By the policy: P:1 defines input 1 as 0 at stage 4, so anti-delta
     # enumerates 1 at stage 5.  Q:0 never agrees with D (reach 0) and
     # P:0 has diagonalized (reach -1), so only P:1 wakes, and it
@@ -165,7 +148,7 @@ def test_d_entry_above_the_reach_does_not_wake():
         {"side": 1, "e": 0, "axioms": [_axiom(0, 0, 0)]},
         {"side": 0, "e": 1, "axioms": [_axiom(0, 1, 0), _axiom(1, 0, 0)]},
     ])
-    events, visits, _ = run_against_reference(policy)
+    events, visits, _ = visits_against_reference(policy)
     assert visits == [(0, "P:0"), (2, "P:0"), (4, "Q:0"), (4, "P:1"), (6, "P:1")]
     assert [(ev.stage, ev.payload["element"]) for ev in events if ev.payload.get("set") == "D"] == [
         (1, "0"), (5, "1")
@@ -185,7 +168,7 @@ def test_diagonalized_owner_sleeps_until_its_block_is_initialized():
         {"side": 0, "e": 0, "axioms": [_axiom(0, 0, 0)]},
         {"side": 1, "e": 0, "axioms": [_axiom(0, 0, 0), _axiom(1, 0, 0), _axiom(0, 0, 8)]},
     ], b=[[11, 0]])
-    events, visits, _ = run_against_reference(doc)
+    events, visits, _ = visits_against_reference(doc)
     assert visits == [(0, "P:0"), (2, "Q:0"), (6, "P:0"), (6, "Q:0"), (12, "Q:0")]
     assert [ev.stage for ev in events if ev.kind == "diagonalize"] == [6]
     inits = [(ev.stage, ev.payload["block"]) for ev in events if ev.kind == "initialize"]
@@ -209,7 +192,7 @@ def test_arrival_at_the_last_use_position_wakes():
     }
     sc = load_scenario(doc)
     events, _ = run(sc)
-    assert render(events) == render(Run(sc, WakeEveryOwner(sc.functionals)).execute())
+    assert render(events) == render(WakeEveryOwner(sc, SacksStrategy(sc.functionals)).execute())
     acts = [(ev.stage, ev.payload["req"]) for ev in events if ev.kind == "act"]
     assert acts == [(2, "P:1"), (4, "Q:0")]
     inits = {ev.payload["block"] for ev in events if ev.kind == "initialize"}
