@@ -57,7 +57,8 @@ first initialization), so the reset may wait.  The refresh pass and the
 update run only at a stage with an initialization.  A stage where
 nothing is due costs its one trace line: the loop skips the D policy
 and routing when they have nothing to do, part two returns at once, and
-the quiet update line is appended directly.
+the quiet update line is appended directly, with one shared read-only
+payload.
 
 Block state is one model.BlockState (Run.blocks), the same type the
 verifier replays.  Its restraint map is the record: it sends each block
@@ -89,6 +90,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import OrderedDict
+from types import MappingProxyType
 
 from .model import (
     SIDE_LABEL,
@@ -100,6 +102,10 @@ from .model import (
     priority_order,
 )
 from .trace import TraceEvent, event
+
+
+# The payload every quiet update line shares.
+_QUIET = MappingProxyType({"side": "none"})
 
 
 class ConstructionInvariantError(RuntimeError):
@@ -220,7 +226,7 @@ class Run:
             # Only an initialization cancels, so only then is there
             # anything to refresh or update.
             if self._init_target is None:
-                events.append(TraceEvent(s, "assignment-update", {"side": "none"}))
+                events.append(TraceEvent(s, "assignment-update", _QUIET))
             else:
                 cancelled, self._cancelled = sorted(self._cancelled), set()
                 self.strategy.refresh_pass(s, cancelled)

@@ -36,5 +36,8 @@ def run(scenario: Scenario):
     valid scenario never triggers one.
     """
     r = Run(scenario, build_strategy(scenario))
-    events = r.execute()
-    return events, r.final_state()
+    try:
+        return r.execute(), r.final_state()
+    finally:
+        # Unbind the strategy (bind points it back at the run): no cycle.
+        r.strategy.run = None

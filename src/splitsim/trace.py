@@ -15,14 +15,19 @@ rejects; a line that repeats an accepted tail only needs its stage field
 read with parse_int, since nothing else in the grammar depends on it.
 So the stage field is checked on every line and everything else once per
 tail, and parse accepts, rejects and explains exactly as parse_line
-would line by line.  Events the engine builds are not re-checked; their
-payloads are integers, fixed words, block labels and bit strings the
-scenario loader has already validated, and the acceptance corpus asserts
-that every run's trace parses back to its events.
+would line by line.  Parsed payloads are read-only, and parse shares one
+among the lines of a tail; to change one, copy it (dict(ev.payload, ...)).
+Events the engine builds are not re-checked; their payloads are dicts
+(the quiet update line's shared constant aside) of integers, fixed
+words, block labels and bit strings the scenario loader has already
+validated, and the acceptance corpus asserts that every run's trace
+parses back to its events.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import NamedTuple
 
 KINDS = (
@@ -48,13 +53,13 @@ class TraceParseError(ValueError):
 class TraceEvent(NamedTuple):
     stage: int
     kind: str
-    payload: dict[str, str]
+    payload: Mapping[str, str]
 
     def to_line(self) -> str:
         return "stage=%d%s" % (self.stage, _line_tail(self.kind, self.payload))
 
 
-def _line_tail(kind: str, payload: dict[str, str]) -> str:
+def _line_tail(kind: str, payload: Mapping[str, str]) -> str:
     """The text of a line after its stage field: kind, then the payload by key."""
     return "\tkind=" + kind + "".join(["\t%s=%s" % (k, payload[k]) for k in sorted(payload)])
 
@@ -109,7 +114,7 @@ def parse_line(line: str) -> TraceEvent:
         raise TraceParseError("payload keys out of order in %r" % (line,))
     if kind not in KINDS:
         raise TraceParseError("unknown event kind %r" % (kind,))
-    return TraceEvent(stage, kind, payload)
+    return TraceEvent(stage, kind, MappingProxyType(payload))
 
 
 def render(events) -> str:
@@ -134,8 +139,8 @@ def render(events) -> str:
 def parse(text: str) -> list[TraceEvent]:
     """The events of a trace text; raises TraceParseError at the first bad line."""
     events = []
-    # Accepted tail -> (kind, payload) of its first line, for this call only.
-    accepted: dict[str, tuple[str, dict[str, str]]] = {}
+    # Accepted tail -> (kind, read-only payload) its lines share, for this call only.
+    accepted: dict[str, tuple[str, Mapping[str, str]]] = {}
     for line in text.splitlines():
         if not line:
             continue
@@ -147,7 +152,7 @@ def parse(text: str) -> list[TraceEvent]:
             except ValueError:
                 pass  # parse_line below rejects the stage with its own message
             else:
-                events.append(TraceEvent(stage, known[0], dict(known[1])))
+                events.append(TraceEvent(stage, known[0], known[1]))
                 continue
         ev = parse_line(line)
         accepted[tail] = ev.kind, ev.payload

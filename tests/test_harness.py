@@ -1,12 +1,20 @@
+import gc
 import json
 from pathlib import Path
 
+import pytest
+
+from splitsim.engine import ConstructionInvariantError, Run
+from splitsim.fuzz import generate
 from splitsim.harness import build_strategy, run
 from splitsim.model import Cones, TablePolicy, TruthfulDelayPolicy, build_policy
 from splitsim.robinson import RobinsonStrategy
 from splitsim.sacks import SacksStrategy
 from splitsim.scenario import load_scenario
-from splitsim.trace import render
+from splitsim.trace import parse, render
+from splitsim.verify import verify
+
+from conftest import CORPUS_MAX_HORIZON, CORPUS_SEED, bench_module, dense_sacks_doc
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,3 +73,37 @@ def test_golden_traces_are_reproduced():
         events, _ = run(load_scenario(doc))
         expected = (GOLDEN / ("%s-expected.trace" % stem)).read_text()
         assert render(events) == expected, stem
+
+
+def _freed(f, *args):
+    """f(*args), after checking that it left no cyclic garbage behind."""
+    out = f(*args)
+    assert gc.collect() == 0, f.__name__
+    return out
+
+
+def test_runs_leave_no_cyclic_garbage(monkeypatch):
+    """Every layer's garbage is freed by reference counting: with the
+    cyclic collector off, a collection after each step finds nothing,
+    also after a run that raises."""
+    makers = [(generate, CORPUS_SEED, i, c, CORPUS_MAX_HORIZON) for c in ("sacks", "robinson")
+              for i in (0, 3, 478)]
+    makers += [(dense_sacks_doc, 208), (bench_module("workloads").oracle_churn_doc, 2026, 40)]
+    gc.collect()
+    gc.disable()
+    try:
+        for make in makers:
+            sc = _freed(load_scenario, _freed(*make))
+            events, final = _freed(run, sc)
+            _freed(verify, sc, events, final)
+            _freed(verify, sc, _freed(parse, _freed(render, events)))
+
+        def fail(self, s):
+            raise ConstructionInvariantError("forced at stage %d" % s)
+
+        monkeypatch.setattr(Run, "_part_two", fail)
+        with pytest.raises(ConstructionInvariantError):
+            run(sc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

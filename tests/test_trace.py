@@ -130,8 +130,12 @@ def _assert_parse_agrees(lines):
     else:
         got = parse(text)
         assert got == want
-        # Every event owns its payload, repeated tail or not.
-        assert len({id(ev.payload) for ev in got}) == len(got)
+        # Every payload is read-only, and the lines of one tail share one.
+        for ev in got:
+            with pytest.raises(TypeError):
+                ev.payload["x"] = "0"
+        tails = {line.partition("\t")[2] for line in lines}
+        assert len({id(ev.payload) for ev in got}) == len(tails)
 
 
 _HEADS = st.sampled_from(
