@@ -21,6 +21,12 @@ initialized during the stage; requirement indices above the tail of that
 block are pulled down onto it, and the indices beyond the current stage
 keep unit spacing, so assignments only ever decrease pointwise.
 
+Ownership points one way.  A Run is built from its scenario alone and
+reads the table owners off scenario.functionals.  The construction (a
+strategy) is built over the run and holds it, along with every piece of
+state only it reads; the run holds no construction and is handed it by
+execute and final_state.
+
 Block dispatch (part two) runs only the blocks that hold awake owners,
 in priority order, up to the stop order or the first block that acts,
 and in them only the awake owners.  Requirements that own no functional
@@ -33,8 +39,8 @@ run that shows its next run would do nothing before one of these rules
 fires, with the reach that run computed; the owner then wakes when
 
   (a) an axiom of its table appears at an input at most its reach;
-  (b) a stage its strategy scheduled (Run.schedule_wakes) arrives, for
-      an input at most its reach or for any input;
+  (b) a stage its strategy scheduled (Run.schedule_wakes, from its
+      constructor) arrives, for an input at most its reach or any input;
   (c) a D entry lands, scheduled or by the policy, at an input at most
       its reach;
   (d) an arrival on its side lands below its table's largest use;
@@ -49,8 +55,8 @@ stages), so a run never misses one made at its own stage.
 Part two reads the due orders, the blocks of the awake owners, off the
 assignments each time it runs.  Only an initialization cancels
 requirements or moves the assignment.  The engine collects the owners
-an initialization cancels and hands them to the strategy once, at the
-end of the stage, ascending by (side, e): strategy.refresh_pass(s,
+an initialization cancels and hands them to the construction once, at
+the end of the stage, ascending by (side, e): its refresh_pass(s,
 cancelled) resets them.  No requirement runs between a cancellation and
 the end of its stage (part one runs none, and part two stops at its
 first initialization), so the reset may wait.  The refresh pass and the
@@ -115,19 +121,16 @@ class ConstructionInvariantError(RuntimeError):
 class Run:
     """One deterministic execution of a scenario over its horizon."""
 
-    def __init__(self, scenario, strategy):
+    def __init__(self, scenario):
         self.scenario = scenario
         self.horizon = scenario.horizon
-        self.strategy = strategy
+        tables = scenario.functionals
         self.b_by_stage = {s: x for s, x in scenario.b_schedule.entries}
-        self.c_cones = Cones(scenario.c_schedule.entry_stage())
         self.d_entry = scenario.d_schedule.entry_stage()
         self.a_cones = (Cones(), Cones())
-        self.blocks = BlockState(strategy.owners)
+        self.blocks = BlockState(tables)
         self.assignments: tuple[PriorityAssignment, ...] = self.blocks.assignments
         self.events: list[TraceEvent] = []
-        self.pending_scans = 0
-        self.unsettled = False
         self._init_target: tuple[int, int, int] | None = None
         self._cancelled: set[tuple[int, int]] = set()  # owners cancelled this stage
         # Anti-delta's queue of D enumerations, oldest first.
@@ -136,21 +139,18 @@ class Run:
         # The wake state (module docstring); rules (a), (b) and scheduled
         # (c) as stage -> [(owner, input)], where owner None is every
         # owner and input None is any input.
-        self.awake: set[tuple[int, int]] = set(strategy.owners)
+        self.awake: set[tuple[int, int]] = set(tables)
         self.reach: dict[tuple[int, int], int] = {}
         self._wake_at: dict[int, list[tuple[tuple[int, int] | None, int | None]]] = {}
         self.schedule_wakes(
-            (appear, key, ax.x)
-            for key, table in strategy.tables.items()
-            for appear, ax in table.axioms
+            (appear, key, ax.x) for key, table in tables.items() for appear, ax in table.axioms
         )
         self.schedule_wakes((t, None, x) for x, t in self.d_entry.items())
-        strategy.bind(self)
         # Rule (d): per side, the owners in ascending order of their
         # table's largest use, beside those uses for bisection.
         self._uses = ([], [])
         self._by_use = ([], [])
-        for use, key in sorted((strategy.tables[key].largest_use, key) for key in strategy.owners):
+        for use, key in sorted((table.largest_use, key) for key, table in tables.items()):
             self._uses[key[0]].append(use)
             self._by_use[key[0]].append(key)
 
@@ -210,7 +210,7 @@ class Run:
 
     # -- stage parts ------------------------------------------------------
 
-    def execute(self) -> list[TraceEvent]:
+    def execute(self, construction) -> list[TraceEvent]:
         events, wake_at, b_by_stage = self.events, self._wake_at, self.b_by_stage
         for s in range(self.horizon + 1):
             wakes = wake_at.get(s)
@@ -222,14 +222,14 @@ class Run:
                 if s in b_by_stage:
                     self._part_one(s, b_by_stage[s])
             elif self.awake:
-                self._part_two(s)
+                self._part_two(s, construction)
             # Only an initialization cancels, so only then is there
             # anything to refresh or update.
             if self._init_target is None:
                 events.append(TraceEvent(s, "assignment-update", _QUIET))
             else:
                 cancelled, self._cancelled = sorted(self._cancelled), set()
-                self.strategy.refresh_pass(s, cancelled)
+                construction.refresh_pass(s, cancelled)
                 self._part_three(s)
         return events
 
@@ -259,14 +259,14 @@ class Run:
         self.emit(event(s, "enumerate", element=x, set="A%d" % side))
         self.wake(self._by_use[side][bisect_right(self._uses[side], x):])
 
-    def _part_two(self, s: int) -> None:
+    def _part_two(self, s: int, construction) -> None:
         stop_order = min(2 * self.assignments[0].value(s), 2 * self.assignments[1].value(s) + 1)
         for order in self.blocks.orders_of(self.awake):
             if order > stop_order:
                 return
             side, i = order_block(order)
             self.blocks.add(side, i)
-            if self.strategy.run_block(side, i, s):
+            if construction.run_block(side, i, s):
                 self.initialize_block(*order_block(order + 1), s, cause="act")
                 return
 
@@ -308,16 +308,14 @@ class Run:
 
     # -- results ----------------------------------------------------------
 
-    def final_state(self) -> dict:
-        # The strategy may discover late disagreement between p and the
-        # cone truth and flip unsettled, so let it look first.
-        self.strategy.final_state()
+    def final_state(self, construction) -> dict:
+        pending_scans, unsettled = construction.final_state()
         return {
             "a0": sorted((s, x) for x, s in self.a_cones[0].entry.items()),
             "a1": sorted((s, x) for x, s in self.a_cones[1].entry.items()),
             "d": sorted((s, x) for x, s in self.d_entry.items()),
             "assignment_p": self.assignments[0].snapshot_values(self.horizon),
             "assignment_q": self.assignments[1].snapshot_values(self.horizon),
-            "pending_scans": self.pending_scans,
-            "unsettled": self.unsettled,
+            "pending_scans": pending_scans,
+            "unsettled": unsettled,
         }

@@ -1,8 +1,10 @@
-"""Run orchestration: wire a scenario to its strategy and execute it.
+"""Run orchestration: build a run, its construction over it, and execute.
 
-The split between scenario (validated inputs), strategy (per-construction
-behavior) and engine (the stage loop) meets here.  run is a pure function
-of the scenario; two calls produce identical event lists.
+The split between scenario (validated inputs), engine (the stage loop)
+and construction (per-construction strategy state) meets here.  The run
+is built from the scenario and the construction from the run; the run
+only borrows the construction, so no reference cycle forms.  run is a
+pure function of the scenario; two calls produce identical event lists.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from .sacks import SacksStrategy
 from .scenario import Scenario
 
 
-def build_strategy(scenario: Scenario):
-    if scenario.construction == "sacks":
-        return SacksStrategy(scenario.functionals)
-    return RobinsonStrategy(scenario.functionals)
+def build_strategy(r: Run):
+    """The construction of r's scenario, built over r."""
+    if r.scenario.construction == "sacks":
+        return SacksStrategy(r)
+    return RobinsonStrategy(r)
 
 
 def run(scenario: Scenario):
@@ -35,9 +38,6 @@ def run(scenario: Scenario):
     Internal invariant violations raise ConstructionInvariantError; a
     valid scenario never triggers one.
     """
-    r = Run(scenario, build_strategy(scenario))
-    try:
-        return r.execute(), r.final_state()
-    finally:
-        # Unbind the strategy (bind points it back at the run): no cycle.
-        r.strategy.run = None
+    r = Run(scenario)
+    construction = build_strategy(r)
+    return r.execute(construction), r.final_state(construction)

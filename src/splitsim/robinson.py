@@ -17,8 +17,8 @@ input's guessing index and the sigmas whose scan was refused under it,
 keyed by owner (side, e) and input x; the strings enumerated into each
 guessing set W_j are in sets.  An input's local definition is (k, death)
 in its owner's locals map.  death is the stage at which C leaves sigma's
-cone (None: never), read off its lifetime in Run.c_cones, so the
-definition is live at stage s iff death is None or s < death
+cone (None: never), read off its lifetime in the strategy's own c_cones,
+so the definition is live at stage s iff death is None or s < death
 (live_value), and it dies with its requirement on initialization.  A
 sigma refused before is refused again at its death (the cone exit still
 beats every p hit), and that line is marked memo=1.
@@ -59,12 +59,13 @@ whose run stopped on exit nocomp at input x0 and emitted nothing found
 inputs 0..x0-1 defined and x0 without a usable computation, and it
 visits no input above x0 until one of inputs 0..x0 changes status.
 Only such a quiet nocomp run puts its owner to sleep, with reach x0.
-Besides the engine's rules, bind schedules the two wakes of its own:
-the stage use + 1 of an axiom at an input <= x0 (the deferral ends),
-and a C entry below its table's largest use.  A run that refused or
-left a scan pending re-emits its scan at every stage, one that acted
-may act again, and one that reached the x < s bound has more inputs at
-the next stage, so each of these leaves its owner awake.
+Besides the engine's rules, the constructor schedules the two wakes of
+its own through Run.schedule_wakes: the stage use + 1 of an axiom at an
+input <= x0 (the deferral ends), and a C entry below its table's
+largest use.  A run that refused or left a scan pending re-emits its
+scan at every stage, one that acted may act again, and one that reached
+the x < s bound has more inputs at the next stage, so each of these
+leaves its owner awake.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from __future__ import annotations
 from .engine import ConstructionInvariantError
 from .model import (
     Axiom,
-    FunctionalTable,
+    Cones,
     GuessingIndices,
     applicable_axiom,
     block_label,
@@ -86,22 +87,21 @@ from .trace import event
 
 
 class RobinsonStrategy:
-    """Per-run state and block dispatch for the oracle construction."""
+    """Per-run state and block dispatch for the oracle construction, over its run."""
 
-    def __init__(self, tables: dict[tuple[int, int], FunctionalTable]):
-        self.tables = tables
-        self.owners: list[tuple[int, int]] = sorted(tables)
-        self.policy = None
+    def __init__(self, run):
+        scenario = run.scenario
+        self.run = run
+        self.tables = scenario.functionals
+        self.c_cones = Cones(scenario.c_schedule.entry_stage())
+        self.policy = build_policy(scenario, self.c_cones)
         self.inputs = GuessingIndices()  # keyed by owner (side, e) and input x
         self.sets: dict[int, list[tuple[int, str]]] = {}  # j -> (stage, sigma) of W_j
         # (side, e) -> x -> (k, death) of the input's local definition
         self.locals: dict[tuple[int, int], dict[int, tuple[int, int | None]]] = {}
-        self.run = None
-
-    def bind(self, run) -> None:
-        self.run = run
-        self.policy = build_policy(run.scenario, run.c_cones)
-        c_entries = run.scenario.c_schedule.entries
+        self.pending_scans = 0
+        self.unsettled = False
+        c_entries = scenario.c_schedule.entries
         for key, table in self.tables.items():
             run.schedule_wakes((ax.use + 1, key, ax.x) for _, ax in table.axioms)
             run.schedule_wakes((t, key, None) for t, c in c_entries if c < table.largest_use)
@@ -127,7 +127,7 @@ class RobinsonStrategy:
         label = block_label(side, e)
         j = self.inputs.held((side, e), x)
         strings = self.sets.setdefault(j, [])
-        if not cone_truth(strings, run.c_cones, s):
+        if not cone_truth(strings, self.c_cones, s):
             strings.append((s, axiom.sigma))
             run.emit(event(s, "enumerate", j=j, set="W", sigma=axiom.sigma))
 
@@ -139,15 +139,15 @@ class RobinsonStrategy:
                 )
             )
 
-        result, t = scan(self.policy.windows(j, strings), run.c_cones, axiom.sigma, s, run.horizon)
+        result, t = scan(self.policy.windows(j, strings), self.c_cones, axiom.sigma, s, run.horizon)
         if result == "certify":
-            death = run.c_cones.lifetime(axiom.sigma)[2]
+            death = self.c_cones.lifetime(axiom.sigma)[2]
             self.locals.setdefault((side, e), {})[x] = (axiom.k, death)
             emit_scan("certify", resolved=t)
             return True
         if result == "pending":
-            run.pending_scans += 1
-            run.unsettled = True
+            self.pending_scans += 1
+            self.unsettled = True
             emit_scan("refuse-certify", result="pending")
         else:
             memo = {"memo": 1} if self.inputs.refuse((side, e), x, axiom.sigma) else {}
@@ -194,7 +194,7 @@ class RobinsonStrategy:
         """
         run = self.run
         table = self.tables[(side, e)]
-        got = applicable_axiom(table, s, run.a_cones[side], run.c_cones, x)
+        got = applicable_axiom(table, s, run.a_cones[side], self.c_cones, x)
         d_now = member(run.d_entry, x, s)
         if got is None or got.k != d_now:
             return "nocomp"
@@ -239,11 +239,12 @@ class RobinsonStrategy:
 
     # -- results -----------------------------------------------------------------
 
-    def final_state(self) -> None:
-        """Flag the run unsettled if some p still disagrees with the cone truth."""
-        run = self.run
-        h = run.horizon
+    def final_state(self) -> tuple[int, bool]:
+        """(pending scans, unsettled), flagging the run unsettled if some
+        p still disagrees with the cone truth at the horizon."""
+        h = self.run.horizon
         for j, strings in self.sets.items():
             p_h = first_hit(self.policy.windows(j, strings), h, h) is not None
-            if p_h != cone_truth(strings, run.c_cones, h):
-                run.unsettled = True
+            if p_h != cone_truth(strings, self.c_cones, h):
+                self.unsettled = True
+        return self.pending_scans, self.unsettled

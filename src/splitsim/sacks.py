@@ -19,22 +19,27 @@ half-snapshot sigma the definition saw, so a later disagreement
 certifies that the watched functional computes a value D has since
 abandoned.
 
-Dispatch is event-driven (engine module docstring): an owner sleeps
-after every run, with its reach.  A requirement reads only its local
-values, its record max_ell, D, its own half below its table's largest
-use, and the axioms of its table that have appeared.  Its values lie at
-inputs <= max_ell, and its next run acts only if D moved under one of
-them (exit 2) or the agreement length exceeds max_ell (exit 3), which is
-decided on inputs 0..max_ell+1 alone.  So whether its next run does
-anything rests on inputs <= max_ell + 1: that is its reach, and it is
--1 once it has diagonalized (exit 1 reads no input).
+An expansionary exit defines every input up to its agreement length,
+which only grows between resets, so a requirement's values are the
+prefix 0..n-1 for n = len(values), and the largest agreement length
+recorded since its last initialization is n - 1.
+
+The strategy is built over its run (SacksStrategy(run)) and holds it;
+the run holds no construction.  Dispatch is event-driven (engine module
+docstring): an owner sleeps after every run, with its reach.  A
+requirement reads only its local values, D, its own half below its
+table's largest use, and the axioms of its table that have appeared.
+Its next run acts only if D moved under one of its values (exit 2) or
+the agreement length reaches n (exit 3), which inputs 0..n decide.  So
+whether its next run does anything rests on inputs <= n: that is its
+reach, and it is -1 once it has diagonalized (exit 1 reads no input).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import FunctionalTable, agreement_length, block_label, member
+from .model import agreement_length, block_label, member
 from .trace import event
 
 
@@ -42,9 +47,8 @@ from .trace import event
 class SacksRequirement:
     side: int
     e: int
-    values: dict[int, int] = field(default_factory=dict)
+    values: list[int] = field(default_factory=list)  # the value at each input 0..n-1
     diagonalized: bool = False
-    max_ell: int = -1
 
     @property
     def label(self) -> str:
@@ -53,7 +57,6 @@ class SacksRequirement:
     def reset(self) -> None:
         self.values.clear()
         self.diagonalized = False
-        self.max_ell = -1
 
 
 def is_expansionary(ell: int, max_recorded: int) -> bool:
@@ -68,16 +71,12 @@ def is_expansionary(ell: int, max_recorded: int) -> bool:
 class SacksStrategy:
     """Per-run state and block dispatch for the plain construction."""
 
-    def __init__(self, tables: dict[tuple[int, int], FunctionalTable]):
-        self.tables = tables
-        self.owners: list[tuple[int, int]] = sorted(tables)
-        self.requirements: dict[tuple[int, int], SacksRequirement] = {
-            key: SacksRequirement(*key) for key in self.owners
-        }
-        self.run = None
-
-    def bind(self, run) -> None:
+    def __init__(self, run):
         self.run = run
+        self.tables = run.scenario.functionals
+        self.requirements: dict[tuple[int, int], SacksRequirement] = {
+            key: SacksRequirement(*key) for key in self.tables
+        }
 
     def run_block(self, side: int, i: int, s: int) -> bool:
         acted = False
@@ -87,7 +86,7 @@ class SacksStrategy:
             if key in run.awake:
                 acted |= self.run_requirement(side, e, i, s)
                 req = self.requirements[key]
-                run.sleep(key, -1 if req.diagonalized else req.max_ell + 1)
+                run.sleep(key, -1 if req.diagonalized else len(req.values))
         return acted
 
     def run_requirement(self, side: int, e: int, i: int, s: int) -> bool:
@@ -96,8 +95,8 @@ class SacksStrategy:
         if req.diagonalized:
             return False
         run = self.run
-        for x in sorted(req.values):
-            if req.values[x] != member(run.d_entry, x, s):
+        for x, k in enumerate(req.values):
+            if k != member(run.d_entry, x, s):
                 req.diagonalized = True
                 run.emit(event(s, "diagonalize", req=req.label, x=x))
                 run.emit(
@@ -106,17 +105,14 @@ class SacksStrategy:
                 return True
         a_cones = run.a_cones[side]
         ell = agreement_length(self.tables[(side, e)], a_cones, run.d_entry, s)
-        if not is_expansionary(ell, req.max_ell):
+        if not is_expansionary(ell, len(req.values) - 1):
             return False
-        req.max_ell = ell
         label = block_label(side, i)
         run.emit(event(s, "expansionary", block=label, ell=ell, req=req.label))
         sigma = "".join("1" if n in a_cones.entry else "0" for n in range(s))
-        for x in range(ell + 1):
-            if x in req.values:
-                continue
+        for x in range(len(req.values), ell + 1):
             k = member(run.d_entry, x, s)
-            req.values[x] = k
+            req.values.append(k)
             run.define_local(s, x, k, req=req.label, sigma=sigma)
         run.set_restraint(side, i, s)
         run.emit(event(s, "act", block=label, req=req.label, via="expansionary"))
@@ -128,5 +124,6 @@ class SacksStrategy:
         for key in cancelled:
             self.requirements[key].reset()
 
-    def final_state(self) -> None:
-        pass
+    def final_state(self) -> tuple[int, bool]:
+        """(pending scans, unsettled): a plain run scans nothing and is always settled."""
+        return 0, False

@@ -14,6 +14,8 @@ from splitsim.engine import Run
 from splitsim.fuzz import generate
 from splitsim.harness import build_strategy, run
 from splitsim.model import block_label
+from splitsim.robinson import RobinsonStrategy
+from splitsim.sacks import SacksStrategy
 from splitsim.scenario import load_scenario
 from splitsim.trace import TraceEvent, parse, render
 from splitsim.verify import passed, verify
@@ -64,21 +66,30 @@ class WakeEveryOwner(Run):
         pass
 
 
+def execute(scenario, run_cls=Run, build=build_strategy):
+    """A run of scenario built by hand as harness.run builds it, with the
+    run class and the construction builder (run -> construction) given:
+    (run, construction, events)."""
+    r = run_cls(scenario)
+    construction = build(r)
+    return r, construction, r.execute(construction)
+
+
 def visits_against_reference(doc):
     """(events, visits, reference visits) of a run of doc, whose trace
     must equal, byte for byte, the one of a WakeEveryOwner run; a visit
     is one call of run_requirement, as (stage, owner label)."""
     sc = load_scenario(doc)
-    strategy = type(build_strategy(sc))
+    strategy = SacksStrategy if sc.construction == "sacks" else RobinsonStrategy
     with pytest.MonkeyPatch.context() as mp:
         visits = count_calls(
             mp, strategy, "run_requirement",
             before=lambda _, side, e, i, s: (s, block_label(side, e)),
         )
-        events = Run(sc, strategy(sc.functionals)).execute()
+        events = execute(sc)[2]
         mine = visits[:]
         visits.clear()
-        expected = WakeEveryOwner(sc, strategy(sc.functionals)).execute()
+        expected = execute(sc, WakeEveryOwner)[2]
     assert render(events) == render(expected), doc
     return events, mine, visits
 

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from splitsim.engine import ConstructionInvariantError, Run
 from splitsim.fuzz import generate
-from splitsim.harness import build_strategy, run
+from splitsim.harness import run
 from splitsim.model import (
     BlockState,
     PriorityAssignment,
@@ -15,7 +15,7 @@ from splitsim.model import (
 from splitsim.sacks import SacksStrategy
 from splitsim.scenario import load_scenario
 
-from conftest import bench_module, count_calls, dense_sacks_doc, quiet_tail_docs
+from conftest import bench_module, count_calls, dense_sacks_doc, execute, quiet_tail_docs
 
 oracle_churn_doc = bench_module("workloads").oracle_churn_doc
 
@@ -90,7 +90,7 @@ def test_assignment_update_guards():
         ([0, 2], None, 1, 4, "empty preimage"),
     )
     for prefix, forced_tail, i, s, message in cases:
-        r = Run(sc, build_strategy(sc))
+        r = Run(sc)
         r.assignments[0].prefix = prefix
         if forced_tail is not None:
             r.assignments[0].tail = lambda i, m=forced_tail: m
@@ -168,7 +168,7 @@ def owner_state(strategy, owner):
     """The strategy state a run of owner reads its reach from."""
     if isinstance(strategy, SacksStrategy):
         req = strategy.requirements[owner]
-        return dict(req.values), req.diagonalized, req.max_ell
+        return list(req.values), req.diagonalized
     # GuessingIndices has no per-owner view, so copy the owner's entries.
     held = strategy.inputs._by_req.get(owner, {})
     guesses = {x: (j, frozenset(refused)) for x, (j, refused) in held.items()}
@@ -188,33 +188,36 @@ class PassCheckingRun(Run):
     owner's recorded reach is the one its state gives.  Only part two
     and the refresh pass change strategy state, so these checks cover
     every change.  held_state counts the sleepers checked that held a
-    local value or definition."""
+    local value or definition.  The run holds no construction, so the
+    one it checks is the one part two is handed."""
 
-    def __init__(self, scenario, strategy):
+    def __init__(self, scenario):
         self.asleep_with = {}
         self.held_state = 0
-        super().__init__(scenario, strategy)
+        self.construction = None
+        super().__init__(scenario)
 
     def sleep(self, owner, reach):
         super().sleep(owner, reach)
-        self.asleep_with[owner] = owner_state(self.strategy, owner)
+        self.asleep_with[owner] = owner_state(self.construction, owner)
 
     def _check_sleepers(self):
-        for side, e in self.strategy.owners:
+        for side, e in self.scenario.functionals:
             owner = (side, e)
             if owner in self.awake:
                 continue
             assert (side, self.assignments[side].value(e)) in self.blocks.restraint, owner
-            state = owner_state(self.strategy, owner)
+            state = owner_state(self.construction, owner)
             assert state == self.asleep_with[owner], (owner, state, self.asleep_with[owner])
             self.held_state += bool(state[0])
-            if isinstance(self.strategy, SacksStrategy):
-                _, diagonalized, max_ell = state
-                assert self.reach[owner] == (-1 if diagonalized else max_ell + 1), owner
+            if isinstance(self.construction, SacksStrategy):
+                values, diagonalized = state
+                assert self.reach[owner] == (-1 if diagonalized else len(values)), owner
 
-    def _part_two(self, s):
+    def _part_two(self, s, construction):
+        self.construction = construction
         stop = min(2 * self.assignments[0].value(s), 2 * self.assignments[1].value(s) + 1)
-        super()._part_two(s)
+        super()._part_two(s, construction)
         self._check_sleepers()
         passed = stop if self._init_target is None else self._init_target[0] - 1
         for side, assign in enumerate(self.assignments):
@@ -234,9 +237,7 @@ def test_part_two_passes_only_existing_blocks_without_running_them():
     initialized = 0
     held_state = {"sacks": 0, "robinson": 0}
     for doc in docs:
-        sc = load_scenario(doc)
-        r = PassCheckingRun(sc, build_strategy(sc))
-        events = r.execute()
+        r, _, events = execute(load_scenario(doc), PassCheckingRun)
         initialized += any(ev.kind == "initialize" for ev in events)
         held_state[doc["construction"]] += r.held_state
     assert initialized > 50

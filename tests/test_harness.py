@@ -6,7 +6,7 @@ import pytest
 
 from splitsim.engine import ConstructionInvariantError, Run
 from splitsim.fuzz import generate
-from splitsim.harness import build_strategy, run
+from splitsim.harness import run
 from splitsim.model import Cones, TablePolicy, TruthfulDelayPolicy, build_policy
 from splitsim.robinson import RobinsonStrategy
 from splitsim.sacks import SacksStrategy
@@ -14,7 +14,7 @@ from splitsim.scenario import load_scenario
 from splitsim.trace import parse, render
 from splitsim.verify import verify
 
-from conftest import CORPUS_MAX_HORIZON, CORPUS_SEED, bench_module, dense_sacks_doc
+from conftest import CORPUS_MAX_HORIZON, CORPUS_SEED, bench_module, dense_sacks_doc, execute
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -33,7 +33,9 @@ def test_policy_dispatch():
         }
     )
     assert isinstance(build_policy(sc, Cones()), TablePolicy)
-    assert isinstance(build_strategy(sc), RobinsonStrategy)
+    _, strategy, _ = execute(sc)
+    assert isinstance(strategy, RobinsonStrategy)
+    assert isinstance(strategy.policy, TablePolicy)
     sc = load_scenario(
         {
             "construction": "robinson",
@@ -47,11 +49,15 @@ def test_policy_dispatch():
     assert isinstance(pol, TruthfulDelayPolicy)
     assert pol.delay == 3
     assert pol.c_cones is c_cones
+    _, strategy, _ = execute(sc)
+    assert strategy.policy.c_cones is strategy.c_cones
 
 
 def test_strategy_dispatch_sacks():
     sc = load_scenario({"construction": "sacks", "horizon": 4, "functionals": []})
-    assert isinstance(build_strategy(sc), SacksStrategy)
+    r, strategy, _ = execute(sc)
+    assert isinstance(strategy, SacksStrategy)
+    assert r.final_state(strategy)["pending_scans"] == 0
 
 
 def test_runs_are_reproducible():
@@ -85,7 +91,8 @@ def _freed(f, *args):
 def test_runs_leave_no_cyclic_garbage(monkeypatch):
     """Every layer's garbage is freed by reference counting: with the
     cyclic collector off, a collection after each step finds nothing,
-    also after a run that raises."""
+    also after a run built and executed by hand, as the reference
+    runners build theirs, and after a run that raises."""
     makers = [(generate, CORPUS_SEED, i, c, CORPUS_MAX_HORIZON) for c in ("sacks", "robinson")
               for i in (0, 3, 478)]
     makers += [(dense_sacks_doc, 208), (bench_module("workloads").oracle_churn_doc, 2026, 40)]
@@ -98,7 +105,13 @@ def test_runs_leave_no_cyclic_garbage(monkeypatch):
             _freed(verify, sc, events, final)
             _freed(verify, sc, _freed(parse, _freed(render, events)))
 
-        def fail(self, s):
+        for c in ("sacks", "robinson"):
+            r, construction, events = execute(load_scenario(generate(CORPUS_SEED, 3, c, 64)))
+            final = r.final_state(construction)
+            del r, construction, events, final
+            assert gc.collect() == 0, c
+
+        def fail(self, s, construction):
             raise ConstructionInvariantError("forced at stage %d" % s)
 
         monkeypatch.setattr(Run, "_part_two", fail)

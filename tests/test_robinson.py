@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from splitsim.engine import Run
 from splitsim.fuzz import generate
-from splitsim.harness import build_strategy, run
+from splitsim.harness import run
 from splitsim.model import (
     Axiom,
     Cones,
@@ -19,7 +18,7 @@ from splitsim.robinson import RobinsonStrategy
 from splitsim.scenario import load_scenario
 from splitsim.verify import passed, verify
 
-from conftest import bench_module, visits_against_reference
+from conftest import bench_module, execute, visits_against_reference
 
 oracle_churn_doc = bench_module("workloads").oracle_churn_doc
 
@@ -135,10 +134,8 @@ def test_certification_race_won_by_policy_hit():
     # answers 1 at stage 3 first, so the scan certifies.
     doc = _doc(8, [[4, 0]], 1, [{"side": 0, "e": 0, "axioms": [_BASE_AXIOM]}])
     sc = load_scenario(doc)
-    strategy = build_strategy(sc)
-    r = Run(sc, strategy)
-    events = r.execute()
-    state = r.final_state()
+    r, strategy, events = execute(sc)
+    state = r.final_state(strategy)
     certs = [ev for ev in events if ev.kind == "certify"]
     assert len(certs) == 1
     assert certs[0].stage == 2
@@ -158,7 +155,7 @@ def test_certification_race_won_by_policy_hit():
     strings = [(2, "0")]
     row = p_row(build_policy(sc, Cones(sc.c_schedule.entry_stage())).windows(0, strings), 8)
     assert changes(row) == 2
-    assert row[8] == 0 == cone_truth(strings, r.c_cones, 8)
+    assert row[8] == 0 == cone_truth(strings, strategy.c_cones, 8)
     assert not state["unsettled"]
     assert verify(sc, events)["checks"]["V8"]["status"] == "pass"
     # The local definition died with its sigma cone.
@@ -275,8 +272,8 @@ class LemmaCheckingStrategy(RobinsonStrategy):
     that no recorded theta has left its A half unless its owner was
     cancelled at that stage (the lemma in the robinson docstring)."""
 
-    def __init__(self, tables):
-        super().__init__(tables)
+    def __init__(self, run):
+        super().__init__(run)
         self.held: list[tuple[int, int, Axiom]] = []
 
     def certify(self, side, e, x, axiom, s):
@@ -295,10 +292,8 @@ class LemmaCheckingStrategy(RobinsonStrategy):
 
 def run_checked(doc):
     sc = load_scenario(doc)
-    strategy = LemmaCheckingStrategy(sc.functionals)
-    r = Run(sc, strategy)
-    events = r.execute()
-    report = verify(sc, events, r.final_state())
+    r, strategy, events = execute(sc, build=LemmaCheckingStrategy)
+    report = verify(sc, events, r.final_state(strategy))
     assert passed(report), report["checks"]
     return strategy, events
 

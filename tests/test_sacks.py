@@ -3,12 +3,20 @@ from pathlib import Path
 
 from splitsim.fuzz import generate
 from splitsim.harness import run
-from splitsim.model import Axiom, Cones, FunctionalTable, PriorityAssignment, agreement_length
-from splitsim.sacks import SacksStrategy, is_expansionary
+from splitsim.model import (
+    SIDE_LABEL,
+    Axiom,
+    Cones,
+    FunctionalTable,
+    PriorityAssignment,
+    agreement_length,
+    parse_label,
+)
+from splitsim.sacks import is_expansionary
 from splitsim.scenario import load_scenario
-from splitsim.trace import render
+from splitsim.trace import parse_int, render
 
-from conftest import WakeEveryOwner, count_calls, dense_sacks_doc, visits_against_reference
+from conftest import WakeEveryOwner, count_calls, dense_sacks_doc, execute, visits_against_reference
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -94,6 +102,36 @@ def test_one_shot_definitions_and_reset():
     assert max(inits) == 3
 
 
+def test_local_values_are_a_prefix(corpus):
+    """Each requirement's define-local inputs since its last cancellation
+    read 0, 1, 2, ... in trace order, which is what lets SacksRequirement
+    keep its values as one list.  An initialize line cancels the owners
+    on its block, read off the assignments the update lines replay."""
+    docs = [row["doc"] for row in corpus["rows"] if row["construction"] == "sacks"]
+    redefined = 0
+    for doc in docs + [dense_sacks_doc(208)]:
+        events, _ = run(load_scenario(doc))
+        assignments = (PriorityAssignment([]), PriorityAssignment([]))
+        defined = {}  # owner -> inputs defined since its last cancellation
+        for ev in events:
+            p = ev.payload
+            if ev.kind == "define-local":
+                owner = parse_label(p["req"])
+                x = parse_int(p["x"])
+                assert x == defined.get(owner, 0), (doc, ev)
+                defined[owner] = x + 1
+            elif ev.kind == "initialize":
+                side, i = parse_label(p["block"])
+                for owner in [o for o in defined if o[0] == side]:
+                    if assignments[side].value(owner[1]) == i:
+                        redefined += 1
+                        del defined[owner]
+            elif ev.kind == "assignment-update" and p["side"] != "none":
+                assign = assignments[SIDE_LABEL.index(p["side"])]
+                assign.update(ev.stage, parse_int(p["i"]), parse_int(p["tail"]))
+    assert redefined > 100, redefined
+
+
 def test_wake_rules_match_visiting_every_owner():
     """Skipping the owners whose inputs did not change must not change a byte."""
     docs = [generate(11, i, "sacks", 512) for i in range(200)]
@@ -101,7 +139,7 @@ def test_wake_rules_match_visiting_every_owner():
     assert {type(doc["d"]) for doc in docs if doc["d"]} == {list, dict}
     for doc in docs + [dense_sacks_doc(208)]:
         sc = load_scenario(doc)
-        reference = WakeEveryOwner(sc, SacksStrategy(sc.functionals)).execute()
+        reference = execute(sc, WakeEveryOwner)[2]
         assert render(run(sc)[0]) == render(reference), doc
 
 
@@ -120,8 +158,8 @@ def _sacks_doc(horizon, d, functionals, b=()):
 
 
 def test_axiom_above_the_reach_does_not_wake_and_one_at_it_does():
-    # P:0 agrees with D up to input 0 at stage 0 and acts: max_ell 0, so
-    # its reach is 1.  The axiom at input 2 (stage 4) lies above it and
+    # P:0 agrees with D up to input 0 at stage 0 and acts: it holds one
+    # value, so its reach is 1.  The axiom at input 2 (stage 4) lies above it and
     # wakes nothing; the one at input 1 (stage 8) lies at it, and P:0
     # wakes and agrees up to input 2.
     axioms = [_axiom(0, 0, 0), _axiom(2, 0, 4), _axiom(1, 0, 8)]
@@ -192,7 +230,7 @@ def test_arrival_at_the_last_use_position_wakes():
     }
     sc = load_scenario(doc)
     events, _ = run(sc)
-    assert render(events) == render(WakeEveryOwner(sc, SacksStrategy(sc.functionals)).execute())
+    assert render(events) == render(execute(sc, WakeEveryOwner)[2])
     acts = [(ev.stage, ev.payload["req"]) for ev in events if ev.kind == "act"]
     assert acts == [(2, "P:1"), (4, "Q:0")]
     inits = {ev.payload["block"] for ev in events if ev.kind == "initialize"}
