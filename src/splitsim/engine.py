@@ -33,10 +33,13 @@ and in them only the awake owners.  Requirements that own no functional
 table can never act, define nothing and hold no state, so only table
 owners are tracked.  The engine holds the wake state: the awake set
 (Run.awake) and each sleeping owner's reach (Run.reach), the largest
-input on which whether its next run does anything rests.  Every owner
-starts awake.  A strategy puts an owner to sleep (Run.sleep) after a
-run that shows its next run would do nothing before one of these rules
-fires, with the reach that run computed; the owner then wakes when
+input on which whether its next run does anything rests.  A strategy
+puts an owner to sleep (Run.sleep) after a run that shows its next run
+would do nothing before one of these rules fires, with the reach that
+run computed.  Every owner starts asleep with reach 0: it holds no local
+value or definition, as after a run that did nothing, so whether its
+first run does anything rests on input 0 alone.  So no owner runs until
+a rule calls it.  A sleeping owner wakes when
 
   (a) an axiom of its table appears at an input at most its reach;
   (b) a stage its strategy scheduled (Run.schedule_wakes, from its
@@ -74,22 +77,20 @@ victims of an initialization are a slice of its sorted existing blocks,
 and block membership and each owner's block are read off its
 assignments: a block's owners by bisection of the monotone map.
 A block comes into existence when it is first initialized, first
-restrained, or first passed by part two, and it never leaves the
-record.  Part two passes every owner block up to the stop order, or up
-to the acting block, due or not; bringing the due blocks it runs into
-existence is all that takes:
-
-  * an owner sleeps only after part two ran it, inside a block that
-    then exists;
-  * an update moves only the owners weaker than the stage's strongest
-    initialized block; those on existing blocks were cancelled by that
-    initialization and so woken, and no owner sleeps on a block that
-    does not exist;
-
-so every sleeping owner sits on an existing block.  An owner block that
-part two passes without running it holds only sleeping owners (an
-awake one would make it due), so it exists already.  Neither fact
-depends on when a sleeping owner wakes, only on cancellation waking it.
+restrained, or by the state's rule: after part two at an even stage,
+every owner block of order at most the stop order, or at most the
+acting block's order if a block acts, exists.  Part two adds no block.
+Only initialize_block reads existence (existing_from(floor)), so the
+engine applies the rule just before that read.  The assignment changes
+only at an update, and between updates the stop order never decreases,
+so what is owed is every owner block up to the stop order of the last
+even stage since the last update, and, when an act causes the
+initialization, up to the acting block; part three clamps the rule
+after its update.  So a quiet stage still costs its one line.  Every
+owner asleep after a run sits on a block that exists once the rule has
+caught up: it ran in a block the rule holds, and an update moves only
+owners weaker than the stage's initialized block, of which those on
+existing blocks were cancelled by that initialization and so woken.
 """
 
 from __future__ import annotations
@@ -139,8 +140,9 @@ class Run:
         # The wake state (module docstring); rules (a), (b) and scheduled
         # (c) as stage -> [(owner, input)], where owner None is every
         # owner and input None is any input.
-        self.awake: set[tuple[int, int]] = set(tables)
-        self.reach: dict[tuple[int, int], int] = {}
+        self.awake: set[tuple[int, int]] = set()
+        self.reach: dict[tuple[int, int], int] = dict.fromkeys(tables, 0)
+        self._updated = -1  # the stage of the last assignment update
         self._wake_at: dict[int, list[tuple[tuple[int, int] | None, int | None]]] = {}
         self.schedule_wakes(
             (appear, key, ax.x) for key, table in tables.items() for appear, ax in table.axioms
@@ -259,13 +261,16 @@ class Run:
         self.emit(event(s, "enumerate", element=x, set="A%d" % side))
         self.wake(self._by_use[side][bisect_right(self._uses[side], x):])
 
+    def _stop_order(self, s: int) -> int:
+        """The order of the block holding the stage-indexed requirement of either family."""
+        return min(2 * self.assignments[0].value(s), 2 * self.assignments[1].value(s) + 1)
+
     def _part_two(self, s: int, construction) -> None:
-        stop_order = min(2 * self.assignments[0].value(s), 2 * self.assignments[1].value(s) + 1)
+        stop_order = self._stop_order(s)
         for order in self.blocks.orders_of(self.awake):
             if order > stop_order:
                 return
             side, i = order_block(order)
-            self.blocks.add(side, i)
             if construction.run_block(side, i, s):
                 self.initialize_block(*order_block(order + 1), s, cause="act")
                 return
@@ -277,6 +282,14 @@ class Run:
     def initialize_block(self, side: int, i: int, s: int, cause: str) -> None:
         """Initialize block (side, i) and everything of lower priority."""
         floor = priority_order(side, i)
+        # Existence catches up (module docstring): the last even stage
+        # since the last update passed up to its stop order, and an act
+        # passed up to its own block.
+        bound = floor - 1 if cause == "act" else -1
+        last_even = s - 2 + s % 2
+        if last_even > self._updated:
+            bound = max(bound, self._stop_order(last_even))
+        self.blocks.advance(bound)
         if self._init_target is None or floor < self._init_target[0]:
             self._init_target = (floor, side, i)
         initiator = block_label(side, i)
@@ -304,6 +317,8 @@ class Run:
         if assign.value(m) != i:
             raise ConstructionInvariantError("update tail is not on the target block")
         assign.update(s, i, m)
+        self.blocks.clamp(side, s)
+        self._updated = s
         self.emit(event(s, "assignment-update", i=i, side=SIDE_LABEL[side], tail=m))
 
     # -- results ----------------------------------------------------------

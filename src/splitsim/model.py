@@ -686,6 +686,18 @@ class BlockState:
     _live lists the blocks holding a restraint, so clearing them costs
     what setting them did.  The two assignments carry block membership,
     which each reads off its map by bisection.
+
+    One rule besides initialization and restraint brings blocks into
+    existence: after part two at an even stage, every owner block of
+    order at most its bound (the stop order, or the acting block's order)
+    exists.  Its state is one cursor per side into that side's sorted
+    owners, those before it sitting on existing blocks.  advance(bound)
+    moves the cursors past the owners whose block order is at most
+    bound, adding their blocks.  After an update at stage s, clamp(side,
+    s) pulls the cursor back to the owners at or below s: those past s
+    move onto unit-spaced blocks that may not exist.  In a run no bound
+    reaches an owner past s, so there the clamp only guards; an advance
+    to any bound, as a replay of untrusted act lines makes, needs it.
     """
 
     def __init__(self, owners):
@@ -698,6 +710,7 @@ class BlockState:
         self._live: list[int] = []
         self._stack_orders: list[int] = []
         self._stack_restraints: list[int] = []
+        self._cursor = [0, 0]
 
     def add(self, side: int, i: int) -> None:
         """Bring block (side, i) into existence if it is not yet, with no restraint."""
@@ -737,6 +750,25 @@ class BlockState:
         for order in live[k:]:
             self.restraint[order_block(order)] = -1
         del live[k:]
+
+    def advance(self, bound: int) -> None:
+        """Bring into existence the block of every owner whose block order is at most bound."""
+        for side, assign in enumerate(self.assignments):
+            owners, prefix, k = assign.owners, assign.prefix, self._cursor[side]
+            last = len(prefix) - 1
+            while k < len(owners):
+                e = owners[k]
+                i = prefix[e] if e <= last else prefix[last] + e - last
+                if 2 * i + side > bound:
+                    break
+                self.add(side, i)
+                k += 1
+            self._cursor[side] = k
+
+    def clamp(self, side: int, s: int) -> None:
+        """After an update of side's assignment at stage s: only the owners
+        at or below s are known to sit on existing blocks."""
+        self._cursor[side] = min(self._cursor[side], bisect_right(self.assignments[side].owners, s))
 
     def existing_from(self, order: int) -> list[int]:
         """The orders of the existing blocks at order or weaker, ascending."""

@@ -58,9 +58,13 @@ def count_calls(monkeypatch, owner, name, before=None, after=None):
 
 
 class WakeEveryOwner(Run):
-    """Reference dispatch without wake rules: no owner ever sleeps, so
-    every owner is awake at every stage, for any input, whatever its
-    reach."""
+    """Reference dispatch without wake rules: every owner starts awake and
+    none ever sleeps, so every owner is awake at every stage, for any
+    input, whatever its reach."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.awake.update(scenario.functionals)
 
     def sleep(self, owner, reach):
         pass

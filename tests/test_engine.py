@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,15 +7,18 @@ from splitsim.engine import ConstructionInvariantError, Run
 from splitsim.fuzz import generate
 from splitsim.harness import run
 from splitsim.model import (
+    SIDE_LABEL,
     BlockState,
     PriorityAssignment,
     block_label,
     order_block,
+    parse_label,
     priority_order,
     threatens,
 )
 from splitsim.sacks import SacksStrategy
 from splitsim.scenario import load_scenario
+from splitsim.trace import parse, render
 
 from conftest import bench_module, count_calls, dense_sacks_doc, execute, quiet_tail_docs
 
@@ -176,37 +181,70 @@ def owner_state(strategy, owner):
 
 
 class PassCheckingRun(Run):
-    """Checks the lemma in the engine docstring: after every part two and
-    every update, each sleeping owner sits on an existing block, and after
-    a part two each owner block up to the stop order, or up to the acting
-    block, exists.  Between those points owners only wake and blocks only
-    come into existence, so the lemma holds at every stage, quiet ones
-    (where part two is not called) included.
+    """Checks the existence rule in the engine docstring, applied lazily,
+    against an eager record of it.  The record maps every owner through
+    its assignment after every even stage, before any update, and adds
+    the block of each one whose order is at most that stage's bound (the
+    stop order, or the acting block's order); it also holds every block
+    initialized or restrained.  At each initialization the engine's
+    existing blocks must equal the record, and its initialize lines must
+    name the record's blocks from the floor on, in order.  After every
+    part two and every update, each sleeping owner that has run sits on
+    a block of the record.
 
     It also checks the premise the recorded reach rests on: a sleeping
     owner's strategy state is the one it fell asleep with, and a Sacks
-    owner's recorded reach is the one its state gives.  Only part two
-    and the refresh pass change strategy state, so these checks cover
-    every change.  held_state counts the sleepers checked that held a
-    local value or definition.  The run holds no construction, so the
-    one it checks is the one part two is handed."""
+    owner's recorded reach is the one its state gives.  Every owner
+    starts asleep with reach 0, so one that never ran holds its start
+    snapshot: the construction's initial state.  Only part two and the
+    refresh pass change strategy state, so these checks cover every
+    change.  held_state counts the sleepers checked that held a local
+    value or definition, and existence_checks the initializations
+    checked.  The run holds no construction, so the one it checks is the
+    one execute is handed."""
 
     def __init__(self, scenario):
+        self.record = set()
+        self.recorded_to = -1  # the last stage whose rule the record holds
+        self.ran = set()
         self.asleep_with = {}
         self.held_state = 0
+        self.existence_checks = 0
         self.construction = None
         super().__init__(scenario)
 
+    def execute(self, construction):
+        self.construction = construction
+        for owner in self.scenario.functionals:
+            self.asleep_with[owner] = owner_state(construction, owner)
+        return super().execute(construction)
+
     def sleep(self, owner, reach):
         super().sleep(owner, reach)
+        self.ran.add(owner)
         self.asleep_with[owner] = owner_state(self.construction, owner)
 
+    def _record_owner_blocks(self, bound):
+        for side, assign in enumerate(self.assignments):
+            for e in assign.owners:
+                order = priority_order(side, assign.value(e))
+                if order <= bound:
+                    self.record.add(order)
+
+    def _record_through(self, t):
+        """Apply the rule at every even stage the record has not, up to t."""
+        for u in range(self.recorded_to + 1, t + 1):
+            if u % 2 == 0:
+                self._record_owner_blocks(self._stop_order(u))
+        self.recorded_to = max(self.recorded_to, t)
+
     def _check_sleepers(self):
-        for side, e in self.scenario.functionals:
-            owner = (side, e)
+        for owner in self.scenario.functionals:
             if owner in self.awake:
                 continue
-            assert (side, self.assignments[side].value(e)) in self.blocks.restraint, owner
+            side, e = owner
+            if owner in self.ran:
+                assert priority_order(side, self.assignments[side].value(e)) in self.record, owner
             state = owner_state(self.construction, owner)
             assert state == self.asleep_with[owner], (owner, state, self.asleep_with[owner])
             self.held_state += bool(state[0])
@@ -214,19 +252,33 @@ class PassCheckingRun(Run):
                 values, diagonalized = state
                 assert self.reach[owner] == (-1 if diagonalized else len(values)), owner
 
+    def set_restraint(self, side, i, s):
+        self.record.add(priority_order(side, i))
+        super().set_restraint(side, i, s)
+
+    def initialize_block(self, side, i, s, cause):
+        floor = priority_order(side, i)
+        self._record_through(s - 1)
+        if cause == "act":
+            self._record_owner_blocks(floor - 1)
+            self.recorded_to = s
+        self.record.add(floor)
+        first = len(self.events)
+        super().initialize_block(side, i, s, cause)
+        existing = sorted(self.record)
+        assert self.blocks.orders == existing, s
+        victims = [block_label(*order_block(o)) for o in existing if o >= floor]
+        assert [ev.payload["block"] for ev in self.events[first:]] == victims, s
+        self.existence_checks += 1
+
     def _part_two(self, s, construction):
-        self.construction = construction
-        stop = min(2 * self.assignments[0].value(s), 2 * self.assignments[1].value(s) + 1)
+        self._record_through(s - 1)
         super()._part_two(s, construction)
+        self._record_through(s)
         self._check_sleepers()
-        passed = stop if self._init_target is None else self._init_target[0] - 1
-        for side, assign in enumerate(self.assignments):
-            for e in assign.owners:
-                i = assign.value(e)
-                if priority_order(side, i) <= passed:
-                    assert (side, i) in self.blocks.restraint, (s, side, e, i)
 
     def _part_three(self, s):
+        self._record_through(s)
         super()._part_three(s)
         self._check_sleepers()
 
@@ -239,9 +291,76 @@ def test_part_two_passes_only_existing_blocks_without_running_them():
     for doc in docs:
         r, _, events = execute(load_scenario(doc), PassCheckingRun)
         initialized += any(ev.kind == "initialize" for ev in events)
+        updates = [ev for ev in events if ev.kind == "assignment-update"]
+        assert r.existence_checks == sum(ev.payload["side"] != "none" for ev in updates)
         held_state[doc["construction"]] += r.held_state
     assert initialized > 50
     assert min(held_state.values()) > 0, held_state
+
+
+def existence_misses(doc):
+    """Replays block existence from doc's rendered and parsed trace with
+    the kernel rule and returns (stages checked, misses).  Restraints
+    come from restraint-set lines and initialized blocks from initialize
+    lines; after an even stage's part two the rule advances to the
+    acting block's order (its act lines) or else to the stop order,
+    read off the replayed assignments, which assignment-update lines
+    update and clamp.  At each stage with initialize lines, those lines
+    must be existing_from(floor) of their initiator, in order, each
+    naming it; a miss is (stage, lines, expected)."""
+    sc = load_scenario(doc)
+    blocks = BlockState(sc.functionals)
+    assigns = blocks.assignments
+    checked, misses = 0, []
+    for s, lines in groupby(parse(render(run(sc)[0])), key=lambda ev: ev.stage):
+        lines = list(lines)
+        if s % 2 == 0:
+            acts = [parse_label(ev.payload["block"]) for ev in lines if ev.kind == "act"]
+            stop = min(2 * assigns[0].value(s), 2 * assigns[1].value(s) + 1)
+            bound = max(priority_order(*blk) for blk in acts) if acts else stop
+        inits = []
+        for ev in lines:
+            pay = ev.payload
+            if ev.kind == "restraint-set":
+                blocks.set_restraint(*parse_label(pay["block"]), int(pay["value"]))
+            elif ev.kind == "initialize":
+                inits.append((pay["block"], pay["initiator"]))
+            elif ev.kind == "assignment-update":
+                if s % 2 == 0:
+                    blocks.advance(bound)
+                if inits:
+                    initiator = inits[0][1]
+                    blocks.initialize(*parse_label(initiator))
+                    floor = priority_order(*parse_label(initiator))
+                    expected = [
+                        (block_label(*order_block(o)), initiator)
+                        for o in blocks.existing_from(floor)
+                    ]
+                    checked += 1
+                    if inits != expected:
+                        misses.append((s, inits, expected))
+                if pay["side"] != "none":
+                    side = SIDE_LABEL.index(pay["side"])
+                    assigns[side].update(s, int(pay["i"]), int(pay["tail"]))
+                    blocks.clamp(side, s)
+    return checked, misses
+
+
+def test_the_trace_decides_block_existence(corpus):
+    """Existence is read off the trace alone: the stage, the act lines,
+    the restraint-set lines and the assignment-update lines.  Over the
+    corpus, two dense horizons and four churn horizons, every stage's
+    initialize lines are the existing blocks from their initiator's
+    order on, replayed with the rule."""
+    docs = [row["doc"] for row in corpus["rows"]]
+    docs += [dense_sacks_doc(208), dense_sacks_doc(416)]
+    docs += [oracle_churn_doc(2026, h) for h in range(40, 44)]
+    checked = 0
+    for doc in docs:
+        stages, misses = existence_misses(doc)
+        assert misses == [], misses[:3]
+        checked += stages
+    assert checked > 1000, checked
 
 
 def test_quiet_stages_cost_no_block_work(monkeypatch):

@@ -388,6 +388,44 @@ def test_members_index_matches_scan(owners, steps):
         matches_scans()
 
 
+_EXISTENCE_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("advance"), st.integers(-1, 30)),
+        st.tuples(st.just("update"), st.integers(0, 1), st.integers(0, 12), st.integers(0, 6)),
+    ),
+    max_size=16,
+)
+
+
+@given(st.sets(st.tuples(st.integers(0, 1), st.integers(0, 14)), max_size=20), _EXISTENCE_STEPS)
+# Owner 3 passes the cursor, then an update at stage 2 moves it onto a
+# block that does not exist: only the clamp lets advance add it.
+@example({(0, 3)}, [("advance", 30), ("update", 0, 2, 1), ("advance", 30)])
+def test_existence_rule_matches_an_eager_record(owners, steps):
+    """The cursors of advance and clamp against the rule applied eagerly:
+    every advance adds the block of each owner, mapped through its
+    assignment then, whose order is at most the bound, whatever the
+    bound; an update at stage s is targeted (its block is initialized,
+    its tail is the block's tail) and is followed by clamp(side, s).
+    After every step the existing blocks are the record."""
+    blocks = BlockState(owners)
+    record = set()
+    for kind, *args in steps:
+        if kind == "advance":
+            blocks.advance(args[0])
+            record |= {o for o in blocks.orders_of(owners) if o <= args[0]}
+        else:
+            side, s, i = args
+            m = blocks.assignments[side].tail(i)
+            if m is None or m > s:
+                continue
+            blocks.initialize(side, i)
+            record.add(priority_order(side, i))
+            blocks.assignments[side].update(s, i, m)
+            blocks.clamp(side, s)
+        assert blocks.orders == sorted(record)
+
+
 @given(
     st.lists(st.integers(0, 6), max_size=8),
     st.integers(0, 24), st.integers(-2, 10), st.integers(0, 24),
