@@ -284,12 +284,14 @@ class Run:
         floor = priority_order(side, i)
         # Existence catches up (module docstring): the last even stage
         # since the last update passed up to its stop order, and an act
-        # passed up to its own block.
-        bound = floor - 1 if cause == "act" else -1
-        last_even = s - 2 + s % 2
-        if last_even > self._updated:
-            bound = max(bound, self._stop_order(last_even))
-        self.blocks.advance(bound)
+        # passed up to its own block.  Once every owner's block exists
+        # there is nothing left to add.
+        if not self.blocks.caught_up():
+            bound = floor - 1 if cause == "act" else -1
+            last_even = s - 2 + s % 2
+            if last_even > self._updated:
+                bound = max(bound, self._stop_order(last_even))
+            self.blocks.advance(bound)
         if self._init_target is None or floor < self._init_target[0]:
             self._init_target = (floor, side, i)
         initiator = block_label(side, i)

@@ -15,6 +15,11 @@ nothing else from the package.  The ingredients are:
 * Turing functionals given as finite axiom tables with explicit use,
   the one rule for when two axioms conflict (conflicting), and the
   axiom a table selects at a stage,
+* the requirement steps: what one run of a plain requirement does
+  (sacks_step: diagonalize, expansionary with the inputs it defines and
+  the half's string, or nothing) and the oracle construction's
+  per-input step up to its certification (robinson_step: nocomp,
+  defined or scan), which the strategies run and the verifier replays,
 * the semantics of the external approximation p: each policy gives its
   windows, the stage intervals on which p(j, .) answers 1, and
   first_hit and p_spans read every answer off them; scan, the one
@@ -350,6 +355,93 @@ def agreement_length(
             return y
         y = x
         x += 1
+
+
+# -- requirement steps --------------------------------------------------------
+#
+# One run of a requirement decides what it does from a few finite facts:
+# its table, its half, D, its own local values and the stage.  Each
+# construction's decision is written once here; its strategy keeps the
+# state and writes the lines, and the verifier recomputes the step of
+# every line a requirement wrote from its replayed state.
+
+
+def half_string(entry: dict[int, int], s: int) -> str:
+    """The characteristic string of a half at stage s, of length s.
+
+    Position n is 1 iff n entered by stage s; the members are marked
+    rather than every position tested.
+    """
+    bits = bytearray(b"0") * s
+    for x, t in entry.items():
+        if 0 <= x < s and t <= s:
+            bits[x] = 49  # "1"
+    return bits.decode()
+
+
+class SacksStep(NamedTuple):
+    """What one run of a plain requirement does at stage s.
+
+    exit is "diagonalized" (it diagonalized since its last
+    initialization and does nothing), "diagonalize" (x is the first
+    input whose defined value D has left), "expansionary" (x is the
+    agreement length, a new high; values are D's bits at stage s on the
+    inputs len(prefix)..x it defines, each with sigma, the half's string
+    at s) or "none" (x is the agreement length, no new high).
+    """
+
+    exit: str
+    x: int = -1
+    values: tuple[int, ...] = ()
+    sigma: str = ""
+
+
+def sacks_step(
+    table: FunctionalTable,
+    a_cones: Cones,
+    d_entry: dict[int, int],
+    values: list[int],
+    diagonalized: bool,
+    s: int,
+) -> SacksStep:
+    """The step of a plain requirement whose local values are the prefix values."""
+    if diagonalized:
+        return SacksStep("diagonalized")
+    for x, k in enumerate(values):
+        if k != member(d_entry, x, s):
+            return SacksStep("diagonalize", x)
+    ell = agreement_length(table, a_cones, d_entry, s)
+    if ell < len(values):
+        return SacksStep("none", ell)
+    defined = tuple(member(d_entry, x, s) for x in range(len(values), ell + 1))
+    return SacksStep("expansionary", ell, defined, half_string(a_cones.entry, s))
+
+
+def robinson_step(
+    table: FunctionalTable,
+    a_cones: Cones,
+    c_cones: Cones,
+    d_entry: dict[int, int],
+    live: int | None,
+    x: int,
+    s: int,
+) -> tuple[str, Axiom | None]:
+    """The oracle construction's per-input step at input x, up to its
+    certification: (exit, the axiom the table selects at s, or None).
+
+    live is the input's live local value, None if it holds none.  exit is
+    "nocomp" (no selected axiom, one that disagrees with D, or one whose
+    use the stage has not yet passed), "defined" (a live value already
+    covers x) or "scan" (the selected axiom is to be certified).
+    """
+    got = applicable_axiom(table, s, a_cones, c_cones, x)
+    if got is None or got.k != member(d_entry, x, s):
+        return "nocomp", got
+    if live is not None:
+        return "defined", got
+    if s <= got.use:
+        return "nocomp", got
+    return "scan", got
 
 
 # -- the external approximation p -------------------------------------------
@@ -764,6 +856,10 @@ class BlockState:
                 self.add(side, i)
                 k += 1
             self._cursor[side] = k
+
+    def caught_up(self) -> bool:
+        """True iff both cursors stand past every owner, so no advance adds a block."""
+        return all(k == len(a.owners) for k, a in zip(self._cursor, self.assignments))
 
     def clamp(self, side: int, s: int) -> None:
         """After an update of side's assignment at stage s: only the owners

@@ -49,6 +49,10 @@ cancelled.  The engine hands each stage's cancelled owners to
 refresh_pass at the end of the stage, and it injures exactly their
 inputs.
 
+The per-input decision up to certification is model.robinson_step,
+which the verifier also runs on every scan line; the strategy keeps the
+state, certifies on its scan exit and writes the lines.
+
 Dispatch is event-driven (engine module docstring).  A run of an owner
 reads the axioms of its table that have appeared, its own half and C
 below its table's largest use (C also decides when a local definition
@@ -75,12 +79,11 @@ from .model import (
     Axiom,
     Cones,
     GuessingIndices,
-    applicable_axiom,
     block_label,
     build_policy,
     cone_truth,
     first_hit,
-    member,
+    robinson_step,
     scan,
 )
 from .trace import event
@@ -186,28 +189,24 @@ class RobinsonStrategy:
     def run_input_strategy(self, side: int, e: int, x: int, i: int, s: int) -> str:
         """One pass of the per-input strategy; returns its exit.
 
-        "nocomp": the watched functional diverges or disagrees with D
-        (includes a deferred action whose stage has not yet passed the
-        use); "defined": a live local value already covers x; "refused":
-        the certification scan refused or is pending; "acted": a fresh
-        value was defined under a new restraint.
+        model.robinson_step decides "nocomp" (the watched functional
+        diverges or disagrees with D, or its use has not yet passed) and
+        "defined" (a live local value already covers x); on its "scan"
+        the certification gives "refused" (the scan refused or is
+        pending) or "acted" (a fresh value was defined under a new
+        restraint).
         """
         run = self.run
-        table = self.tables[(side, e)]
-        got = applicable_axiom(table, s, run.a_cones[side], self.c_cones, x)
-        d_now = member(run.d_entry, x, s)
-        if got is None or got.k != d_now:
-            return "nocomp"
         live = self.live_value(side, e, x, s)
-        if live is not None:
-            if live != d_now:
-                raise ConstructionInvariantError(
-                    "live definition at %s input %d contradicts D"
-                    % (block_label(side, e), x)
-                )
-            return "defined"
-        if s <= got.use:
-            return "nocomp"
+        exit, got = robinson_step(
+            self.tables[(side, e)], run.a_cones[side], self.c_cones, run.d_entry, live, x, s
+        )
+        if exit == "defined" and live != got.k:
+            raise ConstructionInvariantError(
+                "live definition at %s input %d contradicts D" % (block_label(side, e), x)
+            )
+        if exit != "scan":
+            return exit
         if not self.certify(side, e, x, got, s):
             return "refused"
         run.define_local(s, x, got.k, req=block_label(side, e), sigma=got.sigma, theta=got.theta)

@@ -2,7 +2,10 @@
 
 Each table-owning requirement watches its functional over one half of the
 split against the target enumeration D.  At an eligible even stage the
-requirement stops on the first of four exits:
+requirement stops on the first of four exits, which the kernel's step
+function model.sacks_step decides (the verifier calls it too, on every
+step a trace records); the strategy keeps the requirement's state and
+writes the step's lines:
 
   1. it has already diagonalized (and was not initialized since);
   2. some previously defined local value now disagrees with D, in which
@@ -10,7 +13,9 @@ requirement stops on the first of four exits:
   3. the stage is expansionary (the agreement length strictly exceeds
      every length recorded since the last initialization), in which case
      it copies D onto all not-yet-defined inputs up to the agreement
-     length, raises the block restraint to the current stage, and acts;
+     length, each with the half's string at the stage
+     (model.half_string), raises the block restraint to the current
+     stage, and acts;
   4. otherwise it does nothing.
 
 Local values are one-shot: a defined input is never redefined without an
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import agreement_length, block_label, member
+from .model import block_label, sacks_step
 from .trace import event
 
 
@@ -57,15 +62,6 @@ class SacksRequirement:
     def reset(self) -> None:
         self.values.clear()
         self.diagonalized = False
-
-
-def is_expansionary(ell: int, max_recorded: int) -> bool:
-    """A stage is expansionary iff the agreement length reaches a new high.
-
-    The baseline after (re)initialization is -1, so a stage with no
-    agreement at all is never expansionary.
-    """
-    return ell > max_recorded
 
 
 class SacksStrategy:
@@ -90,32 +86,25 @@ class SacksStrategy:
         return acted
 
     def run_requirement(self, side: int, e: int, i: int, s: int) -> bool:
-        """One pass of requirement (side, e) inside its block (side, i)."""
+        """One pass of requirement (side, e) inside its block (side, i):
+        model.sacks_step decides, and this keeps the values and writes the lines."""
         req = self.requirements[(side, e)]
-        if req.diagonalized:
-            return False
         run = self.run
-        for x, k in enumerate(req.values):
-            if k != member(run.d_entry, x, s):
-                req.diagonalized = True
-                run.emit(event(s, "diagonalize", req=req.label, x=x))
-                run.emit(
-                    event(s, "act", block=block_label(side, i), req=req.label, via="diagonalize")
-                )
-                return True
-        a_cones = run.a_cones[side]
-        ell = agreement_length(self.tables[(side, e)], a_cones, run.d_entry, s)
-        if not is_expansionary(ell, len(req.values) - 1):
+        step = sacks_step(
+            self.tables[(side, e)], run.a_cones[side], run.d_entry, req.values, req.diagonalized, s
+        )
+        if step.exit == "diagonalize":
+            req.diagonalized = True
+            run.emit(event(s, "diagonalize", req=req.label, x=step.x))
+        elif step.exit == "expansionary":
+            run.emit(event(s, "expansionary", block=block_label(side, i), ell=step.x, req=req.label))
+            for k in step.values:
+                run.define_local(s, len(req.values), k, req=req.label, sigma=step.sigma)
+                req.values.append(k)
+            run.set_restraint(side, i, s)
+        else:
             return False
-        label = block_label(side, i)
-        run.emit(event(s, "expansionary", block=label, ell=ell, req=req.label))
-        sigma = "".join("1" if n in a_cones.entry else "0" for n in range(s))
-        for x in range(len(req.values), ell + 1):
-            k = member(run.d_entry, x, s)
-            req.values.append(k)
-            run.define_local(s, x, k, req=req.label, sigma=sigma)
-        run.set_restraint(side, i, s)
-        run.emit(event(s, "act", block=label, req=req.label, via="expansionary"))
+        run.emit(event(s, "act", block=block_label(side, i), req=req.label, via=step.exit))
         return True
 
     def refresh_pass(self, s: int, cancelled: list[tuple[int, int]]) -> None:

@@ -39,6 +39,23 @@ V6: an initialize line cancels its block's requirements, and the inputs
 whose index that drops must be, one for one, the stage's injury lines,
 each with cause=initialized.
 
+The replay keeps each requirement's state since its last cancellation,
+read off its lines: a plain requirement's prefix of local values and
+whether it diagonalized, and an oracle requirement's definitions, whose
+value is live while C stays in sigma's cone.  The lines one requirement
+writes at one stage (expansionary, diagonalize, define-local, act;
+certify, refuse-certify, define-local, act) form its step, recorded
+with the state it starts from.  Once the replay ends, over the final
+maps, the kernel's step functions recompute each step (model.sacks_step
+for the plain construction, model.robinson_step per scan line for the
+oracle one), and its lines must be exactly what the step gives: the
+exit, the agreement length, each defined input with its k and sigma,
+the selected axiom's k, theta and sigma, a certify line's define-local
+repeating it, and each act's via and the requirement's replayed block.
+The first line that differs fails V5 (plain) or V7 (oracle), with the
+recomputed line or exit in its witness.  Which owner ought to run at a
+stage is not replayed.
+
 A stage of the replay is the run of lines between two stage boundaries,
 the points where a line's stage rises above the last.  One _StageState
 record holds everything a same-stage rule reads, and _close_stage
@@ -63,9 +80,11 @@ Checks:
   V3  assignment-monotone           block assignments only ever move down.
   V4  restraint-integrity           restraints are stages set by acts; routing
                                     and arrivals respect live restraints.
-  V5  diagonalization-persistence   diagonalized disagreements survive to the horizon.
+  V5  diagonalization-persistence   each plain step is model.sacks_step's; diagonalized
+                                    disagreements survive to the horizon.
   V6  injury-discipline             injuries are the indices the stage's initializations drop.
-  V7  certification-soundness       each scan line is model.scan from its stage.
+  V7  certification-soundness       each scan line is model.scan from its stage; each
+                                    oracle step is model.robinson_step's.
   V8  p-contract                    p starts at 0, stays within its change budget.
   V9  local-global-coherence        live local values track the watched functional.
   V10 change-coding-equivalence     coded p rows decode back to their limits:
@@ -86,7 +105,6 @@ from .model import (
     BlockState,
     Cones,
     GuessingIndices,
-    agreement_length,
     applicable_axiom,
     block_label,
     build_policy,
@@ -97,6 +115,8 @@ from .model import (
     p_spans,
     parse_label,
     priority_order,
+    robinson_step,
+    sacks_step,
     scan,
 )
 from .omegace import restrict  # unused here: bench/spans.py wraps verify.restrict
@@ -159,6 +179,25 @@ class _StageState:
         self.dropped = []         # (req, x) texts whose index an initialization cancelled
 
 
+class _Step:
+    """The lines one requirement wrote at one stage, each as (line, input,
+    live value; both None but on a scan line), and the replayed state its
+    step starts from: its prefix of values, whether it had diagonalized,
+    and its block's index."""
+
+    __slots__ = ("req", "stage", "values", "diagonalized", "block", "lines")
+
+    def __init__(self, ctx, req, s):
+        side, e = req
+        self.req = req
+        self.stage = s
+        prefix = ctx.values.get(req)
+        self.values = [] if prefix is None else [k for k, _ in prefix]
+        self.diagonalized = req in ctx.diagonalized
+        self.block = ctx.assignments[side].value(e)
+        self.lines = []
+
+
 class _Context:
     """Everything the post-replay checks need, gathered in one pass."""
 
@@ -182,9 +221,15 @@ class _Context:
         self.scans = []  # (line, index its input holds, memo due), in trace order
         self.indices = GuessingIndices()  # keyed by the scan lines' req and x texts
         self.pending_count = 0
-        self.defined = {}  # requirement -> input -> (value, line) of its last definition
+        # Per requirement since its last cancellation: the plain
+        # construction's prefix of (value, definition line), whether it
+        # diagonalized, and the oracle construction's input -> (value, sigma).
+        self.values = {}
+        self.diagonalized = set()
+        self.locals = {}
+        self.steps = {}  # (stage, req text) -> _Step (None: no label), in trace order
+        self.selected = set()  # (requirement, x, stage, k) of definitions the steps justified
         self.diags = []
-        self.expansionary = []
         self.definitions = []
         self.cancels = {}
         self.injuries = []
@@ -413,68 +458,108 @@ def _on_initialize(ctx, ev, s, pend):
         pend.initiator = initiator
     for key in {(side, e) for e in ctx.assignments[side].members(i)}:
         ctx.cancels.setdefault(key, []).append(s)
-        ctx.defined.pop(key, None)
+        ctx.values.pop(key, None)
+        ctx.diagonalized.discard(key)
+        ctx.locals.pop(key, None)
         req = block_label(*key)
         pend.dropped.extend((req, x) for x in ctx.indices.cancel(req))
 
 
+# What each step line is called in a witness.
+_WHAT = {
+    "act": "act",
+    "certify": "certification",
+    "define-local": "definition",
+    "diagonalize": "diagonalization",
+    "expansionary": "expansionary event",
+    "refuse-certify": "refusal",
+}
+
+
+def _step(ctx, ev, s) -> _Step | None:
+    """The step record of the line's requirement at stage s, opened at its
+    first line there; None, failing V2, if the line names no requirement.
+    Labels parse one to one, so the record is keyed by the label's text."""
+    key = (s, ev.payload["req"])
+    step = ctx.steps.get(key, ctx)
+    if step is ctx:
+        req = parse_label(key[1])
+        step = ctx.steps[key] = None if req is None else _Step(ctx, req, s)
+    if step is None:
+        ctx.problems.add("V2", s, "%s names no requirement" % _WHAT[ev.kind], ev)
+    return step
+
+
 def _on_define_local(ctx, ev, s, pend):
-    pay = ev.payload
-    req = parse_label(pay["req"])
-    if req is None:
-        ctx.problems.add("V2", s, "definition names no requirement", ev)
+    step = _step(ctx, ev, s)
+    if step is None:
         return
+    step.lines.append((ev, None, None))
+    pay = ev.payload
     x = parse_int(pay["x"])
     k = parse_int(pay["k"])
-    if "theta" in pay:
+    if ctx.scenario.construction == "robinson":
         ctx.definitions.append(
-            {"req": req, "x": x, "k": k, "theta": pay["theta"],
+            {"req": step.req, "x": x, "k": k, "theta": pay["theta"],
              "sigma": pay["sigma"], "stage": s, "ev": ev}
         )
-    else:
-        ctx.defined.setdefault(req, {})[x] = (k, ev)
-
-
-def _on_diagonalize(ctx, ev, s, pend):
-    req = parse_label(ev.payload["req"])
-    if req is None:
-        ctx.problems.add("V2", s, "diagonalization names no requirement", ev)
+        ctx.locals.setdefault(step.req, {})[x] = (k, pay["sigma"])
         return
-    ctx.diags.append({"req": req, "x": parse_int(ev.payload["x"]), "stage": s, "ev": ev})
+    values = ctx.values.setdefault(step.req, [])
+    if x == len(values):
+        values.append((k, ev))
 
 
-def _on_expansionary(ctx, ev, s, pend):
-    req = parse_label(ev.payload["req"])
-    if req is None:
-        ctx.problems.add("V2", s, "expansionary event names no requirement", ev)
+def _on_sacks_exit(ctx, ev, s, pend):
+    """An expansionary or diagonalize line, which only the plain construction writes."""
+    if ctx.scenario.construction != "sacks":
+        ctx.problems.add("V5", s, "%s in an oracle-construction trace" % _WHAT[ev.kind], ev)
         return
-    ctx.expansionary.append(
-        {"req": req, "ell": parse_int(ev.payload["ell"]), "stage": s, "ev": ev}
-    )
+    step = _step(ctx, ev, s)
+    if step is None:
+        return
+    step.lines.append((ev, None, None))
+    if ev.kind == "diagonalize":
+        ctx.diagonalized.add(step.req)
+        ctx.diags.append({"req": step.req, "x": parse_int(ev.payload["x"]), "stage": s, "ev": ev})
 
 
 def _on_act(ctx, ev, s, pend):
     pend.acts.add(ev.payload.get("block"))
-    req = parse_label(ev.payload["req"])
-    if req is None:
-        ctx.problems.add("V2", s, "act names no requirement", ev)
+    step = _step(ctx, ev, s)
+    if step is None:
         return
-    ctx.action_counts[req] = ctx.action_counts.get(req, 0) + 1
+    step.lines.append((ev, None, None))
+    ctx.action_counts[step.req] = ctx.action_counts.get(step.req, 0) + 1
 
 
 def _on_scan(ctx, ev, s, pend):
-    """Replay the guessing index and the refusals of the line's input."""
+    """Replay the guessing index and the refusals of the line's input, and
+    record the line with the input's live value under its step."""
     pay = ev.payload
-    req, x = pay.get("req"), pay.get("x")
-    j = ctx.indices.held(req, x)
+    x = parse_int(pay["x"])
+    req, text = pay.get("req"), pay["x"]
+    j = ctx.indices.held(req, text)
     memo = False
     if ev.kind == "refuse-certify":
         result = pay.get("result")
         if result == "refused":
-            memo = ctx.indices.refuse(req, x, pay.get("sigma"))
+            memo = ctx.indices.refuse(req, text, pay.get("sigma"))
         elif result == "pending":
             ctx.pending_count += 1
     ctx.scans.append((ev, j, memo))
+    if ctx.scenario.construction != "robinson":
+        return
+    step = _step(ctx, ev, s)
+    if step is None:
+        return
+    live = None
+    local = ctx.locals.get(step.req, {}).get(x)
+    if local is not None:
+        death = ctx.c_cones.lifetime(local[1])[2]
+        if death is None or s < death:
+            live = local[0]
+    step.lines.append((ev, x, live))
 
 
 def _on_injury(ctx, ev, s, pend):
@@ -524,8 +609,8 @@ _HANDLERS = {
     "route": (1, _on_route),
     "initialize": (None, _on_initialize),
     "act": (0, _on_act),
-    "expansionary": (0, _on_expansionary),
-    "diagonalize": (0, _on_diagonalize),
+    "expansionary": (0, _on_sacks_exit),
+    "diagonalize": (0, _on_sacks_exit),
     "certify": (0, _on_scan),
     "refuse-certify": (0, _on_scan),
     "define-local": (0, _on_define_local),
@@ -550,7 +635,8 @@ def _persisting_diagonalizations(ctx, fail):
         side, e = d["req"]
         if ctx.cancelled_after(side, e, d["stage"]) is not None:
             continue
-        got = ctx.defined.get(d["req"], {}).get(d["x"])
+        prefix = ctx.values.get(d["req"], ())
+        got = prefix[d["x"]] if 0 <= d["x"] < len(prefix) else None
         if got is None:
             fail(d["stage"], "diagonalization without a surviving definition", d["ev"])
             continue
@@ -573,25 +659,110 @@ def persisting_diagonalizations(scenario, events) -> list:
     return list(_persisting_diagonalizations(_replay(scenario, events), lambda *_: None))
 
 
+def _text(kind, payload) -> str:
+    """A line as a witness shows it: its kind, then its payload by key."""
+    return " ".join([kind] + ["%s=%s" % (k, payload[k]) for k in sorted(payload)])
+
+
+def _sacks_problem(ctx, step, table):
+    """The first line of a plain requirement's step that is not what
+    model.sacks_step gives from its replayed state, as (note, line); None
+    if every line is."""
+    side, e = step.req
+    s = step.stage
+    want = sacks_step(table, ctx.a_cones[side], ctx.d_entry, step.values, step.diagonalized, s)
+    label = block_label(side, e)
+    block = block_label(side, step.block)
+    lines = []
+    if want.exit == "diagonalize":
+        lines.append(("diagonalize", {"req": label, "x": str(want.x)}))
+    elif want.exit == "expansionary":
+        lines.append(("expansionary", {"block": block, "ell": str(want.x), "req": label}))
+        n = len(step.values)
+        lines.extend(
+            ("define-local", {"k": str(k), "req": label, "sigma": want.sigma, "x": str(n + i)})
+            for i, k in enumerate(want.values)
+        )
+    if lines:
+        lines.append(("act", {"block": block, "req": label, "via": want.exit}))
+    exit = "none at agreement %d" % want.x if want.exit == "none" else want.exit
+    for n, (ev, _, _) in enumerate(step.lines):
+        if n == len(lines):
+            return "step exits %s, writing %d line(s)" % (exit, n), ev
+        kind, payload = lines[n]
+        if ev.kind != kind or ev.payload != payload:
+            return "step exits %s: %s" % (exit, _text(kind, payload)), ev
+    if len(step.lines) < len(lines):
+        return "step exits %s, also %s" % (exit, _text(*lines[len(step.lines)])), ev
+    return None
+
+
+def _robinson_problem(ctx, step, table):
+    """The first line of an oracle requirement's lines at a stage that is
+    not what model.robinson_step gives for its input, from the input's
+    replayed live value, as (note, line); None if every line is.  A
+    certify line is followed by its define-local, which repeats it, and
+    an act of the requirement's block.  Each definition so justified is
+    the selected axiom at its stage, which ctx.selected records for V9."""
+    side, e = step.req
+    s = step.stage
+    label = block_label(side, e)
+    act = {"block": block_label(side, step.block), "req": label, "via": "certified"}
+    lines = step.lines
+    n = 0
+    while n < len(lines):
+        ev, x, live = lines[n]
+        n += 1
+        if x is None:
+            return "%s without a certify line before it" % _WHAT[ev.kind], ev
+        exit, ax = robinson_step(table, ctx.a_cones[side], ctx.c_cones, ctx.d_entry, live, x, s)
+        if exit != "scan":
+            selects = "" if ax is None else " (selects k=%d at use %d)" % (ax.k, ax.use)
+            return "step at input %d exits %s%s, with no scan" % (x, exit, selects), ev
+        pay = ev.payload
+        if (pay.get("k"), pay.get("sigma"), pay.get("theta")) != (str(ax.k), ax.sigma, ax.theta):
+            return (
+                "step at input %d selects k=%d sigma=%s theta=%s" % (x, ax.k, ax.sigma, ax.theta),
+                ev,
+            )
+        if ev.kind != "certify":
+            continue
+        definition = {
+            "k": pay["k"], "req": label, "sigma": pay["sigma"], "theta": pay["theta"], "x": pay["x"],
+        }
+        for kind, payload in (("define-local", definition), ("act", act)):
+            if n == len(lines) or lines[n][0].kind != kind or lines[n][0].payload != payload:
+                return (
+                    "certified input %d: %s" % (x, _text(kind, payload)),
+                    lines[min(n, len(lines) - 1)][0],
+                )
+            n += 1
+        ctx.selected.add((step.req, x, s, ax.k))
+    return None
+
+
+def _check_steps(ctx):
+    """Each requirement's lines at a stage are what its kernel step gives
+    from its replayed state: V5 for the plain construction, V7 for the
+    oracle one, with the recomputed line in the witness."""
+    sc = ctx.scenario
+    check, problem = ("V5", _sacks_problem) if sc.construction == "sacks" else ("V7", _robinson_problem)
+    for step in ctx.steps.values():
+        if step is None:
+            continue
+        table = sc.functionals.get(step.req)
+        if table is None:
+            found = "step of %s, which owns no functional" % block_label(*step.req), step.lines[0][0]
+        else:
+            found = problem(ctx, step, table)
+        if found is not None:
+            ctx.problems.add(check, step.stage, *found)
+
+
 def _check_v5(ctx):
     prob = ctx.problems
-    sc = ctx.scenario
-    if sc.construction != "sacks":
-        for d in ctx.diags:
-            prob.add("V5", d["stage"], "diagonalization in an oracle-construction trace", d["ev"])
+    if ctx.scenario.construction != "sacks":
         return
-    for rec in ctx.expansionary:
-        table = sc.functionals.get(rec["req"])
-        if table is None:
-            prob.add("V5", rec["stage"], "expansionary event for an unknown functional", rec["ev"])
-            continue
-        a_cones = ctx.a_cones[rec["req"][0]]
-        ell = agreement_length(table, a_cones, ctx.d_entry, rec["stage"])
-        if ell != rec["ell"]:
-            prob.add(
-                "V5", rec["stage"],
-                "recorded agreement %d, recomputed %d" % (rec["ell"], ell), rec["ev"],
-            )
     h = ctx.horizon
     for d, table, k, _ in _persisting_diagonalizations(ctx, partial(prob.add, "V5")):
         ax = applicable_axiom(table, h, ctx.a_cones[d["req"][0]], None, d["x"])
@@ -713,7 +884,11 @@ def _check_v9(ctx, settled):
             continue
         end = ctx.cancelled_after(side, e, d["stage"])
         end = h + 1 if end is None else end
-        marks = {d["stage"]}
+        # The step check already found the selected axiom at the stage of
+        # a definition it justified, with the definition's value.
+        marks = set()
+        if (d["req"], d["x"], d["stage"], d["k"]) not in ctx.selected:
+            marks.add(d["stage"])
         marks.update(t for t in ctx.a_entry[side].values() if d["stage"] < t < end)
         marks.update(t for t in c_stages if d["stage"] < t < end)
         for t in sorted(marks):
@@ -747,6 +922,7 @@ def verify(scenario, events, final=None) -> dict:
     _check_v5(ctx)
     _check_v7(ctx, windows)
     settled = _check_v8_v10(ctx, windows)
+    _check_steps(ctx)
     _check_v9(ctx, settled)
 
     skipped = {}

@@ -6,7 +6,7 @@ from collections import Counter
 
 from hypothesis import given, strategies as st
 
-from splitsim import model, robinson, verify as verify_module
+from splitsim import model, verify as verify_module
 from splitsim.fuzz import generate
 from splitsim.harness import run
 from splitsim.model import Cones
@@ -87,12 +87,14 @@ def _outputs(doc):
 
 def test_selection_matches_a_walk_over_every_string(monkeypatch):
     """Traces and reports equal those of a selection that walks every
-    theta and sigma on every call, for both constructions."""
+    theta and sigma on every call, for both constructions.  The
+    strategies select through model's step functions, so patching
+    model and verify reaches every caller."""
     docs = [generate(11, i, c, 512) for c in ("sacks", "robinson") for i in range(200)]
     docs += [workloads.oracle_churn_doc(seed, h) for seed in (2026, 7) for h in range(36, 60)]
     docs.append(workloads.dense_sacks_doc(2026, 208))
     fast = [_outputs(doc) for doc in docs]
-    for module in (model, robinson, verify_module):
+    for module in (model, verify_module):
         monkeypatch.setattr(module, "applicable_axiom", walking_applicable_axiom)
     for doc, want in zip(docs, fast):
         assert _outputs(doc) == want

@@ -67,6 +67,23 @@ def test_build_layer_imports():
     assert "robinson" not in imports_of("sacks") and "sacks" not in imports_of("robinson")
 
 
+def test_strategies_decide_through_the_kernel_steps():
+    """Each requirement step has one definition, the kernel's step
+    function that the verifier calls too: neither strategy names the
+    selection, agreement or membership test the steps are built on."""
+    for module in ("sacks", "robinson"):
+        tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names.update(
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        )
+        assert not names & {"agreement_length", "applicable_axiom", "member"}, module
+        assert {"sacks": "sacks_step", "robinson": "robinson_step"}[module] in names, module
+
+
 def private_imports(path: Path) -> list[str]:
     """Underscore names a source file imports from the package or one of its
     modules, then those it reads off a package module it imported, as

@@ -9,10 +9,11 @@ from splitsim.model import (
     Cones,
     FunctionalTable,
     PriorityAssignment,
+    SacksStep,
     agreement_length,
     parse_label,
+    sacks_step,
 )
-from splitsim.sacks import is_expansionary
 from splitsim.scenario import load_scenario
 from splitsim.trace import parse_int, render
 
@@ -46,10 +47,32 @@ def test_agreement_length_hand_cases():
 
 
 def test_expansionary_baseline():
-    assert is_expansionary(0, -1)
-    assert not is_expansionary(-1, -1)
-    assert is_expansionary(3, 2)
-    assert not is_expansionary(2, 2)
+    """The kernel step is expansionary iff the agreement length reaches a
+    new high over the requirement's prefix of values.  With no values the
+    baseline is -1, so a stage with no agreement at all is never
+    expansionary.  An expansionary step defines D's bits from the prefix
+    on, with the half's string at the stage."""
+
+    def step(agreeing, values):
+        table = _unary([(0, Axiom("", x, 0)) for x in range(agreeing)])
+        return sacks_step(table, Cones({1: 1, 4: 1}), {}, values, False, 2)
+
+    assert step(1, []) == SacksStep("expansionary", 0, (0,), "01")
+    assert step(0, []) == SacksStep("none", -1)
+    assert step(4, [0, 0, 0]) == SacksStep("expansionary", 3, (0,), "01")
+    assert step(3, [0, 0, 0]) == SacksStep("none", 2)
+
+
+def test_sacks_step_diagonalizes_where_d_left_first():
+    table = _unary([(0, Axiom("", x, 0)) for x in range(3)])
+    # D took 1 at stage 3 and 2 at stage 5: at stage 4 only input 1 has moved.
+    d = {1: 3, 2: 5}
+    assert sacks_step(table, Cones(), d, [0, 0, 0], False, 4) == SacksStep("diagonalize", 1)
+    assert sacks_step(table, Cones(), d, [0, 0, 0], False, 6) == SacksStep("diagonalize", 1)
+    assert sacks_step(table, Cones(), d, [0, 0, 0], True, 6) == SacksStep("diagonalized")
+    # Values D agrees with, and an agreement that reaches past them.
+    table = _unary([(0, Axiom("", 0, 0)), (0, Axiom("", 1, 1)), (0, Axiom("", 2, 0))])
+    assert sacks_step(table, Cones(), d, [0], False, 4) == SacksStep("expansionary", 2, (1, 0), "0000")
 
 
 def test_forced_diagonalization_run():
@@ -247,9 +270,12 @@ def test_due_orders_read_the_owner_index(monkeypatch):
     owner blocks on every even stage 964; what is left is the stop
     order on the stages with a due owner and one read per assignment
     update: 222 while an axiom or a D entry at any input woke an owner,
-    108 since only those at inputs up to its reach do."""
+    108 since only those at inputs up to its reach do.  Starting every
+    owner asleep added the existence catch-up of each initialization,
+    two calls for the last even stage's stop order (130), and skipping
+    it once every owner's block exists leaves 82."""
     sc = load_scenario(dense_sacks_doc(208))
     calls = count_calls(monkeypatch, PriorityAssignment, "value")
     events, _ = run(sc)
     assert len(events) == 450
-    assert len(calls) <= 150, len(calls)
+    assert len(calls) <= 82, len(calls)

@@ -41,7 +41,19 @@ applied lazily:
 The value calls rose when owners started asleep: each initialization
 reads the stop order of the last even stage to bring block existence up
 to date, two calls, which is more than part two saves by running at
-fewer stages.
+fewer stages.  Skipping that read once both existence cursors stand
+past every owner (193 of 201 catch-ups per dense-sacks benchmark pass,
+719 of 1,202 on the corpus, 5 of 13 on churn) brought them to
+0.182/0.163/0.159 per event on dense; the dense-sacks pass makes 664
+value calls instead of 1,050, the corpus 15,295 instead of 16,733, and
+churn 280 instead of 290.
+
+verify steps counts the verifier's evaluations of the kernel's
+requirement steps (model.sacks_step and model.robinson_step, called
+from verify): one per Sacks step and one per Robinson scan line.  They
+joined both gates with the replay of each step.  Dense makes 2 at every
+horizon (one owner expands once and diagonalizes once, 0.004/0.002/0.001
+per event), churn 0.193/0.189/0.187 per event.
 
 Two counters grow faster than events.  They are recorded here and not
 asserted.  A counter joins the gate in the change that makes it linear,
@@ -82,9 +94,9 @@ CALLS = {
 LINEAR = {
     "dense": (
         "members", "value", "orders_of", "owners mapped", "add",
-        "sacks visits", "close", "block-state work",
+        "sacks visits", "close", "block-state work", "verify steps",
     ),
-    "churn": ("robinson visits", "close"),
+    "churn": ("robinson visits", "close", "verify steps"),
 }
 
 QUIET = (500, 1000, 2000)
@@ -109,9 +121,10 @@ def _measure(docs):
             count_calls(mp, BlockState, "existing_from", after=lambda victims, *args: len(victims)),
         ]
         closes = count_calls(mp, verify_mod, "_close_stage")
+        steps = [count_calls(mp, verify_mod, name) for name in ("sacks_step", "robinson_step")]
         rows = []
         for doc in docs:
-            for entries in [*calls.values(), mapped, *work, closes]:
+            for entries in [*calls.values(), mapped, *work, closes, *steps]:
                 entries.clear()
             sc = load_scenario(doc)
             events, final = run(sc)
@@ -120,6 +133,7 @@ def _measure(docs):
             row["block-state work"] = sum(map(sum, work))
             assert passed(verify(sc, events, final))
             row["close"] = len(closes)
+            row["verify steps"] = sum(map(len, steps))
             row["events"] = events
             rows.append(row)
     return rows

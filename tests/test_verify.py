@@ -591,3 +591,120 @@ def test_verify_is_total(which, at, insert, stage, kind, payload):
     except TraceParseError:
         return
     assert set(verify(sc, events)["checks"]) == {name for name, _ in CHECKS}
+
+
+# A plain run with a three-input expansionary step: P:0 defines k=0,1,0
+# over its half's string 01 at stage 2, D takes 0 and 2 at stage 3, and
+# P:0 diagonalizes at input 0, the first value D has left, at stage 4.
+_STEP_DOC = {
+    "construction": "sacks",
+    "horizon": 8,
+    "b": [[1, 1]],
+    "d": [[1, 1], [3, 0], [3, 2]],
+    "functionals": [{"side": 0, "e": 0, "axioms": [
+        {"theta": "", "x": x, "k": k, "stage": 2} for x, k in enumerate((0, 1, 0))
+    ]}],
+}
+# A refusal at stage 4 of an axiom whose use is 3.
+_DEFERRED_DOC = dict(
+    CERTIFY_DOC,
+    c=[[6, 0]],
+    functionals=[{"side": 0, "e": 0, "axioms": [
+        {"theta": "000", "sigma": "000", "x": 0, "k": 0, "stage": 0}
+    ]}],
+    p_policy={"type": "truthful_delay", "d": 5},
+)
+
+
+def _step_witness(sc, forged, line, check, note):
+    """The witness the step check gives the forged line: the recomputed
+    line or exit beside it."""
+    failing = verify(sc, forged)["checks"][check]
+    assert failing["status"] == "fail"
+    assert {"stage": line.stage, "note": note, "line": line.to_line()} in failing["witnesses"], (
+        failing["witnesses"]
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, stage, changes, note",
+    [
+        ("define-local", 2, {"x": "3"}, "step exits expansionary: define-local k=0 req=P:0 sigma=01 x=0"),
+        ("define-local", 2, {"k": "1"}, "step exits expansionary: define-local k=0 req=P:0 sigma=01 x=0"),
+        ("define-local", 2, {"sigma": "11"}, "step exits expansionary: define-local k=0 req=P:0 sigma=01 x=0"),
+        ("diagonalize", 4, {"x": "2"}, "step exits diagonalize: diagonalize req=P:0 x=0"),
+        ("act", 2, {"via": "diagonalize"}, "step exits expansionary: act block=P:0 req=P:0 via=expansionary"),
+        ("act", 2, {"block": "P:1"}, "step exits expansionary: act block=P:0 req=P:0 via=expansionary"),
+    ],
+)
+def test_forged_sacks_step_lines_fail_v5(kind, stage, changes, note):
+    sc = load_scenario(_STEP_DOC)
+    events, _ = run(sc)
+    assert passed(verify(sc, events))
+    forged, line = _forge(events, kind, stage, **changes)
+    _step_witness(sc, forged, line, "V5", note)
+
+
+def test_expansionary_without_a_new_high_fails_v5(control_materials):
+    """Q:0 expands to agreement 1 at stage 2; at stage 4 its agreement is
+    still 1, so a second expansionary step there is no new high."""
+    sc, events, _ = control_materials["deflection"]
+    at = next(i for i, ev in enumerate(events) if ev.stage == 4)
+    line = TraceEvent(4, "expansionary", {"block": "Q:0", "ell": "1", "req": "Q:0"})
+    act = TraceEvent(4, "act", {"block": "Q:0", "req": "Q:0", "via": "expansionary"})
+    forged = events[:at] + [line, act] + events[at:]
+    _step_witness(sc, forged, line, "V5", "step exits none at agreement 1, writing 0 line(s)")
+
+
+@pytest.mark.parametrize(
+    "kind, changes, note",
+    [
+        ("define-local", {"theta": "1"}, "certified input 0: define-local k=0 req=P:0 sigma=0 theta=0 x=0"),
+        ("define-local", {"x": "1"}, "certified input 0: define-local k=0 req=P:0 sigma=0 theta=0 x=0"),
+        ("act", {"block": "P:1"}, "certified input 0: act block=P:0 req=P:0 via=certified"),
+        ("certify", {"theta": "1"}, "step at input 0 selects k=0 sigma=0 theta=0"),
+    ],
+)
+def test_forged_robinson_step_lines_fail_v7(control_materials, kind, changes, note):
+    sc, events, _ = control_materials["certify"]
+    forged, line = _forge(events, kind, 2, **changes)
+    _step_witness(sc, forged, line, "V7", note)
+
+
+def test_refusal_inside_the_deferral_fails_v7():
+    """A scan at a stage s <= use is no step: the input waits for the
+    stage to pass the use.  The refusal of stage 4 moved to stage 2
+    passes every other V7 rule."""
+    sc = load_scenario(_DEFERRED_DOC)
+    events, _ = run(sc)
+    assert passed(verify(sc, events))
+    at = next(i for i, ev in enumerate(events) if ev.kind == "refuse-certify")
+    assert events[at].stage == 4
+    line = TraceEvent(2, "refuse-certify", dict(events[at].payload, entry="2"))
+    two = next(i for i, ev in enumerate(events) if ev.stage == 2)
+    forged = events[:two] + [line] + events[two:at] + events[at + 1:]
+    v7 = verify(sc, forged)["checks"]["V7"]
+    assert v7["witnesses"] == [{
+        "stage": 2,
+        "note": "step at input 0 exits nocomp (selects k=0 at use 3), with no scan",
+        "line": line.to_line(),
+    }]
+
+
+def test_scan_without_its_input_fails_v2(control_materials):
+    """A scan line without x is malformed, and its requirement's later
+    cancellation still gets a report: no index is held for an input the
+    line does not name."""
+    sc, events, _ = control_materials["injury"]
+    injured = {ev.payload["req"] for ev in events if ev.kind == "injury"}
+    at = next(
+        i for i, ev in enumerate(events)
+        if ev.kind in ("certify", "refuse-certify") and ev.payload["req"] in injured
+    )
+    line = TraceEvent(events[at].stage, events[at].kind, {
+        k: v for k, v in events[at].payload.items() if k != "x"
+    })
+    report = verify(sc, events[:at + 1] + [line] + events[at + 1:])
+    assert {"stage": line.stage, "note": "malformed %s payload" % line.kind, "line": line.to_line()} in (
+        report["checks"]["V2"]["witnesses"]
+    )
