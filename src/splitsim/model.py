@@ -26,9 +26,10 @@ nothing else from the package.  The ingredients are:
   certification race between p and C leaving sigma's cone; the
   mind-change count of a row, and the cone truth p approximates,
 * the guessing indices (GuessingIndices) that the oracle construction
-  drives and the verifier replays: which index each input scans under,
-  which of its refusals repeat one (the memo), and which inputs a
-  cancellation of their requirement injures,
+  drives and the verifier replays, one record per input: which index
+  it scans under, which of its refusals repeat one (the memo), its
+  local definition and whether that is live at a stage (live), and
+  which inputs a cancellation of their requirement injures,
 * block and requirement labels and their one parser,
 * the interleaved priority order of blocks and the one block-state
   machine (BlockState) that the engine drives and the verifier
@@ -569,13 +570,16 @@ def build_policy(scenario, c_cones: Cones):
 
 
 class GuessingIndices:
-    """The guessing index each input holds and the sigmas it has refused.
+    """Each input's one record: its guessing index, the sigmas it has
+    refused and its local definition.
 
-    An input is keyed by (req, x), of any hashable types.  Its index and
-    its refusals form one entry, issued together and dropped together, so
-    a refusal can never outlive the index it was made under.  Indices are
+    An input is keyed by (req, x), of any hashable types.  Its record is
+    issued with its index and dropped with it, so neither a refusal nor
+    a definition can outlive the index it was made under.  Indices are
     issued 0, 1, 2, ... in order of first use, and a cancelled input is
-    issued a fresh one on its next scan.
+    issued a fresh one on its next scan.  A definition (k, death) is
+    live at stage s iff death is None or s < death (live), the one
+    liveness rule of the oracle construction's local values.
     """
 
     def __init__(self):
@@ -586,11 +590,11 @@ class GuessingIndices:
         """The number of inputs holding an index."""
         return sum(map(len, self._by_req.values()))
 
-    def _entry(self, req, x) -> tuple[int, set]:
+    def _entry(self, req, x) -> list:
         inputs = self._by_req.setdefault(req, {})
         entry = inputs.get(x)
         if entry is None:
-            entry = inputs[x] = (self.issued, set())
+            entry = inputs[x] = [self.issued, set(), None]
             self.issued += 1
         return entry
 
@@ -606,8 +610,23 @@ class GuessingIndices:
         refusals.add(sigma)
         return False
 
+    def define(self, req, x, k: int, death: int | None) -> None:
+        """Record the local definition (k, death) under the index the input
+        holds; an input that holds none is issued none and defines nothing."""
+        entry = self._by_req.get(req, {}).get(x)
+        if entry is not None:
+            entry[2] = (k, death)
+
+    def live(self, req, x, s: int) -> int | None:
+        """The input's local value if its definition is live at stage s, else None."""
+        entry = self._by_req.get(req, {}).get(x)
+        if entry is None or entry[2] is None:
+            return None
+        k, death = entry[2]
+        return k if death is None or s < death else None
+
     def cancel(self, req) -> list:
-        """Drop the indices and refusals of req; the inputs that held one, ascending."""
+        """Drop the records of req; the inputs that held an index, ascending."""
         return sorted(self._by_req.pop(req, ()))
 
 

@@ -13,20 +13,19 @@ pre-specified C schedule and p policy, both oblivious to the run, so a
 run remains a pure function of its scenario.
 
 The kernel's GuessingIndices (RobinsonStrategy.inputs) holds each
-input's guessing index and the sigmas whose scan was refused under it,
-keyed by owner (side, e) and input x; the strings enumerated into each
-guessing set W_j are in sets.  An input's local definition is (k, death)
-in its owner's locals map.  death is the stage at which C leaves sigma's
-cone (None: never), read off its lifetime in the strategy's own c_cones,
-so the definition is live at stage s iff death is None or s < death
-(live_value), and it dies with its requirement on initialization.  A
-sigma refused before is refused again at its death (the cone exit still
-beats every p hit), and that line is marked memo=1.
+input's one record, keyed by owner (side, e) and input x: its guessing
+index, the sigmas whose scan was refused under it, and its local
+definition (k, death); the strings enumerated into each guessing set
+W_j are in sets.  death is the stage at which C leaves sigma's cone
+(None: never), read off its lifetime in the strategy's own c_cones, and
+the kernel's live decides whether the definition still counts at a
+stage.  A sigma refused before is refused again at its death (the cone
+exit still beats every p hit), and that line is marked memo=1.
 
 Injury has one cause, initialization.  When a requirement is cancelled,
 every input of it that holds a guessing index is injured: the
-cancellation drops its index and refusals together, its definition goes
-with them, and a fresh index is issued on next use; the old guessing
+cancellation drops its record, index, refusals and definition together,
+and a fresh index is issued on next use; the old guessing
 set stays behind for the verifier.  A certified theta never has to be
 re-tested against its half:
 
@@ -100,22 +99,12 @@ class RobinsonStrategy:
         self.policy = build_policy(scenario, self.c_cones)
         self.inputs = GuessingIndices()  # keyed by owner (side, e) and input x
         self.sets: dict[int, list[tuple[int, str]]] = {}  # j -> (stage, sigma) of W_j
-        # (side, e) -> x -> (k, death) of the input's local definition
-        self.locals: dict[tuple[int, int], dict[int, tuple[int, int | None]]] = {}
         self.pending_scans = 0
         self.unsettled = False
         c_entries = scenario.c_schedule.entries
         for key, table in self.tables.items():
             run.schedule_wakes((ax.use + 1, key, ax.x) for _, ax in table.axioms)
             run.schedule_wakes((t, key, None) for t, c in c_entries if c < table.largest_use)
-
-    def live_value(self, side: int, e: int, x: int, s: int) -> int | None:
-        """The local value defined at input x of (side, e) if it is live at stage s."""
-        local = self.locals.get((side, e), {}).get(x)
-        if local is None:
-            return None
-        k, death = local
-        return k if death is None or s < death else None
 
     # -- certification --------------------------------------------------------
 
@@ -144,8 +133,7 @@ class RobinsonStrategy:
 
         result, t = scan(self.policy.windows(j, strings), self.c_cones, axiom.sigma, s, run.horizon)
         if result == "certify":
-            death = self.c_cones.lifetime(axiom.sigma)[2]
-            self.locals.setdefault((side, e), {})[x] = (axiom.k, death)
+            self.inputs.define((side, e), x, axiom.k, self.c_cones.lifetime(axiom.sigma)[2])
             emit_scan("certify", resolved=t)
             return True
         if result == "pending":
@@ -197,7 +185,7 @@ class RobinsonStrategy:
         restraint).
         """
         run = self.run
-        live = self.live_value(side, e, x, s)
+        live = self.inputs.live((side, e), x, s)
         exit, got = robinson_step(
             self.tables[(side, e)], run.a_cones[side], self.c_cones, run.d_entry, live, x, s
         )
@@ -223,14 +211,13 @@ class RobinsonStrategy:
 
         The engine hands over the cancelled owners once, at the end of
         the stage, ascending by (side, e).  An input is injured when its
-        cancellation drops its guessing index.  Cancellation is the only
-        cause of injury (see the module docstring).  Local definitions of
-        a cancelled requirement die here rather than at the cancellation,
-        safely: no requirement runs between a cancellation and the end
-        of its stage.
+        cancellation drops its record, and its local definition with it.
+        Cancellation is the only cause of injury (see the module
+        docstring).  The records of a cancelled requirement are dropped
+        here rather than at the cancellation, safely: no requirement runs
+        between a cancellation and the end of its stage.
         """
         for side, e in cancelled:
-            self.locals.pop((side, e), None)
             for x in self.inputs.cancel((side, e)):
                 self.run.emit(
                     event(s, "injury", cause="initialized", req=block_label(side, e), x=x)

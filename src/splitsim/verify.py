@@ -29,23 +29,24 @@ assignment update fails V3 if it raises some index, which on a valid
 map shows at the first index past the tail or where value(e) - e falls
 below the new map's (PriorityAssignment.first_rise); the kernel's
 update then keeps the map valid by applying a target of value(tail) or
-one above it.  The kernel's GuessingIndices replays guessing-index
-issuance, refusals and cancellations per input, keyed by the scan
-lines' req and x texts.  V7: a scan line must name the index its input
-holds (a fresh one, the next issued, on its first scan and on its first
-after a cancellation of its requirement), and memo=1 marks exactly a
-refusal of a sigma the input had refused since its index was issued.
-V6: an initialize line cancels its block's requirements, and the inputs
-whose index that drops must be, one for one, the stage's injury lines,
-each with cause=initialized.
+one above it.  The kernel's GuessingIndices replays each input's one
+record, keyed by the scan lines' req and x texts: index issuance,
+refusals, local definitions and cancellations.  V7: a scan line must
+name the index its input holds (a fresh one, the next issued, on its
+first scan and on its first after a cancellation of its requirement),
+and memo=1 marks exactly a refusal of a sigma the input had refused
+since its index was issued.  V6: an initialize line cancels its block's
+requirements, and the inputs whose index that drops must be, one for
+one, the stage's injury lines, each with cause=initialized.
 
 The replay keeps each requirement's state since its last cancellation,
 read off its lines: a plain requirement's prefix of local values and
-whether it diagonalized, and an oracle requirement's definitions, whose
-value is live while C stays in sigma's cone.  The lines one requirement
-writes at one stage (expansionary, diagonalize, define-local, act;
-certify, refuse-certify, define-local, act) form its step, recorded
-with the state it starts from.  Once the replay ends, over the final
+whether it diagonalized, and an oracle requirement's definitions, held
+in its inputs' records, whose value is live while C stays in sigma's
+cone (the kernel's live).  The lines one requirement writes at one
+stage (expansionary, diagonalize, define-local, act; certify,
+refuse-certify, define-local, act) form its step, recorded with the
+state it starts from.  Once the replay ends, over the final
 maps, the kernel's step functions recompute each step (model.sacks_step
 for the plain construction, model.robinson_step per scan line for the
 oracle one), and its lines must be exactly what the step gives: the
@@ -221,12 +222,10 @@ class _Context:
         self.scans = []  # (line, index its input holds, memo due), in trace order
         self.indices = GuessingIndices()  # keyed by the scan lines' req and x texts
         self.pending_count = 0
-        # Per requirement since its last cancellation: the plain
-        # construction's prefix of (value, definition line), whether it
-        # diagonalized, and the oracle construction's input -> (value, sigma).
+        # Per plain requirement since its last cancellation: its prefix
+        # of (value, definition line) and whether it diagonalized.
         self.values = {}
         self.diagonalized = set()
-        self.locals = {}
         self.steps = {}  # (stage, req text) -> _Step (None: no label), in trace order
         self.selected = set()  # (requirement, x, stage, k) of definitions the steps justified
         self.diags = []
@@ -460,7 +459,6 @@ def _on_initialize(ctx, ev, s, pend):
         ctx.cancels.setdefault(key, []).append(s)
         ctx.values.pop(key, None)
         ctx.diagonalized.discard(key)
-        ctx.locals.pop(key, None)
         req = block_label(*key)
         pend.dropped.extend((req, x) for x in ctx.indices.cancel(req))
 
@@ -503,7 +501,7 @@ def _on_define_local(ctx, ev, s, pend):
             {"req": step.req, "x": x, "k": k, "theta": pay["theta"],
              "sigma": pay["sigma"], "stage": s, "ev": ev}
         )
-        ctx.locals.setdefault(step.req, {})[x] = (k, pay["sigma"])
+        ctx.indices.define(pay["req"], pay["x"], k, ctx.c_cones.lifetime(pay["sigma"])[2])
         return
     values = ctx.values.setdefault(step.req, [])
     if x == len(values):
@@ -553,13 +551,7 @@ def _on_scan(ctx, ev, s, pend):
     step = _step(ctx, ev, s)
     if step is None:
         return
-    live = None
-    local = ctx.locals.get(step.req, {}).get(x)
-    if local is not None:
-        death = ctx.c_cones.lifetime(local[1])[2]
-        if death is None or s < death:
-            live = local[0]
-    step.lines.append((ev, x, live))
+    step.lines.append((ev, x, ctx.indices.live(req, text, s)))
 
 
 def _on_injury(ctx, ev, s, pend):

@@ -174,10 +174,11 @@ def owner_state(strategy, owner):
     if isinstance(strategy, SacksStrategy):
         req = strategy.requirements[owner]
         return list(req.values), req.diagonalized
-    # GuessingIndices has no per-owner view, so copy the owner's entries.
+    # GuessingIndices has no per-owner view, so copy the owner's records:
+    # its local definitions, then every input's whole record.
     held = strategy.inputs._by_req.get(owner, {})
-    guesses = {x: (j, frozenset(refused)) for x, (j, refused) in held.items()}
-    return dict(strategy.locals.get(owner, {})), guesses
+    records = {x: (j, frozenset(refused), local) for x, (j, refused, local) in held.items()}
+    return {x: rec[2] for x, rec in records.items() if rec[2] is not None}, records
 
 
 class PassCheckingRun(Run):

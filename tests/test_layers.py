@@ -84,6 +84,26 @@ def test_strategies_decide_through_the_kernel_steps():
         assert {"sacks": "sacks_step", "robinson": "robinson_step"}[module] in names, module
 
 
+def test_liveness_is_decided_in_the_kernel():
+    """A local definition's liveness has one rule, the kernel's
+    GuessingIndices.live, which the strategy and the verifier both call:
+    neither compares a stage against a definition's death or a cone's
+    lifetime."""
+    for module in ("robinson", "verify"):
+        tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                words = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                words.update(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+                assert not words & {"death", "lifetime"}, (module, ast.unparse(node))
+        calls = {
+            node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        assert "live" in calls, module
+
+
 def private_imports(path: Path) -> list[str]:
     """Underscore names a source file imports from the package or one of its
     modules, then those it reads off a package module it imported, as

@@ -464,6 +464,11 @@ _GUESS_STEPS = st.lists(
         st.tuples(st.just("held"), _REQS, st.integers(0, 3)),
         st.tuples(st.just("refuse"), _REQS, st.integers(0, 3), st.sampled_from(["", "0", "1"])),
         st.tuples(st.just("cancel"), _REQS),
+        st.tuples(
+            st.just("define"), _REQS, st.integers(0, 3), st.integers(0, 1),
+            st.one_of(st.none(), st.integers(0, 6)),
+        ),
+        st.tuples(st.just("live"), _REQS, st.integers(0, 3), st.integers(0, 6)),
     ),
     max_size=40,
 )
@@ -472,15 +477,24 @@ _GUESS_STEPS = st.lists(
 @given(_GUESS_STEPS)
 @example([("refuse", "P:1", 0, "0"), ("refuse", "P:1", 0, "0"), ("cancel", "P:1"),
           ("refuse", "P:1", 0, "0"), ("held", "P:1", 0)])
+@example([("define", (0, 0), 1, 1, None), ("live", (0, 0), 1, 0), ("held", (0, 0), 1),
+          ("define", (0, 0), 1, 1, 3), ("live", (0, 0), 1, 2), ("live", (0, 0), 1, 3),
+          ("define", (0, 0), 1, 0, None), ("live", (0, 0), 1, 6), ("cancel", (0, 0)),
+          ("live", (0, 0), 1, 0), ("held", (0, 0), 1), ("live", (0, 0), 1, 0)])
 def test_guessing_indices_match_a_history_scan(steps):
     """GuessingIndices against a scan of every call made so far: an input
     holds the index issued to it since its requirement's last
     cancellation (a fresh one, numbered by all issues before it, if there
     is none), a refusal repeats one of the same input and sigma since that
     cancellation, and a cancellation returns the inputs issued to since
-    the one before it."""
+    the one before it.  A definition counts only when its input holds an
+    index (define issues none), and live gives the value of the input's
+    last definition since that cancellation at the stages before its
+    death, None at every other."""
     guesses = GuessingIndices()
-    history = []  # ("issue", req, x, j), ("refuse", req, x, sigma) or ("cancel", req)
+    # ("issue", req, x, j), ("refuse", req, x, sigma), ("define", req, x, k,
+    # death) or ("cancel", req)
+    history = []
 
     def since(req):
         tail = []
@@ -506,6 +520,18 @@ def test_guessing_indices_match_a_history_scan(steps):
             memo = ("refuse", req, x, sigma) in since(req)
             history.append(("refuse", req, x, sigma))
             assert guesses.refuse(req, x, sigma) == memo
+        elif kind == "define":
+            x = args[0]
+            if any(rec[0] == "issue" and rec[2] == x for rec in since(req)):
+                history.append(("define", req, *args))
+            guesses.define(req, *args)
+        elif kind == "live":
+            x, s = args
+            want = None
+            for rec in since(req):
+                if rec[0] == "define" and rec[2] == x:
+                    want = rec[3] if rec[4] is None or s < rec[4] else None
+            assert guesses.live(req, x, s) == want
         else:
             held = sorted({rec[2] for rec in since(req) if rec[0] == "issue"})
             history.append(("cancel", req))

@@ -162,9 +162,10 @@ def test_certification_race_won_by_policy_hit():
     defines = [ev.payload for ev in events if ev.kind == "define-local"]
     assert defines == [{"k": "0", "req": "P:0", "sigma": "0", "theta": "0", "x": "0"}]
     assert [ev.stage for ev in events if ev.kind == "define-local"] == [2]
-    assert strategy.locals[(0, 0)][0] == (0, 4)
-    assert strategy.live_value(0, 0, 0, 3) == 0
-    assert strategy.live_value(0, 0, 0, 8) is None
+    # Its record holds (k, death) = (0, 4): live through stage 3, dead from 4.
+    assert strategy.inputs.live((0, 0), 0, 3) == 0
+    assert strategy.inputs.live((0, 0), 0, 4) is None
+    assert strategy.inputs.live((0, 0), 0, 8) is None
 
 
 def test_refusal_and_memo():
@@ -312,7 +313,7 @@ def test_arrival_below_a_theta_on_its_side_is_deflected():
     assert not [ev for ev in events if ev.kind == "injury"]
     assert [ev.stage for ev in events if ev.kind == "certify"] == [4]
     assert len(strategy.held) == 1
-    assert strategy.live_value(0, 0, 0, 10) == 0
+    assert strategy.inputs.live((0, 0), 0, 10) == 0
 
 
 def test_arrival_below_a_theta_under_a_stronger_block_injures_it():
