@@ -25,9 +25,9 @@ exit still beats every p hit), and that line is marked memo=1.
 Injury has one cause, initialization.  When a requirement is cancelled,
 every input of it that holds a guessing index is injured: the
 cancellation drops its record, index, refusals and definition together,
-and a fresh index is issued on next use; the old guessing
-set stays behind for the verifier.  A certified theta never has to be
-re-tested against its half:
+and a fresh index is issued on next use; the old guessing set stays
+behind for the verifier.  A certified theta never has to be re-tested
+against its half:
 
   * certify succeeds for input x of owner (side, e) in block (side, i)
     only at a stage s > use, and the same pass sets restraint(side, i)

@@ -24,7 +24,9 @@ parse fails V2 on that line.
 A restraint is the stage that sets it: a restraint-set line whose value
 is not its stage, or with no same-stage act line naming its block,
 fails V4, and the replay sets the stage (never below its clock), so the
-restraints it replays only grow, as the block state needs.  An
+restraints it replays only grow, as the block state needs.  Conversely
+an act that restrains (any but a diagonalization) fails V4 unless its
+block's replayed restraint is the stage when the stage closes.  An
 assignment update fails V3 if it raises some index, which on a valid
 map shows at the first index past the tail or where value(e) - e falls
 below the new map's (PriorityAssignment.first_rise); the kernel's
@@ -63,17 +65,18 @@ record holds everything a same-stage rule reads, and _close_stage
 settles those rules when the replay leaves the stage: V4 (each route
 has its enumeration, each deflection and each arrival under a live
 restraint initializes its block, each restraint has an act of its
-block), V6 (the injuries are the dropped indices) and V11 (exactly one
-update; side=none only without an initialization; a targeted update
-names the strongest initiator of the stage's lines before it, since
-the engine updates after its initializations).  A quiet stage, whose
-one line is its side=none update, breaks none of them, so the replay
-does not close it when the next stage follows at once; the last stage
-replayed, and a stage before a gap, are always closed.  A stage the
-replay jumps over, or one after the last line up to the horizon, has no
-lines and fails V11 with 0 updates.  A line whose stage goes backwards
-fails V2 and is settled with the stage being replayed, as the restraint
-replay uses max(stage, clock).
+block and each restraining act its restraint), V6 (the injuries are
+the dropped indices) and V11 (exactly one update; side=none only
+without an initialization; a targeted update names the strongest
+initiator of the stage's lines before it, since the engine updates
+after its initializations).  A quiet stage, whose one line is its
+side=none update, breaks none of them, so the replay does not close it
+when the next stage follows at once; the last stage replayed, and a
+stage before a gap, are always closed.  A stage the replay jumps over,
+or one after the last line up to the horizon, has no lines and fails
+V11 with 0 updates.  A line whose stage goes backwards fails V2 and is
+settled with the stage being replayed, as the restraint replay uses
+max(stage, clock).
 
 Checks:
   V1  partition                     A0 and A1 split B exactly, stage by stage.
@@ -172,7 +175,9 @@ class _StageState:
         self.inits = set()        # blocks initialized
         self.initiator = None     # the strongest initiator, as the engine keeps it
         self.acts = set()         # block labels of the act lines
+        self.restraining = []     # act lines that restrain: all but diagonalizations
         self.restraints = []      # restraint-set lines
+        self.restrained = {}      # block label -> block, of the restraint-set lines
         self.routes = []          # (event, x, destination) awaiting enumeration
         self.expected_inits = []  # (target block, route event) from deflections
         self.violations = []      # (block, arrival event) to be forgiven
@@ -218,7 +223,7 @@ class _Context:
         self.last_initialized = {}
         self.last_change = [-1, -1]
         self.w_sets = {}
-        self.w_seen = set()
+        self.w_seen = {}  # (j, sigma) -> stage of its first enumeration
         self.scans = []  # (line, index its input holds, memo due), in trace order
         self.indices = GuessingIndices()  # keyed by the scan lines' req and x texts
         self.pending_count = 0
@@ -318,6 +323,12 @@ def _close_stage(ctx, pend, s):
             prob.add(
                 "V4", s, "restraint set with no act of %s this stage" % ev.payload["block"], ev
             )
+    for ev in pend.restraining:
+        label = ev.payload.get("block", "")
+        held = ctx.blocks.restraint.get(pend.restrained.get(label) or parse_label(label), -1)
+        if held != s:
+            note = "act leaves the restraint of %s at %d, not the stage" % (label, held)
+            prob.add("V4", s, note, ev)
     for ev in pend.injuries:
         key = ev.payload.get("req"), ev.payload.get("x")
         matched = key in pend.dropped
@@ -367,7 +378,7 @@ def _on_enumerate(ctx, ev, s, pend):
             prob.add("V2", s, "guessing-set enumeration in a plain-construction trace", ev)
         if (j, sigma) in ctx.w_seen:
             prob.add("V2", s, "string enumerated twice into W_%d" % j, ev)
-        ctx.w_seen.add((j, sigma))
+        ctx.w_seen.setdefault((j, sigma), s)
         prior = ctx.w_sets.setdefault(j, [])
         if cone_truth(prior, ctx.c_cones, s):
             prob.add("V7", s, "enumeration into W_%d while C already lies in a cone" % j, ev)
@@ -440,6 +451,7 @@ def _on_restraint_set(ctx, ev, s, pend):
     ctx.blocks.set_restraint(*blk, stage)
     ctx.max_restraint[blk] = max(ctx.max_restraint.get(blk, -1), stage)
     pend.restraints.append(ev)
+    pend.restrained[pay["block"]] = blk
 
 
 def _on_initialize(ctx, ev, s, pend):
@@ -523,7 +535,10 @@ def _on_sacks_exit(ctx, ev, s, pend):
 
 
 def _on_act(ctx, ev, s, pend):
-    pend.acts.add(ev.payload.get("block"))
+    pay = ev.payload
+    pend.acts.add(pay.get("block"))
+    if pay.get("via") != "diagonalize":
+        pend.restraining.append(ev)
     step = _step(ctx, ev, s)
     if step is None:
         return
@@ -773,8 +788,10 @@ def _outcome(result, t):
 def _check_v7(ctx, windows):
     """A scan line, memo refusal or not, must start at its own stage inside
     sigma's cone, name the guessing set its input holds, which must be
-    enumerated, claim what model.scan gives over that set's p windows, and
-    carry memo=1 exactly when the replay expects a memo refusal."""
+    enumerated and hold C in one of its cones (the engine enumerates
+    sigma unless C already lies in one), claim what model.scan gives over
+    that set's p windows, and carry memo=1 exactly when the replay
+    expects a memo refusal."""
     prob = ctx.problems
     if ctx.scenario.construction != "robinson":
         for ev, _, _ in ctx.scans:
@@ -799,6 +816,11 @@ def _check_v7(ctx, windows):
             prob.add("V7", ev.stage, "scan names W_%d, which holds no string" % j, ev)
         elif not ctx.c_cones.holds(sigma, entry):
             prob.add("V7", ev.stage, "C lies outside the scanned cone at entry", ev)
+        # sigma itself, if in W_j by entry, is a cone of W_j holding C there.
+        elif ctx.w_seen.get((j, sigma), entry + 1) > entry and not cone_truth(
+            ctx.w_sets[j], ctx.c_cones, entry
+        ):
+            prob.add("V7", ev.stage, "C lies in no cone of W_%d at entry" % j, ev)
         elif not certify and result not in ("refused", "pending"):
             prob.add("V7", ev.stage, "unknown refusal result %r" % (result,), ev)
         else:

@@ -132,40 +132,6 @@ def dense_sacks_doc(horizon):
     }
 
 
-def oracle_churn_doc(seed, horizon):
-    """The churn shape, the same documents as the benchmark's oracle-churn
-    workload: four Robinson owners watch eight inputs each, D is empty
-    and every theta is all zeros.  C enumerates horizon/8 elements below
-    horizon/4, and each input has a chain of axioms whose sigma cones
-    each live between two consecutive C arrivals, so every arrival kills
-    every live local definition and each redefinition needs a fresh
-    certification.  Four B arrivals above every use keep routing alive.
-    The seed picks which elements C enumerates."""
-    rng = random.Random("oracle-churn:%d:%d" % (seed, horizon))
-    below = horizon // 4
-    arrivals = horizon // 8
-    ys = rng.sample(range(below), arrivals)
-    span = horizon * 3 // 4 - 2
-    stages = [2 + k * span // arrivals for k in range(arrivals)]
-    chain = [
-        "".join("1" if i in ys[:k] else "0" for i in range(below)) for k in range(arrivals + 1)
-    ]
-    axioms = [
-        {"theta": "0" * len(sigma), "sigma": sigma, "x": x, "k": 0, "stage": len(sigma)}
-        for x in range(8)
-        for sigma in chain
-    ]
-    return {
-        "horizon": horizon,
-        "construction": "robinson",
-        "b": [[1 + 2 * (k * horizon // 8), below + k * (horizon - below) // 4] for k in range(4)],
-        "c": [[s, y] for s, y in zip(stages, ys)],
-        "d": [],
-        "functionals": [{"side": n % 2, "e": n // 2, "axioms": axioms} for n in range(4)],
-        "seed": seed,
-    }
-
-
 def quiet_tail_docs(horizon):
     """Runs whose every event falls in their first 12 stages, at any horizon."""
     axiom = {"theta": "", "x": 0, "k": 0, "stage": 0}

@@ -17,26 +17,29 @@ ratchets down, and a field measured at 0 joins its ALWAYS_KILLED.
 
 The sweep recipe is fuzz.generate(11, i, c, 64) for i < 150 and both
 constructions, 20 per run.  Since the verifier replays every requirement
-step with the kernel's step functions, 467 of 5,379 mutants survive (945
-before): initialize.block 258, initialize.initiator 199,
-enumerate.sigma 6 and enumerate.element 4, and no other field.  386 of
-5,894 deletions survive (548 before).  By the deleted line's kind:
-initialize 281 of 393, refuse-certify 61 of 62, restraint-set 34 of 74,
-enumerate 10 of 635, and none of the 3,826 assignment-update, 647
-route, 86 act, 77 define-local, 47 expansionary, 34 certify, 11
+step with the kernel's step functions (945 before), asks every
+restraining act for its block's restraint at the stage and every scan
+for C inside a cone of its guessing set (467 before), 459 of 5,379
+mutants survive: initialize.block 253, initialize.initiator 199,
+enumerate.element 4 and enumerate.sigma 3, and no other field.  352 of
+5,894 deletions survive (548, then 386 before).  By the deleted line's
+kind: initialize 281 of 393, refuse-certify 61 of 62, enumerate 10 of
+635, and none of the 3,826 assignment-update, 647 route, 86 act, 77
+define-local, 74 restraint-set, 47 expansionary, 34 certify, 11
 diagonalize and 2 injury deletions.
 
-The churn recipe is conftest.oracle_churn_doc(seed, H) for seeds 0..7
-and H = 36..43, Robinson runs whose certifications C keeps killing, 8
-per run (its verifies cost most of the recipe's time, which must stay
-under 5 s), so its mutants and deletions are the first 8 of each run's
-in a twenty-per-run measure.  Before the step replay 152 of 512
-mutants survived (initialize.initiator 32, act.req 32, act.block 24,
-initialize.block 16, define-local.x 16, certify.theta 16,
+The churn recipe is the benchmark's oracle_churn_doc(seed, H) for seeds
+0..7 and H = 36..43, Robinson runs whose certifications C keeps
+killing, 8 per run (its verifies cost most of the recipe's time, which
+must stay under 5 s), so its mutants and deletions are the first 8 of
+each run's in a twenty-per-run measure.  Before the step replay 152 of
+512 mutants survived (initialize.initiator 32, act.req 32, act.block
+24, initialize.block 16, define-local.x 16, certify.theta 16,
 define-local.sigma 8, define-local.req 8) and 216 of 512 deletions
 (act 120 of 120, define-local 56 of 56, certify 32 of 112,
-restraint-set 8 of 8).  Now 48 mutants survive (initialize.initiator
-32, initialize.block 16) and 8 deletions (restraint-set 8 of 8).
+restraint-set 8 of 8); after it, 48 mutants and 8 deletions
+(restraint-set 8 of 8).  Now 48 mutants survive (initialize.initiator
+32, initialize.block 16) and no deletion.
 """
 
 import functools
@@ -50,14 +53,16 @@ from splitsim.scenario import load_scenario
 from splitsim.trace import parse_int, parse_line
 from splitsim.verify import passed, verify
 
-from conftest import oracle_churn_doc
+from conftest import bench_module
+
+oracle_churn_doc = bench_module("workloads").oracle_churn_doc
 
 SEED, RUNS, MAX_HORIZON, PER_RUN = 11, 150, 64, 20
 # Some runs have fewer than PER_RUN mutants, so fewer are verified in all.
 MUTANTS = 5379
-SURVIVOR_CEILING = 467
+SURVIVOR_CEILING = 459
 DELETIONS = 5894
-DELETION_SURVIVOR_CEILING = 386
+DELETION_SURVIVOR_CEILING = 352
 # Fields the verifier re-derives in full: the step lines from the
 # kernel's step functions, the scan fields from the kernel scan and the
 # replayed index issuance, restraints from the stage and the same-stage
@@ -109,7 +114,7 @@ CHURN_SEEDS, CHURN_HORIZONS, CHURN_PER_RUN = range(8), range(36, 44), 8
 CHURN_MUTANTS = 512
 CHURN_SURVIVOR_CEILING = 48
 CHURN_DELETIONS = 512
-CHURN_DELETION_SURVIVOR_CEILING = 8
+CHURN_DELETION_SURVIVOR_CEILING = 0
 CHURN_ALWAYS_KILLED = (
     "act.block",
     "act.req",

@@ -218,7 +218,30 @@ def test_restraint_needs_a_same_stage_act(control_materials):
     forged, line = _forge(events, "act", 0, block="P:1")
     v4 = verify(sc, forged)["checks"]["V4"]
     assert v4["status"] == "fail"
-    assert [w["note"] for w in v4["witnesses"]] == ["restraint set with no act of P:0 this stage"]
+    assert [w["note"] for w in v4["witnesses"]] == [
+        "restraint set with no act of P:0 this stage",
+        "act leaves the restraint of P:1 at -1, not the stage",
+    ]
+
+
+@pytest.mark.parametrize("material", ["forced", "certify"])
+def test_restraining_act_needs_its_restraint(control_materials, material):
+    """An act that restrains (expansionary or certified) leaves its
+    block's restraint at its stage, so without the stage's restraint-set
+    line its act fails V4, with the restraint it left, and nothing else
+    fails."""
+    sc, events, _ = control_materials[material]
+    at = next(i for i, ev in enumerate(events) if ev.kind == "restraint-set")
+    s, block = events[at].stage, events[at].payload["block"]
+    act = next(ev for ev in events if ev.kind == "act" and ev.stage == s)
+    assert act.payload["via"] != "diagonalize"
+    checks = verify(sc, events[:at] + events[at + 1:])["checks"]
+    assert [name for name, c in checks.items() if c["status"] == "fail"] == ["V4"]
+    assert checks["V4"]["witnesses"] == [{
+        "stage": s,
+        "note": "act leaves the restraint of %s at -1, not the stage" % block,
+        "line": act.to_line(),
+    }]
 
 
 def _rescan(events, stage, **changes):
@@ -246,6 +269,25 @@ def test_scan_index_and_memo_are_replayed(stage, changes, note):
     v7 = verify(sc, forged)["checks"]["V7"]
     assert v7["status"] == "fail"
     assert v7["witnesses"][0] == {"stage": stage, "note": note, "line": line.to_line()}
+
+
+def test_scan_needs_c_inside_a_cone_of_its_set():
+    """The engine enumerates sigma into W_j unless C already lies in a
+    cone of W_j's strings, so C lies in one at every scan of W_j.  The
+    refusal run's W_0 string "0" flipped to "1" leaves every other rule
+    passing, and both scans over W_0 fail V7."""
+    sc = load_scenario(_REFUSAL_DOC)
+    events, _ = run(sc)
+    at = next(i for i, ev in enumerate(events) if ev.kind == "enumerate")
+    assert events[at].payload == {"j": "0", "set": "W", "sigma": "0"}
+    line = TraceEvent(events[at].stage, "enumerate", dict(events[at].payload, sigma="1"))
+    checks = verify(sc, events[:at] + [line] + events[at + 1:])["checks"]
+    assert [name for name, c in checks.items() if c["status"] == "fail"] == ["V7"]
+    assert checks["V7"]["witnesses"] == [
+        {"stage": ev.stage, "note": "C lies in no cone of W_0 at entry", "line": ev.to_line()}
+        for ev in events
+        if ev.kind == "refuse-certify"
+    ]
 
 
 def test_injuries_match_the_dropped_indices(control_materials):
@@ -673,8 +715,9 @@ def test_forged_robinson_step_lines_fail_v7(control_materials, kind, changes, no
 
 def test_refusal_inside_the_deferral_fails_v7():
     """A scan at a stage s <= use is no step: the input waits for the
-    stage to pass the use.  The refusal of stage 4 moved to stage 2
-    passes every other V7 rule."""
+    stage to pass the use.  The refusal of stage 4 moved to stage 2 fails
+    the step check; it also scans W_0 before the stage-4 enumeration of
+    its string, so C lies in no cone of W_0 at its entry."""
     sc = load_scenario(_DEFERRED_DOC)
     events, _ = run(sc)
     assert passed(verify(sc, events))
@@ -684,11 +727,14 @@ def test_refusal_inside_the_deferral_fails_v7():
     two = next(i for i, ev in enumerate(events) if ev.stage == 2)
     forged = events[:two] + [line] + events[two:at] + events[at + 1:]
     v7 = verify(sc, forged)["checks"]["V7"]
-    assert v7["witnesses"] == [{
-        "stage": 2,
-        "note": "step at input 0 exits nocomp (selects k=0 at use 3), with no scan",
-        "line": line.to_line(),
-    }]
+    assert v7["witnesses"] == [
+        {"stage": 2, "note": "C lies in no cone of W_0 at entry", "line": line.to_line()},
+        {
+            "stage": 2,
+            "note": "step at input 0 exits nocomp (selects k=0 at use 3), with no scan",
+            "line": line.to_line(),
+        },
+    ]
 
 
 def test_scan_without_its_input_fails_v2(control_materials):
