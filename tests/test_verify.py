@@ -224,14 +224,22 @@ def test_restraint_needs_a_same_stage_act(control_materials):
     ]
 
 
-@pytest.mark.parametrize("material", ["forced", "certify"])
-def test_restraining_act_needs_its_restraint(control_materials, material):
+@pytest.mark.parametrize(
+    "material, nth, held", [("forced", 0, -1), ("certify", 0, -1), ("generated", 1, 14)]
+)
+def test_restraining_act_needs_its_restraint(control_materials, material, nth, held):
     """An act that restrains (expansionary or certified) leaves its
     block's restraint at its stage, so without the stage's restraint-set
-    line its act fails V4, with the restraint it left, and nothing else
-    fails."""
-    sc, events, _ = control_materials[material]
-    at = next(i for i, ev in enumerate(events) if ev.kind == "restraint-set")
+    line its act fails V4, with the restraint its block holds instead,
+    and nothing else fails.  In fuzz.generate(11, 56, "sacks", 64) Q:0
+    restrains at stages 14 and 30, so without the second line it still
+    holds 14."""
+    if material == "generated":
+        sc = load_scenario(generate(11, 56, "sacks", 64))
+        events, _ = run(sc)
+    else:
+        sc, events, _ = control_materials[material]
+    at = [i for i, ev in enumerate(events) if ev.kind == "restraint-set"][nth]
     s, block = events[at].stage, events[at].payload["block"]
     act = next(ev for ev in events if ev.kind == "act" and ev.stage == s)
     assert act.payload["via"] != "diagonalize"
@@ -239,7 +247,7 @@ def test_restraining_act_needs_its_restraint(control_materials, material):
     assert [name for name, c in checks.items() if c["status"] == "fail"] == ["V4"]
     assert checks["V4"]["witnesses"] == [{
         "stage": s,
-        "note": "act leaves the restraint of %s at -1, not the stage" % block,
+        "note": "act leaves the restraint of %s at %d, not the stage" % (block, held),
         "line": act.to_line(),
     }]
 
