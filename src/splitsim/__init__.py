@@ -2,7 +2,8 @@
 
 The package splits into layers that only point downward.  The trusted
 kernel is model (pairing, cones, schedules, functionals, each
-requirement step, the p policies, the priority order and assignment),
+requirement step, the guessing sets and the p policies' spans over
+them, the priority order and assignment),
 omegace (bounded approximations and
 their change-set coding) and trace (the event grammar).  Above it sit
 engine (the stage loop), sacks/robinson (the two strategy families,

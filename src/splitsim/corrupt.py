@@ -11,7 +11,7 @@ beat, and so on), so callers can pick a different run.
 
 from __future__ import annotations
 
-from .model import Cones, build_policy, p_changes, p_spans
+from .model import Cones, GuessingSet, build_policy, p_changes
 from .trace import TraceEvent, event
 from .verify import persisting_diagonalizations, verify
 
@@ -139,9 +139,10 @@ def _v8(scenario, events):
         if ev.kind == "enumerate" and ev.payload.get("set") == "W":
             taken.add(int(ev.payload["j"]))
     j = max(taken, default=-1) + 1
-    policy = build_policy(scenario, Cones(entry))
-    spans = p_spans(policy.windows(j, [(0, sig) for sig in sigmas]), horizon)
-    flips = p_changes(spans, horizon)
+    flooded = GuessingSet(Cones(entry))
+    for sig in sigmas:
+        flooded.add(0, sig)
+    flips = p_changes(build_policy(scenario).spans(j, flooded, horizon), horizon)
     if flips <= scenario.q_default:
         raise CorruptionError(
             "C churns %d p-changes out of a budget of %d" % (flips, scenario.q_default)

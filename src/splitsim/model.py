@@ -20,11 +20,16 @@ nothing else from the package.  The ingredients are:
   the half's string, or nothing) and the oracle construction's
   per-input step up to its certification (robinson_step: nocomp,
   defined or scan), which the strategies run and the verifier replays,
+* the guessing sets (GuessingSet), one record per set W_j: its strings
+  and the cone truth p approximates, the stages at which C lies in one
+  of their cones, kept as merged intervals from each string's lifetime
+  and added to once per enumeration,
 * the semantics of the external approximation p: each policy gives its
-  windows, the stage intervals on which p(j, .) answers 1, and
-  first_hit and p_spans read every answer off them; scan, the one
-  certification race between p and C leaving sigma's cone; the
-  mind-change count of a row, and the cone truth p approximates,
+  spans for a guessing set, the sorted, disjoint, maximal intervals of
+  stages on which p(j, .) answers 1 (truthful delay: the set's truth
+  shifted d late; a table: the p_spans of its rows); scan, the one
+  certification race between p, read off those spans, and C leaving
+  sigma's cone; the mind-change count of a row and of a set's spans,
 * the guessing indices (GuessingIndices) that the oracle construction
   drives and the verifier replays, one record per input: which index
   it scans under, which of its refusals repeat one (the memo), its
@@ -51,6 +56,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -453,13 +459,40 @@ def changes(row) -> int:
     return sum(1 for a, b in zip(row, row[1:]) if a != b)
 
 
-def cone_truth(strings: list[tuple[int, str]], c_cones: Cones, at: int) -> int:
-    """1 iff C at stage at lies in the cone of a string enumerated by then.
+class GuessingSet:
+    """One guessing set W_j: its strings and the cone truth p approximates.
 
-    strings are the (enumeration stage, sigma) pairs of one guessing set;
-    this is the limit the truthful p answers for that set.
+    strings are the (enumeration stage, sigma) pairs in the order add
+    recorded them.  truth lists the stages at which C lies in the cone of
+    a string enumerated by then, as sorted, disjoint, non-adjacent [lo,
+    hi) intervals (hi inf: C never leaves).  A string contributes its
+    lifetime over C from its enumeration stage on, so c_cones must be
+    over C's final map, where every lifetime is exact.
     """
-    return int(any(u <= at and c_cones.holds(sigma, at) for u, sigma in strings))
+
+    def __init__(self, c_cones: Cones):
+        self.c_cones = c_cones
+        self.strings: list[tuple[int, str]] = []
+        self.truth: list[tuple[int, float]] = []
+
+    def add(self, u: int, sigma: str) -> None:
+        """Record sigma's enumeration at stage u, merging its interval into truth."""
+        self.strings.append((u, sigma))
+        missing, birth, death = self.c_cones.lifetime(sigma)
+        lo, hi = max(u, birth), math.inf if death is None else death
+        if missing or lo >= hi:
+            return
+        truth = self.truth
+        i = bisect_left(truth, lo, key=itemgetter(1))  # the first interval reaching lo
+        k = bisect_right(truth, (hi, math.inf))  # past the last starting by hi
+        if i < k:
+            lo, hi = min(lo, truth[i][0]), max(hi, truth[k - 1][1])
+        truth[i:k] = [(lo, hi)]
+
+    def holds(self, t: int) -> bool:
+        """True iff C at stage t lies in the cone of a string enumerated by t."""
+        k = bisect_right(self.truth, (t, math.inf))
+        return k > 0 and t < self.truth[k - 1][1]
 
 
 class TruthfulDelayPolicy:
@@ -469,25 +502,17 @@ class TruthfulDelayPolicy:
     lay in the cone of some string enumerated into W_j by stage t - d.
     """
 
-    def __init__(self, delay: int, c_cones: Cones):
+    def __init__(self, delay: int):
         if delay < 1:
             raise ValueError("truthful delay must be at least 1")
         self.delay = delay
-        self.c_cones = c_cones
 
-    def windows(self, j: int, strings: list[tuple[int, str]]) -> list[tuple[int, int | None]]:
-        """One window per string of W_j whose cone C enters, shifted d late.
-
-        A window is empty (lo > hi) when C leaves the cone before p could
-        report it.
-        """
-        out = []
-        for enum_stage, sigma in strings:
-            missing, birth, death = self.c_cones.lifetime(sigma)
-            if not missing:
-                lo = max(enum_stage, birth) + self.delay
-                out.append((lo, None if death is None else death - 1 + self.delay))
-        return out
+    def spans(self, j: int, guessing_set: GuessingSet, horizon: int) -> list[tuple[int, int]]:
+        """The set's truth intervals shifted d late, clipped to the horizon."""
+        d = self.delay
+        return [
+            (lo + d, min(hi - 1 + d, horizon)) for lo, hi in guessing_set.truth if lo + d <= horizon
+        ]
 
 
 class TablePolicy:
@@ -502,9 +527,9 @@ class TablePolicy:
                 raise ValueError("p must answer 0 at stage 0 (index %d)" % j)
             self._windows[int(j)] = [(t, t) for t, v in enumerate(row) if v]
 
-    def windows(self, j: int, strings) -> list[tuple[int, int]]:
-        """One single-stage window per 1 in row j."""
-        return self._windows.get(j, [])
+    def spans(self, j: int, guessing_set, horizon: int) -> list[tuple[int, int]]:
+        """The p_spans of row j's single-stage windows, one per 1."""
+        return p_spans(self._windows.get(j, []), horizon)
 
 
 def p_spans(windows, horizon: int) -> list[tuple[int, int]]:
@@ -522,7 +547,7 @@ def p_spans(windows, horizon: int) -> list[tuple[int, int]]:
 
 
 def p_changes(spans, horizon: int) -> int:
-    """How often p changes its mind in 0..horizon over its p_spans: at
+    """How often p changes its mind in 0..horizon over its spans: at
     both ends of every span, less a start at stage 0 and an end at the
     horizon."""
     if not spans:
@@ -530,31 +555,17 @@ def p_changes(spans, horizon: int) -> int:
     return 2 * len(spans) - (spans[0][0] == 0) - (spans[-1][1] == horizon)
 
 
-def first_hit(windows, s: int, horizon: int) -> int | None:
-    """The first t in s..horizon at which p answers 1 over these windows, or None."""
-    return next((max(s, lo) for lo, hi in p_spans(windows, horizon) if hi >= s), None)
-
-
-def p_row(windows, horizon: int) -> list[int]:
-    """p(j, t) for t in 0..horizon: only the test reference for p_spans."""
-    row = [0] * (horizon + 1)
-    for lo, hi in windows:
-        top = horizon if hi is None else min(horizon, hi)
-        row[lo: top + 1] = [1] * max(0, top + 1 - lo)
-    return row
-
-
-def scan(windows, c_cones: Cones, sigma: str, entry: int, horizon: int):
+def scan(spans, c_cones: Cones, sigma: str, entry: int, horizon: int):
     """The certification scan from stage entry: the race between p and C.
 
-    windows are p's for the guessing index, and C lies in sigma's cone at
-    entry.  The scan certifies at the first p hit, is refused at the stage
-    C leaves the cone if that comes no later, and is pending when neither
-    happens by the horizon: ("certify", t), ("refused", t) or
-    ("pending", None).
+    spans are p's for the guessing index, as its policy gives them, and C
+    lies in sigma's cone at entry.  The scan certifies at the first p hit,
+    is refused at the stage C leaves the cone if that comes no later, and
+    is pending when neither happens by the horizon: ("certify", t),
+    ("refused", t) or ("pending", None).
     """
     _, _, death = c_cones.lifetime(sigma)
-    t_hit = first_hit(windows, entry, horizon)
+    t_hit = next((max(entry, lo) for lo, hi in spans if hi >= entry), None)
     if death is not None and death <= horizon and (t_hit is None or death <= t_hit):
         return "refused", death
     if t_hit is None:
@@ -562,11 +573,11 @@ def scan(windows, c_cones: Cones, sigma: str, entry: int, horizon: int):
     return "certify", t_hit
 
 
-def build_policy(scenario, c_cones: Cones):
-    """The external approximation p for a robinson scenario; c_cones is over its C."""
+def build_policy(scenario):
+    """The external approximation p for a robinson scenario."""
     if scenario.p_policy_kind == "table":
         return TablePolicy(scenario.p_policy_params["values"])
-    return TruthfulDelayPolicy(scenario.p_policy_params["d"], c_cones)
+    return TruthfulDelayPolicy(scenario.p_policy_params["d"])
 
 
 class GuessingIndices:

@@ -8,15 +8,18 @@ of a per-input index j (unless C already lies in one of the set's cones),
 and the kernel's scan (model.scan) races the first moment C leaves the
 cone of sigma (refusal) against the first stage the external
 approximation p answers 1 for j (certification), read off the policy's
-windows for j.  The scan happens inside the stage against the
+spans for W_j.  The scan happens inside the stage against the
 pre-specified C schedule and p policy, both oblivious to the run, so a
 run remains a pure function of its scenario.
 
 The kernel's GuessingIndices (RobinsonStrategy.inputs) holds each
 input's one record, keyed by owner (side, e) and input x: its guessing
 index, the sigmas whose scan was refused under it, and its local
-definition (k, death); the strings enumerated into each guessing set
-W_j are in sets.  death is the stage at which C leaves sigma's cone
+definition (k, death).  Each guessing set W_j is one kernel record,
+model.GuessingSet (RobinsonStrategy.sets), over the strategy's c_cones:
+its strings and the stages at which C lies in one of their cones, which
+certify asks before it enumerates and the policy's spans are read off.
+death is the stage at which C leaves sigma's cone
 (None: never), read off its lifetime in the strategy's own c_cones, and
 the kernel's live decides whether the definition still counts at a
 stage.  A sigma refused before is refused again at its death (the cone
@@ -78,10 +81,9 @@ from .model import (
     Axiom,
     Cones,
     GuessingIndices,
+    GuessingSet,
     block_label,
     build_policy,
-    cone_truth,
-    first_hit,
     robinson_step,
     scan,
 )
@@ -96,9 +98,9 @@ class RobinsonStrategy:
         self.run = run
         self.tables = scenario.functionals
         self.c_cones = Cones(scenario.c_schedule.entry_stage())
-        self.policy = build_policy(scenario, self.c_cones)
+        self.policy = build_policy(scenario)
         self.inputs = GuessingIndices()  # keyed by owner (side, e) and input x
-        self.sets: dict[int, list[tuple[int, str]]] = {}  # j -> (stage, sigma) of W_j
+        self.sets: dict[int, GuessingSet] = {}  # j -> W_j
         self.pending_scans = 0
         self.unsettled = False
         c_entries = scenario.c_schedule.entries
@@ -118,9 +120,11 @@ class RobinsonStrategy:
         run = self.run
         label = block_label(side, e)
         j = self.inputs.held((side, e), x)
-        strings = self.sets.setdefault(j, [])
-        if not cone_truth(strings, self.c_cones, s):
-            strings.append((s, axiom.sigma))
+        wset = self.sets.get(j)
+        if wset is None:
+            wset = self.sets[j] = GuessingSet(self.c_cones)
+        if not wset.holds(s):
+            wset.add(s, axiom.sigma)
             run.emit(event(s, "enumerate", j=j, set="W", sigma=axiom.sigma))
 
         def emit_scan(kind, **extra):
@@ -131,7 +135,8 @@ class RobinsonStrategy:
                 )
             )
 
-        result, t = scan(self.policy.windows(j, strings), self.c_cones, axiom.sigma, s, run.horizon)
+        spans = self.policy.spans(j, wset, run.horizon)
+        result, t = scan(spans, self.c_cones, axiom.sigma, s, run.horizon)
         if result == "certify":
             self.inputs.define((side, e), x, axiom.k, self.c_cones.lifetime(axiom.sigma)[2])
             emit_scan("certify", resolved=t)
@@ -229,8 +234,8 @@ class RobinsonStrategy:
         """(pending scans, unsettled), flagging the run unsettled if some
         p still disagrees with the cone truth at the horizon."""
         h = self.run.horizon
-        for j, strings in self.sets.items():
-            p_h = first_hit(self.policy.windows(j, strings), h, h) is not None
-            if p_h != cone_truth(strings, self.c_cones, h):
+        for j, wset in self.sets.items():
+            spans = self.policy.spans(j, wset, h)
+            if (bool(spans) and spans[-1][1] == h) != wset.holds(h):
                 self.unsettled = True
         return self.pending_scans, self.unsettled

@@ -14,8 +14,10 @@ weaker one, and block membership is read off its assignments by
 bisection over the scenario's table owners), the cone oracle (Cones:
 over C's schedule from set-up, over each half's final map once the
 replay ends, so V5, V7 and V9 look their past-stage cone questions up),
-the cone truth, p's windows per guessing set (V7 scans them, V8 reads
-their p_spans), and the certification scan (scan).  Payload integers
+the guessing sets (GuessingSet: the replay adds each W enumeration line
+to its set's record and asks it for the cone truth), p's spans per
+guessing set (built once per verify, V7 scans them and V8 reads them),
+and the certification scan (scan).  Payload integers
 are read with the trace grammar's parse_int, so a non-canonical one is
 a malformed payload.  Block state is keyed by (side, index), as in the
 engine; a restraint-set or initialize line whose block label does not
@@ -102,6 +104,7 @@ checks carry minimal witnesses (stage plus the offending trace lines).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import partial
 
 from .model import (
@@ -109,14 +112,13 @@ from .model import (
     BlockState,
     Cones,
     GuessingIndices,
+    GuessingSet,
     applicable_axiom,
     block_label,
     build_policy,
-    cone_truth,
     member,
     order_block,
     p_changes,
-    p_spans,
     parse_label,
     priority_order,
     robinson_step,
@@ -222,7 +224,7 @@ class _Context:
         self.max_restraint = {}
         self.last_initialized = {}
         self.last_change = [-1, -1]
-        self.w_sets = {}
+        self.w_sets = {}  # j -> GuessingSet W_j
         self.w_seen = {}  # (j, sigma) -> stage of its first enumeration
         self.scans = []  # (line, index its input holds, memo due), in trace order
         self.indices = GuessingIndices()  # keyed by the scan lines' req and x texts
@@ -379,10 +381,12 @@ def _on_enumerate(ctx, ev, s, pend):
         if (j, sigma) in ctx.w_seen:
             prob.add("V2", s, "string enumerated twice into W_%d" % j, ev)
         ctx.w_seen.setdefault((j, sigma), s)
-        prior = ctx.w_sets.setdefault(j, [])
-        if cone_truth(prior, ctx.c_cones, s):
+        wset = ctx.w_sets.get(j)
+        if wset is None:
+            wset = ctx.w_sets[j] = GuessingSet(ctx.c_cones)
+        if wset.holds(s):
             prob.add("V7", s, "enumeration into W_%d while C already lies in a cone" % j, ev)
-        prior.append((s, sigma))
+        wset.add(s, sigma)
         return
     x = parse_int(pay["element"])
     if target == "D":
@@ -785,12 +789,12 @@ def _outcome(result, t):
     return result if t is None else "%s at %d" % (result, t)
 
 
-def _check_v7(ctx, windows):
+def _check_v7(ctx, spans):
     """A scan line, memo refusal or not, must start at its own stage inside
     sigma's cone, name the guessing set its input holds, which must be
     enumerated and hold C in one of its cones (the engine enumerates
     sigma unless C already lies in one), claim what model.scan gives over
-    that set's p windows, and carry memo=1 exactly when the replay
+    that set's p spans, and carry memo=1 exactly when the replay
     expects a memo refusal."""
     prob = ctx.problems
     if ctx.scenario.construction != "robinson":
@@ -812,19 +816,17 @@ def _check_v7(ctx, windows):
             prob.add("V7", ev.stage, "scan entry %d is not its stage" % entry, ev)
         elif j != held_j:
             prob.add("V7", ev.stage, "scan names W_%d, its input holds W_%d" % (j, held_j), ev)
-        elif j not in windows:
+        elif j not in spans:
             prob.add("V7", ev.stage, "scan names W_%d, which holds no string" % j, ev)
         elif not ctx.c_cones.holds(sigma, entry):
             prob.add("V7", ev.stage, "C lies outside the scanned cone at entry", ev)
         # sigma itself, if in W_j by entry, is a cone of W_j holding C there.
-        elif ctx.w_seen.get((j, sigma), entry + 1) > entry and not cone_truth(
-            ctx.w_sets[j], ctx.c_cones, entry
-        ):
+        elif ctx.w_seen.get((j, sigma), entry + 1) > entry and not ctx.w_sets[j].holds(entry):
             prob.add("V7", ev.stage, "C lies in no cone of W_%d at entry" % j, ev)
         elif not certify and result not in ("refused", "pending"):
             prob.add("V7", ev.stage, "unknown refusal result %r" % (result,), ev)
         else:
-            want = scan(windows[j], ctx.c_cones, sigma, entry, ctx.horizon)
+            want = scan(spans[j], ctx.c_cones, sigma, entry, ctx.horizon)
             if want != (result, resolved):
                 prob.add(
                     "V7", ev.stage,
@@ -839,7 +841,7 @@ def _check_v7(ctx, windows):
                 )
 
 
-def _check_v8_v10(ctx, windows):
+def _check_v8_v10(ctx, spans):
     """The p contract, read off each guessing set's p spans, and its coding.
 
     Lemma: V10 fails exactly when V8 finds a broken start or budget.
@@ -852,7 +854,7 @@ def _check_v8_v10(ctx, windows):
     order, its start tested before its budget.
 
     The loader guarantees the start bit: it and TablePolicy reject a row
-    that starts at 1, and a truthful window opens at stage d >= 1.  So
+    that starts at 1, and a truthful span opens at stage d >= 1.  So
     the start rule and its V10 witness guard only a policy that breaks
     the contract (tested with a forged one).
     """
@@ -863,11 +865,10 @@ def _check_v8_v10(ctx, windows):
     h = ctx.horizon
     settled = ctx.pending_count == 0
     broken = {}
-    for j, w in sorted(windows.items()):
-        spans = p_spans(w, h)
-        start = bool(spans) and spans[0][0] == 0
-        last = bool(spans) and spans[-1][1] == h
-        flips, q = p_changes(spans, h), sc.q_overrides.get(j, sc.q_default)
+    for j, ones in sorted(spans.items()):
+        start = bool(ones) and ones[0][0] == 0
+        last = bool(ones) and ones[-1][1] == h
+        flips, q = p_changes(ones, h), sc.q_overrides.get(j, sc.q_default)
         if start:
             prob.add("V8", 0, "p(%d, 0) is 1, not 0" % j)
             broken[j] = "approximations must start at 0 (argument %d)" % j
@@ -875,7 +876,7 @@ def _check_v8_v10(ctx, windows):
             prob.add("V8", h, "p row %d changes its mind %d times, budget %d" % (j, flips, q))
             budget = "argument %d changes its mind %d times, bound is %d" % (j, flips, q + 1)
             broken.setdefault(j, budget)
-        if last != cone_truth(ctx.w_sets[j], ctx.c_cones, h):
+        if last != ctx.w_sets[j].holds(h):
             settled = False
     first = next((j for j in ctx.w_sets if j in broken), None)
     if first is not None:
@@ -889,6 +890,9 @@ def _check_v9(ctx, settled):
     if sc.construction != "robinson" or not settled:
         return
     h = ctx.horizon
+    # Each side's A-entry stages and C's entry stages, sorted, so a
+    # definition's marks inside (its stage, end) are two slices.
+    a_stages = [sorted(set(entry.values())) for entry in ctx.a_entry]
     c_stages = sorted(set(ctx.c_cones.entry.values()))
     for d in ctx.definitions:
         side, e = d["req"]
@@ -903,8 +907,8 @@ def _check_v9(ctx, settled):
         marks = set()
         if (d["req"], d["x"], d["stage"], d["k"]) not in ctx.selected:
             marks.add(d["stage"])
-        marks.update(t for t in ctx.a_entry[side].values() if d["stage"] < t < end)
-        marks.update(t for t in c_stages if d["stage"] < t < end)
+        for stages in (a_stages[side], c_stages):
+            marks.update(stages[bisect_right(stages, d["stage"]): bisect_left(stages, end)])
         for t in sorted(marks):
             if not ctx.c_cones.holds(d["sigma"], t):
                 continue
@@ -929,13 +933,13 @@ def _check_v9(ctx, settled):
 def verify(scenario, events, final=None) -> dict:
     """Check a finished run; returns {"checks", "flags", "diagnostics"}."""
     ctx = _replay(scenario, events)
-    windows = {}
+    spans = {}  # j -> p's spans for W_j, which V7 and V8 share
     if scenario.construction == "robinson":
-        policy = build_policy(scenario, ctx.c_cones)
-        windows = {j: policy.windows(j, strings) for j, strings in ctx.w_sets.items()}
+        policy = build_policy(scenario)
+        spans = {j: policy.spans(j, wset, ctx.horizon) for j, wset in ctx.w_sets.items()}
     _check_v5(ctx)
-    _check_v7(ctx, windows)
-    settled = _check_v8_v10(ctx, windows)
+    _check_v7(ctx, spans)
+    settled = _check_v8_v10(ctx, spans)
     _check_steps(ctx)
     _check_v9(ctx, settled)
 

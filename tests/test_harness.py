@@ -7,7 +7,7 @@ import pytest
 from splitsim.engine import ConstructionInvariantError, Run
 from splitsim.fuzz import generate
 from splitsim.harness import run
-from splitsim.model import Cones, TablePolicy, TruthfulDelayPolicy, build_policy
+from splitsim.model import TablePolicy, TruthfulDelayPolicy, build_policy
 from splitsim.robinson import RobinsonStrategy
 from splitsim.sacks import SacksStrategy
 from splitsim.scenario import load_scenario
@@ -32,7 +32,7 @@ def test_policy_dispatch():
             "p_policy": {"type": "table", "values": {"0": [0, 1]}},
         }
     )
-    assert isinstance(build_policy(sc, Cones()), TablePolicy)
+    assert isinstance(build_policy(sc), TablePolicy)
     _, strategy, _ = execute(sc)
     assert isinstance(strategy, RobinsonStrategy)
     assert isinstance(strategy.policy, TablePolicy)
@@ -44,13 +44,11 @@ def test_policy_dispatch():
             "p_policy": {"type": "truthful_delay", "d": 3},
         }
     )
-    c_cones = Cones()
-    pol = build_policy(sc, c_cones)
+    pol = build_policy(sc)
     assert isinstance(pol, TruthfulDelayPolicy)
     assert pol.delay == 3
-    assert pol.c_cones is c_cones
     _, strategy, _ = execute(sc)
-    assert strategy.policy.c_cones is strategy.c_cones
+    assert isinstance(strategy.policy, TruthfulDelayPolicy)
 
 
 def test_strategy_dispatch_sacks():

@@ -104,6 +104,35 @@ def test_liveness_is_decided_in_the_kernel():
         assert "live" in calls, module
 
 
+def test_cone_truth_and_p_come_from_the_guessing_set_record():
+    """A guessing set's cone truth and p's answers about it have one
+    source, the kernel's GuessingSet record and the policy's spans over
+    it: robinson and verify build the record and ask it and the policy,
+    and name neither a per-string cone truth nor a first hit, nor call a
+    policy's windows.  No package module names those per-string forms."""
+    per_string = {"cone_truth", "first_hit", "p_row"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names.update(node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef))
+        names.update(
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        )
+        assert not names & per_string, (path.stem, names & per_string)
+        if path.stem in ("robinson", "verify"):
+            calls = {
+                node.func.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            }
+            assert "windows" not in calls, path.stem
+            assert {"spans", "holds", "add"} <= calls, path.stem
+            assert "GuessingSet" in names, path.stem
+
+
 def private_imports(path: Path) -> list[str]:
     """Underscore names a source file imports from the package or one of its
     modules, then those it reads off a package module it imported, as

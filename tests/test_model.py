@@ -9,24 +9,28 @@ from splitsim.model import (
     EnumerationSchedule,
     FunctionalTable,
     GuessingIndices,
+    GuessingSet,
     PriorityAssignment,
+    TablePolicy,
+    TruthfulDelayPolicy,
     applicable_axiom,
     block_label,
     changes,
     check_bits,
-    cone_truth,
     consistency_conflicts,
     order_block,
     p_changes,
-    p_row,
     p_spans,
     pair,
     parse_label,
     priority_order,
+    scan,
     threatens,
     unpair,
     validate_consistency,
 )
+
+from p_reference import cone_truth, p_row, scan as reference_scan, table_windows, truthful_windows
 
 # Frozen pairing values, recomputed by hand from (a+b)(a+b+1)/2 + b.
 PAIR_CASES = [
@@ -581,3 +585,47 @@ def test_changes_and_cone_truth():
     assert cone_truth([(4, "10")], c_cones, 3) == 0  # not enumerated by stage 3
     assert cone_truth([(4, "10")], c_cones, 4) == 1
     assert cone_truth([(4, "10")], c_cones, 5) == 0
+    wset = GuessingSet(c_cones)
+    wset.add(4, "10")
+    assert wset.truth == [(4, 5)]
+    assert [wset.holds(t) for t in (3, 4, 5)] == [False, True, False]
+    wset.add(1, "1")  # lives from 2 on and swallows [4, 5)
+    assert wset.strings == [(4, "10"), (1, "1")]
+    assert [wset.holds(t) for t in (1, 3, 5)] == [False, True, True]
+
+
+@given(
+    st.dictionaries(st.integers(0, 5), st.integers(0, 12), max_size=6),
+    st.lists(st.tuples(st.integers(0, 12), st.text(alphabet="01", max_size=5)), max_size=6),
+    st.integers(0, 14),
+    st.integers(1, 4),
+    st.lists(st.integers(0, 1), max_size=14),
+)
+def test_guessing_set_matches_the_per_string_reference(c_entry, strings, h, delay, tail):
+    """The record against its per-string references, over a random C
+    schedule and sequence of enumerations: holds is the cone truth at
+    every stage after every add, its truth intervals are sorted, disjoint
+    and non-adjacent, each policy's spans are p_spans of the reference
+    windows, and the scan over them is the reference scan."""
+    c_cones = Cones(c_entry)
+    wset = GuessingSet(c_cones)
+    for n, (u, sigma) in enumerate(strings):
+        wset.add(u, sigma)
+        done = strings[: n + 1]
+        assert wset.strings == done
+        for t in range(h + 2):
+            assert wset.holds(t) == bool(cone_truth(done, c_cones, t)), (t, done)
+    assert all(lo < hi for lo, hi in wset.truth)
+    assert all(a[1] < b[0] for a, b in zip(wset.truth, wset.truth[1:]))
+    values = {0: [0] + tail}
+    policies = (
+        (TruthfulDelayPolicy(delay), truthful_windows(delay, c_cones, strings)),
+        (TablePolicy(values), table_windows(values, 0)),
+    )
+    for policy, windows in policies:
+        spans = policy.spans(0, wset, h)
+        assert spans == p_spans(windows, h)
+        for sigma in {""} | {sigma for _, sigma in strings}:
+            for entry in range(h + 1):
+                want = reference_scan(windows, c_cones, sigma, entry, h)
+                assert scan(spans, c_cones, sigma, entry, h) == want

@@ -6,19 +6,19 @@ from splitsim.harness import run
 from splitsim.model import (
     Axiom,
     Cones,
+    GuessingSet,
     TablePolicy,
     TruthfulDelayPolicy,
-    build_policy,
     changes,
-    cone_truth,
-    first_hit,
-    p_row,
+    p_spans,
+    scan,
 )
 from splitsim.robinson import RobinsonStrategy
 from splitsim.scenario import load_scenario
 from splitsim.verify import passed, verify
 
 from conftest import bench_module, execute, visits_against_reference
+from p_reference import cone_truth, first_hit, p_row, table_windows, truthful_windows
 
 oracle_churn_doc = bench_module("workloads").oracle_churn_doc
 
@@ -34,46 +34,62 @@ def test_lifetime_frozen_cases():
     assert Cones({0: 2, 1: 5}).lifetime("00") == (0, 0, 2)
 
 
-def _assert_first_hit_is_first_one(windows, horizon):
-    # first_hit is the first 1 of the row at or after the scan start.
-    row = p_row(windows, horizon)
+def _guessing_set(c_cones, strings):
+    wset = GuessingSet(c_cones)
+    for u, sigma in strings:
+        wset.add(u, sigma)
+    return wset
+
+
+def _first_hit(spans, s, horizon):
+    """The first p hit in s..horizon, read off the scan of a cone C never leaves."""
+    return scan(spans, Cones(), "", s, horizon)[1]
+
+
+def _assert_spans_match_the_reference(spans, windows, horizon):
+    # The spans are p_spans of the per-string windows, and the scan's
+    # first hit from each stage is the first 1 of the reference row.
+    assert spans == p_spans(windows, horizon)
     for s in range(horizon + 1):
-        want = next((t for t in range(s, horizon + 1) if row[t]), None)
-        assert first_hit(windows, s, horizon) == want
+        assert _first_hit(spans, s, horizon) == first_hit(windows, s, horizon)
 
 
 def test_truthful_delay_policy():
     with pytest.raises(ValueError):
-        TruthfulDelayPolicy(0, Cones())
-    pol = TruthfulDelayPolicy(2, Cones({0: 3}))
-    alive = pol.windows(0, [(1, "1")])  # joins the cone at stage 3, never leaves
-    assert p_row(alive, 6) == [0, 0, 0, 0, 0, 1, 1]
-    assert first_hit(alive, 0, 8) == 5
-    assert first_hit(alive, 6, 8) == 6
-    assert first_hit(alive, 0, 4) is None
-    dying = pol.windows(0, [(0, "0")])  # dies when 0 enters C at stage 3
-    assert p_row(dying, 6) == [0, 0, 1, 1, 1, 0, 0]
-    assert first_hit(dying, 0, 8) == 2
-    assert first_hit(dying, 5, 8) is None
-    unborn = pol.windows(0, [(0, "01")])  # 1 never enters C, so C never enters the cone
-    assert p_row(unborn, 6) == [0] * 7
-    assert first_hit(unborn, 0, 8) is None
-    late = pol.windows(0, [(4, "")])  # enumerated after C entered the cone: opens at 4 + d
-    assert p_row(late, 6) == [0, 0, 0, 0, 0, 0, 1]
-    for windows in (alive, dying, unborn, late, alive + dying):
-        _assert_first_hit_is_first_one(windows, 8)
+        TruthfulDelayPolicy(0)
+    pol = TruthfulDelayPolicy(2)
+    c_cones = Cones({0: 3})
+    alive = [(1, "1")]  # joins the cone at stage 3, never leaves
+    assert p_row(truthful_windows(2, c_cones, alive), 6) == [0, 0, 0, 0, 0, 1, 1]
+    assert pol.spans(0, _guessing_set(c_cones, alive), 6) == [(5, 6)]
+    spans = pol.spans(0, _guessing_set(c_cones, alive), 8)
+    assert _first_hit(spans, 0, 8) == 5
+    assert _first_hit(spans, 6, 8) == 6
+    assert pol.spans(0, _guessing_set(c_cones, alive), 4) == []
+    dying = [(0, "0")]  # dies when 0 enters C at stage 3
+    assert p_row(truthful_windows(2, c_cones, dying), 6) == [0, 0, 1, 1, 1, 0, 0]
+    spans = pol.spans(0, _guessing_set(c_cones, dying), 8)
+    assert spans == [(2, 4)]
+    assert _first_hit(spans, 0, 8) == 2
+    assert _first_hit(spans, 5, 8) is None
+    unborn = [(0, "01")]  # 1 never enters C, so C never enters the cone
+    assert pol.spans(0, _guessing_set(c_cones, unborn), 8) == []
+    late = [(4, "")]  # enumerated after C entered the cone: opens at 4 + d
+    assert pol.spans(0, _guessing_set(c_cones, late), 6) == [(6, 6)]
+    for strings in (alive, dying, unborn, late, alive + dying):
+        spans = pol.spans(0, _guessing_set(c_cones, strings), 8)
+        _assert_spans_match_the_reference(spans, truthful_windows(2, c_cones, strings), 8)
 
 
 def test_table_policy():
     pol = TablePolicy({"0": [0, 1, 0]})
-    row0 = pol.windows(0, [])
-    assert p_row(row0, 3) == [0, 1, 0, 0]
-    assert p_row(row0, 1) == [0, 1]
-    assert p_row(pol.windows(7, []), 1) == [0, 0]
-    assert first_hit(row0, 0, 8) == 1
-    assert first_hit(row0, 2, 8) is None
-    assert first_hit(row0, 0, 0) is None
-    _assert_first_hit_is_first_one(row0, 8)
+    assert pol.spans(0, None, 3) == [(1, 1)]
+    assert pol.spans(0, None, 0) == []
+    assert pol.spans(7, None, 1) == []
+    spans = pol.spans(0, None, 8)
+    assert _first_hit(spans, 0, 8) == 1
+    assert _first_hit(spans, 2, 8) is None
+    _assert_spans_match_the_reference(spans, table_windows({0: [0, 1, 0]}, 0), 8)
     with pytest.raises(ValueError):
         TablePolicy({0: [1, 0]})
     with pytest.raises(ValueError):
@@ -91,12 +107,13 @@ _strings = st.lists(st.tuples(st.integers(0, 12), st.text(alphabet="01", max_siz
 )
 def test_truthful_first_hit_at_the_horizon_is_the_row_end(c_entry, delay, strings, h):
     c_cones = Cones(c_entry)
-    windows = TruthfulDelayPolicy(delay, c_cones).windows(0, strings)
+    spans = TruthfulDelayPolicy(delay).spans(0, _guessing_set(c_cones, strings), h)
+    windows = truthful_windows(delay, c_cones, strings)
     row = p_row(windows, h)
-    assert (first_hit(windows, h, h) is not None) == (row[h] == 1)
+    assert (_first_hit(spans, h, h) is not None) == (row[h] == 1)
     # The row is the cone truth, d stages late.
     assert row == [int(t >= delay and cone_truth(strings, c_cones, t - delay)) for t in range(h + 1)]
-    _assert_first_hit_is_first_one(windows, h)
+    _assert_spans_match_the_reference(spans, windows, h)
 
 
 @given(
@@ -106,12 +123,13 @@ def test_truthful_first_hit_at_the_horizon_is_the_row_end(c_entry, delay, string
 )
 def test_table_first_hit_at_the_horizon_is_the_row_end(tail, j, h):
     given_row = [0] + tail if j == 0 else []
-    windows = TablePolicy({0: [0] + tail}).windows(j, [])
+    spans = TablePolicy({0: [0] + tail}).spans(j, None, h)
+    windows = table_windows({0: [0] + tail}, j)
     row = p_row(windows, h)
-    assert (first_hit(windows, h, h) is not None) == (row[h] == 1)
+    assert (_first_hit(spans, h, h) is not None) == (row[h] == 1)
     # Missing entries are 0.
     assert row == (given_row + [0] * (h + 1))[: h + 1]
-    _assert_first_hit_is_first_one(windows, h)
+    _assert_spans_match_the_reference(spans, windows, h)
 
 
 def _doc(horizon, c, delay, functionals, b=()):
@@ -152,10 +170,11 @@ def test_certification_race_won_by_policy_hit():
     enums = [ev for ev in events if ev.kind == "enumerate" and ev.payload["set"] == "W"]
     assert [(ev.stage, ev.payload["j"], ev.payload["sigma"]) for ev in enums] == [(2, "0", "0")]
     # p holds only while C stays out of the cone, one stage late.
-    strings = [(2, "0")]
-    row = p_row(build_policy(sc, Cones(sc.c_schedule.entry_stage())).windows(0, strings), 8)
+    strings = strategy.sets[0].strings
+    assert strings == [(2, "0")]
+    row = p_row(truthful_windows(1, strategy.c_cones, strings), 8)
     assert changes(row) == 2
-    assert row[8] == 0 == cone_truth(strings, strategy.c_cones, 8)
+    assert row[8] == 0 == cone_truth(strings, strategy.c_cones, 8) == strategy.sets[0].holds(8)
     assert not state["unsettled"]
     assert verify(sc, events)["checks"]["V8"]["status"] == "pass"
     # The local definition died with its sigma cone.

@@ -48,6 +48,15 @@ past every owner (193 of 201 catch-ups per dense-sacks benchmark pass,
 value calls instead of 1,050, the corpus 15,295 instead of 16,733, and
 churn 280 instead of 290.
 
+lifetime counts the run's Cones.lifetime calls.  It joined the churn
+gate when each guessing set became one kernel record (model.GuessingSet)
+that reads a string's lifetime once, at its enumeration, instead of at
+every cone-truth question and every scan's p windows.  Per event at
+H = 40/80/160/320:
+
+                            per string per scan       one record per set
+  churn  Cones.lifetime     0.820/0.921/1.050/1.402   0.570/0.563/0.558/0.556
+
 verify steps counts the verifier's evaluations of the kernel's
 requirement steps (model.sacks_step and model.robinson_step, called
 from verify): one per Sacks step and one per Robinson scan line.  They
@@ -72,7 +81,7 @@ import pytest
 
 from splitsim import verify as verify_mod
 from splitsim.harness import run
-from splitsim.model import BlockState, PriorityAssignment, priority_order
+from splitsim.model import BlockState, Cones, PriorityAssignment, priority_order
 from splitsim.robinson import RobinsonStrategy
 from splitsim.sacks import SacksStrategy
 from splitsim.scenario import load_scenario
@@ -89,6 +98,7 @@ CALLS = {
     "add": (BlockState, "add"),
     "sacks visits": (SacksStrategy, "run_requirement"),
     "robinson visits": (RobinsonStrategy, "run_requirement"),
+    "lifetime": (Cones, "lifetime"),
 }
 
 LINEAR = {
@@ -96,7 +106,7 @@ LINEAR = {
         "members", "value", "orders_of", "owners mapped", "add",
         "sacks visits", "close", "block-state work", "verify steps",
     ),
-    "churn": ("robinson visits", "close", "verify steps"),
+    "churn": ("robinson visits", "close", "verify steps", "lifetime"),
 }
 
 QUIET = (500, 1000, 2000)

@@ -23,6 +23,7 @@ from conftest import (
     malformed_refusals,
     quiet_tail_docs,
 )
+from p_reference import p_row, windows
 
 
 def test_check_catalogue():
@@ -385,12 +386,14 @@ def test_negative_w_index_fails_v2():
 
 
 def test_v8_v10_read_p_off_its_spans(control_materials, monkeypatch):
-    """V8 and V10 read p off its spans: verify builds no p row, codes no
-    change set and decodes none, on the honest runs and on the V8
-    forgery alike.  A deterministic count of calls, not a timing gate."""
+    """V8 and V10 read p off its spans: verify codes no change set and
+    decodes none, on the honest runs and on the V8 forgery alike, and the
+    package has no p row to build (only the tests' reference has).  A
+    deterministic count of calls, not a timing gate."""
+    assert not hasattr(model, "p_row")
     calls = [
         count_calls(monkeypatch, owner, name)
-        for owner, name in ((omegace, "build_change_set"), (verify_mod, "restrict"), (model, "p_row"))
+        for owner, name in ((omegace, "build_change_set"), (verify_mod, "restrict"))
     ]
     sc, events, final = control_materials["injury"]
     report = verify(sc, events, final)
@@ -405,23 +408,23 @@ def test_v8_v10_read_p_off_its_spans(control_materials, monkeypatch):
         "stage": 12,
         "note": "p rows are no bounded approximation: argument 0 changes its mind 5 times, bound is 3",
     }]
-    assert calls == [[], [], []]
+    assert calls == [[], []]
 
 
 class _OpensAtZero:
-    """A p policy that breaks the contract: every window is stage 0 alone."""
+    """A p policy that breaks the contract: p answers 1 at stage 0 alone."""
 
-    def windows(self, j, strings):
+    def spans(self, j, guessing_set, horizon):
         return [(0, 0)]
 
 
 def test_v8_v10_start_witnesses(control_materials, monkeypatch):
     """V8's start rule and V10's start witness, which no loadable scenario
     reaches (the loader and TablePolicy reject a row that starts at 1, and
-    a truthful window opens at stage d >= 1), fire on a policy that
+    a truthful span opens at stage d >= 1), fire on a policy that
     answers 1 at stage 0: V8 once per guessing set, V10 once, for the
     first set in enumeration order, with one flip each, inside budget."""
-    monkeypatch.setattr(verify_mod, "build_policy", lambda scenario, c_cones: _OpensAtZero())
+    monkeypatch.setattr(verify_mod, "build_policy", lambda scenario: _OpensAtZero())
     sc, events, _ = control_materials["injury"]
     enumerated = [int(ev.payload["j"]) for ev in events if ev.payload.get("set") == "W"]
     assert len(set(enumerated)) == 3
@@ -437,15 +440,16 @@ def test_v8_v10_start_witnesses(control_materials, monkeypatch):
 
 
 def _coded_verdict(sc, events):
-    """V10's verdict as omegace reaches it from the p rows: they form an
-    ApproxTable with bounds q + 1, and restrict decodes their limit."""
-    windows = {}
-    if sc.construction == "robinson":
-        policy = model.build_policy(sc, model.Cones(sc.c_schedule.entry_stage()))
-        w_sets = verify_mod._replay(sc, events).w_sets
-        windows = {j: policy.windows(j, strings) for j, strings in w_sets.items()}
+    """V10's verdict as omegace reaches it from the p rows, built by the
+    per-string reference from the strings of the replay's guessing sets:
+    they form an ApproxTable with bounds q + 1, and restrict decodes their
+    limit."""
     h = sc.horizon
-    rows = {j: tuple(model.p_row(w, h)) for j, w in windows.items()}
+    rows = {}
+    if sc.construction == "robinson":
+        c_cones = model.Cones(sc.c_schedule.entry_stage())
+        for j, wset in verify_mod._replay(sc, events).w_sets.items():
+            rows[j] = tuple(p_row(windows(sc, c_cones, j, wset.strings), h))
     bounds = {j: sc.q_overrides.get(j, sc.q_default) + 1 for j in rows}
     try:
         tab = omegace.ApproxTable(h, rows, bounds)
