@@ -14,7 +14,10 @@ nothing else from the package.  The ingredients are:
   per string and keeps current as arrivals come in,
 * Turing functionals given as finite axiom tables with explicit use,
   the one rule for when two axioms conflict (conflicting), and the
-  axiom a table selects at a stage,
+  selection record (selection), one per table over a fixed C (none for
+  a unary table): each axiom's C side holds on one stage interval, its
+  window, so the axiom a table selects at a stage asks A's cone only
+  inside it,
 * the requirement steps: what one run of a plain requirement does
   (sacks_step: diagonalize, expansionary with the inputs it defines and
   the half's string, or nothing) and the oracle construction's
@@ -190,6 +193,17 @@ class Cones:
             state = self._walk(sigma)
         return state[0], state[1], state[2]
 
+    def window(self, sigma: str) -> tuple[float, float]:
+        """The stages [lo, hi) on which the set lies in sigma's cone, from its
+        lifetime: hi is inf when it never leaves, lo is inf when a 1 is
+        missing, and lo >= hi when it never holds.  Exact over a final map."""
+        state = self._state.get(sigma)
+        if state is None:
+            state = self._walk(sigma)
+        if state[0]:
+            return math.inf, math.inf
+        return state[1], math.inf if state[2] is None else state[2]
+
     def holds(self, sigma: str, t: int) -> bool:
         """True iff sigma is an initial segment of the set at stage t.
 
@@ -318,34 +332,65 @@ def validate_consistency(table: FunctionalTable) -> None:
         raise ConflictError(bad)
 
 
-def applicable_axiom(
-    table: FunctionalTable, s: int, a_cones: Cones, c_cones: Cones | None, x: int
-) -> Axiom | None:
-    """The axiom the functional selects on input x at stage s, or None.
+def selection(table: FunctionalTable, c_cones: Cones | None):
+    """The selection record of one table: its function at(s, a_cones, x),
+    the axiom the table selects on input x at stage s, or None.
 
-    Applicable means: appeared by stage s, theta an initial segment of
-    the first oracle, and (for binary tables) sigma an initial segment
-    of the second, each oracle's cone read at stage s.  Among applicable
-    axioms the (use, k)-least is selected; rows are presorted, so it is
-    the first one found.
+    C is fixed: c_cones is over C's final map, or None for a unary table.
+    So an axiom's C side holds on one stage interval, its window,
+    [max(appear, sigma birth), sigma death), empty when C never lies in
+    sigma's cone from its appear stage on; a unary axiom's is [appear,
+    inf), which the table's own rows carry.  The record keeps a binary
+    table's rows for an input, (lo, hi, theta, axiom) in the table's
+    (use, k) order with the empty windows left out and hi None for inf,
+    and fills them only as far as a question reads: at gives the first
+    axiom whose window covers s and whose theta holds in a_cones at s,
+    so A's cone is asked only inside the window, and no axiom after it
+    is filled.  That is exact while a_cones is fed up to stage s, and
+    over a final map at every stage.
     """
     if table.binary and c_cones is None:
         raise ValueError("binary functional evaluated without its second oracle")
     if not table.binary and c_cones is not None:
         raise ValueError("unary functional evaluated with a second oracle")
-    a_holds = a_cones.holds
-    for appear, ax in table.axioms_for(x):
-        if appear > s or not a_holds(ax.theta, s):
-            continue
-        if c_cones is not None and not c_cones.holds(ax.sigma, s):
-            continue
-        return ax
-    return None
+    by_x = table._by_x
+    if c_cones is None:
+
+        def at(s: int, a_cones: Cones, x: int) -> Axiom | None:
+            holds = a_cones.holds
+            for appear, ax in by_x.get(x, ()):
+                if appear <= s and holds(ax.theta, s):
+                    return ax
+            return None
+
+        return at
+    filled: dict[int, tuple] = {}  # x -> (its rows so far, its axioms not yet filled)
+
+    def at(s: int, a_cones: Cones, x: int) -> Axiom | None:
+        holds = a_cones.holds
+        state = filled.get(x)
+        if state is None:
+            state = filled[x] = ([], iter(by_x.get(x, ())))
+        rows, rest = state
+        for lo, hi, theta, ax in rows:
+            if lo <= s and (hi is None or s < hi) and holds(theta, s):
+                return ax
+        for appear, ax in rest:
+            theta, _, _, sigma = ax
+            lo, hi = c_cones.window(sigma)
+            if lo < appear:
+                lo = appear
+            if lo < hi:
+                hi = None if hi == math.inf else hi
+                rows.append((lo, hi, theta, ax))
+                if lo <= s and (hi is None or s < hi) and holds(theta, s):
+                    return ax
+        return None
+
+    return at
 
 
-def agreement_length(
-    table: FunctionalTable, a_cones: Cones, d_entry: dict[int, int], s: int
-) -> int:
+def agreement_length(select, a_cones: Cones, d_entry: dict[int, int], s: int) -> int:
     """Largest y with the unary functional agreeing with D on every x <= y; -1 if none.
 
     Convergence and agreement are both read at stage s.  The scan stops
@@ -355,7 +400,7 @@ def agreement_length(
     y = -1
     x = 0
     while True:
-        got = applicable_axiom(table, s, a_cones, None, x)
+        got = select(s, a_cones, x)
         if got is None:
             return y
         if got.k != member(d_entry, x, s):
@@ -404,20 +449,21 @@ class SacksStep(NamedTuple):
 
 
 def sacks_step(
-    table: FunctionalTable,
+    select,
     a_cones: Cones,
     d_entry: dict[int, int],
     values: list[int],
     diagonalized: bool,
     s: int,
 ) -> SacksStep:
-    """The step of a plain requirement whose local values are the prefix values."""
+    """The step of a plain requirement whose local values are the prefix
+    values; select is its table's selection record."""
     if diagonalized:
         return SacksStep("diagonalized")
     for x, k in enumerate(values):
         if k != member(d_entry, x, s):
             return SacksStep("diagonalize", x)
-    ell = agreement_length(table, a_cones, d_entry, s)
+    ell = agreement_length(select, a_cones, d_entry, s)
     if ell < len(values):
         return SacksStep("none", ell)
     defined = tuple(member(d_entry, x, s) for x in range(len(values), ell + 1))
@@ -425,23 +471,23 @@ def sacks_step(
 
 
 def robinson_step(
-    table: FunctionalTable,
+    select,
     a_cones: Cones,
-    c_cones: Cones,
     d_entry: dict[int, int],
     live: int | None,
     x: int,
     s: int,
 ) -> tuple[str, Axiom | None]:
     """The oracle construction's per-input step at input x, up to its
-    certification: (exit, the axiom the table selects at s, or None).
+    certification: (exit, the axiom select, its table's selection record,
+    gives at s, or None).
 
     live is the input's live local value, None if it holds none.  exit is
     "nocomp" (no selected axiom, one that disagrees with D, or one whose
     use the stage has not yet passed), "defined" (a live value already
     covers x) or "scan" (the selected axiom is to be certified).
     """
-    got = applicable_axiom(table, s, a_cones, c_cones, x)
+    got = select(s, a_cones, x)
     if got is None or got.k != member(d_entry, x, s):
         return "nocomp", got
     if live is not None:
@@ -466,8 +512,8 @@ class GuessingSet:
     recorded them.  truth lists the stages at which C lies in the cone of
     a string enumerated by then, as sorted, disjoint, non-adjacent [lo,
     hi) intervals (hi inf: C never leaves).  A string contributes its
-    lifetime over C from its enumeration stage on, so c_cones must be
-    over C's final map, where every lifetime is exact.
+    window over C from its enumeration stage on, so c_cones must be
+    over C's final map, where every window is exact.
     """
 
     def __init__(self, c_cones: Cones):
@@ -478,9 +524,9 @@ class GuessingSet:
     def add(self, u: int, sigma: str) -> None:
         """Record sigma's enumeration at stage u, merging its interval into truth."""
         self.strings.append((u, sigma))
-        missing, birth, death = self.c_cones.lifetime(sigma)
-        lo, hi = max(u, birth), math.inf if death is None else death
-        if missing or lo >= hi:
+        lo, hi = self.c_cones.window(sigma)
+        lo = max(u, lo)
+        if lo >= hi:
             return
         truth = self.truth
         i = bisect_left(truth, lo, key=itemgetter(1))  # the first interval reaching lo

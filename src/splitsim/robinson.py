@@ -53,7 +53,9 @@ inputs.
 
 The per-input decision up to certification is model.robinson_step,
 which the verifier also runs on every scan line; the strategy keeps the
-state, certifies on its scan exit and writes the lines.
+state, certifies on its scan exit and writes the lines.  It selects
+through each owner's selection record (model.selection) over its own
+c_cones.
 
 Dispatch is event-driven (engine module docstring).  A run of an owner
 reads the axioms of its table that have appeared, its own half and C
@@ -86,6 +88,7 @@ from .model import (
     build_policy,
     robinson_step,
     scan,
+    selection,
 )
 from .trace import event
 
@@ -98,6 +101,10 @@ class RobinsonStrategy:
         self.run = run
         self.tables = scenario.functionals
         self.c_cones = Cones(scenario.c_schedule.entry_stage())
+        # Each owner's selection record, over the strategy's own c_cones.
+        self.selections = {
+            key: selection(table, self.c_cones) for key, table in self.tables.items()
+        }
         self.policy = build_policy(scenario)
         self.inputs = GuessingIndices()  # keyed by owner (side, e) and input x
         self.sets: dict[int, GuessingSet] = {}  # j -> W_j
@@ -192,7 +199,7 @@ class RobinsonStrategy:
         run = self.run
         live = self.inputs.live((side, e), x, s)
         exit, got = robinson_step(
-            self.tables[(side, e)], run.a_cones[side], self.c_cones, run.d_entry, live, x, s
+            self.selections[(side, e)], run.a_cones[side], run.d_entry, live, x, s
         )
         if exit == "defined" and live != got.k:
             raise ConstructionInvariantError(

@@ -3,9 +3,10 @@
 Each table-owning requirement watches its functional over one half of the
 split against the target enumeration D.  At an eligible even stage the
 requirement stops on the first of four exits, which the kernel's step
-function model.sacks_step decides (the verifier calls it too, on every
-step a trace records); the strategy keeps the requirement's state and
-writes the step's lines:
+function model.sacks_step decides over the owner's selection record
+(model.selection; the verifier calls it too, on every step a trace
+records); the strategy keeps the requirement's state and writes the
+step's lines:
 
   1. it has already diagonalized (and was not initialized since);
   2. some previously defined local value now disagrees with D, in which
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import block_label, sacks_step
+from .model import block_label, sacks_step, selection
 from .trace import event
 
 
@@ -70,6 +71,7 @@ class SacksStrategy:
     def __init__(self, run):
         self.run = run
         self.tables = run.scenario.functionals
+        self.selections = {key: selection(table, None) for key, table in self.tables.items()}
         self.requirements: dict[tuple[int, int], SacksRequirement] = {
             key: SacksRequirement(*key) for key in self.tables
         }
@@ -91,7 +93,8 @@ class SacksStrategy:
         req = self.requirements[(side, e)]
         run = self.run
         step = sacks_step(
-            self.tables[(side, e)], run.a_cones[side], run.d_entry, req.values, req.diagonalized, s
+            self.selections[(side, e)], run.a_cones[side], run.d_entry, req.values,
+            req.diagonalized, s,
         )
         if step.exit == "diagonalize":
             req.diagonalized = True

@@ -14,14 +14,17 @@ weaker one, and block membership is read off its assignments by
 bisection over the scenario's table owners), the cone oracle (Cones:
 over C's schedule from set-up, over each half's final map once the
 replay ends, so V5, V7 and V9 look their past-stage cone questions up),
-the guessing sets (GuessingSet: the replay adds each W enumeration line
-to its set's record and asks it for the cone truth), p's spans per
-guessing set (built once per verify, V7 scans them and V8 reads them),
-and the certification scan (scan).  Payload integers
-are read with the trace grammar's parse_int, so a non-canonical one is
-a malformed payload.  Block state is keyed by (side, index), as in the
-engine; a restraint-set or initialize line whose block label does not
-parse fails V2 on that line.
+the selection record (selection: one per table, over that C oracle for a
+binary one, which the step replay, V5 and V9 select through; V9 asks it
+only at the marks inside the window of the definition's sigma), the
+guessing sets (GuessingSet: the replay adds each W enumeration line to
+its set's record and asks it for the cone truth), p's spans per guessing
+set (built once per verify, V7 scans them and V8 reads them), and the
+certification scan (scan).  Payload integers are read with the trace
+grammar's parse_int, so a non-canonical one is a malformed payload.
+Block state is keyed by (side, index), as in the engine; a restraint-set
+or initialize line whose block label does not parse fails V2 on that
+line.
 
 A restraint is the stage that sets it: a restraint-set line whose value
 is not its stage, or with no same-stage act line naming its block,
@@ -104,7 +107,7 @@ checks carry minimal witnesses (stage plus the offending trace lines).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import partial
 
 from .model import (
@@ -113,7 +116,6 @@ from .model import (
     Cones,
     GuessingIndices,
     GuessingSet,
-    applicable_axiom,
     block_label,
     build_policy,
     member,
@@ -124,6 +126,7 @@ from .model import (
     robinson_step,
     sacks_step,
     scan,
+    selection,
 )
 from .omegace import restrict  # unused here: bench/spans.py wraps verify.restrict
 from .trace import TraceEvent, parse_int
@@ -215,6 +218,7 @@ class _Context:
         self.problems = _Problems()
         self.b_entry = scenario.b_schedule.entry_stage()
         self.c_cones = Cones(scenario.c_schedule.entry_stage())
+        self.selections = {}  # owner -> its selection record, see selection_of
         self.d_entry = scenario.d_schedule.entry_stage()
         self.a_entry = ({}, {})  # element -> entry stage, per half
         self.a_cones = None  # per half, over the final a_entry once the replay ends
@@ -241,6 +245,17 @@ class _Context:
         self.injuries = []
         self.injuries_per_block = {}
         self.action_counts = {}
+
+    def selection_of(self, req):
+        """The selection record of req's table over this context's C cones
+        (none for a unary table), built at its first use: most owners of
+        a trace never need one.  req must own a table."""
+        select = self.selections.get(req)
+        if select is None:
+            table = self.scenario.functionals[req]
+            select = selection(table, self.c_cones if table.binary else None)
+            self.selections[req] = select
+        return select
 
     def cancelled_after(self, side: int, e: int, stage: int):
         """First cancellation of the requirement strictly after stage."""
@@ -634,7 +649,7 @@ _PARITY_WORD = ("even", "odd")
 
 def _persisting_diagonalizations(ctx, fail):
     """The Sacks diagonalizations that must persist to the horizon, as
-    (diagonalization, table, defined value, definition line).
+    (diagonalization, selection record, defined value, definition line).
 
     One need not persist once its requirement is cancelled after it, nor
     when the computation behind its definition has a use beyond the
@@ -652,21 +667,22 @@ def _persisting_diagonalizations(ctx, fail):
             fail(d["stage"], "diagonalization without a surviving definition", d["ev"])
             continue
         k, definition = got
-        table = ctx.scenario.functionals.get(d["req"])
-        if table is None:
+        if d["req"] not in ctx.scenario.functionals:
             fail(d["stage"], "diagonalization by an unknown functional", d["ev"])
             continue
-        ax_def = applicable_axiom(table, definition.stage, ctx.a_cones[side], None, d["x"])
+        select = ctx.selection_of(d["req"])
+        ax_def = select(definition.stage, ctx.a_cones[side], d["x"])
         if ax_def is None:
             fail(definition.stage, "no computation behind the defined value", d["ev"])
         elif ax_def.use <= definition.stage + 1:
-            yield d, table, k, definition
+            yield d, select, k, definition
 
 
 def persisting_diagonalizations(scenario, events) -> list:
     """The diagonalizations of a trace that V5 holds to the horizon, as
-    (diagonalization, table, defined value, definition line), from the
-    replay verify makes; those the trace cannot back are left out."""
+    (diagonalization, selection record, defined value, definition line),
+    from the replay verify makes; those the trace cannot back are left
+    out."""
     return list(_persisting_diagonalizations(_replay(scenario, events), lambda *_: None))
 
 
@@ -675,13 +691,13 @@ def _text(kind, payload) -> str:
     return " ".join([kind] + ["%s=%s" % (k, payload[k]) for k in sorted(payload)])
 
 
-def _sacks_problem(ctx, step, table):
+def _sacks_problem(ctx, step, select):
     """The first line of a plain requirement's step that is not what
     model.sacks_step gives from its replayed state, as (note, line); None
     if every line is."""
     side, e = step.req
     s = step.stage
-    want = sacks_step(table, ctx.a_cones[side], ctx.d_entry, step.values, step.diagonalized, s)
+    want = sacks_step(select, ctx.a_cones[side], ctx.d_entry, step.values, step.diagonalized, s)
     label = block_label(side, e)
     block = block_label(side, step.block)
     lines = []
@@ -708,7 +724,7 @@ def _sacks_problem(ctx, step, table):
     return None
 
 
-def _robinson_problem(ctx, step, table):
+def _robinson_problem(ctx, step, select):
     """The first line of an oracle requirement's lines at a stage that is
     not what model.robinson_step gives for its input, from the input's
     replayed live value, as (note, line); None if every line is.  A
@@ -726,7 +742,7 @@ def _robinson_problem(ctx, step, table):
         n += 1
         if x is None:
             return "%s without a certify line before it" % _WHAT[ev.kind], ev
-        exit, ax = robinson_step(table, ctx.a_cones[side], ctx.c_cones, ctx.d_entry, live, x, s)
+        exit, ax = robinson_step(select, ctx.a_cones[side], ctx.d_entry, live, x, s)
         if exit != "scan":
             selects = "" if ax is None else " (selects k=%d at use %d)" % (ax.k, ax.use)
             return "step at input %d exits %s%s, with no scan" % (x, exit, selects), ev
@@ -761,11 +777,10 @@ def _check_steps(ctx):
     for step in ctx.steps.values():
         if step is None:
             continue
-        table = sc.functionals.get(step.req)
-        if table is None:
+        if step.req not in sc.functionals:
             found = "step of %s, which owns no functional" % block_label(*step.req), step.lines[0][0]
         else:
-            found = problem(ctx, step, table)
+            found = problem(ctx, step, ctx.selection_of(step.req))
         if found is not None:
             ctx.problems.add(check, step.stage, *found)
 
@@ -775,8 +790,8 @@ def _check_v5(ctx):
     if ctx.scenario.construction != "sacks":
         return
     h = ctx.horizon
-    for d, table, k, _ in _persisting_diagonalizations(ctx, partial(prob.add, "V5")):
-        ax = applicable_axiom(table, h, ctx.a_cones[d["req"][0]], None, d["x"])
+    for d, select, k, _ in _persisting_diagonalizations(ctx, partial(prob.add, "V5")):
+        ax = select(h, ctx.a_cones[d["req"][0]], d["x"])
         if ax is None:
             prob.add("V5", h, "diagonalized computation lost by the horizon", d["ev"])
         elif ax.k != k:
@@ -891,28 +906,32 @@ def _check_v9(ctx, settled):
         return
     h = ctx.horizon
     # Each side's A-entry stages and C's entry stages, sorted, so a
-    # definition's marks inside (its stage, end) are two slices.
+    # definition's marks inside its life and its sigma's window are two
+    # slices.
     a_stages = [sorted(set(entry.values())) for entry in ctx.a_entry]
     c_stages = sorted(set(ctx.c_cones.entry.values()))
     for d in ctx.definitions:
         side, e = d["req"]
-        table = sc.functionals.get(d["req"])
-        if table is None:
+        if d["req"] not in sc.functionals:
             prob.add("V9", d["stage"], "definition by an unknown functional", d["ev"])
             continue
+        select = ctx.selection_of(d["req"])
         end = ctx.cancelled_after(side, e, d["stage"])
         end = h + 1 if end is None else end
+        # Only stages at which C lies in sigma's cone count: its window.
+        lo, hi = ctx.c_cones.window(d["sigma"])
+        first, last = max(d["stage"] + 1, lo), min(end, hi)
         # The step check already found the selected axiom at the stage of
         # a definition it justified, with the definition's value.
         marks = set()
-        if (d["req"], d["x"], d["stage"], d["k"]) not in ctx.selected:
+        if (d["req"], d["x"], d["stage"], d["k"]) not in ctx.selected and ctx.c_cones.holds(
+            d["sigma"], d["stage"]
+        ):
             marks.add(d["stage"])
         for stages in (a_stages[side], c_stages):
-            marks.update(stages[bisect_right(stages, d["stage"]): bisect_left(stages, end)])
+            marks.update(stages[bisect_left(stages, first): bisect_left(stages, last)])
         for t in sorted(marks):
-            if not ctx.c_cones.holds(d["sigma"], t):
-                continue
-            ax = applicable_axiom(table, t, ctx.a_cones[side], ctx.c_cones, d["x"])
+            ax = select(t, ctx.a_cones[side], d["x"])
             if ax is None:
                 prob.add(
                     "V9", t,

@@ -12,13 +12,14 @@ import random
 
 from splitsim.corrupt import corrupt
 from splitsim.harness import run
-from splitsim.model import Cones, applicable_axiom
+from splitsim.model import Cones
 from splitsim.omegace import ApproxTable, limit_eval, restrict
 from splitsim.scenario import load_scenario
 from splitsim.trace import render
 from splitsim.verify import CHECKS, verify
 
 from conftest import CONTROLS, CORPUS_BUDGET_SECONDS, GOLDEN_DIR
+from selection_reference import applicable_axiom
 
 # sha256 over the corpus in order: every rendered trace, and every report
 # as sorted-key JSON.  Any change to what a run emits or to what the

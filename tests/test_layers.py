@@ -84,6 +84,28 @@ def test_strategies_decide_through_the_kernel_steps():
         assert {"sacks": "sacks_step", "robinson": "robinson_step"}[module] in names, module
 
 
+def test_selection_goes_through_the_record():
+    """The axiom a table selects has one definition, the kernel's
+    selection record: no package module defines or names
+    applicable_axiom, and robinson, sacks and verify build their records
+    with the kernel's selection and never read a table's rows for an
+    input (axioms_for) themselves."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+        names.update(node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef))
+        names.update(
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        )
+        assert "applicable_axiom" not in names, path.stem
+        if path.stem in ("robinson", "sacks", "verify"):
+            assert "selection" in names and "axioms_for" not in names, path.stem
+
+
 def test_liveness_is_decided_in_the_kernel():
     """A local definition's liveness has one rule, the kernel's
     GuessingIndices.live, which the strategy and the verifier both call:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -13,7 +15,6 @@ from splitsim.model import (
     PriorityAssignment,
     TablePolicy,
     TruthfulDelayPolicy,
-    applicable_axiom,
     block_label,
     changes,
     check_bits,
@@ -25,6 +26,7 @@ from splitsim.model import (
     parse_label,
     priority_order,
     scan,
+    selection,
     threatens,
     unpair,
     validate_consistency,
@@ -178,32 +180,57 @@ def test_evaluate_cone_and_appear_gating():
             (2, Axiom("", 1, 1)),
         ]
     )
-    ax = applicable_axiom(table, 0, Cones(), None, 0)
+    at = selection(table, None)
+    ax = at(0, Cones(), 0)
     assert (ax.k, ax.use) == (0, 1)
-    ax = applicable_axiom(table, 0, Cones({0: 0}), None, 0)
+    ax = at(0, Cones({0: 0}), 0)
     assert (ax.k, ax.use) == (1, 1)
     # An element entering after the stage is not yet in the oracle.
-    ax = applicable_axiom(table, 0, Cones({0: 1}), None, 0)
+    ax = at(0, Cones({0: 1}), 0)
     assert (ax.k, ax.use) == (0, 1)
     # Appear stage gates the x=1 axiom.
-    assert applicable_axiom(table, 1, Cones(), None, 1) is None
-    assert applicable_axiom(table, 2, Cones(), None, 1).k == 1
-    assert applicable_axiom(table, 2, Cones(), None, 5) is None
+    assert at(1, Cones(), 1) is None
+    assert at(2, Cones(), 1).k == 1
+    assert at(2, Cones(), 5) is None
 
 
 def test_evaluate_arity_checks():
     unary = _table([(0, Axiom("", 0, 0))])
     binary = _table([(0, Axiom("", 0, 0, ""))], binary=True)
     with pytest.raises(ValueError):
-        applicable_axiom(unary, 0, Cones(), Cones(), 0)
+        selection(unary, Cones())
     with pytest.raises(ValueError):
-        applicable_axiom(binary, 0, Cones(), None, 0)
-    assert applicable_axiom(binary, 0, Cones(), Cones(), 0).k == 0
+        selection(binary, None)
+    assert selection(binary, Cones())(0, Cones(), 0).k == 0
     # The second oracle gates binary axioms through sigma.
     gated = _table([(0, Axiom("1", 0, 1, "1"))], binary=True)
-    assert applicable_axiom(gated, 3, Cones({0: 2}), Cones(), 0) is None
-    assert applicable_axiom(gated, 3, Cones(), Cones({0: 3}), 0) is None
-    assert applicable_axiom(gated, 3, Cones({0: 2}), Cones({0: 3}), 0).k == 1
+    assert selection(gated, Cones())(3, Cones({0: 2}), 0) is None
+    assert selection(gated, Cones({0: 3}))(3, Cones(), 0) is None
+    assert selection(gated, Cones({0: 3}))(3, Cones({0: 2}), 0).k == 1
+
+
+def test_selection_windows():
+    """A binary axiom's C side holds on [max(appear, sigma birth), sigma
+    death), read off the record's C cones: C gets 0 at 2 and 1 at 4."""
+    table = _table(
+        [
+            (0, Axiom("0", 0, 1, "1")),   # born at 2, never dies
+            (3, Axiom("0", 0, 0, "0")),   # dies at 2, before it appears
+            (0, Axiom("00", 1, 0, "00")),  # dies at 2
+            (1, Axiom("00", 1, 1, "10")),  # born at 2, dies at 4
+            (0, Axiom("000", 1, 1, "001")),  # never born
+        ],
+        binary=True,
+    )
+    c_cones = Cones({0: 2, 1: 4})
+    assert c_cones.window("1") == (2, math.inf)
+    assert c_cones.window("10") == (2, 4)
+    assert c_cones.window("001") == (math.inf, math.inf)
+    at = selection(table, c_cones)
+    assert [at(s, Cones(), 0) for s in range(6)] == [None] * 2 + [table.axioms_for(0)[1][1]] * 4
+    assert [getattr(at(s, Cones(), 1), "sigma", None) for s in range(6)] == (
+        ["00", "00", "10", "10", None, None]
+    )
 
 
 def test_consistency_conflicts():
@@ -255,7 +282,7 @@ def test_consistent_tables_answer_uniquely(rows, members, s):
             if appear <= s and cones.holds(ax.theta, s)
         }
         assert len(answers) <= 1
-        got = applicable_axiom(table, s, cones, None, x)
+        got = selection(table, None)(s, cones, x)
         if answers:
             assert got is not None and got.k in answers
         else:

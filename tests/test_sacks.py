@@ -13,6 +13,7 @@ from splitsim.model import (
     agreement_length,
     parse_label,
     sacks_step,
+    selection,
 )
 from splitsim.scenario import load_scenario
 from splitsim.trace import parse_int, render
@@ -23,16 +24,17 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def _unary(axioms):
-    return FunctionalTable(0, 0, axioms, binary=False)
+    """The selection record of a unary table of these axioms."""
+    return selection(FunctionalTable(0, 0, axioms, binary=False), None)
 
 
 def test_agreement_length_hand_cases():
     # One axiom per input, all answering 0 over the empty cone.
-    table = _unary([(0, Axiom("", 0, 0)), (0, Axiom("", 1, 0)), (0, Axiom("", 2, 0))])
-    assert agreement_length(table, Cones(), {}, 0) == 2
+    record = _unary([(0, Axiom("", 0, 0)), (0, Axiom("", 1, 0)), (0, Axiom("", 2, 0))])
+    assert agreement_length(record, Cones(), {}, 0) == 2
     # D holds 1 from stage 3 on: agreement stops below it.
-    assert agreement_length(table, Cones(), {1: 3}, 3) == 0
-    assert agreement_length(table, Cones(), {1: 4}, 3) == 2
+    assert agreement_length(record, Cones(), {1: 3}, 3) == 0
+    assert agreement_length(record, Cones(), {1: 4}, 3) == 2
     # Divergence at 0 means no agreement at all.
     assert agreement_length(_unary([]), Cones(), {}, 5) == -1
     # Cone mismatch blocks the axiom until the member arrives.
@@ -54,8 +56,8 @@ def test_expansionary_baseline():
     on, with the half's string at the stage."""
 
     def step(agreeing, values):
-        table = _unary([(0, Axiom("", x, 0)) for x in range(agreeing)])
-        return sacks_step(table, Cones({1: 1, 4: 1}), {}, values, False, 2)
+        record = _unary([(0, Axiom("", x, 0)) for x in range(agreeing)])
+        return sacks_step(record, Cones({1: 1, 4: 1}), {}, values, False, 2)
 
     assert step(1, []) == SacksStep("expansionary", 0, (0,), "01")
     assert step(0, []) == SacksStep("none", -1)
@@ -64,15 +66,15 @@ def test_expansionary_baseline():
 
 
 def test_sacks_step_diagonalizes_where_d_left_first():
-    table = _unary([(0, Axiom("", x, 0)) for x in range(3)])
+    record = _unary([(0, Axiom("", x, 0)) for x in range(3)])
     # D took 1 at stage 3 and 2 at stage 5: at stage 4 only input 1 has moved.
     d = {1: 3, 2: 5}
-    assert sacks_step(table, Cones(), d, [0, 0, 0], False, 4) == SacksStep("diagonalize", 1)
-    assert sacks_step(table, Cones(), d, [0, 0, 0], False, 6) == SacksStep("diagonalize", 1)
-    assert sacks_step(table, Cones(), d, [0, 0, 0], True, 6) == SacksStep("diagonalized")
+    assert sacks_step(record, Cones(), d, [0, 0, 0], False, 4) == SacksStep("diagonalize", 1)
+    assert sacks_step(record, Cones(), d, [0, 0, 0], False, 6) == SacksStep("diagonalize", 1)
+    assert sacks_step(record, Cones(), d, [0, 0, 0], True, 6) == SacksStep("diagonalized")
     # Values D agrees with, and an agreement that reaches past them.
-    table = _unary([(0, Axiom("", 0, 0)), (0, Axiom("", 1, 1)), (0, Axiom("", 2, 0))])
-    assert sacks_step(table, Cones(), d, [0], False, 4) == SacksStep("expansionary", 2, (1, 0), "0000")
+    record = _unary([(0, Axiom("", 0, 0)), (0, Axiom("", 1, 1)), (0, Axiom("", 2, 0))])
+    assert sacks_step(record, Cones(), d, [0], False, 4) == SacksStep("expansionary", 2, (1, 0), "0000")
 
 
 def test_forced_diagonalization_run():

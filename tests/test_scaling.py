@@ -13,7 +13,8 @@ and 4H:
     events all fall in their first 12 stages.
 
 Every counter counts over the run, except close (verify._close_stage),
-which counts over verify of the run's trace.  Block-state work is the
+verify steps and verify holds, which count over verify of the run's
+trace.  Block-state work is the
 restraint-stack entries popped, the restraints an initialization
 clears, and the victims it hands back.  A linear counter's count per
 event may rise by at most GROWTH per doubling.  On the quiet runs every
@@ -54,8 +55,13 @@ that reads a string's lifetime once, at its enumeration, instead of at
 every cone-truth question and every scan's p windows.  Per event at
 H = 40/80/160/320:
 
-                            per string per scan       one record per set
-  churn  Cones.lifetime     0.820/0.921/1.050/1.402   0.570/0.563/0.558/0.556
+                            per string per scan       one record per set        selection windows
+  churn  Cones.lifetime     0.820/0.921/1.050/1.402   0.570/0.563/0.558/0.556   0.377/0.374/0.371/0.370
+
+Since the selection record (model.selection), a guessing set reads each
+string's window (Cones.window) instead of its lifetime, and so does the
+record, once per axiom of an input at its first question: window
+counts the run's Cones.window calls, 0.595/0.543/0.509/0.494 per event.
 
 verify steps counts the verifier's evaluations of the kernel's
 requirement steps (model.sacks_step and model.robinson_step, called
@@ -64,15 +70,22 @@ joined both gates with the replay of each step.  Dense makes 2 at every
 horizon (one owner expands once and diagonalizes once, 0.004/0.002/0.001
 per event), churn 0.193/0.189/0.187 per event.
 
-Two counters grow faster than events.  They are recorded here and not
-asserted.  A counter joins the gate in the change that makes it linear,
-never with a looser bound:
+holds counts Cones.holds calls in the run and verify holds those in
+verify of its trace.  They joined the churn gate with the selection
+record, which asks A's cone for an axiom only inside its C window;
+before it every selection asked A and then C about every appeared axiom
+of the input, and V9 asked C at every A or C entry stage of a
+definition's life.  Per event at H = 40/80/160/320:
 
-  * Cones.holds calls in the churn run: 1,751/6,054/22,336/85,329 at
-    H = 40, 80, 160, 320 (selection visits every appeared axiom of an
-    input);
-  * churn trace bytes per event: 64/74/93/131/205 at H = 40, 80, 160,
-    320, 640 (the input is quadratic: every sigma spans H/4 places).
+                            per appeared axiom         selection windows
+  churn  holds (run)        3.421/5.727/10.195/19.185  0.335/0.338/0.334/0.334
+         verify holds       2.843/4.283/6.734/12.229   0.436/0.410/0.386/0.380
+
+One counter grows faster than events.  It is recorded here and not
+asserted.  A counter joins the gate in the change that makes it linear,
+never with a looser bound: churn trace bytes per event, 64/74/93/131/205
+at H = 40, 80, 160, 320, 640 (the input is quadratic: every sigma spans
+H/4 places).
 """
 
 from bisect import bisect_left
@@ -99,6 +112,8 @@ CALLS = {
     "sacks visits": (SacksStrategy, "run_requirement"),
     "robinson visits": (RobinsonStrategy, "run_requirement"),
     "lifetime": (Cones, "lifetime"),
+    "window": (Cones, "window"),
+    "holds": (Cones, "holds"),
 }
 
 LINEAR = {
@@ -106,7 +121,9 @@ LINEAR = {
         "members", "value", "orders_of", "owners mapped", "add",
         "sacks visits", "close", "block-state work", "verify steps",
     ),
-    "churn": ("robinson visits", "close", "verify steps", "lifetime"),
+    "churn": (
+        "robinson visits", "close", "verify steps", "lifetime", "window", "holds", "verify holds",
+    ),
 }
 
 QUIET = (500, 1000, 2000)
@@ -142,6 +159,7 @@ def _measure(docs):
             row["owners mapped"] = sum(mapped)
             row["block-state work"] = sum(map(sum, work))
             assert passed(verify(sc, events, final))
+            row["verify holds"] = len(calls["holds"]) - row["holds"]
             row["close"] = len(closes)
             row["verify steps"] = sum(map(len, steps))
             row["events"] = events
