@@ -66,8 +66,8 @@ first initialization), so the reset may wait.  The refresh pass and the
 update run only at a stage with an initialization.  A stage where
 nothing is due costs its one trace line: the loop skips the D policy
 and routing when they have nothing to do, part two returns at once, and
-the quiet update line is appended directly, with one shared read-only
-payload.
+the quiet update line is appended directly, one bare tuple.__new__
+TraceEvent over one shared read-only payload.
 
 Block state is one model.BlockState (Run.blocks), the same type the
 verifier replays.  Its restraint map is the record: it sends each block
@@ -228,7 +228,7 @@ class Run:
             # Only an initialization cancels, so only then is there
             # anything to refresh or update.
             if self._init_target is None:
-                events.append(TraceEvent(s, "assignment-update", _QUIET))
+                events.append(tuple.__new__(TraceEvent, (s, "assignment-update", _QUIET)))
             else:
                 cancelled, self._cancelled = sorted(self._cancelled), set()
                 construction.refresh_pass(s, cancelled)

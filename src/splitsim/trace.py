@@ -22,6 +22,13 @@ Events the engine builds are not re-checked; their payloads are dicts
 words, block labels and bit strings the scenario loader has already
 validated, and the acceptance corpus asserts that every run's trace
 parses back to its events.
+
+A line is cheap on both sides.  event, parse, parse_line and the
+engine's quiet update line build a TraceEvent with tuple.__new__, the
+bare tuple constructor, not through the NamedTuple's generated Python
+__new__ (TraceEvent(stage, kind, payload) stays, for any other caller).
+render formats each distinct tail once and reuses the previous line's
+tail while the kind and payload objects repeat.
 """
 
 from __future__ import annotations
@@ -44,6 +51,10 @@ KINDS = (
     "assignment-update",
     "injury",
 )
+
+
+# Builds a TraceEvent as the bare tuple it is: _new(TraceEvent, (stage, kind, payload)).
+_new = tuple.__new__
 
 
 class TraceParseError(ValueError):
@@ -78,8 +89,10 @@ def parse_int(text: str) -> int:
 
 
 def event(stage: int, kind: str, **payload) -> TraceEvent:
-    """Build an event, stringifying payload values."""
-    return TraceEvent(stage, kind, {k: str(v) for k, v in payload.items()})
+    """Build an event, stringifying payload values (in the kwargs dict it owns)."""
+    for k, v in payload.items():
+        payload[k] = str(v)
+    return _new(TraceEvent, (stage, kind, payload))
 
 
 def parse_line(line: str) -> TraceEvent:
@@ -114,7 +127,7 @@ def parse_line(line: str) -> TraceEvent:
         raise TraceParseError("payload keys out of order in %r" % (line,))
     if kind not in KINDS:
         raise TraceParseError("unknown event kind %r" % (kind,))
-    return TraceEvent(stage, kind, MappingProxyType(payload))
+    return _new(TraceEvent, (stage, kind, MappingProxyType(payload)))
 
 
 def render(events) -> str:
@@ -123,16 +136,22 @@ def render(events) -> str:
     Each distinct (kind, payload) tail is formatted once per call, as
     parse parses each distinct tail once; the memo is keyed by the
     payload's items in their own order, so equal payloads built in two
-    key orders are formatted once each, to the same text.
+    key orders are formatted once each, to the same text.  A line whose
+    kind and payload are the very objects of the line before (a run of
+    quiet update lines, or of parsed lines sharing a tail) reuses that
+    line's tail without building the key.
     """
     tails: dict[tuple, str] = {}
     lines = []
+    last_kind = last_payload = tail = None
     for stage, kind, payload in events:
-        key = (kind, *payload.items())
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = _line_tail(kind, payload)
-        lines.append("stage=%d%s\n" % (stage, tail))
+        if payload is not last_payload or kind is not last_kind:
+            key = (kind, *payload.items())
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = _line_tail(kind, payload) + "\n"
+            last_kind, last_payload = kind, payload
+        lines.append("stage=%d%s" % (stage, tail))
     return "".join(lines)
 
 
@@ -152,7 +171,7 @@ def parse(text: str) -> list[TraceEvent]:
             except ValueError:
                 pass  # parse_line below rejects the stage with its own message
             else:
-                events.append(TraceEvent(stage, known[0], known[1]))
+                events.append(_new(TraceEvent, (stage, known[0], known[1])))
                 continue
         ev = parse_line(line)
         accepted[tail] = ev.kind, ev.payload

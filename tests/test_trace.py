@@ -1,4 +1,7 @@
+import functools
+import json
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -255,3 +258,87 @@ def test_render_formats_each_tail_as_its_own_line(tails, picks):
     text = render(events)
     assert text == "".join(ev.to_line() + "\n" for ev in events)
     assert text == "".join(_spec_line(ev) + "\n" for ev in events)
+
+
+def _assert_built(ev):
+    """An event is a plain TraceEvent, however it was built."""
+    assert type(ev) is TraceEvent
+    assert ev == TraceEvent(*ev)
+    assert (ev.stage, ev.kind, ev.payload) == tuple(ev) and len(ev) == 3
+
+
+def test_every_construction_site_builds_a_trace_event(corpus):
+    _assert_built(event(3, "route", to="A1", x=7, threatened="P:0"))
+    _assert_built(parse_line("stage=12\tkind=certify\tj=0\tk=1\treq=Q:2"))
+    for construction, index in (("sacks", 0), ("robinson", 478)):
+        events = run(load_scenario(corpus_doc(corpus, construction, index)))[0]
+        quiet = [ev for ev in events if ev.payload == {"side": "none"}]
+        busy = [ev for ev in events if ev.payload != {"side": "none"}]
+        assert quiet and busy
+        # The engine's quiet lines share one read-only constant; its other lines hold dicts.
+        assert len({id(ev.payload) for ev in quiet}) == 1
+        assert all(type(ev.payload) is dict for ev in busy)
+        for ev in events:
+            _assert_built(ev)
+        text = render(events)
+        parsed = parse(text)
+        assert parsed == events
+        # parse builds the first line of a tail with parse_line, and each
+        # repeat of it on its own.
+        seen, repeats = set(), 0
+        for ev, line in zip(parsed, text.splitlines()):
+            _assert_built(ev)
+            tail = line.partition("\t")[2]
+            repeats += tail in seen
+            seen.add(tail)
+        assert 0 < repeats < len(parsed)
+
+
+def test_render_parse_round_trip_over_corpus_documents(corpus):
+    for construction in ("sacks", "robinson"):
+        for index in range(0, 500, 50):
+            events = run(load_scenario(corpus_doc(corpus, construction, index)))[0]
+            assert parse(render(events)) == events
+
+
+@functools.cache
+def _quiet_constant():
+    """The read-only payload the engine shares among its quiet update lines."""
+    doc = json.loads((GOLDEN / "deflection-update-scenario.json").read_text())
+    events = run(load_scenario(doc))[0]
+    (payload,) = {id(ev.payload): ev.payload for ev in events if ev.payload == {"side": "none"}}.values()
+    return payload
+
+
+def _render_pool():
+    shared = {"req": "P:0", "x": "1"}
+    return [
+        shared,  # one object shared across lines
+        dict(shared),  # an equal copy
+        {"x": "1", "req": "P:0"},  # an equal copy in the other key order
+        MappingProxyType(shared),  # a read-only view of the shared one
+        MappingProxyType({"req": "P:0", "x": "1"}),
+        {"req": "P:1", "x": "1"},
+        {},
+        _quiet_constant(),
+        {"side": "none"},
+    ]
+
+
+# The last kind equals the first but is another object; both must render alike.
+_RENDER_KINDS = ("act", "injury", "assignment-update", "".join(["a", "ct"]))
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(), st.integers(0, len(_RENDER_KINDS) - 1), st.integers(0, 8)),
+        max_size=40,
+    )
+)
+def test_render_reuses_a_tail_only_for_the_same_kind_and_payload(picks):
+    """One payload object repeats across lines and under two kinds, equal
+    copies and read-only views sit beside it, and the engine's quiet
+    constant is interleaved with busy lines."""
+    pool = _render_pool()
+    events = [TraceEvent(stage, _RENDER_KINDS[k], pool[p]) for stage, k, p in picks]
+    assert render(events) == "".join(ev.to_line() + "\n" for ev in events)
