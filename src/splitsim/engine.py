@@ -31,29 +31,12 @@ Block dispatch (part two) runs only the blocks that hold awake owners,
 in priority order, up to the stop order or the first block that acts,
 and in them only the awake owners.  Requirements that own no functional
 table can never act, define nothing and hold no state, so only table
-owners are tracked.  The engine holds the wake state: the awake set
-(Run.awake) and each sleeping owner's reach (Run.reach), the largest
-input on which whether its next run does anything rests.  A strategy
-puts an owner to sleep (Run.sleep) after a run that shows its next run
-would do nothing before one of these rules fires, with the reach that
-run computed.  Every owner starts asleep with reach 0: it holds no local
-value or definition, as after a run that did nothing, so whether its
-first run does anything rests on input 0 alone.  So no owner runs until
-a rule calls it.  A sleeping owner wakes when
-
-  (a) an axiom of its table appears at an input at most its reach;
-  (b) a stage its strategy scheduled (Run.schedule_wakes, from its
-      constructor) arrives, for an input at most its reach or any input;
-  (c) a D entry lands, scheduled or by the policy, at an input at most
-      its reach;
-  (d) an arrival on its side lands below its table's largest use;
-  (e) it is cancelled by an initialization of its block.
-
-The recorded reach holds while the owner sleeps, since only a run or
-the reset after a cancellation, which wakes it, changes the state it
-was computed from.  Every change of a stage lands before part two runs
-(scheduled wakes at the stage's start, the policy and arrivals at odd
-stages), so a run never misses one made at its own stage.
+owners are tracked.  The wake record (model.WakeRecord, Run.wakes)
+states when an owner is awake; the run calls it at each event, and a
+strategy puts an owner to sleep on it with the reach its run computed.
+Every change of a stage lands before part two runs (scheduled wakes at
+the stage's start, the policy and arrivals at odd stages), so a run
+never misses one made at its own stage.
 
 Part two reads the due orders, the blocks of the awake owners, off the
 assignments each time it runs.  Only an initialization cancels
@@ -95,7 +78,6 @@ existing blocks were cancelled by that initialization and so woken.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import OrderedDict
 from types import MappingProxyType
 
@@ -104,6 +86,7 @@ from .model import (
     BlockState,
     Cones,
     PriorityAssignment,  # annotation only; bench/spans.py wraps engine.PriorityAssignment.update
+    WakeRecord,
     block_label,
     order_block,
     priority_order,
@@ -137,24 +120,8 @@ class Run:
         # Anti-delta's queue of D enumerations, oldest first.
         self._pending_d: OrderedDict[int, None] = OrderedDict()
         self._d_budget = scenario.d_policy_limit if scenario.d_policy else 0
-        # The wake state (module docstring); rules (a), (b) and scheduled
-        # (c) as stage -> [(owner, input)], where owner None is every
-        # owner and input None is any input.
-        self.awake: set[tuple[int, int]] = set()
-        self.reach: dict[tuple[int, int], int] = dict.fromkeys(tables, 0)
+        self.wakes = WakeRecord(scenario)
         self._updated = -1  # the stage of the last assignment update
-        self._wake_at: dict[int, list[tuple[tuple[int, int] | None, int | None]]] = {}
-        self.schedule_wakes(
-            (appear, key, ax.x) for key, table in tables.items() for appear, ax in table.axioms
-        )
-        self.schedule_wakes((t, None, x) for x, t in self.d_entry.items())
-        # Rule (d): per side, the owners in ascending order of their
-        # table's largest use, beside those uses for bisection.
-        self._uses = ([], [])
-        self._by_use = ([], [])
-        for use, key in sorted((table.largest_use, key) for key, table in tables.items()):
-            self._uses[key[0]].append(use)
-            self._by_use[key[0]].append(key)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -181,49 +148,20 @@ class Run:
         if self.blocks.set_restraint(side, i, s):
             self.emit(event(s, "restraint-set", block=block_label(side, i), value=s))
 
-    def wake(self, owners) -> None:
-        """Run these owners at the next part two that reaches their blocks."""
-        self.awake.update(owners)
-
-    def schedule_wakes(self, wakes) -> None:
-        """Wake at stage t, for each (t, owner, input) of wakes, the owner
-        (None: every owner) if its reach is at least input (None: any)."""
-        for t, owner, x in wakes:
-            self._wake_at.setdefault(t, []).append((owner, x))
-
-    def _wake_reaching(self, x: int) -> None:
-        """Wake every sleeping owner whose reach is at least input x."""
-        awake = self.awake
-        awake.update([o for o, r in self.reach.items() if r >= x and o not in awake])
-
-    def _wake_scheduled(self, wakes) -> None:
-        """Scheduled wakes at one stage, as in _wake_at."""
-        awake, reach = self.awake, self.reach
-        for owner, x in wakes:
-            if owner is None:
-                self._wake_reaching(x)
-            elif owner not in awake and (x is None or reach[owner] >= x):
-                awake.add(owner)
-
-    def sleep(self, owner: tuple[int, int], reach: int) -> None:
-        """Skip owner in part two until a wake rule fires for it at its reach."""
-        self.awake.discard(owner)
-        self.reach[owner] = reach
-
     # -- stage parts ------------------------------------------------------
 
     def execute(self, construction) -> list[TraceEvent]:
-        events, wake_at, b_by_stage = self.events, self._wake_at, self.b_by_stage
+        events, b_by_stage, wakes = self.events, self.b_by_stage, self.wakes
+        schedule, awake = wakes.schedule, wakes.awake
         for s in range(self.horizon + 1):
-            wakes = wake_at.get(s)
-            if wakes is not None:
-                self._wake_scheduled(wakes)
+            if s in schedule:
+                wakes.stage(s)
             if s % 2 == 1:
                 if self._pending_d and self._d_budget != 0:
                     self._policy_enumerations(s)
                 if s in b_by_stage:
                     self._part_one(s, b_by_stage[s])
-            elif self.awake:
+            elif awake:
                 self._part_two(s, construction)
             # Only an initialization cancels, so only then is there
             # anything to refresh or update.
@@ -244,7 +182,7 @@ class Run:
             if self._d_budget > 0:
                 self._d_budget -= 1
             self.emit(event(s, "enumerate", element=x, set="D"))
-        self._wake_reaching(least)
+        self.wakes.d_entry(least)
 
     def _part_one(self, s: int, x: int) -> None:
         threatened, half, init = self.blocks.route(x)
@@ -259,7 +197,7 @@ class Run:
             raise ConstructionInvariantError("element %d routed twice" % x)
         self.a_cones[side].arrive(x, s)
         self.emit(event(s, "enumerate", element=x, set="A%d" % side))
-        self.wake(self._by_use[side][bisect_right(self._uses[side], x):])
+        self.wakes.arrival(side, x)
 
     def _stop_order(self, s: int) -> int:
         """The order of the block holding the stage-indexed requirement of either family."""
@@ -267,7 +205,7 @@ class Run:
 
     def _part_two(self, s: int, construction) -> None:
         stop_order = self._stop_order(s)
-        for order in self.blocks.orders_of(self.awake):
+        for order in self.blocks.orders_of(self.wakes.awake):
             if order > stop_order:
                 return
             side, i = order_block(order)
@@ -300,7 +238,7 @@ class Run:
             blk = order_block(order)
             cancelled = [(blk[0], e) for e in self.block_members(*blk)]
             self._cancelled.update(cancelled)
-            self.wake(cancelled)
+            self.wakes.cancel(cancelled)
             self.emit(
                 event(s, "initialize", block=block_label(*blk), cause=cause, initiator=initiator)
             )

@@ -30,7 +30,7 @@ nothing else from the package.  The ingredients are:
 * the semantics of the external approximation p: each policy gives its
   spans for a guessing set, the sorted, disjoint, maximal intervals of
   stages on which p(j, .) answers 1 (truthful delay: the set's truth
-  shifted d late; a table: the p_spans of its rows); scan, the one
+  shifted d late; a table: the runs of 1s of its row); scan, the one
   certification race between p, read off those spans, and C leaving
   sigma's cone; the mind-change count of a row and of a set's spans,
 * the guessing indices (GuessingIndices) that the oracle construction
@@ -44,7 +44,9 @@ nothing else from the package.  The ingredients are:
   replays: the restraint record, the stack of blocks an arrival can be
   routed against (route), the existing blocks whose suffix an
   initialization clears, and the dynamic assignment of requirements to
-  blocks, a monotone map whose block preimages are read by bisection.
+  blocks, a monotone map whose block preimages are read by bisection,
+* the wake record (WakeRecord): the owners part two runs, their reaches
+  and the wake rules, stated once, built from the scenario alone.
 
 A functional converges on an input exactly when some axiom whose oracle
 string(s) are initial segments of the current oracle set(s) has appeared
@@ -291,9 +293,6 @@ class FunctionalTable:
         self.axioms: tuple[tuple[int, Axiom], ...] = tuple(rows)
         self._by_x = by_x
         self.largest_use = largest_use
-
-    def axioms_for(self, x: int) -> list[tuple[int, Axiom]]:
-        return self._by_x.get(x, [])
 
 
 def _segments(a: str, b: str) -> bool:
@@ -562,34 +561,25 @@ class TruthfulDelayPolicy:
 
 
 class TablePolicy:
-    """p read off an explicit per-index table; missing entries are 0."""
+    """p read off a per-index table, kept as each row's runs of 1s; missing entries are 0."""
 
     def __init__(self, values: dict[int, list[int]]):
-        self._windows: dict[int, list[tuple[int, int]]] = {}
+        self._spans: dict[int, list[tuple[int, int]]] = {}
         for j, row in values.items():
             if any(v not in (0, 1) for v in row):
                 raise ValueError("p table rows must consist of bits")
             if row and row[0] != 0:
                 raise ValueError("p must answer 0 at stage 0 (index %d)" % j)
-            self._windows[int(j)] = [(t, t) for t, v in enumerate(row) if v]
+            spans = self._spans[int(j)] = []
+            for t, v in enumerate(row):
+                if v and spans and spans[-1][1] == t - 1:
+                    spans[-1] = (spans[-1][0], t)
+                elif v:
+                    spans.append((t, t))
 
     def spans(self, j: int, guessing_set, horizon: int) -> list[tuple[int, int]]:
-        """The p_spans of row j's single-stage windows, one per 1."""
-        return p_spans(self._windows.get(j, []), horizon)
-
-
-def p_spans(windows, horizon: int) -> list[tuple[int, int]]:
-    """The stages in 0..horizon where p answers 1 over these windows, as
-    sorted, disjoint, maximal intervals (lo, hi): hi None runs to the
-    horizon, and overlapping or adjacent windows merge.  So p starts at 1
-    iff spans[0][0] == 0 and ends at 1 iff spans[-1][1] == horizon."""
-    spans = []
-    for lo, hi in sorted((lo, horizon if hi is None else min(hi, horizon)) for lo, hi in windows):
-        if spans and lo <= spans[-1][1] + 1:
-            spans[-1] = (spans[-1][0], max(hi, spans[-1][1]))
-        elif lo <= hi:
-            spans.append((lo, hi))
-    return spans
+        """Row j's runs of 1s, clipped to the horizon."""
+        return [(lo, min(hi, horizon)) for lo, hi in self._spans.get(j, ()) if lo <= horizon]
 
 
 def p_changes(spans, horizon: int) -> int:
@@ -988,3 +978,83 @@ class BlockState:
             for side, e in owners
             for prefix, last in (ends[side],)
         })
+
+
+# -- the wake record -----------------------------------------------------------
+
+
+class WakeRecord:
+    """Which table owners part two runs, built from the scenario alone.
+
+    awake is the set of owners part two runs, and reach maps each owner
+    to the largest input on which whether its next run does anything
+    rests.  A strategy puts an owner to sleep (sleep) after a run that
+    shows its next run would do nothing before a rule below fires, with
+    the reach that run computed.  Every owner starts asleep with reach 0:
+    it holds no local value or definition, so whether its first run does
+    anything rests on input 0 alone.  A sleeping owner wakes when
+
+      (a) an axiom of its table appears at an input at most its reach;
+      (b) such an axiom of a binary table ends its deferral, at use + 1;
+      (c) C enters below the largest use of its binary table;
+      (d) D enters, scheduled or by the policy, at an input at most its
+          reach;
+      (e) an arrival on its side lands below its table's largest use;
+      (f) an initialization of its block cancels it.
+
+    The recorded reach holds while the owner sleeps: only a run, or the
+    reset after a cancellation, which wakes it, changes the state it was
+    computed from.  schedule maps a stage to its wakes under (a)-(d), as
+    (owner, input): owner None is every owner, input None any input.
+    The engine calls one method per event.
+    """
+
+    def __init__(self, scenario):
+        tables = scenario.functionals
+        self.awake: set[tuple[int, int]] = set()
+        self.reach: dict[tuple[int, int], int] = dict.fromkeys(tables, 0)
+        schedule = self.schedule = {}
+        for key, table in tables.items():
+            for appear, ax in table.axioms:
+                schedule.setdefault(appear, []).append((key, ax.x))
+                if table.binary:
+                    schedule.setdefault(ax.use + 1, []).append((key, ax.x))
+            if table.binary:
+                for t, c in scenario.c_schedule.entries:
+                    if c < table.largest_use:
+                        schedule.setdefault(t, []).append((key, None))
+        for t, x in scenario.d_schedule.entries:
+            schedule.setdefault(t, []).append((None, x))
+        # Rule (e): per side, the owners by their table's largest use, beside those uses.
+        self._uses = ([], [])
+        self._by_use = ([], [])
+        for use, key in sorted((table.largest_use, key) for key, table in tables.items()):
+            self._uses[key[0]].append(use)
+            self._by_use[key[0]].append(key)
+
+    def stage(self, s):
+        """Rules (a)-(d) as scheduled at stage s."""
+        awake, reach = self.awake, self.reach
+        for owner, x in self.schedule.get(s, ()):
+            if owner is None:
+                self.d_entry(x)
+            elif owner not in awake and (x is None or reach[owner] >= x):
+                awake.add(owner)
+
+    def d_entry(self, x):
+        """Rule (d): D enters at input x."""
+        awake = self.awake
+        awake.update([o for o, r in self.reach.items() if r >= x and o not in awake])
+
+    def arrival(self, side, x):
+        """Rule (e): x arrives in the half of side."""
+        self.awake.update(self._by_use[side][bisect_right(self._uses[side], x):])
+
+    def cancel(self, owners):
+        """Rule (f): an initialization cancels these owners."""
+        self.awake.update(owners)
+
+    def sleep(self, owner, reach):
+        """Skip owner in part two until a rule fires for it at this reach."""
+        self.awake.discard(owner)
+        self.reach[owner] = reach

@@ -6,7 +6,8 @@ at 0 and flips fewer than b(x) times.  The change set encodes each flip as
 a Cantor pair code: the i-th flip of argument x, observed between stages u
 and u+1, enumerates pair(x, i-1) at stage u, and restrict reads the limit
 back out of the change set alone.  The acceptance suite checks restrict
-against direct limit evaluation on randomized tables.
+against direct limit evaluation (tests/limit_reference.py) on randomized
+tables.
 
 Nothing calls this module at run or verify time: it is the reference
 that the lemma behind the verifier's V10 (a p row is an accepted table
@@ -62,11 +63,6 @@ class ApproxTable:
     def value(self, x: int, s: int) -> int:
         row = self.rows.get(x)
         return 0 if row is None else row[s]
-
-
-def limit_eval(tab: ApproxTable, x: int) -> int:
-    """The approximation's value at the horizon."""
-    return tab.value(x, tab.horizon)
 
 
 def build_change_set(tab: ApproxTable) -> EnumerationSchedule:

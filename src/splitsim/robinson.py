@@ -57,23 +57,21 @@ state, certifies on its scan exit and writes the lines.  It selects
 through each owner's selection record (model.selection) over its own
 c_cones.
 
-Dispatch is event-driven (engine module docstring).  A run of an owner
-reads the axioms of its table that have appeared, its own half and C
-below its table's largest use (C also decides when a local definition
-dies: its sigma is no longer than the use), D, its local definitions,
-and the stage only through the deferral s <= use.  The run stops at the
-first input that is neither defined already nor acted on.  So an owner
-whose run stopped on exit nocomp at input x0 and emitted nothing found
-inputs 0..x0-1 defined and x0 without a usable computation, and it
-visits no input above x0 until one of inputs 0..x0 changes status.
-Only such a quiet nocomp run puts its owner to sleep, with reach x0.
-Besides the engine's rules, the constructor schedules the two wakes of
-its own through Run.schedule_wakes: the stage use + 1 of an axiom at an
-input <= x0 (the deferral ends), and a C entry below its table's
-largest use.  A run that refused or left a scan pending re-emits its
-scan at every stage, one that acted may act again, and one that reached
-the x < s bound has more inputs at the next stage, so each of these
-leaves its owner awake.
+Dispatch is event-driven (model.WakeRecord).  A run of an owner reads
+the axioms of its table that have appeared, its own half and C below
+its table's largest use (C also decides when a local definition dies:
+its sigma is no longer than the use), D, its local definitions, and the
+stage only through the deferral s <= use.  The run stops at the first
+input that is neither defined already nor acted on.  So an owner whose
+run stopped on exit nocomp at input x0 and emitted nothing found inputs
+0..x0-1 defined and x0 without a usable computation, and it visits no
+input above x0 until one of inputs 0..x0 changes status.  Only such a
+quiet nocomp run puts its owner to sleep, with reach x0; the record's
+rules for a binary table wake it on what else the run reads, the end
+of a deferral at use + 1 and a C entry below the largest use.  A run
+that refused or left a scan pending re-emits its scan at every stage,
+one that acted may act again, and one that reached the x < s bound has
+more inputs at the next stage, so each of these leaves its owner awake.
 """
 
 from __future__ import annotations
@@ -110,10 +108,6 @@ class RobinsonStrategy:
         self.sets: dict[int, GuessingSet] = {}  # j -> W_j
         self.pending_scans = 0
         self.unsettled = False
-        c_entries = scenario.c_schedule.entries
-        for key, table in self.tables.items():
-            run.schedule_wakes((ax.use + 1, key, ax.x) for _, ax in table.axioms)
-            run.schedule_wakes((t, key, None) for t, c in c_entries if c < table.largest_use)
 
     # -- certification --------------------------------------------------------
 
@@ -161,7 +155,7 @@ class RobinsonStrategy:
 
     def run_block(self, side: int, i: int, s: int) -> bool:
         acted = False
-        awake = self.run.awake
+        awake = self.run.wakes.awake
         for e in self.run.block_members(side, i):
             if (side, e) in awake:
                 acted |= self.run_requirement(side, e, i, s)
@@ -183,7 +177,7 @@ class RobinsonStrategy:
             acted |= result == "acted"
             x += 1
         if result == "nocomp" and not acted:
-            self.run.sleep((side, e), x)
+            self.run.wakes.sleep((side, e), x)
         return acted
 
     def run_input_strategy(self, side: int, e: int, x: int, i: int, s: int) -> str:

@@ -31,8 +31,8 @@ prefix 0..n-1 for n = len(values), and the largest agreement length
 recorded since its last initialization is n - 1.
 
 The strategy is built over its run (SacksStrategy(run)) and holds it;
-the run holds no construction.  Dispatch is event-driven (engine module
-docstring): an owner sleeps after every run, with its reach.  A
+the run holds no construction.  Dispatch is event-driven
+(model.WakeRecord): an owner sleeps after every run, with its reach.  A
 requirement reads only its local values, D, its own half below its
 table's largest use, and the axioms of its table that have appeared.
 Its next run acts only if D moved under one of its values (exit 2) or
@@ -78,13 +78,13 @@ class SacksStrategy:
 
     def run_block(self, side: int, i: int, s: int) -> bool:
         acted = False
-        run = self.run
+        run, wakes = self.run, self.run.wakes
         for e in run.block_members(side, i):
             key = (side, e)
-            if key in run.awake:
+            if key in wakes.awake:
                 acted |= self.run_requirement(side, e, i, s)
                 req = self.requirements[key]
-                run.sleep(key, -1 if req.diagonalized else len(req.values))
+                wakes.sleep(key, -1 if req.diagonalized else len(req.values))
         return acted
 
     def run_requirement(self, side: int, e: int, i: int, s: int) -> bool:

@@ -58,16 +58,15 @@ def count_calls(monkeypatch, owner, name, before=None, after=None):
 
 
 class WakeEveryOwner(Run):
-    """Reference dispatch without wake rules: every owner starts awake and
-    none ever sleeps, so every owner is awake at every stage, for any
-    input, whatever its reach."""
+    """Reference dispatch without wake rules, over the run's wake record:
+    every owner is awake from the start and its sleep does nothing, so
+    every owner is awake at every stage, for any input, whatever its
+    reach."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
-        self.awake.update(scenario.functionals)
-
-    def sleep(self, owner, reach):
-        pass
+        self.wakes.awake.update(scenario.functionals)
+        self.wakes.sleep = lambda owner, reach: None
 
 
 def execute(scenario, run_cls=Run, build=build_strategy):

@@ -4,8 +4,9 @@ The kernel answers a guessing set's cone truth and p's spans once per
 set (model.GuessingSet and each policy's spans).  These references
 answer the same questions the long way: the cone truth walks every
 string of the set, each policy gives one window per string or per 1 of
-its row, p is a full row of bits over 0..horizon, and the first p hit
-is the first 1 of that row.  Only tests import this module.
+its row, which p_spans merges into spans, p is a full row of bits over
+0..horizon, and the first p hit is the first 1 of that row.  Only tests
+import this module.
 """
 
 from splitsim.model import Cones
@@ -39,6 +40,20 @@ def windows(scenario, c_cones: Cones, j: int, strings) -> list[tuple[int, int | 
     if scenario.p_policy_kind == "table":
         return table_windows(scenario.p_policy_params["values"], j)
     return truthful_windows(scenario.p_policy_params["d"], c_cones, strings)
+
+
+def p_spans(windows, horizon: int) -> list[tuple[int, int]]:
+    """The stages in 0..horizon where p answers 1 over these windows, as
+    sorted, disjoint, maximal intervals (lo, hi): hi None runs to the
+    horizon, and overlapping or adjacent windows merge.  So p starts at 1
+    iff spans[0][0] == 0 and ends at 1 iff spans[-1][1] == horizon."""
+    spans = []
+    for lo, hi in sorted((lo, horizon if hi is None else min(hi, horizon)) for lo, hi in windows):
+        if spans and lo <= spans[-1][1] + 1:
+            spans[-1] = (spans[-1][0], max(hi, spans[-1][1]))
+        elif lo <= hi:
+            spans.append((lo, hi))
+    return spans
 
 
 def p_row(windows, horizon: int) -> list[int]:

@@ -20,8 +20,8 @@ def applicable_axiom(table, s, a_cones, c_cones, x):
     oracle is a Cones, read only through its map of entry stages."""
     if table.binary != (c_cones is not None):
         raise ValueError("functional evaluated with the wrong number of oracles")
-    for appear, ax in table.axioms_for(x):
-        if appear > s or not cone_holds(ax.theta, a_cones.entry, s):
+    for appear, ax in table.axioms:
+        if ax.x != x or appear > s or not cone_holds(ax.theta, a_cones.entry, s):
             continue
         if c_cones is not None and not cone_holds(ax.sigma, c_cones.entry, s):
             continue

@@ -10,6 +10,7 @@ from splitsim.model import (
     SIDE_LABEL,
     BlockState,
     PriorityAssignment,
+    WakeRecord,
     block_label,
     order_block,
     parse_label,
@@ -199,10 +200,12 @@ class PassCheckingRun(Run):
     starts asleep with reach 0, so one that never ran holds its start
     snapshot: the construction's initial state.  Only part two and the
     refresh pass change strategy state, so these checks cover every
-    change.  held_state counts the sleepers checked that held a local
-    value or definition, and existence_checks the initializations
-    checked.  The run holds no construction, so the one it checks is the
-    one execute is handed."""
+    change.  The run's wake record holds the awake set and the reaches
+    these checks read, and its sleep is wrapped to take the snapshot.
+    held_state counts the sleepers checked that held a local value or
+    definition, and existence_checks the initializations checked.  The
+    run holds no construction, so the one it checks is the one execute
+    is handed."""
 
     def __init__(self, scenario):
         self.record = set()
@@ -213,6 +216,7 @@ class PassCheckingRun(Run):
         self.existence_checks = 0
         self.construction = None
         super().__init__(scenario)
+        self.wakes.sleep = self._sleep
 
     def execute(self, construction):
         self.construction = construction
@@ -220,8 +224,9 @@ class PassCheckingRun(Run):
             self.asleep_with[owner] = owner_state(construction, owner)
         return super().execute(construction)
 
-    def sleep(self, owner, reach):
-        super().sleep(owner, reach)
+    def _sleep(self, owner, reach):
+        """The wake record's sleep, then a snapshot of the state owner sleeps with."""
+        WakeRecord.sleep(self.wakes, owner, reach)
         self.ran.add(owner)
         self.asleep_with[owner] = owner_state(self.construction, owner)
 
@@ -241,7 +246,7 @@ class PassCheckingRun(Run):
 
     def _check_sleepers(self):
         for owner in self.scenario.functionals:
-            if owner in self.awake:
+            if owner in self.wakes.awake:
                 continue
             side, e = owner
             if owner in self.ran:
@@ -251,7 +256,7 @@ class PassCheckingRun(Run):
             self.held_state += bool(state[0])
             if isinstance(self.construction, SacksStrategy):
                 values, diagonalized = state
-                assert self.reach[owner] == (-1 if diagonalized else len(values)), owner
+                assert self.wakes.reach[owner] == (-1 if diagonalized else len(values)), owner
 
     def set_restraint(self, side, i, s):
         self.record.add(priority_order(side, i))

@@ -155,6 +155,81 @@ def test_cone_truth_and_p_come_from_the_guessing_set_record():
             assert "GuessingSet" in names, path.stem
 
 
+WAKE_STATE = {"awake", "reach"}
+MUTATORS = {"add", "update", "discard", "remove", "pop", "popitem", "clear", "setdefault"}
+
+
+def wake_state_writes(path: Path) -> list[str]:
+    """Writes a source file makes to a wake record's awake set or reaches:
+    assignments to the attributes, stores into them, and mutating calls
+    on them or on a local name bound to one of them."""
+    tree = ast.parse(path.read_text())
+
+    def held(node):
+        return isinstance(node, ast.Attribute) and node.attr in WAKE_STATE
+
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                aliases.update(t.id for t, v in pairs if isinstance(t, ast.Name) and held(v))
+
+    def state(node):
+        return held(node) or (isinstance(node, ast.Name) and node.id in aliases)
+
+    found = []
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            parts = target.elts if isinstance(target, ast.Tuple) else [target]
+            if any(held(p) or (isinstance(p, ast.Subscript) and state(p.value)) for p in parts):
+                found.append(ast.unparse(node))
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATORS
+            and state(node.func.value)
+        ):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_only_the_kernel_writes_the_wake_state():
+    """The wake rules have one definition, the kernel's wake record: no
+    package module names schedule_wakes, and none but model writes an
+    awake set or a reach.  The engine calls the record's events and the
+    strategies call its sleep."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "schedule_wakes" not in path.read_text(), path.stem
+        if path.stem != "model":
+            assert wake_state_writes(path) == [], path.stem
+    assert wake_state_writes(PACKAGE / "model.py")
+
+
+def test_wake_state_write_scan(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "awake, other = run.wakes.awake, 1\n"
+        "awake.add(owner)\n"
+        "run.wakes.reach[owner] = 3\n"
+        "self.awake = set()\n"
+        "wakes.awake.update(owners)\n"
+        "if owner in awake and wakes.reach.get(owner): wakes.sleep(owner, 2)\n"
+        "other.add(owner)\n"
+    )
+    assert sorted(wake_state_writes(probe)) == [
+        "awake.add(owner)", "run.wakes.reach[owner] = 3", "self.awake = set()",
+        "wakes.awake.update(owners)",
+    ]
+
+
 def private_imports(path: Path) -> list[str]:
     """Underscore names a source file imports from the package or one of its
     modules, then those it reads off a package module it imported, as

@@ -15,13 +15,13 @@ from splitsim.model import (
     PriorityAssignment,
     TablePolicy,
     TruthfulDelayPolicy,
+    WakeRecord,
     block_label,
     changes,
     check_bits,
     consistency_conflicts,
     order_block,
     p_changes,
-    p_spans,
     pair,
     parse_label,
     priority_order,
@@ -31,8 +31,16 @@ from splitsim.model import (
     unpair,
     validate_consistency,
 )
+from splitsim.scenario import load_scenario
 
-from p_reference import cone_truth, p_row, scan as reference_scan, table_windows, truthful_windows
+from p_reference import (
+    cone_truth,
+    p_row,
+    p_spans,
+    scan as reference_scan,
+    table_windows,
+    truthful_windows,
+)
 
 # Frozen pairing values, recomputed by hand from (a+b)(a+b+1)/2 + b.
 PAIR_CASES = [
@@ -227,7 +235,7 @@ def test_selection_windows():
     assert c_cones.window("10") == (2, 4)
     assert c_cones.window("001") == (math.inf, math.inf)
     at = selection(table, c_cones)
-    assert [at(s, Cones(), 0) for s in range(6)] == [None] * 2 + [table.axioms_for(0)[1][1]] * 4
+    assert [at(s, Cones(), 0) for s in range(6)] == [None] * 2 + [table.axioms[1][1]] * 4
     assert [getattr(at(s, Cones(), 1), "sigma", None) for s in range(6)] == (
         ["00", "00", "10", "10", None, None]
     )
@@ -278,8 +286,8 @@ def test_consistent_tables_answer_uniquely(rows, members, s):
     for x in range(3):
         answers = {
             ax.k
-            for appear, ax in table.axioms_for(x)
-            if appear <= s and cones.holds(ax.theta, s)
+            for appear, ax in table.axioms
+            if ax.x == x and appear <= s and cones.holds(ax.theta, s)
         }
         assert len(answers) <= 1
         got = selection(table, None)(s, cones, x)
@@ -656,3 +664,44 @@ def test_guessing_set_matches_the_per_string_reference(c_entry, strings, h, dela
             for entry in range(h + 1):
                 want = reference_scan(windows, c_cones, sigma, entry, h)
                 assert scan(spans, c_cones, sigma, entry, h) == want
+
+
+def _one_owner(construction, axiom):
+    return load_scenario({
+        "construction": construction,
+        "horizon": 12,
+        "b": [],
+        "c": [[5, 1], [7, 3]],
+        "d": [[9, 0]],
+        "functionals": [{"side": 0, "e": 0, "axioms": [axiom]}],
+        "p_policy": {"type": "truthful_delay", "d": 1},
+    })
+
+
+def test_wake_record_schedules_binary_wakes_only_for_binary_tables():
+    """Built from a scenario alone, the record schedules each axiom's
+    appearance at its input and each scheduled D entry for every owner.
+    A binary table adds its axioms' deferral ends, at use + 1, and the C
+    entries below its largest use, for any input; a unary table holds
+    neither, whatever C the document gives.  C's entry of 3 lies at the
+    use 3, not below it."""
+    axiom = {"theta": "000", "x": 1, "k": 0, "stage": 2}
+    owner = (0, 0)
+    sacks = WakeRecord(_one_owner("sacks", axiom))
+    assert sacks.schedule == {2: [(owner, 1)], 9: [(None, 0)]}
+    record = WakeRecord(_one_owner("robinson", dict(axiom, sigma="000")))
+    assert record.schedule == {
+        2: [(owner, 1)], 4: [(owner, 1)], 5: [(owner, None)], 9: [(None, 0)]
+    }
+    # Every owner starts asleep with reach 0: the axiom at input 1 wakes
+    # nothing, the C entry wakes it for any input, and after a sleep with
+    # reach 1 the deferral end at input 1 wakes it.
+    assert record.awake == set() and record.reach == {owner: 0}
+    record.stage(2)
+    assert record.awake == set()
+    record.stage(5)
+    assert record.awake == {owner}
+    record.sleep(owner, 1)
+    assert record.awake == set() and record.reach == {owner: 1}
+    record.stage(4)
+    assert record.awake == {owner}

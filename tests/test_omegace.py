@@ -5,9 +5,10 @@ from splitsim.model import pair
 from splitsim.omegace import (
     ApproxTable,
     build_change_set,
-    limit_eval,
     restrict,
 )
+
+from limit_reference import limit_eval
 
 
 def test_table_validation():

@@ -10,7 +10,6 @@ from splitsim.model import (
     TablePolicy,
     TruthfulDelayPolicy,
     changes,
-    p_spans,
     scan,
 )
 from splitsim.robinson import RobinsonStrategy
@@ -18,7 +17,7 @@ from splitsim.scenario import load_scenario
 from splitsim.verify import passed, verify
 
 from conftest import bench_module, execute, visits_against_reference
-from p_reference import cone_truth, first_hit, p_row, table_windows, truthful_windows
+from p_reference import cone_truth, first_hit, p_row, p_spans, table_windows, truthful_windows
 
 oracle_churn_doc = bench_module("workloads").oracle_churn_doc
 

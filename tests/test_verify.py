@@ -23,6 +23,7 @@ from conftest import (
     malformed_refusals,
     quiet_tail_docs,
 )
+from limit_reference import limit_eval
 from p_reference import p_row, windows
 
 
@@ -456,7 +457,7 @@ def _coded_verdict(sc, events):
     except ValueError:
         return False
     top = min(h, max(rows) + 2 if rows else 1)
-    return omegace.restrict(tab, top) == {x for x in range(top) if omegace.limit_eval(tab, x)}
+    return omegace.restrict(tab, top) == {x for x in range(top) if limit_eval(tab, x)}
 
 
 def _low_budget_docs(rng, doc):
