@@ -46,10 +46,11 @@ the end of the stage, ascending by (side, e): its refresh_pass(s,
 cancelled) resets them.  No requirement runs between a cancellation and
 the end of its stage (part one runs none, and part two stops at its
 first initialization), so the reset may wait.  The refresh pass and the
-update run only at a stage with an initialization.  A stage where
-nothing is due costs its one trace line: the loop skips the D policy
-and routing when they have nothing to do, part two returns at once, and
-the quiet update line is appended directly, one bare tuple.__new__
+update run only at a stage with an initialization.  Every trace line,
+the engine's and the strategies', is appended to Run.events as it is
+made.  A stage where nothing is due costs its one trace line: the loop
+skips the D policy and routing when they have nothing to do, part two
+returns at once, and the quiet update line is one bare tuple.__new__
 TraceEvent over one shared read-only payload.
 
 Block state is one model.BlockState (Run.blocks), the same type the
@@ -119,34 +120,27 @@ class Run:
         self._cancelled: set[tuple[int, int]] = set()  # owners cancelled this stage
         # Anti-delta's queue of D enumerations, oldest first.
         self._pending_d: OrderedDict[int, None] = OrderedDict()
-        self._d_budget = scenario.d_policy_limit if scenario.d_policy else 0
+        self._d_budget = scenario.d_limit  # enumerations left; -1 for no limit
         self.wakes = WakeRecord(scenario)
         self._updated = -1  # the stage of the last assignment update
 
     # -- plumbing ---------------------------------------------------------
 
-    def emit(self, ev: TraceEvent) -> None:
-        self.events.append(ev)
-
     def define_local(self, s: int, x: int, k: int, **payload) -> None:
         """Record a strategy's local value k at input x.
 
-        The anti-delta policy queues x for D whenever the value is 0.
-        Arrivals beyond the horizon could never be scheduled, so the
-        policy leaves such definitions alone.
+        The anti-delta policy queues x for D whenever the value is 0,
+        while its budget is not spent: a spent budget never drains the
+        queue.  Arrivals beyond the horizon could never be scheduled, so
+        the policy leaves such definitions alone.
         """
-        self.emit(event(s, "define-local", k=k, x=x, **payload))
-        if (
-            k == 0
-            and self.scenario.d_policy == "anti-delta"
-            and x < self.horizon
-            and x not in self.d_entry
-        ):
+        self.events.append(event(s, "define-local", k=k, x=x, **payload))
+        if k == 0 and self._d_budget != 0 and x < self.horizon and x not in self.d_entry:
             self._pending_d[x] = None
 
     def set_restraint(self, side: int, i: int, s: int) -> None:
         if self.blocks.set_restraint(side, i, s):
-            self.emit(event(s, "restraint-set", block=block_label(side, i), value=s))
+            self.events.append(event(s, "restraint-set", block=block_label(side, i), value=s))
 
     # -- stage parts ------------------------------------------------------
 
@@ -181,13 +175,13 @@ class Run:
             least = min(least, x)
             if self._d_budget > 0:
                 self._d_budget -= 1
-            self.emit(event(s, "enumerate", element=x, set="D"))
+            self.events.append(event(s, "enumerate", element=x, set="D"))
         self.wakes.d_entry(least)
 
     def _part_one(self, s: int, x: int) -> None:
         threatened, half, init = self.blocks.route(x)
         label = "-" if threatened is None else block_label(*threatened)
-        self.emit(event(s, "route", threatened=label, to="A%d" % half, x=x))
+        self.events.append(event(s, "route", threatened=label, to="A%d" % half, x=x))
         self._enumerate_half(half, x, s)
         if init is not None:
             self.initialize_block(*init, s, cause="route")
@@ -196,7 +190,7 @@ class Run:
         if x in self.a_cones[0].entry or x in self.a_cones[1].entry:
             raise ConstructionInvariantError("element %d routed twice" % x)
         self.a_cones[side].arrive(x, s)
-        self.emit(event(s, "enumerate", element=x, set="A%d" % side))
+        self.events.append(event(s, "enumerate", element=x, set="A%d" % side))
         self.wakes.arrival(side, x)
 
     def _stop_order(self, s: int) -> int:
@@ -239,7 +233,7 @@ class Run:
             cancelled = [(blk[0], e) for e in self.block_members(*blk)]
             self._cancelled.update(cancelled)
             self.wakes.cancel(cancelled)
-            self.emit(
+            self.events.append(
                 event(s, "initialize", block=block_label(*blk), cause=cause, initiator=initiator)
             )
 
@@ -259,7 +253,7 @@ class Run:
         assign.update(s, i, m)
         self.blocks.clamp(side, s)
         self._updated = s
-        self.emit(event(s, "assignment-update", i=i, side=SIDE_LABEL[side], tail=m))
+        self.events.append(event(s, "assignment-update", i=i, side=SIDE_LABEL[side], tail=m))
 
     # -- results ----------------------------------------------------------
 

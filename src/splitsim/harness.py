@@ -32,8 +32,9 @@ def run(scenario: Scenario):
       assignment_p,   the two priority assignments at indices
       assignment_q    0..horizon;
       pending_scans   certification scans still open at the horizon;
-      unsettled       a scan is pending or some p disagrees with the
-                      cone truth at the horizon.
+      unsettled       a scan is pending or p has not settled on some
+                      guessing set (model.p_settled, the verifier's
+                      rule too).
 
     Internal invariant violations raise ConstructionInvariantError; a
     valid scenario never triggers one.

@@ -14,10 +14,10 @@ nothing else from the package.  The ingredients are:
   per string and keeps current as arrivals come in,
 * Turing functionals given as finite axiom tables with explicit use,
   the one rule for when two axioms conflict (conflicting), and the
-  selection record (selection), one per table over a fixed C (none for
-  a unary table): each axiom's C side holds on one stage interval, its
-  window, so the axiom a table selects at a stage asks A's cone only
-  inside it,
+  selection record (selection), one lookup per table over a fixed C
+  (none for a unary table): each axiom's C side holds on one stage
+  interval, its window ([appear, inf) for a unary axiom), so the axiom
+  a table selects at a stage asks A's cone only inside it,
 * the requirement steps: what one run of a plain requirement does
   (sacks_step: diagonalize, expansionary with the inputs it defines and
   the half's string, or nothing) and the oracle construction's
@@ -32,7 +32,8 @@ nothing else from the package.  The ingredients are:
   stages on which p(j, .) answers 1 (truthful delay: the set's truth
   shifted d late; a table: the runs of 1s of its row); scan, the one
   certification race between p, read off those spans, and C leaving
-  sigma's cone; the mind-change count of a row and of a set's spans,
+  sigma's cone; p_settled, whether p answers the set's cone truth at
+  the horizon; the mind-change count of a row and of a set's spans,
 * the guessing indices (GuessingIndices) that the oracle construction
   drives and the verifier replays, one record per input: which index
   it scans under, which of its refusals repeat one (the memo), its
@@ -339,30 +340,19 @@ def selection(table: FunctionalTable, c_cones: Cones | None):
     So an axiom's C side holds on one stage interval, its window,
     [max(appear, sigma birth), sigma death), empty when C never lies in
     sigma's cone from its appear stage on; a unary axiom's is [appear,
-    inf), which the table's own rows carry.  The record keeps a binary
-    table's rows for an input, (lo, hi, theta, axiom) in the table's
-    (use, k) order with the empty windows left out and hi None for inf,
-    and fills them only as far as a question reads: at gives the first
-    axiom whose window covers s and whose theta holds in a_cones at s,
-    so A's cone is asked only inside the window, and no axiom after it
-    is filled.  That is exact while a_cones is fed up to stage s, and
-    over a final map at every stage.
+    inf).  The record keeps a table's rows for an input, (lo, hi, theta,
+    axiom) in the table's (use, k) order with the empty windows left out
+    and hi None for inf, and fills them only as far as a question reads:
+    at gives the first axiom whose window covers s and whose theta holds
+    in a_cones at s, so A's cone is asked only inside the window, and no
+    axiom after it is filled.  That is exact while a_cones is fed up to
+    stage s, and over a final map at every stage.
     """
     if table.binary and c_cones is None:
         raise ValueError("binary functional evaluated without its second oracle")
     if not table.binary and c_cones is not None:
         raise ValueError("unary functional evaluated with a second oracle")
     by_x = table._by_x
-    if c_cones is None:
-
-        def at(s: int, a_cones: Cones, x: int) -> Axiom | None:
-            holds = a_cones.holds
-            for appear, ax in by_x.get(x, ()):
-                if appear <= s and holds(ax.theta, s):
-                    return ax
-            return None
-
-        return at
     filled: dict[int, tuple] = {}  # x -> (its rows so far, its axioms not yet filled)
 
     def at(s: int, a_cones: Cones, x: int) -> Axiom | None:
@@ -376,14 +366,17 @@ def selection(table: FunctionalTable, c_cones: Cones | None):
                 return ax
         for appear, ax in rest:
             theta, _, _, sigma = ax
-            lo, hi = c_cones.window(sigma)
-            if lo < appear:
-                lo = appear
-            if lo < hi:
+            lo, hi = appear, None
+            if c_cones is not None:
+                lo, hi = c_cones.window(sigma)
+                if lo < appear:
+                    lo = appear
+                if lo >= hi:
+                    continue
                 hi = None if hi == math.inf else hi
-                rows.append((lo, hi, theta, ax))
-                if lo <= s and (hi is None or s < hi) and holds(theta, s):
-                    return ax
+            rows.append((lo, hi, theta, ax))
+            if lo <= s and (hi is None or s < hi) and holds(theta, s):
+                return ax
         return None
 
     return at
@@ -589,6 +582,13 @@ def p_changes(spans, horizon: int) -> int:
     if not spans:
         return 0
     return 2 * len(spans) - (spans[0][0] == 0) - (spans[-1][1] == horizon)
+
+
+def p_settled(spans, guessing_set, horizon: int) -> bool:
+    """True iff p has settled on the guessing set by the horizon: its
+    answer there, 1 iff its last span reaches the horizon, is the set's
+    cone truth there."""
+    return (bool(spans) and spans[-1][1] == horizon) == guessing_set.holds(horizon)
 
 
 def scan(spans, c_cones: Cones, sigma: str, entry: int, horizon: int):

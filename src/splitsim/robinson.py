@@ -55,7 +55,10 @@ The per-input decision up to certification is model.robinson_step,
 which the verifier also runs on every scan line; the strategy keeps the
 state, certifies on its scan exit and writes the lines.  It selects
 through each owner's selection record (model.selection) over its own
-c_cones.
+c_cones, and appends each line it writes to the run's events.  A run is
+unsettled when a scan is pending at the horizon or p has not settled on
+some guessing set (the kernel's p_settled, the verifier's rule too);
+final_state reads both off its state, so the strategy keeps no flag.
 
 Dispatch is event-driven (model.WakeRecord).  A run of an owner reads
 the axioms of its table that have appeared, its own half and C below
@@ -84,6 +87,7 @@ from .model import (
     GuessingSet,
     block_label,
     build_policy,
+    p_settled,
     robinson_step,
     scan,
     selection,
@@ -107,7 +111,6 @@ class RobinsonStrategy:
         self.inputs = GuessingIndices()  # keyed by owner (side, e) and input x
         self.sets: dict[int, GuessingSet] = {}  # j -> W_j
         self.pending_scans = 0
-        self.unsettled = False
 
     # -- certification --------------------------------------------------------
 
@@ -116,7 +119,7 @@ class RobinsonStrategy:
 
         A certified axiom becomes the input's local definition (k, death).
         False covers both refusal and a scan still pending at the horizon;
-        a pending scan flags the whole run as unsettled.
+        a pending scan leaves the whole run unsettled (final_state).
         """
         run = self.run
         label = block_label(side, e)
@@ -126,10 +129,10 @@ class RobinsonStrategy:
             wset = self.sets[j] = GuessingSet(self.c_cones)
         if not wset.holds(s):
             wset.add(s, axiom.sigma)
-            run.emit(event(s, "enumerate", j=j, set="W", sigma=axiom.sigma))
+            run.events.append(event(s, "enumerate", j=j, set="W", sigma=axiom.sigma))
 
         def emit_scan(kind, **extra):
-            run.emit(
+            run.events.append(
                 event(
                     s, kind, entry=s, j=j, k=axiom.k, req=label,
                     sigma=axiom.sigma, theta=axiom.theta, x=x, **extra,
@@ -144,7 +147,6 @@ class RobinsonStrategy:
             return True
         if result == "pending":
             self.pending_scans += 1
-            self.unsettled = True
             emit_scan("refuse-certify", result="pending")
         else:
             memo = {"memo": 1} if self.inputs.refuse((side, e), x, axiom.sigma) else {}
@@ -205,7 +207,7 @@ class RobinsonStrategy:
             return "refused"
         run.define_local(s, x, got.k, req=block_label(side, e), sigma=got.sigma, theta=got.theta)
         run.set_restraint(side, i, s)
-        run.emit(
+        run.events.append(
             event(s, "act", block=block_label(side, i), req=block_label(side, e), via="certified")
         )
         return "acted"
@@ -225,18 +227,17 @@ class RobinsonStrategy:
         """
         for side, e in cancelled:
             for x in self.inputs.cancel((side, e)):
-                self.run.emit(
+                self.run.events.append(
                     event(s, "injury", cause="initialized", req=block_label(side, e), x=x)
                 )
 
     # -- results -----------------------------------------------------------------
 
     def final_state(self) -> tuple[int, bool]:
-        """(pending scans, unsettled), flagging the run unsettled if some
-        p still disagrees with the cone truth at the horizon."""
+        """(pending scans, unsettled): the run is unsettled when a scan is
+        pending or p has not settled on some guessing set (model.p_settled)."""
         h = self.run.horizon
         for j, wset in self.sets.items():
-            spans = self.policy.spans(j, wset, h)
-            if (bool(spans) and spans[-1][1] == h) != wset.holds(h):
-                self.unsettled = True
-        return self.pending_scans, self.unsettled
+            if not p_settled(self.policy.spans(j, wset, h), wset, h):
+                return self.pending_scans, True
+        return self.pending_scans, self.pending_scans > 0

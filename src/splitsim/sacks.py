@@ -98,16 +98,18 @@ class SacksStrategy:
         )
         if step.exit == "diagonalize":
             req.diagonalized = True
-            run.emit(event(s, "diagonalize", req=req.label, x=step.x))
+            run.events.append(event(s, "diagonalize", req=req.label, x=step.x))
         elif step.exit == "expansionary":
-            run.emit(event(s, "expansionary", block=block_label(side, i), ell=step.x, req=req.label))
+            run.events.append(
+                event(s, "expansionary", block=block_label(side, i), ell=step.x, req=req.label)
+            )
             for k in step.values:
                 run.define_local(s, len(req.values), k, req=req.label, sigma=step.sigma)
                 req.values.append(k)
             run.set_restraint(side, i, s)
         else:
             return False
-        run.emit(event(s, "act", block=block_label(side, i), req=req.label, via=step.exit))
+        run.events.append(event(s, "act", block=block_label(side, i), req=req.label, via=step.exit))
         return True
 
     def refresh_pass(self, s: int, cancelled: list[tuple[int, int]]) -> None:

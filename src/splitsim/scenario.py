@@ -53,8 +53,7 @@ class Scenario:
     b_schedule: EnumerationSchedule
     c_schedule: EnumerationSchedule
     d_schedule: EnumerationSchedule
-    d_policy: str | None
-    d_policy_limit: int
+    d_limit: int  # anti-delta's budget of D enumerations: 0 without the policy, -1 for no limit
     functionals: dict[tuple[int, int], FunctionalTable]
     p_policy_kind: str
     p_policy_params: dict
@@ -103,15 +102,12 @@ def load_scenario(doc: dict) -> Scenario:
     c_sched = _load_schedule(doc.get("c", []), "c", "C", horizon, problems)
 
     d_raw = doc.get("d", [])
-    d_policy = None
-    d_limit = -1
+    d_limit = 0
     if isinstance(d_raw, dict):
         d_sched = EnumerationSchedule.build("D", [])
         policy = d_raw.get("policy")
         if policy != "anti-delta":
             problems.append("d.policy: unknown policy %r" % (policy,))
-        else:
-            d_policy = policy
         params = d_raw.get("params", {})
         if not isinstance(params, dict) or set(params) - {"limit"}:
             problems.append("d.params: only the key 'limit' is understood")
@@ -160,8 +156,7 @@ def load_scenario(doc: dict) -> Scenario:
         b_schedule=b_sched,
         c_schedule=c_sched,
         d_schedule=d_sched,
-        d_policy=d_policy,
-        d_policy_limit=d_limit,
+        d_limit=d_limit,
         functionals=functionals,
         p_policy_kind=p_kind,
         p_policy_params=p_params,

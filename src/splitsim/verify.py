@@ -121,6 +121,7 @@ from .model import (
     member,
     order_block,
     p_changes,
+    p_settled,
     parse_label,
     priority_order,
     robinson_step,
@@ -857,7 +858,9 @@ def _check_v7(ctx, spans):
 
 
 def _check_v8_v10(ctx, spans):
-    """The p contract, read off each guessing set's p spans, and its coding.
+    """The p contract, read off each guessing set's p spans, and its coding;
+    returns whether the run is settled: no scan is pending and p has
+    settled on every set (model.p_settled, the strategy's rule too).
 
     Lemma: V10 fails exactly when V8 finds a broken start or budget.
     omegace's ApproxTable over the p rows (length and bits hold by
@@ -882,7 +885,6 @@ def _check_v8_v10(ctx, spans):
     broken = {}
     for j, ones in sorted(spans.items()):
         start = bool(ones) and ones[0][0] == 0
-        last = bool(ones) and ones[-1][1] == h
         flips, q = p_changes(ones, h), sc.q_overrides.get(j, sc.q_default)
         if start:
             prob.add("V8", 0, "p(%d, 0) is 1, not 0" % j)
@@ -891,7 +893,7 @@ def _check_v8_v10(ctx, spans):
             prob.add("V8", h, "p row %d changes its mind %d times, budget %d" % (j, flips, q))
             budget = "argument %d changes its mind %d times, bound is %d" % (j, flips, q + 1)
             broken.setdefault(j, budget)
-        if last != ctx.w_sets[j].holds(h):
+        if not p_settled(ones, ctx.w_sets[j], h):
             settled = False
     first = next((j for j in ctx.w_sets if j in broken), None)
     if first is not None:

@@ -331,6 +331,8 @@ def corpus():
                         for name, entry in report["checks"].items()
                     },
                     "settled": report["flags"]["status"] == "settled",
+                    "pending_scans": report["diagnostics"]["pending_scans"],
+                    "final_flags": (final["unsettled"], final["pending_scans"]),
                     "ok": passed(report),
                     "partition_ok": _partition_ok(scenario, final),
                     "injuries": kinds.get("injury", 0),

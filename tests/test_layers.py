@@ -9,10 +9,12 @@ The checks read the sources, so they hold without importing anything.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import splitsim
+from splitsim.scenario import Scenario
 
 from conftest import bench_module
 
@@ -153,6 +155,79 @@ def test_cone_truth_and_p_come_from_the_guessing_set_record():
             assert "windows" not in calls, path.stem
             assert {"spans", "holds", "add"} <= calls, path.stem
             assert "GuessingSet" in names, path.stem
+
+
+def test_selection_has_one_lookup():
+    """A table's selection record has one lookup, binary or unary: the
+    kernel's selection defines exactly one nested function."""
+    tree = ast.parse((PACKAGE / "model.py").read_text())
+    (select,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "selection"
+    ]
+    nested = [
+        node
+        for node in ast.walk(select)
+        if node is not select and isinstance(node, (ast.FunctionDef, ast.Lambda))
+    ]
+    assert len(nested) == 1, [getattr(node, "name", "lambda") for node in nested]
+
+
+def last_ends(tree) -> list[str]:
+    """Every read of a list's last pair's end, x[-1][1], in a parsed source."""
+    def constant(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            inner = constant(node.operand)
+            return None if inner is None else -inner
+        return node.value if isinstance(node, ast.Constant) else None
+
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and constant(node.slice) == 1
+        and isinstance(node.value, ast.Subscript)
+        and constant(node.value.slice) == -1
+    ]
+
+
+def test_the_settled_verdict_is_decided_in_the_kernel():
+    """Whether p has settled on a guessing set has one rule, the kernel's
+    p_settled: robinson and verify call it, and neither reads the end of
+    a span list's last span itself."""
+    for module in ("robinson", "verify"):
+        tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+        calls = {
+            node.func.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert "p_settled" in calls, module
+        assert last_ends(tree) == [], module
+
+
+def test_last_end_scan():
+    tree = ast.parse("spans[-1][1] == h\nrows[-1][0]\nrows[1][1]\nrows[0][-1]\nones[-1][1]\n")
+    assert sorted(last_ends(tree)) == ["ones[-1][1]", "spans[-1][1]"]
+
+
+def test_trace_lines_have_one_append():
+    """A trace line is appended to the run's events and nowhere else: no
+    package module defines or calls an emit."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                names.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+        assert "emit" not in names, path.stem
+
+
+def test_d_policy_is_one_budget():
+    """The D policy is one number on the scenario, d_limit."""
+    names = {f.name for f in dataclasses.fields(Scenario)}
+    assert "d_limit" in names
+    assert not names & {"d_policy", "d_policy_limit"}
 
 
 WAKE_STATE = {"awake", "reach"}

@@ -38,7 +38,7 @@ def test_valid_document_round_trip():
     assert sc.construction == "sacks"
     assert sc.b_schedule.entries == ((1, 3), (5, 0))
     assert sc.d_schedule.entries == ((2, 1),)
-    assert sc.d_policy is None
+    assert sc.d_limit == 0
     assert (0, 0) in sc.functionals
     assert sc.seed == 7
     assert sc.q_default == 2 * 8 + 4
@@ -85,11 +85,10 @@ def test_b_schedule_conventions(b, needle):
 
 def test_d_policy_document():
     sc = load_scenario(_valid(d={"policy": "anti-delta", "params": {"limit": 3}}))
-    assert sc.d_policy == "anti-delta"
-    assert sc.d_policy_limit == 3
+    assert sc.d_limit == 3
     assert sc.d_schedule.entries == ()
     sc = load_scenario(_valid(d={"policy": "anti-delta"}))
-    assert sc.d_policy_limit == -1
+    assert sc.d_limit == -1
 
     assert any("d.policy" in p for p in _problems(_valid(d={"policy": "other"})))
     assert any(

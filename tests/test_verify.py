@@ -18,6 +18,7 @@ from conftest import (
     CERTIFY_DOC,
     CONTROLS,
     GOLDEN_DIR,
+    bench_module,
     corpus_doc,
     count_calls,
     malformed_refusals,
@@ -30,6 +31,33 @@ from p_reference import p_row, windows
 def test_check_catalogue():
     assert [name for name, _ in CHECKS] == ["V%d" % i for i in range(1, 12)]
     assert len({title for _, title in CHECKS}) == 11
+
+
+def test_engine_flags_agree_with_the_verdict(corpus):
+    """The engine's unsettled flag and pending-scan count equal the
+    verifier's re-derived status and count, run by run, over the corpus
+    and the churn recipe.  Both branches of the verdict occur: runs
+    unsettled by a pending scan and runs unsettled only because p
+    disagrees with a set's cone truth at the horizon."""
+    runs = [(row["final_flags"], row["settled"], row["pending_scans"]) for row in corpus["rows"]]
+    churn = bench_module("workloads").oracle_churn_doc
+    for seed in range(8):
+        for h in range(36, 44):
+            sc = load_scenario(churn(seed, h))
+            events, final = run(sc)
+            report = verify(sc, events, final)
+            runs.append(
+                (
+                    (final["unsettled"], final["pending_scans"]),
+                    report["flags"]["status"] == "settled",
+                    report["diagnostics"]["pending_scans"],
+                )
+            )
+    for (unsettled, pending), settled, replayed in runs:
+        assert unsettled == (not settled)
+        assert pending == replayed
+    unsettled_by = {pending > 0 for (unsettled, pending), _, _ in runs if unsettled}
+    assert unsettled_by == {True, False}
 
 
 def test_honest_materials_pass(control_materials):
