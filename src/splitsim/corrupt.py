@@ -11,7 +11,7 @@ beat, and so on), so callers can pick a different run.
 
 from __future__ import annotations
 
-from .model import Cones, GuessingSet, build_policy, p_changes
+from .model import Cones, GuessingSet, TruthfulDelayPolicy, p_changes
 from .trace import TraceEvent, event
 from .verify import persisting_diagonalizations, verify
 
@@ -122,7 +122,7 @@ def _v8(scenario, events):
     """
     if scenario.construction != "robinson":
         raise CorruptionError("the change budget only constrains oracle runs")
-    if scenario.p_policy_kind != "truthful_delay":
+    if not isinstance(scenario.p_policy, TruthfulDelayPolicy):
         raise CorruptionError("a table policy ignores forged enumerations")
     entry = scenario.c_schedule.entry_stage()
     if not entry:
@@ -142,7 +142,7 @@ def _v8(scenario, events):
     flooded = GuessingSet(Cones(entry))
     for sig in sigmas:
         flooded.add(0, sig)
-    flips = p_changes(build_policy(scenario).spans(j, flooded, horizon), horizon)
+    flips = p_changes(scenario.p_policy.spans(j, flooded, horizon), horizon)
     if flips <= scenario.q_default:
         raise CorruptionError(
             "C churns %d p-changes out of a budget of %d" % (flips, scenario.q_default)

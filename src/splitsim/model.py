@@ -23,14 +23,18 @@ nothing else from the package.  The ingredients are:
   the half's string, or nothing) and the oracle construction's
   per-input step up to its certification (robinson_step: nocomp,
   defined or scan), which the strategies run and the verifier replays,
-* the guessing sets (GuessingSet), one record per set W_j: its strings
-  and the cone truth p approximates, the stages at which C lies in one
-  of their cones, kept as merged intervals from each string's lifetime
-  and added to once per enumeration,
+* the guessing sets (GuessingSet), one record per set W_j: its strings,
+  each with the stage of its first enumeration, and the cone truth p
+  approximates, the stages at which C lies in one of their cones, kept
+  as merged intervals from each string's lifetime and added to once per
+  enumeration,
 * the semantics of the external approximation p: each policy gives its
   spans for a guessing set, the sorted, disjoint, maximal intervals of
   stages on which p(j, .) answers 1 (truthful delay: the set's truth
-  shifted d late; a table: the runs of 1s of its row); scan, the one
+  shifted d late; a table: the runs of 1s of its row), one policy per
+  scenario, which the loader builds (Scenario.p_policy) and which holds
+  no state after construction, so the strategy and the verifier share
+  it without sharing any run state; scan, the one
   certification race between p, read off those spans, and C leaving
   sigma's cone; p_settled, whether p answers the set's cone truth at
   the horizon; the mind-change count of a row and of a set's spans,
@@ -500,22 +504,23 @@ def changes(row) -> int:
 class GuessingSet:
     """One guessing set W_j: its strings and the cone truth p approximates.
 
-    strings are the (enumeration stage, sigma) pairs in the order add
-    recorded them.  truth lists the stages at which C lies in the cone of
-    a string enumerated by then, as sorted, disjoint, non-adjacent [lo,
-    hi) intervals (hi inf: C never leaves).  A string contributes its
-    window over C from its enumeration stage on, so c_cones must be
-    over C's final map, where every window is exact.
+    strings maps each sigma to the stage of its first enumeration, in
+    the order add first recorded them.  truth lists the stages at which C
+    lies in the cone of a string enumerated by then, as sorted, disjoint,
+    non-adjacent [lo, hi) intervals (hi inf: C never leaves).  Every
+    enumeration contributes its string's window over C from its stage
+    on, so c_cones must be over C's final map, where every window is
+    exact.
     """
 
     def __init__(self, c_cones: Cones):
         self.c_cones = c_cones
-        self.strings: list[tuple[int, str]] = []
+        self.strings: dict[str, int] = {}
         self.truth: list[tuple[int, float]] = []
 
     def add(self, u: int, sigma: str) -> None:
         """Record sigma's enumeration at stage u, merging its interval into truth."""
-        self.strings.append((u, sigma))
+        self.strings.setdefault(sigma, u)
         lo, hi = self.c_cones.window(sigma)
         lo = max(u, lo)
         if lo >= hi:
@@ -607,13 +612,6 @@ def scan(spans, c_cones: Cones, sigma: str, entry: int, horizon: int):
     if t_hit is None:
         return "pending", None
     return "certify", t_hit
-
-
-def build_policy(scenario):
-    """The external approximation p for a robinson scenario."""
-    if scenario.p_policy_kind == "table":
-        return TablePolicy(scenario.p_policy_params["values"])
-    return TruthfulDelayPolicy(scenario.p_policy_params["d"])
 
 
 class GuessingIndices:

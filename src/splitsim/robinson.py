@@ -7,8 +7,8 @@ is certified: its C-side string sigma is enumerated into the guessing set
 of a per-input index j (unless C already lies in one of the set's cones),
 and the kernel's scan (model.scan) races the first moment C leaves the
 cone of sigma (refusal) against the first stage the external
-approximation p answers 1 for j (certification), read off the policy's
-spans for W_j.  The scan happens inside the stage against the
+approximation p answers 1 for j (certification), read off the spans
+for W_j of the scenario's p policy (the loader's).  The scan happens inside the stage against the
 pre-specified C schedule and p policy, both oblivious to the run, so a
 run remains a pure function of its scenario.
 
@@ -17,9 +17,9 @@ input's one record, keyed by owner (side, e) and input x: its guessing
 index, the sigmas whose scan was refused under it, and its local
 definition (k, death).  Each guessing set W_j is one kernel record,
 model.GuessingSet (RobinsonStrategy.sets), over the strategy's c_cones:
-its strings and the stages at which C lies in one of their cones, which
-certify asks before it enumerates and the policy's spans are read off.
-death is the stage at which C leaves sigma's cone
+its strings, each with the stage of its first enumeration, and the
+stages at which C lies in one of their cones, which certify asks before
+it enumerates and the policy's spans are read off.  death is the stage at which C leaves sigma's cone
 (None: never), read off its lifetime in the strategy's own c_cones, and
 the kernel's live decides whether the definition still counts at a
 stage.  A sigma refused before is refused again at its death (the cone
@@ -86,7 +86,6 @@ from .model import (
     GuessingIndices,
     GuessingSet,
     block_label,
-    build_policy,
     p_settled,
     robinson_step,
     scan,
@@ -107,7 +106,7 @@ class RobinsonStrategy:
         self.selections = {
             key: selection(table, self.c_cones) for key, table in self.tables.items()
         }
-        self.policy = build_policy(scenario)
+        self.policy = scenario.p_policy  # the loader's; it holds no run state
         self.inputs = GuessingIndices()  # keyed by owner (side, e) and input x
         self.sets: dict[int, GuessingSet] = {}  # j -> W_j
         self.pending_scans = 0

@@ -5,7 +5,8 @@ horizon, the construction flavor, the three enumerations (B arrivals, C,
 D), the functional tables, the p policy, and the change-bound defaults.
 Loading validates the whole document and reports every violation at once,
 each with the path of the offending field, so a fuzz-produced or
-hand-written document never fails halfway into a run.
+hand-written document never fails halfway into a run.  The p policy is
+built here once, as Scenario.p_policy, for the construction and verifier.
 
 The D coordinate may be reactive: {"policy": "anti-delta"} enumerates x
 into D at the first odd stage after some local value 0 was defined at x,
@@ -20,6 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .model import ConflictError, EnumerationSchedule, FunctionalTable, Axiom, validate_consistency
+from .model import TablePolicy, TruthfulDelayPolicy
 
 CONSTRUCTIONS = ("sacks", "robinson")
 TOP_KEYS = {
@@ -55,8 +57,7 @@ class Scenario:
     d_schedule: EnumerationSchedule
     d_limit: int  # anti-delta's budget of D enumerations: 0 without the policy, -1 for no limit
     functionals: dict[tuple[int, int], FunctionalTable]
-    p_policy_kind: str
-    p_policy_params: dict
+    p_policy: TruthfulDelayPolicy | TablePolicy  # built once, here; it holds no state
     q_default: int
     q_overrides: dict[int, int]
     seed: int
@@ -124,7 +125,7 @@ def load_scenario(doc: dict) -> Scenario:
     functionals = _load_functionals(doc.get("functionals", []), binary, horizon, problems)
 
     p_raw = doc.get("p_policy", {"type": "truthful_delay", "d": 1})
-    p_kind, p_params = _load_p_policy(p_raw, horizon, problems)
+    p_policy = _load_p_policy(p_raw, horizon, problems)
 
     q_default = doc.get("q_default", 2 * horizon + 4)
     if not _is_int(q_default) or q_default < 1:
@@ -158,8 +159,7 @@ def load_scenario(doc: dict) -> Scenario:
         d_schedule=d_sched,
         d_limit=d_limit,
         functionals=functionals,
-        p_policy_kind=p_kind,
-        p_policy_params=p_params,
+        p_policy=p_policy,
         q_default=q_default,
         q_overrides=q_overrides,
         seed=seed,
@@ -297,9 +297,10 @@ def _axiom_fields(ax_raw, horizon, a_path, problems):
 
 
 def _load_p_policy(raw, horizon, problems):
+    """The scenario's p policy, built from a valid p_policy object."""
     if not isinstance(raw, dict):
         problems.append("p_policy: must be an object")
-        return "truthful_delay", {"d": 1}
+        return TruthfulDelayPolicy(1)
     kind = raw.get("type")
     if kind == "truthful_delay":
         _unknown_keys(raw, ("type", "d"), "p_policy", problems)
@@ -307,7 +308,7 @@ def _load_p_policy(raw, horizon, problems):
         if not _is_int(delay) or delay < 1:
             problems.append("p_policy.d: must be a positive integer")
             delay = 1
-        return "truthful_delay", {"d": delay}
+        return TruthfulDelayPolicy(delay)
     if kind == "table":
         _unknown_keys(raw, ("type", "values"), "p_policy", problems)
         values = raw.get("values", {})
@@ -328,6 +329,6 @@ def _load_p_policy(raw, horizon, problems):
                     problems.append("%s: p must answer 0 at stage 0" % path)
                     continue
                 out[j] = list(row)
-        return "table", {"values": out}
+        return TablePolicy(out)
     problems.append("p_policy.type: must be truthful_delay or table")
-    return "truthful_delay", {"d": 1}
+    return TruthfulDelayPolicy(1)

@@ -18,9 +18,11 @@ the selection record (selection: one per table, over that C oracle for a
 binary one, which the step replay, V5 and V9 select through; V9 asks it
 only at the marks inside the window of the definition's sigma), the
 guessing sets (GuessingSet: the replay adds each W enumeration line to
-its set's record and asks it for the cone truth), p's spans per guessing
-set (built once per verify, V7 scans them and V8 reads them), and the
-certification scan (scan).  Payload integers are read with the trace
+its set's record and asks it for the cone truth and for the stage of a
+string's first enumeration, which V2's duplicate test and V7 read), p's
+spans per guessing set (read off the scenario's p policy, which the
+loader built, once per verify; V7 scans them and V8 reads them), and
+the certification scan (scan).  Payload integers are read with the trace
 grammar's parse_int, so a non-canonical one is a malformed payload.
 Block state is keyed by (side, index), as in the engine; a restraint-set
 or initialize line whose block label does not parse fails V2 on that
@@ -117,7 +119,6 @@ from .model import (
     GuessingIndices,
     GuessingSet,
     block_label,
-    build_policy,
     member,
     order_block,
     p_changes,
@@ -230,7 +231,6 @@ class _Context:
         self.last_initialized = {}
         self.last_change = [-1, -1]
         self.w_sets = {}  # j -> GuessingSet W_j
-        self.w_seen = {}  # (j, sigma) -> stage of its first enumeration
         self.scans = []  # (line, index its input holds, memo due), in trace order
         self.indices = GuessingIndices()  # keyed by the scan lines' req and x texts
         self.pending_count = 0
@@ -239,7 +239,6 @@ class _Context:
         self.values = {}
         self.diagonalized = set()
         self.steps = {}  # (stage, req text) -> _Step (None: no label), in trace order
-        self.selected = set()  # (requirement, x, stage, k) of definitions the steps justified
         self.diags = []
         self.definitions = []
         self.cancels = {}
@@ -394,12 +393,11 @@ def _on_enumerate(ctx, ev, s, pend):
             prob.add("V2", s, "guessing-set enumeration at an odd stage", ev)
         if ctx.scenario.construction != "robinson":
             prob.add("V2", s, "guessing-set enumeration in a plain-construction trace", ev)
-        if (j, sigma) in ctx.w_seen:
-            prob.add("V2", s, "string enumerated twice into W_%d" % j, ev)
-        ctx.w_seen.setdefault((j, sigma), s)
         wset = ctx.w_sets.get(j)
         if wset is None:
             wset = ctx.w_sets[j] = GuessingSet(ctx.c_cones)
+        if sigma in wset.strings:
+            prob.add("V2", s, "string enumerated twice into W_%d" % j, ev)
         if wset.holds(s):
             prob.add("V7", s, "enumeration into W_%d while C already lies in a cone" % j, ev)
         wset.add(s, sigma)
@@ -730,8 +728,7 @@ def _robinson_problem(ctx, step, select):
     not what model.robinson_step gives for its input, from the input's
     replayed live value, as (note, line); None if every line is.  A
     certify line is followed by its define-local, which repeats it, and
-    an act of the requirement's block.  Each definition so justified is
-    the selected axiom at its stage, which ctx.selected records for V9."""
+    an act of the requirement's block."""
     side, e = step.req
     s = step.stage
     label = block_label(side, e)
@@ -765,7 +762,6 @@ def _robinson_problem(ctx, step, select):
                     lines[min(n, len(lines) - 1)][0],
                 )
             n += 1
-        ctx.selected.add((step.req, x, s, ax.k))
     return None
 
 
@@ -837,7 +833,7 @@ def _check_v7(ctx, spans):
         elif not ctx.c_cones.holds(sigma, entry):
             prob.add("V7", ev.stage, "C lies outside the scanned cone at entry", ev)
         # sigma itself, if in W_j by entry, is a cone of W_j holding C there.
-        elif ctx.w_seen.get((j, sigma), entry + 1) > entry and not ctx.w_sets[j].holds(entry):
+        elif ctx.w_sets[j].strings.get(sigma, entry + 1) > entry and not ctx.w_sets[j].holds(entry):
             prob.add("V7", ev.stage, "C lies in no cone of W_%d at entry" % j, ev)
         elif not certify and result not in ("refused", "pending"):
             prob.add("V7", ev.stage, "unknown refusal result %r" % (result,), ev)
@@ -902,6 +898,10 @@ def _check_v8_v10(ctx, spans):
 
 
 def _check_v9(ctx, settled):
+    """On a settled run, a definition's table selects its value at each
+    mark: its stage if C lies in sigma's cone there, and each A or C entry
+    stage inside its life and sigma's window.  A definition the step
+    check justified passes its stage's mark: the certified axiom."""
     prob = ctx.problems
     sc = ctx.scenario
     if sc.construction != "robinson" or not settled:
@@ -923,13 +923,7 @@ def _check_v9(ctx, settled):
         # Only stages at which C lies in sigma's cone count: its window.
         lo, hi = ctx.c_cones.window(d["sigma"])
         first, last = max(d["stage"] + 1, lo), min(end, hi)
-        # The step check already found the selected axiom at the stage of
-        # a definition it justified, with the definition's value.
-        marks = set()
-        if (d["req"], d["x"], d["stage"], d["k"]) not in ctx.selected and ctx.c_cones.holds(
-            d["sigma"], d["stage"]
-        ):
-            marks.add(d["stage"])
+        marks = {d["stage"]} if ctx.c_cones.holds(d["sigma"], d["stage"]) else set()
         for stages in (a_stages[side], c_stages):
             marks.update(stages[bisect_left(stages, first): bisect_left(stages, last)])
         for t in sorted(marks):
@@ -956,7 +950,7 @@ def verify(scenario, events, final=None) -> dict:
     ctx = _replay(scenario, events)
     spans = {}  # j -> p's spans for W_j, which V7 and V8 share
     if scenario.construction == "robinson":
-        policy = build_policy(scenario)
+        policy = scenario.p_policy
         spans = {j: policy.spans(j, wset, ctx.horizon) for j, wset in ctx.w_sets.items()}
     _check_v5(ctx)
     _check_v7(ctx, spans)

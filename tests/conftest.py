@@ -219,12 +219,15 @@ _GOLDEN_FILES = {
 _INLINE_DOCS = {"injury": INJURY_DOC, "certify": CERTIFY_DOC, "churn": CHURN_DOC}
 
 
-def _material(name):
+def material_doc(name):
+    """The scenario document of a named control material."""
     if name in _GOLDEN_FILES:
-        doc = json.loads((GOLDEN_DIR / _GOLDEN_FILES[name]).read_text())
-    else:
-        doc = _INLINE_DOCS[name]
-    sc = load_scenario(doc)
+        return json.loads((GOLDEN_DIR / _GOLDEN_FILES[name]).read_text())
+    return _INLINE_DOCS[name]
+
+
+def _material(name):
+    sc = load_scenario(material_doc(name))
     events, final = run(sc)
     return sc, events, final
 

@@ -14,7 +14,8 @@ from splitsim.model import Cones
 
 def cone_truth(strings: list[tuple[int, str]], c_cones: Cones, at: int) -> int:
     """1 iff C at stage at lies in the cone of a string enumerated by then;
-    strings are the (enumeration stage, sigma) pairs of one guessing set."""
+    strings are the (enumeration stage, sigma) pairs of one guessing set,
+    every enumeration of it, where the record keeps each sigma's first."""
     return int(any(u <= at and c_cones.holds(sigma, at) for u, sigma in strings))
 
 
@@ -35,11 +36,13 @@ def table_windows(values: dict, j: int) -> list[tuple[int, int]]:
     return [(t, t) for t, v in enumerate(values.get(j, [])) if v]
 
 
-def windows(scenario, c_cones: Cones, j: int, strings) -> list[tuple[int, int | None]]:
-    """p's windows for W_j under the scenario's policy."""
-    if scenario.p_policy_kind == "table":
-        return table_windows(scenario.p_policy_params["values"], j)
-    return truthful_windows(scenario.p_policy_params["d"], c_cones, strings)
+def windows(doc: dict, c_cones: Cones, j: int, strings) -> list[tuple[int, int | None]]:
+    """p's windows for W_j under a scenario document's p_policy, read off
+    the document itself rather than the policy its loader builds."""
+    policy = doc.get("p_policy", {"type": "truthful_delay", "d": 1})
+    if policy["type"] == "table":
+        return table_windows({int(key): row for key, row in policy["values"].items()}, j)
+    return truthful_windows(policy.get("d", 1), c_cones, strings)
 
 
 def p_spans(windows, horizon: int) -> list[tuple[int, int]]:

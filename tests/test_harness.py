@@ -7,7 +7,7 @@ import pytest
 from splitsim.engine import ConstructionInvariantError, Run
 from splitsim.fuzz import generate
 from splitsim.harness import run
-from splitsim.model import TablePolicy, TruthfulDelayPolicy, build_policy
+from splitsim.model import TablePolicy, TruthfulDelayPolicy
 from splitsim.robinson import RobinsonStrategy
 from splitsim.sacks import SacksStrategy
 from splitsim.scenario import load_scenario
@@ -32,10 +32,10 @@ def test_policy_dispatch():
             "p_policy": {"type": "table", "values": {"0": [0, 1]}},
         }
     )
-    assert isinstance(build_policy(sc), TablePolicy)
+    assert isinstance(sc.p_policy, TablePolicy)
     _, strategy, _ = execute(sc)
     assert isinstance(strategy, RobinsonStrategy)
-    assert isinstance(strategy.policy, TablePolicy)
+    assert strategy.policy is sc.p_policy
     sc = load_scenario(
         {
             "construction": "robinson",
@@ -44,11 +44,11 @@ def test_policy_dispatch():
             "p_policy": {"type": "truthful_delay", "d": 3},
         }
     )
-    pol = build_policy(sc)
+    pol = sc.p_policy
     assert isinstance(pol, TruthfulDelayPolicy)
     assert pol.delay == 3
     _, strategy, _ = execute(sc)
-    assert isinstance(strategy.policy, TruthfulDelayPolicy)
+    assert strategy.policy is sc.p_policy
 
 
 def test_strategy_dispatch_sacks():

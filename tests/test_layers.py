@@ -9,14 +9,20 @@ The checks read the sources, so they hold without importing anything.
 """
 
 import ast
+import copy
 import dataclasses
 import importlib
 from pathlib import Path
 
-import splitsim
-from splitsim.scenario import Scenario
+import pytest
 
-from conftest import bench_module
+import splitsim
+from splitsim.fuzz import generate
+from splitsim.harness import run
+from splitsim.scenario import Scenario, load_scenario
+from splitsim.verify import passed, verify
+
+from conftest import CORPUS_MAX_HORIZON, CORPUS_SEED, bench_module
 
 PACKAGE = Path(splitsim.__file__).parent
 KERNEL = {"model", "omegace", "trace"}
@@ -228,6 +234,70 @@ def test_d_policy_is_one_budget():
     names = {f.name for f in dataclasses.fields(Scenario)}
     assert "d_limit" in names
     assert not names & {"d_policy", "d_policy_limit"}
+
+
+def names_in(path: Path) -> set[str]:
+    """Every name, attribute, definition and imported name a source file holds."""
+    tree = ast.parse(path.read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    names.update(
+        node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    )
+    names.update(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
+    names.update(
+        node.arg for node in ast.walk(tree) if isinstance(node, ast.keyword) and node.arg
+    )
+    return names
+
+
+def test_p_policy_is_built_once_by_the_loader():
+    """p has one form, the policy the loader builds as Scenario.p_policy:
+    no package module names a policy kind and parameters or a builder."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = names_in(path) & {"build_policy", "p_policy_kind", "p_policy_params"}
+        assert not found, (path.stem, found)
+    assert "p_policy" in {f.name for f in dataclasses.fields(Scenario)}
+
+
+def test_verifier_keeps_no_second_records():
+    """A W string's first stage lives in its GuessingSet record, and V9
+    asks the selection record itself: verify assigns no w_seen or
+    selected attribute."""
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    assigned = {
+        target.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute)
+    }
+    assert "w_sets" in assigned
+    assert not assigned & {"w_seen", "selected"}
+
+
+@pytest.mark.parametrize("kind", ["truthful_delay", "table"])
+def test_a_run_leaves_the_p_policy_unchanged(kind):
+    """The strategy and the verifier share the scenario's one policy, which
+    holds no state: a run and its verify leave its attributes as loaded,
+    on the first corpus Robinson document of each policy kind that scans."""
+    for i in range(500):
+        doc = generate(CORPUS_SEED, i, "robinson", CORPUS_MAX_HORIZON)
+        if doc["p_policy"]["type"] != kind:
+            continue
+        sc = load_scenario(doc)
+        before = copy.deepcopy(vars(sc.p_policy))
+        events, final = run(sc)
+        if any(ev.kind in ("certify", "refuse-certify") for ev in events):
+            break
+    assert passed(verify(sc, events, final))
+    assert any(ev.kind in ("certify", "refuse-certify") for ev in events)
+    assert vars(sc.p_policy) == before
 
 
 WAKE_STATE = {"awake", "reach"}

@@ -625,7 +625,7 @@ def test_changes_and_cone_truth():
     assert wset.truth == [(4, 5)]
     assert [wset.holds(t) for t in (3, 4, 5)] == [False, True, False]
     wset.add(1, "1")  # lives from 2 on and swallows [4, 5)
-    assert wset.strings == [(4, "10"), (1, "1")]
+    assert wset.strings == {"10": 4, "1": 1}
     assert [wset.holds(t) for t in (1, 3, 5)] == [False, True, True]
 
 
@@ -647,7 +647,7 @@ def test_guessing_set_matches_the_per_string_reference(c_entry, strings, h, dela
     for n, (u, sigma) in enumerate(strings):
         wset.add(u, sigma)
         done = strings[: n + 1]
-        assert wset.strings == done
+        assert wset.strings == {sigma: u for u, sigma in reversed(done)}
         for t in range(h + 2):
             assert wset.holds(t) == bool(cone_truth(done, c_cones, t)), (t, done)
     assert all(lo < hi for lo, hi in wset.truth)

@@ -169,8 +169,8 @@ def test_certification_race_won_by_policy_hit():
     enums = [ev for ev in events if ev.kind == "enumerate" and ev.payload["set"] == "W"]
     assert [(ev.stage, ev.payload["j"], ev.payload["sigma"]) for ev in enums] == [(2, "0", "0")]
     # p holds only while C stays out of the cone, one stage late.
-    strings = strategy.sets[0].strings
-    assert strings == [(2, "0")]
+    assert strategy.sets[0].strings == {"0": 2}
+    strings = [(2, "0")]
     row = p_row(truthful_windows(1, strategy.c_cones, strings), 8)
     assert changes(row) == 2
     assert row[8] == 0 == cone_truth(strings, strategy.c_cones, 8) == strategy.sets[0].holds(8)

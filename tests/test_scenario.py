@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from splitsim.fuzz import generate
-from splitsim.model import Axiom
+from splitsim.model import Axiom, TablePolicy, TruthfulDelayPolicy
 from splitsim.scenario import ScenarioError, load_scenario, load_scenario_file
 
 from conftest import count_calls
@@ -177,8 +177,8 @@ def test_conflicting_axioms_rejected():
 
 def test_p_policy_validation():
     sc = load_scenario(_valid(construction="robinson", functionals=[]))
-    assert sc.p_policy_kind == "truthful_delay"
-    assert sc.p_policy_params == {"d": 1}
+    assert isinstance(sc.p_policy, TruthfulDelayPolicy)
+    assert sc.p_policy.delay == 1
     sc = load_scenario(
         _valid(
             construction="robinson",
@@ -186,8 +186,8 @@ def test_p_policy_validation():
             p_policy={"type": "table", "values": {"0": [0, 1]}},
         )
     )
-    assert sc.p_policy_kind == "table"
-    assert sc.p_policy_params == {"values": {0: [0, 1]}}
+    assert isinstance(sc.p_policy, TablePolicy)
+    assert [sc.p_policy.spans(j, None, 1) for j in (0, 1)] == [[(1, 1)], []]
 
     assert any("p_policy.type" in p for p in _problems(_valid(p_policy={"type": "x"})))
     assert any("p_policy.d" in p for p in _problems(_valid(p_policy={"type": "truthful_delay", "d": 0})))
@@ -254,7 +254,8 @@ def test_canonical_index_keys_load():
     sc = load_scenario(_valid(q_overrides={"0": 2, "10": 3}))
     assert sc.q_overrides == {0: 2, 10: 3}
     sc = load_scenario(_valid(p_policy={"type": "table", "values": {"0": [0], "12": [0, 1]}}))
-    assert sc.p_policy_params == {"values": {0: [0], 12: [0, 1]}}
+    assert isinstance(sc.p_policy, TablePolicy)
+    assert [sc.p_policy.spans(j, None, 1) for j in (0, 1, 12)] == [[], [], [(1, 1)]]
 
 
 def test_load_scenario_file(tmp_path):

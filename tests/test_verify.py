@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -22,6 +23,7 @@ from conftest import (
     corpus_doc,
     count_calls,
     malformed_refusals,
+    material_doc,
     quiet_tail_docs,
 )
 from limit_reference import limit_eval
@@ -447,14 +449,14 @@ class _OpensAtZero:
         return [(0, 0)]
 
 
-def test_v8_v10_start_witnesses(control_materials, monkeypatch):
+def test_v8_v10_start_witnesses(control_materials):
     """V8's start rule and V10's start witness, which no loadable scenario
     reaches (the loader and TablePolicy reject a row that starts at 1, and
     a truthful span opens at stage d >= 1), fire on a policy that
     answers 1 at stage 0: V8 once per guessing set, V10 once, for the
     first set in enumeration order, with one flip each, inside budget."""
-    monkeypatch.setattr(verify_mod, "build_policy", lambda scenario: _OpensAtZero())
     sc, events, _ = control_materials["injury"]
+    sc = dataclasses.replace(sc, p_policy=_OpensAtZero())
     enumerated = [int(ev.payload["j"]) for ev in events if ev.payload.get("set") == "W"]
     assert len(set(enumerated)) == 3
     checks = verify(sc, events)["checks"]
@@ -468,17 +470,18 @@ def test_v8_v10_start_witnesses(control_materials, monkeypatch):
     }]
 
 
-def _coded_verdict(sc, events):
+def _coded_verdict(doc, sc, events):
     """V10's verdict as omegace reaches it from the p rows, built by the
-    per-string reference from the strings of the replay's guessing sets:
-    they form an ApproxTable with bounds q + 1, and restrict decodes their
-    limit."""
+    per-string reference from the document's p_policy and the strings of
+    the replay's guessing sets: they form an ApproxTable with bounds
+    q + 1, and restrict decodes their limit."""
     h = sc.horizon
     rows = {}
     if sc.construction == "robinson":
         c_cones = model.Cones(sc.c_schedule.entry_stage())
         for j, wset in verify_mod._replay(sc, events).w_sets.items():
-            rows[j] = tuple(p_row(windows(sc, c_cones, j, wset.strings), h))
+            strings = [(u, sigma) for sigma, u in wset.strings.items()]
+            rows[j] = tuple(p_row(windows(doc, c_cones, j, strings), h))
     bounds = {j: sc.q_overrides.get(j, sc.q_default) + 1 for j in rows}
     try:
         tab = omegace.ApproxTable(h, rows, bounds)
@@ -512,13 +515,13 @@ def test_v10_is_v8s_verdict_by_the_lemma(control_materials):
         doc = generate(2026, i, "robinson", 256)
         for variant in [doc, *_low_budget_docs(rng, doc)]:
             sc = load_scenario(variant)
-            traces.append((sc, run(sc)[0]))
+            traces.append((variant, sc, run(sc)[0]))
     for check, material in CONTROLS.items():
         sc, events, _ = control_materials[material]
-        traces.append((sc, corrupt(check, sc, events)))
+        traces.append((material_doc(material), sc, corrupt(check, sc, events)))
     verdicts = set()
-    for sc, events in traces:
-        want = _coded_verdict(sc, events)
+    for doc, sc, events in traces:
+        want = _coded_verdict(doc, sc, events)
         checks = verify(sc, events)["checks"]
         assert (checks["V10"]["status"] != "fail") == want
         assert (checks["V8"]["status"] != "fail") == want
