@@ -44,9 +44,12 @@ refusals, local definitions and cancellations.  V7: a scan line must
 name the index its input holds (a fresh one, the next issued, on its
 first scan and on its first after a cancellation of its requirement),
 and memo=1 marks exactly a refusal of a sigma the input had refused
-since its index was issued.  V6: an initialize line cancels its block's
-requirements, and the inputs whose index that drops must be, one for
-one, the stage's injury lines, each with cause=initialized.
+since its index was issued.  The engine enumerates sigma into W_j only
+for its scan of sigma, so each W line must match, one for one, a scan
+line of its stage naming its j and sigma, in any order within the
+stage.  V6: an initialize line cancels its block's requirements, and
+the inputs whose index that drops must be, one for one, the stage's
+injury lines, each with cause=initialized.
 
 The replay keeps each requirement's state since its last cancellation,
 read off its lines: a plain requirement's prefix of local values and
@@ -110,6 +113,7 @@ checks carry minimal witnesses (stage plus the offending trace lines).
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from functools import partial
 
 from .model import (
@@ -231,6 +235,7 @@ class _Context:
         self.last_initialized = {}
         self.last_change = [-1, -1]
         self.w_sets = {}  # j -> GuessingSet W_j
+        self.w_lines = []  # the W enumeration lines, in trace order
         self.scans = []  # (line, index its input holds, memo due), in trace order
         self.indices = GuessingIndices()  # keyed by the scan lines' req and x texts
         self.pending_count = 0
@@ -401,6 +406,7 @@ def _on_enumerate(ctx, ev, s, pend):
         if wset.holds(s):
             prob.add("V7", s, "enumeration into W_%d while C already lies in a cone" % j, ev)
         wset.add(s, sigma)
+        ctx.w_lines.append(ev)
         return
     x = parse_int(pay["element"])
     if target == "D":
@@ -851,6 +857,15 @@ def _check_v7(ctx, spans):
                     "memo flag %s, expected %s" % (pay.get("memo", "absent"), "1" if memo else "absent"),
                     ev,
                 )
+    # Each W line takes one scan line of its stage that names its j and sigma.
+    scans = Counter((ev.stage, ev.payload.get("j"), ev.payload.get("sigma")) for ev, _, _ in ctx.scans)
+    for ev in ctx.w_lines:
+        key = ev.stage, ev.payload["j"], ev.payload["sigma"]
+        if scans[key]:
+            scans[key] -= 1
+        else:
+            note = "W_%s enumeration of sigma=%s matches no scan line of its stage" % key[1:]
+            prob.add("V7", ev.stage, note, ev)
 
 
 def _check_v8_v10(ctx, spans):

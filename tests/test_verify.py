@@ -315,7 +315,8 @@ def test_scan_needs_c_inside_a_cone_of_its_set():
     """The engine enumerates sigma into W_j unless C already lies in a
     cone of W_j's strings, so C lies in one at every scan of W_j.  The
     refusal run's W_0 string "0" flipped to "1" leaves every other rule
-    passing, and both scans over W_0 fail V7."""
+    passing: both scans over W_0 fail V7, and so does the changed W line,
+    which enumerates a sigma no scan of its stage names."""
     sc = load_scenario(_REFUSAL_DOC)
     events, _ = run(sc)
     at = next(i for i, ev in enumerate(events) if ev.kind == "enumerate")
@@ -327,7 +328,11 @@ def test_scan_needs_c_inside_a_cone_of_its_set():
         {"stage": ev.stage, "note": "C lies in no cone of W_0 at entry", "line": ev.to_line()}
         for ev in events
         if ev.kind == "refuse-certify"
-    ]
+    ] + [{
+        "stage": line.stage,
+        "note": "W_0 enumeration of sigma=1 matches no scan line of its stage",
+        "line": line.to_line(),
+    }]
 
 
 def test_injuries_match_the_dropped_indices(control_materials):
@@ -761,7 +766,9 @@ def test_refusal_inside_the_deferral_fails_v7():
     """A scan at a stage s <= use is no step: the input waits for the
     stage to pass the use.  The refusal of stage 4 moved to stage 2 fails
     the step check; it also scans W_0 before the stage-4 enumeration of
-    its string, so C lies in no cone of W_0 at its entry."""
+    its string, so C lies in no cone of W_0 at its entry, and leaves that
+    enumeration with no scan of its stage.  The scan-line rules witness
+    first, then the W lines, then the step check."""
     sc = load_scenario(_DEFERRED_DOC)
     events, _ = run(sc)
     assert passed(verify(sc, events))
@@ -771,8 +778,15 @@ def test_refusal_inside_the_deferral_fails_v7():
     two = next(i for i, ev in enumerate(events) if ev.stage == 2)
     forged = events[:two] + [line] + events[two:at] + events[at + 1:]
     v7 = verify(sc, forged)["checks"]["V7"]
+    w_line = next(ev for ev in events if ev.kind == "enumerate" and ev.payload.get("set") == "W")
+    assert w_line.stage == 4
     assert v7["witnesses"] == [
         {"stage": 2, "note": "C lies in no cone of W_0 at entry", "line": line.to_line()},
+        {
+            "stage": 4,
+            "note": "W_0 enumeration of sigma=000 matches no scan line of its stage",
+            "line": w_line.to_line(),
+        },
         {
             "stage": 2,
             "note": "step at input 0 exits nocomp (selects k=0 at use 3), with no scan",
