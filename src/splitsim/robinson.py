@@ -8,9 +8,10 @@ of a per-input index j (unless C already lies in one of the set's cones),
 and the kernel's scan (model.scan) races the first moment C leaves the
 cone of sigma (refusal) against the first stage the external
 approximation p answers 1 for j (certification), read off the spans
-for W_j of the scenario's p policy (the loader's).  The scan happens inside the stage against the
-pre-specified C schedule and p policy, both oblivious to the run, so a
-run remains a pure function of its scenario.
+for W_j of the scenario's p policy, which the loader built.  The scan
+happens inside the stage against the pre-specified C schedule and p
+policy, both oblivious to the run, so a run remains a pure function of
+its scenario.
 
 The kernel's GuessingIndices (RobinsonStrategy.inputs) holds each
 input's one record, keyed by owner (side, e) and input x: its guessing
@@ -19,11 +20,12 @@ definition (k, death).  Each guessing set W_j is one kernel record,
 model.GuessingSet (RobinsonStrategy.sets), over the strategy's c_cones:
 its strings, each with the stage of its first enumeration, and the
 stages at which C lies in one of their cones, which certify asks before
-it enumerates and the policy's spans are read off.  death is the stage at which C leaves sigma's cone
-(None: never), read off its lifetime in the strategy's own c_cones, and
-the kernel's live decides whether the definition still counts at a
-stage.  A sigma refused before is refused again at its death (the cone
-exit still beats every p hit), and that line is marked memo=1.
+it enumerates and the policy's spans are read off.  death is the stage
+at which C leaves sigma's cone (None: never), read off its lifetime in
+the strategy's own c_cones, and the kernel's live decides whether the
+definition still counts at a stage.  A sigma refused before is refused
+again at its death (the cone exit still beats every p hit), and that
+line is marked memo=1.
 
 Injury has one cause, initialization.  When a requirement is cancelled,
 every input of it that holds a guessing index is injured: the

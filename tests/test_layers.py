@@ -5,7 +5,9 @@ the kernel that defines those decisions once (model, omegace, trace),
 never on the engine, the strategies or the harness.  The build layer sits
 on the same kernel: the engine and the strategies import nothing else,
 except that robinson takes ConstructionInvariantError from the engine.
-The checks read the sources, so they hold without importing anything.
+The checks read the sources, so they hold without importing anything,
+except one that runs two corpus documents to show that the p policy the
+strategy and the verifier share keeps no run state.
 """
 
 import ast
